@@ -7,12 +7,12 @@ from __future__ import annotations
 import threading
 from itertools import permutations
 
-from .cartan import LONGEST_WORDS
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     Rat,
     RAT_ONE,
     RAT_ZERO,
+    accumulate,
     nu_power,
     qangle,
     qangle_factorial,
@@ -97,7 +97,7 @@ class CanonicalTables:
             return self._two_letter_cb(gamma)
         if name == "A1affine" and tuple(sorted(gamma)) == (2, 2):
             return self._affine22_cb()
-        if name in LONGEST_WORDS:
+        if self.datum.is_finite_type():
             return self._algorithmic_cb(gamma)
         raise TableIncomplete(f"no canonical basis source for {name} degree {gamma}")
 
@@ -158,7 +158,7 @@ class CanonicalTables:
 
         half = self.half
         datum = self.datum
-        word = LONGEST_WORDS[datum.name]
+        word = datum.longest_word()
         roots = [datum.weyl_act(word[: r - 1], datum.alpha(word[r - 1])) for r in range(1, len(word) + 1)]
         comps = _compositions(gamma, roots)
         if not comps:
@@ -257,7 +257,7 @@ class CanonicalTables:
             return self._affine22_dcb()
         if name == "R3" and gamma == (1, 1, 1):
             return self._r3_dcb()
-        if name in LONGEST_WORDS:
+        if self.datum.is_finite_type():
             return self._gram_dual_dcb(gamma)
         raise TableIncomplete(f"no dual canonical basis source for {name} degree {gamma}")
 
@@ -453,11 +453,7 @@ class CanonicalTables:
             w2d = self.word_to_dcb(x.sign, gamma)
             for w, c in comp.terms.items():
                 for lab, d in w2d[w].items():
-                    s = out.get(lab, RAT_ZERO) + c * d
-                    if s.is_zero():
-                        out.pop(lab, None)
-                    else:
-                        out[lab] = s
+                    accumulate(out, lab, c * d)
         return out
 
     # ------------------------------------------------------------ crystal layer

@@ -46,6 +46,8 @@ class CartanDatum:
     def index(self, label) -> int:
         if isinstance(label, int):
             return label
+        if label not in self.labels:
+            raise CartanError(f"unknown index label {label!r}")
         return self.labels.index(label)
 
     def alpha(self, i: int) -> tuple[int, ...]:
@@ -67,17 +69,6 @@ class CartanDatum:
                 if bj:
                     tot += ai * bj * di * row[j]
         return tot
-
-    def bidot(self, x, y) -> int:
-        """Extension to Gamma + Gamma with alpha_{+-i} . alpha_{-+j} = -d_i a_ij.
-
-        Bilinear: (x-, x+).(y-, y+) = (x+ - x-).(y+ - y-).
-        """
-        xm, xp = x
-        ym, yp = y
-        dif_x = tuple(p - m for p, m in zip(xp, xm))
-        dif_y = tuple(p - m for p, m in zip(yp, ym))
-        return self.dot(dif_x, dif_y)
 
     def eta(self, alpha) -> int:
         return sum(a * di for a, di in zip(alpha, self.d))
@@ -243,17 +234,6 @@ PRESETS: dict[str, CartanDatum] = {
     # rank 3 with all off-diagonal entries -1 (affine sl3 shape)
     "R3": _datum("R3", ["1", "2", "3"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1]),
 }
-
-# fixed reduced words of the longest element used for PBW bases
-LONGEST_WORDS: dict[str, tuple[int, ...]] = {
-    "A1": (0,),
-    "A1xA1": (0, 1),
-    "A2": (0, 1, 0),
-    "B2": (0, 1, 0, 1),
-    "G2": (0, 1, 0, 1, 0, 1),
-    "A3": (0, 1, 0, 2, 1, 0),
-}
-
 
 def get_datum(spec) -> CartanDatum:
     """Resolve a preset name, JSON text, or CartanDatum."""

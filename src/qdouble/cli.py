@@ -2,8 +2,12 @@
 evaluate element-level utilities.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
-Output is deterministic: fixed evaluation order regardless of the requested
-parallelism width, scalars in canonical text form, JSON with sorted keys.
+Output is deterministic: fixed evaluation order, so the bytes are the same
+across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
+sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
+key covering the datum, the bytes of the --tables file and the package
+version.  The algorithmic canonical-basis path covers every finite-type
+datum, JSON data included.
 """
 from __future__ import annotations
 
@@ -13,10 +17,10 @@ import json
 import os
 import sys
 
+from . import __version__
 from .algebra import Algebra
-from .cartan import CartanError, get_datum
+from .cartan import PRESETS, CartanError, get_datum
 from .double import tri_to_obj
-from .cartan import PRESETS
 from .halves import PLUS, MINUS, half_from_obj, parse_word
 from .scalar import RAT_ONE, format_scalar
 
@@ -25,19 +29,26 @@ class UsageError(ValueError):
     pass
 
 
-def _algebra(args) -> Algebra:
-    if args.preset in PRESETS:
+def _algebra(args, tables: bytes | None = None) -> Algebra:
+    """The shared instance of a preset, or a private instance for a JSON datum
+    or for user tables, so that user tables never reach a later run."""
+    if tables is None and args.preset in PRESETS:
         return Algebra.get(args.preset)
-    try:
-        return Algebra(get_datum(args.preset))
-    except CartanError as exc:
-        raise UsageError(str(exc)) from exc
+    alg = Algebra(get_datum(args.preset))
+    if tables is not None:
+        _load_user_tables(alg, tables)
+    return alg
 
 
-def _load_user_tables(alg: Algebra, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    for block in payload:
+def _read_tables(args) -> bytes | None:
+    if not args.tables:
+        return None
+    with open(args.tables, "rb") as fh:
+        return fh.read()
+
+
+def _load_user_tables(alg: Algebra, data: bytes):
+    for block in json.loads(data):
         gamma = tuple(block["degree"])
         labeled = [
             (entry["label"], half_from_obj(alg.half, entry["element"]))
@@ -55,9 +66,8 @@ def _resolve_label(alg: Algebra, token: str, sign: int) -> str:
 
 
 def cmd_basis(args) -> int:
-    alg = _algebra(args)
-    if args.tables:
-        _load_user_tables(alg, args.tables)
+    tables = _read_tables(args)
+    alg = _algebra(args, tables)
     bound = tuple([args.height] * alg.datum.rank)
     def parse_filter(text):
         if text is None:
@@ -69,13 +79,20 @@ def cmd_basis(args) -> int:
     cache_dir = os.environ.get("QDOUBLE_CACHE_DIR")
     cache_file = None
     if cache_dir:
-        key = hashlib.sha256(
-            json.dumps([args.preset, args.height, args.j_minus, args.j_plus]).encode()
-        ).hexdigest()[:16]
+        # the name as well as the matrix: some hand tables are chosen by name
+        key_parts = [
+            __version__,
+            alg.datum.name,
+            alg.datum.to_json(),
+            hashlib.sha256(tables or b"").hexdigest(),
+            args.height,
+            args.j_minus,
+            args.j_plus,
+        ]
+        key = hashlib.sha256(json.dumps(key_parts).encode()).hexdigest()[:16]
         cache_file = os.path.join(cache_dir, f"basis-{key}.json")
-        if os.path.exists(cache_file):
-            with open(cache_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = _read_cache(cache_file)
+        if text is not None:
             _emit(args, text)
             return 0
     rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
@@ -94,10 +111,24 @@ def cmd_basis(args) -> int:
     text = json.dumps(payload, indent=1, sort_keys=True)
     if cache_file:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_file, "w", encoding="utf-8") as fh:
+        tmp = f"{cache_file}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.replace(tmp, cache_file)
     _emit(args, text)
     return 0
+
+
+def _read_cache(path: str) -> str | None:
+    """A cached table, or None when the entry is missing, unreadable or not
+    valid JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return text
 
 
 def _emit(args, text: str):
@@ -159,9 +190,7 @@ def cmd_braid(args) -> int:
 
 
 def cmd_strconst(args) -> int:
-    alg = _algebra(args)
-    if args.tables:
-        _load_user_tables(alg, args.tables)
+    alg = _algebra(args, _read_tables(args))
     lm = _resolve_label(alg, args.b_minus, MINUS)
     lp = _resolve_label(alg, args.b_plus, PLUS)
     coeffs, report = alg.structure_constants(lm, lp)
@@ -190,13 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-minus", default=None, help="comma-separated biparabolic filter (minus side)")
     p.add_argument("--j-plus", default=None)
     p.add_argument("--tables", default=None, help="user dual-basis table file")
-    p.add_argument("--width", type=int, default=1, help="parallelism width (output is width-independent)")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("suite", help="sl2 | rank2 | rank3 | braid | rst | all")
     p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--width", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pair", help="pair an E-side word against an F-side word")
@@ -226,10 +253,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "height", 0) < 0:
             raise UsageError("height bound must be nonnegative")
-        if getattr(args, "width", 1) < 1:
-            raise UsageError("parallelism width must be positive")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CartanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -15,7 +15,7 @@ from .scalar import (
     Laurent,
     Rat,
     RAT_ONE,
-    RAT_ZERO,
+    accumulate,
     clear_denominators,
     cyclotomic_factor,
     nu_power,
@@ -56,10 +56,6 @@ def k_mul(K1, K2):
     )
 
 
-def k_inv(K):
-    return (tuple(-a for a in K[0]), tuple(-a for a in K[1]), tuple(-a for a in K[2]))
-
-
 def k_is_one(K):
     return not any(K[0]) and not any(K[1]) and not any(K[2])
 
@@ -80,11 +76,7 @@ class TriElem:
         assert self.flavor == other.flavor
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, RAT_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
         return TriElem(self.ctx, self.flavor, out, normalized=True)
 
     def __sub__(self, other: "TriElem") -> "TriElem":
@@ -119,12 +111,6 @@ class TriElem:
         if flavor == self.flavor:
             return self
         return TriElem(self.ctx, flavor, dict(self.terms), normalized=True)
-
-    def bidegrees(self):
-        out = set()
-        for (K, f, e) in self.terms:
-            out.add((self.ctx.half.word_degree(f), self.ctx.half.word_degree(e)))
-        return sorted(out)
 
     def __repr__(self):
         return f"TriElem[{self.flavor}]({format_tri(self)})"
@@ -164,16 +150,6 @@ class DoubleContext:
     def k_elem(self, K, flavor="full") -> TriElem:
         self._check_k(K, flavor)
         return TriElem(self, flavor, {(K, (), ()): RAT_ONE}, normalized=True)
-
-    def k_gen(self, i, side: int, power: int = 1, flavor="full") -> TriElem:
-        i = self.datum.index(i)
-        vec = [0] * self.datum.rank
-        vec[i] = power
-        if side == PLUS:
-            K = kmono((0,) * self.datum.rank, vec)
-        else:
-            K = kmono(vec, (0,) * self.datum.rank)
-        return self.k_elem(K, flavor)
 
     def e_gen(self, i, flavor="full") -> TriElem:
         i = self.datum.index(i)
@@ -235,12 +211,8 @@ class DoubleContext:
             for wf, af in fc.items():
                 for we, ae in ec.items():
                     key = (K, wf, we)
-                    s = out.get(key, RAT_ZERO) + c * af * ae
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                    accumulate(out, key, c * af * ae)
+        return out
 
     # -- straightening core ---------------------------------------------------------
     def _straighten_letter(self, i: int, f: tuple, cross):
@@ -258,11 +230,7 @@ class DoubleContext:
             for (K, f3, e3), c in self._straighten_letter(i, frest, cross).items():
                 factor = nu_power(2 * self.kdif_dot(K, alpha_j))
                 key2 = (K, (j,) + f3, e3)
-                s = out.get(key2, RAT_ZERO) + c * factor
-                if s.is_zero():
-                    out.pop(key2, None)
-                else:
-                    out[key2] = s
+                accumulate(out, key2, c * factor)
             if i == j:
                 br = Rat.of(qangle(-1, self.datum.qi_exp(i)))  # q_i^-1 - q_i
                 tp, tm = cross
@@ -271,16 +239,13 @@ class DoubleContext:
                     vec[i] = 1
                     Kp = kmono((0,) * rank, vec)
                     key2 = (Kp, frest, ())
-                    s = out.get(key2, RAT_ZERO) + br
-                    out[key2] = s
+                    accumulate(out, key2, br)
                 if tm:
                     vec = [0] * rank
                     vec[i] = 1
                     Km = kmono(vec, (0,) * rank)
                     key2 = (Km, frest, ())
-                    s = out.get(key2, RAT_ZERO) - br
-                    out[key2] = s
-                out = {k: v for k, v in out.items() if not v.is_zero()}
+                    accumulate(out, key2, -br)
         self._letter[key] = out
         return out
 
@@ -301,11 +266,7 @@ class DoubleContext:
                 factor = c3 * nu_power(-2 * self.kdif_dot(K3, deg_head))
                 for (K4, f4, e4), c4 in self._straighten(e_head, f3, cross).items():
                     key2 = (k_mul(K3, K4), f4, e4 + e3)
-                    s = out.get(key2, RAT_ZERO) + factor * c4
-                    if s.is_zero():
-                        out.pop(key2, None)
-                    else:
-                        out[key2] = s
+                    accumulate(out, key2, factor * c4)
         self._straight[key] = out
         return out
 
@@ -327,11 +288,7 @@ class DoubleContext:
                 for (K3, f3, e3), c3 in self._straighten(e1, f2, cross).items():
                     coeff = base * c3 * nu_power(2 * self.kdif_dot(K3, deg_f1))
                     key = (k_mul(K12, K3), f1 + f3, e3 + e2)
-                    s = out.get(key, RAT_ZERO) + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    accumulate(out, key, coeff)
         return TriElem(self, x.flavor, out)
 
     # -- gradings ----------------------------------------------------------------------
@@ -353,11 +310,7 @@ class DoubleContext:
             )
             coeff = c * nu_power(-self.kdif_dot(K, dif))
             key = (k_mul(K, K1), f, e)
-            s = out.get(key, RAT_ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, coeff)
         return TriElem(self, x.flavor, out, normalized=True)
 
     # -- involutions ----------------------------------------------------------------------
@@ -365,21 +318,13 @@ class DoubleContext:
         cross = _CROSS[x.flavor]
         half = self.half
         acc: dict = {}
-
-        def put(key, val):
-            s = acc.get(key, RAT_ZERO) + val
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-
         for (K, f, e), c in x.terms.items():
             deg_f = half.word_degree(f)
             deg_e = half.word_degree(e)
             if which == "transpose":
                 dif = tuple(a - b for a, b in zip(deg_e, deg_f))
                 coeff = c * nu_power(2 * self.kdif_dot(K, dif))
-                put((K, tuple(reversed(e)), tuple(reversed(f))), coeff)
+                accumulate(acc, (K, tuple(reversed(e)), tuple(reversed(f))), coeff)
                 continue
             if which == "bar":
                 coeff = Rat.of(c).bar()
@@ -398,7 +343,7 @@ class DoubleContext:
                 deg_f3 = half.word_degree(f3)
                 deg_e3 = half.word_degree(e3)
                 dif = tuple(a - b for a, b in zip(deg_f3, deg_e3))
-                put((k_mul(K3, K2), f3, e3), coeff * c3 * nu_power(2 * self.kdif_dot(K2, dif)))
+                accumulate(acc, (k_mul(K3, K2), f3, e3), coeff * c3 * nu_power(2 * self.kdif_dot(K2, dif)))
         return TriElem(self, x.flavor, acc)
 
     def bar(self, x: TriElem) -> TriElem:
@@ -438,11 +383,7 @@ class DoubleContext:
                     plus = tuple(p + int(s) for p, s in zip(plus, sol))
                     tag = (0,) * rank
             key = ((tuple(minus), tuple(plus), tuple(tag)), f, e)
-            s = out.get(key, RAT_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, c)
         return TriElem(self, x.flavor, out, normalized=True)
 
     def project_group_like(self, x: TriElem) -> TriElem:
@@ -453,11 +394,7 @@ class DoubleContext:
             minus, plus, tag = K
             net = kmono((0,) * rank, tuple(p - m for p, m in zip(plus, minus)), tag)
             key = (net, f, e)
-            s = out.get(key, RAT_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, c)
         return TriElem(self, x.flavor, out, normalized=True)
 
     # -- DCB coordinates ---------------------------------------------------------------------
@@ -472,21 +409,8 @@ class DoubleContext:
             for lm, cm in row_m.items():
                 for lp, cp in row_p.items():
                     key = (K, lm, lp)
-                    s = out.get(key, RAT_ZERO) + c * cm * cp
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    accumulate(out, key, c * cm * cp)
         return DCBExpansion(self, x.flavor, out)
-
-    def from_dcb(self, expansion: "DCBExpansion") -> TriElem:
-        tables = self._tables()
-        out = self.zero(expansion.flavor)
-        for (K, lm, lp), c in expansion.terms.items():
-            minus = tables.dcb_elem(MINUS, lm)
-            plus = tables.dcb_elem(PLUS, lp)
-            out = out + self.from_halves(minus, plus, K=K, flavor=expansion.flavor).scale(c)
-        return out
 
     def _tables(self):
         if self.tables is None:
@@ -614,22 +538,6 @@ class DCBExpansion:
             and self.flavor == other.flavor
             and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, RAT_ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return DCBExpansion(self.ctx, self.flavor, out)
-
-    def scale(self, c):
-        return DCBExpansion(self.ctx, self.flavor, {k: x * Rat.of(c) for k, x in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         return f"DCBExpansion[{self.flavor}]({self.terms})"

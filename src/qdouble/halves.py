@@ -16,6 +16,7 @@ from .scalar import (
     Rat,
     RAT_ONE,
     RAT_ZERO,
+    accumulate,
     nu_power,
     qangle,
     qangle_factorial,
@@ -49,11 +50,7 @@ class HalfElem:
         assert self.sign == other.sign and self.alg is other.alg
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, RAT_ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c)
         return HalfElem(self.alg, self.sign, out, compressed=True)
 
     def __sub__(self, other: "HalfElem") -> "HalfElem":
@@ -73,11 +70,7 @@ class HalfElem:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, RAT_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                accumulate(out, w, c1 * c2)
         return HalfElem(self.alg, self.sign, out)
 
     def __pow__(self, n: int) -> "HalfElem":
@@ -209,11 +202,7 @@ class HalfAlgebra:
         for w, c in x.terms.items():
             for weight, lw, rw in self.coproduct_word(w):
                 key = (lw, rw)
-                s = out.get(key, RAT_ZERO) + c * nu_power(weight)
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, key, c * nu_power(weight))
         return out
 
     # -- pairing -----------------------------------------------------------------
@@ -294,18 +283,7 @@ class HalfAlgebra:
             coords = basis.coords(sign, component)
             pivots = basis.pivot_rows if sign == PLUS else basis.pivot_cols
             for w, c in zip(pivots, coords):
-                if not c.is_zero():
-                    out[w] = out.get(w, RAT_ZERO) + c
-        return {w: c for w, c in out.items() if not c.is_zero()}
-
-    def normal_form(self, x: HalfElem) -> dict:
-        """Per-degree canonical coordinates over pivot words."""
-        out = {}
-        for gamma in x.degrees():
-            basis = self.degree_basis(gamma)
-            pivots = basis.pivot_rows if x.sign == PLUS else basis.pivot_cols
-            comp = x.component(gamma)
-            out[gamma] = [comp.terms.get(w, RAT_ZERO) for w in pivots]
+                accumulate(out, w, c)
         return out
 
     # -- involutions ------------------------------------------------------------------
@@ -370,11 +348,7 @@ class HalfAlgebra:
                     if w[p] == i:
                         coeff = c * nu_power(lead + suffix_exp)
                         key = w[:p] + w[p + 1 :]
-                        s = out.get(key, RAT_ZERO) + coeff
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        accumulate(out, key, coeff)
                     suffix_exp += self.chi_exp(alpha_i, datum.alpha(w[p]))
             elif variant == "op":
                 prefix_exp = 0
@@ -382,11 +356,7 @@ class HalfAlgebra:
                     if w[p] == i:
                         coeff = c * nu_power(lead + prefix_exp)
                         key = w[:p] + w[p + 1 :]
-                        s = out.get(key, RAT_ZERO) + coeff
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        accumulate(out, key, coeff)
                     prefix_exp += self.chi_exp(datum.alpha(w[p]), alpha_i)
             else:
                 raise ValueError(f"unknown derivation variant {variant!r}")

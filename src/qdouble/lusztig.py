@@ -4,9 +4,11 @@ double, together with structure-constant extraction and basis enumeration.
 """
 from __future__ import annotations
 
+import functools
+
 from .double import TriElem, kmono, k_mul
 from .halves import PLUS, MINUS
-from .scalar import Laurent, Rat, RAT_ZERO, nu_power, solve_bar_correction
+from .scalar import Laurent, Rat, RAT_ZERO, accumulate, nu_power, solve_bar_correction
 
 
 class TriangularityError(ValueError):
@@ -49,40 +51,46 @@ def toposort(labels, row_fn):
     return out
 
 
-def ll_solve(order, row_fn, side: str, targets=None):
+def bar_fix(target_row, candidates, row, side: str, where: str) -> dict:
+    """Lusztig's lemma: the unique corrections p_s making E + sum p_s E_s
+    bar-fixed, where target_row is the expansion of bar(E) over the family and
+    row(u) that of bar(E_u).
+
+    candidates lists the family labels below E, each after every label whose
+    bar row it appears in.  Returns s -> p_s (nonzero only), each p_s strictly
+    positive (side="positive") or strictly negative (side="negative") in v.
+    """
+    p: dict = {}
+    for s in candidates:
+        f = target_row.get(s, RAT_ZERO)
+        for u, pu in p.items():
+            c = row(u).get(s)
+            if c is not None:
+                f = f + pu.bar() * c
+        if f.is_zero():
+            continue
+        if not f.is_laurent():
+            raise TriangularityError(f"{where}: non-integral datum at {s}: {f}")
+        p[s] = Rat.of(solve_bar_correction(f.as_laurent(), side))
+    return p
+
+
+def ll_solve(order, row_fn, side: str):
     """Unique bar-fixed corrections over a unitriangular family.
 
     order: labels listed lower-first (as produced by toposort); row_fn(t) is
     the expansion of bar(E_t) over the family.  Returns, per target t, a dict
-    s -> p_s with C_t = E_t + sum p_s E_s bar-fixed and each p_s strictly
-    positive (side="positive") or strictly negative (side="negative") in v.
+    s -> p_s with C_t = E_t + sum p_s E_s bar-fixed (see bar_fix).
     """
-    pos = {t: k for k, t in enumerate(order)}
-    if targets is None:
-        targets = order
-    rows = {}
 
+    @functools.cache
     def row(t):
-        if t not in rows:
-            rows[t] = {s: Rat.of(c) for s, c in row_fn(t).items()}
-        return rows[t]
+        return {s: Rat.of(c) for s, c in row_fn(t).items()}
 
-    out = {}
-    for t in targets:
-        p: dict = {}
-        for s in reversed(order[: pos[t]]):
-            f = row(t).get(s, RAT_ZERO)
-            for u, pu in p.items():
-                c = row(u).get(s)
-                if c is not None:
-                    f = f + Rat.of(pu).bar() * c
-            if f.is_zero():
-                continue
-            if not f.is_laurent():
-                raise TriangularityError(f"correction data at {t}->{s} is not integral: {f}")
-            p[s] = Rat.of(solve_bar_correction(f.as_laurent(), side))
-        out[t] = p
-    return out
+    return {
+        t: bar_fix(row(t), reversed(order[:k]), row, side, f"target {t}")
+        for k, t in enumerate(order)
+    }
 
 
 def _assert_q_poly(coeff: Rat, where: str):
@@ -156,31 +164,17 @@ class Engine:
             self._circ_bar_row[rkey] = row
             return row
 
+        @functools.cache
         def row_of(idx):
-            if idx is None:
-                return bar_row0(lm, lp)
             alpha, l2, l3 = idx
-            base = bar_row0(l2, l3)
-            out = {}
-            for (beta, m2, m3), c in base.items():
-                out[(tuple(a + b for a, b in zip(alpha, beta)), m2, m3)] = c
-            return out
+            return {
+                (tuple(a + b for a, b in zip(alpha, beta)), m2, m3): c
+                for (beta, m2, m3), c in bar_row0(l2, l3).items()
+            }
 
-        target_row = row_of(None)
-        solved: dict = {}
-        for s in index_order:
-            f = target_row.get(s, RAT_ZERO)
-            for u, pu in solved.items():
-                ru = row_of(u).get(s)
-                if ru is not None:
-                    f = f + pu.bar() * ru
-            if f.is_zero():
-                continue
-            if not f.is_laurent():
-                raise TriangularityError(f"circ({lm},{lp}): non-integral datum at {s}: {f}")
-            p = Rat.of(solve_bar_correction(f.as_laurent(), side))
+        solved = bar_fix(bar_row0(lm, lp), index_order, row_of, side, f"circ({lm},{lp})")
+        for s, p in solved.items():
             _assert_q_poly(p, f"circ({lm},{lp}) correction at {s}")
-            solved[s] = p
 
         result = self._pair_tri(lm, lp, flavor).scale(self.d(lm, lp))
         rank = self.datum.rank
@@ -255,30 +249,17 @@ class Engine:
             self._bullet_bar_row[rkey] = row
             return row
 
+        @functools.cache
         def row_of(idx):
-            if idx is None:
-                return bar_row0(lm, lp)
             (am, ap), l2, l3 = idx
-            out = {}
-            for ((bm_, bp_), m2, m3), c in bar_row0(l2, l3).items():
-                out[((tuple(x + y for x, y in zip(am, bm_)), tuple(x + y for x, y in zip(ap, bp_))), m2, m3)] = c
-            return out
+            return {
+                ((tuple(x + y for x, y in zip(am, bm_)), tuple(x + y for x, y in zip(ap, bp_))), m2, m3): c
+                for ((bm_, bp_), m2, m3), c in bar_row0(l2, l3).items()
+            }
 
-        target_row = row_of(None)
-        solved: dict = {}
-        for s in index_order:
-            f = target_row.get(s, RAT_ZERO)
-            for u, pu in solved.items():
-                ru = row_of(u).get(s)
-                if ru is not None:
-                    f = f + pu.bar() * ru
-            if f.is_zero():
-                continue
-            if not f.is_laurent():
-                raise TriangularityError(f"bullet({lm},{lp}): non-integral datum at {s}: {f}")
-            p = Rat.of(solve_bar_correction(f.as_laurent(), side))
+        solved = bar_fix(bar_row0(lm, lp), index_order, row_of, side, f"bullet({lm},{lp})")
+        for s, p in solved.items():
             _assert_q_poly(p, f"bullet({lm},{lp}) correction at {s}")
-            solved[s] = p
 
         result = self.circ(lm, lp, variant).with_flavor("full")
         for ((am, ap), l2, l3), p in solved.items():
@@ -330,11 +311,7 @@ class Engine:
                 )
                 shifted = (k_mul(K, K2), m2, m3)
                 val = coeff * c * nu_power(-self.ctx.kdif_dot(K, dif2))
-                s = remaining.get(shifted, RAT_ZERO) - val
-                if s.is_zero():
-                    remaining.pop(shifted, None)
-                else:
-                    remaining[shifted] = s
+                accumulate(remaining, shifted, -val)
         return out
 
     # ======================================================== structure constants
@@ -434,7 +411,7 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
                 for weight2, l1, l2 in half.coproduct_word(left):
                     sets = (l1, l2, right)
                     coeff = c * nu_power(weight1 + weight2)
-                    acc[sets] = acc.get(sets, RAT_ZERO) + coeff
+                    accumulate(acc, sets, coeff)
         # convert words to labels per slot
         out = {}
         for (w1, w2, w3), c in acc.items():
@@ -445,7 +422,7 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
                 for lb, cb in tables.word_to_dcb(sign, d2)[w2].items():
                     for lc, cc in tables.word_to_dcb(sign, d3)[w3].items():
                         key = (la, lb, lc)
-                        out[key] = out.get(key, RAT_ZERO) + c * ca * cb * cc
+                        accumulate(out, key, c * ca * cb * cc)
         return out
 
     trip_p = triple_dcb(lp, PLUS)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .double import TriElem, kmono
 from .halves import HalfElem, PLUS, MINUS
-from .scalar import Rat, RAT_ONE, RAT_ZERO, nu_power, qangle, qangle_factorial, qround
+from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qangle_factorial, qround
 from . import linalg
 
 
@@ -36,11 +36,6 @@ class LWModule:
         self._build_shapovalov()
 
     # -- scalars ---------------------------------------------------------------
-    def weight_exp(self, i: int, j: int) -> int:
-        """nu-exponent of the K_i-eigenvalue on v_j: q_i^(coroot(-mu + |v_j|))."""
-        w = -self.mu[i] + self.datum.coroot(i, self.degrees[j])
-        return self.datum.qi_exp(i) * w
-
     def _mat_mul(self, A, B):
         return linalg.mat_mul(A, B)
 
@@ -172,11 +167,7 @@ class LWModule:
         for j, c in vec.items():
             for k in range(self.dim):
                 if not M[k][j].is_zero():
-                    s = out.get(k, RAT_ZERO) + c * M[k][j] * bracket
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    accumulate(out, k, c * M[k][j] * bracket)
         return out
 
     def act_half(self, x: HalfElem, vec: dict) -> dict:
@@ -188,11 +179,7 @@ class LWModule:
                 if not cur:
                     break
             for k, c in cur.items():
-                s = out.get(k, RAT_ZERO) + coeff * c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(out, k, coeff * c)
         return out
 
     def pairing(self, u: dict, v: dict) -> Rat:

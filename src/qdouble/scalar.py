@@ -17,7 +17,6 @@ __all__ = [
     "ONE",
     "NU",
     "Q",
-    "qnum",
     "qsq",
     "qround",
     "qangle",
@@ -27,6 +26,7 @@ __all__ = [
     "qsq_binom",
     "qround_binom",
     "solve_bar_correction",
+    "accumulate",
     "clear_denominators",
     "cyclotomic",
     "cyclotomic_factor",
@@ -205,13 +205,6 @@ class Laurent:
         if not r.is_zero():
             raise InexactDivision(f"{self} not divisible by {other}")
         return q
-
-    def divides(self, other: "Laurent") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivision:
-            return False
 
     def eval_fraction(self, x: Fraction) -> Fraction:
         return sum((Fraction(v) * x**k for k, v in self.c.items()), Fraction(0))
@@ -420,6 +413,16 @@ RAT_ZERO = Rat.of(0)
 RAT_ONE = Rat.of(1)
 
 
+def accumulate(out: dict, key, val: Rat) -> None:
+    """out[key] += val over Rat values, keeping no zero entries."""
+    old = out.get(key)
+    s = val if old is None else old + val
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def nu_power(k: int) -> Rat:
     return Rat(Laurent.mono(1, k), ONE, _canonical=True)
 
@@ -492,32 +495,6 @@ def qround_binom(a: int, n: int, base: int = 1) -> Laurent:
     for j in range(n):
         num = num * qround(a - j, base)
     return num.exact_div(qround_factorial(n, base))
-
-
-def qnum(a: int, n: int = 0, kind: str = "round", base: int = 1) -> Laurent:
-    """Dispatcher over the quantum-number families.
-
-    kind in {square, round, angle, sq_factorial, round_factorial,
-    angle_factorial, sq_binom, round_binom}; base is the exponent k with the
-    variable v^k (q = v^2, q_i = v^(2 d_i)).
-    """
-    if kind == "square":
-        return qsq(a, base)
-    if kind == "round":
-        return qround(a, base)
-    if kind == "angle":
-        return qangle(a, base)
-    if kind == "sq_factorial":
-        return qsq_factorial(a, base)
-    if kind == "round_factorial":
-        return qround_factorial(a, base)
-    if kind == "angle_factorial":
-        return qangle_factorial(a, base)
-    if kind == "sq_binom":
-        return qsq_binom(a, n, base)
-    if kind == "round_binom":
-        return qround_binom(a, n, base)
-    raise ValueError(f"unknown quantum number kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,6 @@ class SL2Oracle:
     def epow(self, n: int, flavor="full") -> TriElem:
         return TriElem(self.ctx, flavor, {(kmono((0,), (0,)), (), (0,) * n): RAT_ONE})
 
-    def kmon(self, a_minus: int, a_plus: int) -> tuple:
-        return kmono((a_minus,), (a_plus,))
-
     def fe_word(self, km: int, kp: int, nf: int, ne: int, flavor="full") -> TriElem:
         return TriElem(self.ctx, flavor, {(kmono((km,), (kp,)), (0,) * nf, (0,) * ne): RAT_ONE})
 

@@ -2,6 +2,7 @@ import pytest
 
 from qdouble import Algebra
 from qdouble.canbasis import TableIncomplete
+from qdouble.cartan import PRESETS
 from qdouble.halves import PLUS, MINUS
 from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qangle, qround
 
@@ -107,6 +108,17 @@ class TestCanonicalBasisA2:
         # and it is one of the table entries
         lab = a2.label_of(MINUS, f12)
         assert lab == "b+(0,0,1,0)" or lab == "b+(0,0,0,1)"
+
+
+class TestJsonDatum:
+    def test_json_a2_takes_the_pbw_path(self, a2):
+        # a datum given as JSON is recognised as finite type by its matrix
+        alg = Algebra(PRESETS["A2"].to_json())
+        assert len(alg.tables.dcb_table((2, 2)).labels) == 3
+        got = alg.tables.canonical_basis((2, 1))
+        want = a2.tables.canonical_basis((2, 1))
+        assert got.labels == want.labels
+        assert [x.terms for x in got.elements] == [x.terms for x in want.elements]
 
 
 class TestCanonicalBasisB2:

@@ -1,6 +1,6 @@
 import pytest
 
-from qdouble.cartan import CartanDatum, CartanError, PRESETS, LONGEST_WORDS, get_datum
+from qdouble.cartan import CartanDatum, CartanError, PRESETS, get_datum
 
 
 A2 = PRESETS["A2"]
@@ -104,10 +104,25 @@ class TestWeyl:
             PRESETS["A1affine"].positive_roots()
 
     def test_longest_words_reduced(self):
-        for name, word in LONGEST_WORDS.items():
+        # the PBW words behind the canonical-basis labels of the finite presets
+        expected = {
+            "A1": (0,),
+            "A1xA1": (0, 1),
+            "A2": (0, 1, 0),
+            "B2": (0, 1, 0, 1),
+            "G2": (0, 1, 0, 1, 0, 1),
+            "A3": (0, 1, 0, 2, 1, 0),
+        }
+        assert {name for name, d in PRESETS.items() if d.is_finite_type()} == set(expected)
+        for name, word in expected.items():
             datum = PRESETS[name]
+            assert datum.longest_word() == word
             assert datum.is_reduced(word)
             assert len(word) == len(datum.positive_roots())
+
+    def test_unknown_label(self):
+        with pytest.raises(CartanError, match="unknown index label '9'"):
+            A2.index("9")
 
     def test_reducedness(self):
         assert A2.is_reduced((0, 1, 0))

@@ -1,8 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdouble
 from qdouble.cli import main
+
+# stdout of `basis --preset A1 --height 1`, trailing newline included
+A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
+
+# a user table for degree (1,) that replaces F_1 by 2 F_1
+USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "2", "w": "F:1"}]}]}]
 
 
 def run(capsys, *argv):
@@ -35,10 +47,50 @@ class TestBasis:
         rows = json.loads(out)
         assert len(rows) == 1 and rows[0]["b_minus"] == "1"
 
-    def test_deterministic_across_widths(self, capsys):
-        _, out1 = run(capsys, "basis", "--preset", "A1", "--height", "2", "--width", "1")
-        _, out4 = run(capsys, "basis", "--preset", "A1", "--height", "2", "--width", "4")
-        assert out1 == out4
+    def test_deterministic_across_hash_seeds(self):
+        src = str(Path(qdouble.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("0", "1"):
+            env = {k: v for k, v in os.environ.items() if k != "QDOUBLE_CACHE_DIR"}
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdouble.cli", "basis", "--preset", "A1", "--height", "2"],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]
+
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            # 45 rows, 14 of them with a non-empty bar-correction certificate
+            ("A2", "ff3633646a4932b9be34d05a96eacac70da1595e5caefd2cd12ddc6b63523271"),
+            ("B2", "aecd47ffdfc4c796e17038e701f7026fb9617445a1c534442ee3c8d97c71a8af"),
+        ],
+    )
+    def test_pinned_height1_bytes(self, capsys, preset, digest):
+        code, out = run(capsys, "basis", "--preset", preset, "--height", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_user_tables_stay_private(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(USER_TABLE_A1))
+        code, with_tables = run(
+            capsys, "basis", "--preset", "A1", "--height", "1", "--tables", str(tables)
+        )
+        assert code == 0
+        _, plain = run(capsys, "basis", "--preset", "A1", "--height", "1")
+        assert hashlib.sha256(plain.encode()).hexdigest() == A1_H1_SHA256
+        assert with_tables != plain
+
+    def test_unknown_filter_label(self, capsys):
+        code = main(["basis", "--preset", "A2", "--height", "1", "--j-plus", "9"])
+        assert code == 2
+        assert "unknown index label '9'" in capsys.readouterr().err
 
     def test_biparabolic_filter(self, capsys):
         code, out = run(
@@ -58,6 +110,24 @@ class TestBasis:
         _, out2 = run(capsys, "basis", "--preset", "A1", "--height", "1")
         assert out1 == out2
 
+    def test_cache_key_covers_tables(self, capsys, tmp_path, monkeypatch):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(USER_TABLE_A1))
+        argv = ["basis", "--preset", "A1", "--height", "1"]
+        _, uncached = run(capsys, *argv, "--tables", str(tables))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
+        _, plain = run(capsys, *argv)
+        _, cached = run(capsys, *argv, "--tables", str(tables))
+        assert cached == uncached != plain
+        # an entry that does not decode is a miss, and is rewritten
+        for entry in cache.glob("basis-*.json"):
+            entry.write_bytes(b"\xff{")
+        assert run(capsys, *argv) == (0, plain)
+        assert run(capsys, *argv, "--tables", str(tables)) == (0, uncached)
+        assert all(json.loads(e.read_text()) for e in cache.glob("basis-*.json"))
+        assert not list(cache.glob("*.tmp"))
+
 
 class TestBraidCmd:
     def test_t1_on_e2(self, capsys):
@@ -65,6 +135,11 @@ class TestBraidCmd:
         assert code == 0
         rows = json.loads(out)
         assert {r["E"] for r in rows} == {"1 2", "2 1"}
+
+    def test_unknown_word_label(self, capsys):
+        code = main(["braid", "--preset", "A2", "--word", "9", "--element", "E:2"])
+        assert code == 2
+        assert "unknown index label '9'" in capsys.readouterr().err
 
     def test_inverse_roundtrip(self, capsys):
         code, out = run(
