@@ -26,6 +26,10 @@ class TableIncomplete(LookupError):
     """No table source covers the requested degree."""
 
 
+class UnknownLabel(KeyError):
+    """A label, or an element, that no built dual-canonical table holds."""
+
+
 class TableConflict(AssertionError):
     """A tabulated family disagrees with the computed basis."""
 
@@ -390,7 +394,7 @@ class CanonicalTables:
 
     def _label_info_get(self, label):
         if label not in self._label_info:
-            raise KeyError(f"unknown dual-canonical-basis label {label!r}")
+            raise UnknownLabel(f"unknown dual-canonical-basis label {label!r}")
         return self._label_info[label]
 
     def label_of(self, sign: int, elem: HalfElem) -> str:
@@ -400,7 +404,7 @@ class CanonicalTables:
         self.dcb_table(gamma)
         key = minus.key()
         if key not in self._by_elem:
-            raise KeyError(f"element of degree {gamma} is not in the table")
+            raise UnknownLabel(f"element of degree {gamma} is not in the table")
         return self._by_elem[key]
 
     def labels_of_degree(self, gamma) -> list:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 
@@ -123,14 +124,19 @@ class CartanDatum:
         return tuple(out)
 
     def is_finite_type(self) -> bool:
-        try:
-            self.positive_roots()
-            return True
-        except CartanError:
-            return False
+        return self._positive_roots is not None
 
-    def positive_roots(self) -> list[tuple[int, ...]]:
-        """Positive roots by reflection closure; raises for non-finite type."""
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """Positive roots sorted by height; raises for non-finite type."""
+        roots = self._positive_roots
+        if roots is None:
+            raise CartanError(f"datum {self.name or self.labels} is not of finite type")
+        return roots
+
+    @cached_property
+    def _positive_roots(self) -> tuple[tuple[int, ...], ...] | None:
+        """Positive roots by reflection closure, computed once per datum; None
+        when the closure outgrows any finite root system of this rank."""
         roots = {self.alpha(i) for i in range(self.rank)}
         frontier = set(roots)
         bound = 64 * self.rank * self.rank
@@ -144,8 +150,8 @@ class CartanDatum:
             roots |= new
             frontier = new
             if len(roots) > bound:
-                raise CartanError(f"datum {self.name or self.labels} is not of finite type")
-        return sorted(roots, key=lambda t: (sum(t), t))
+                return None
+        return tuple(sorted(roots, key=lambda t: (sum(t), t)))
 
     def two_rho_dot(self, coroot_evals) -> int:
         """2 rho . mu for a weight mu given by its coroot evaluations."""
@@ -208,13 +214,18 @@ class CartanDatum:
 
     @staticmethod
     def from_json(text: str) -> "CartanDatum":
-        obj = json.loads(text)
-        return CartanDatum(
-            tuple(obj["labels"]),
-            tuple(tuple(r) for r in obj["A"]),
-            tuple(obj["d"]),
-            name=obj.get("name", ""),
-        )
+        try:
+            obj = json.loads(text)
+            return CartanDatum(
+                tuple(obj["labels"]),
+                tuple(tuple(r) for r in obj["A"]),
+                tuple(obj["d"]),
+                name=obj.get("name", ""),
+            )
+        except CartanError:
+            raise
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise CartanError(f"bad Cartan datum JSON: {exc!r}") from None
 
 
 def _datum(name, labels, A, d):

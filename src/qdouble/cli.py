@@ -1,7 +1,13 @@
 """Command-line front end: compute basis tables, verify identity suites, and
 evaluate element-level utilities.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error.
+Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
+(bad arguments, unknown labels, unreadable or invalid --tables, a degree no
+table source covers), 3 internal error (any other exception; the traceback
+goes to stderr).  A --tables file is checked at load: JSON shape, one block
+per degree, unique labels, F-side words of the block's degree, nonzero
+elements, and, where the canonical basis of the degree is available, that
+((b, x)) over canonical b and user x is a permutation matrix.
 Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
 sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
@@ -19,6 +25,7 @@ import sys
 
 from . import __version__
 from .algebra import Algebra
+from .canbasis import TableIncomplete, UnknownLabel
 from .cartan import PRESETS, CartanError, get_datum
 from .double import tri_to_obj
 from .halves import PLUS, MINUS, half_from_obj, parse_word
@@ -47,22 +54,98 @@ def _read_tables(args) -> bytes | None:
         return fh.read()
 
 
+def _parse_word(alg: Algebra, text) -> tuple[int, tuple]:
+    if not isinstance(text, str) or text.partition(":")[0].strip() not in ("E", "F"):
+        raise UsageError(f"word {text!r} must read 'E:...' or 'F:...'")
+    return parse_word(alg.half, text)
+
+
 def _load_user_tables(alg: Algebra, data: bytes):
-    for block in json.loads(data):
-        gamma = tuple(block["degree"])
-        labeled = [
-            (entry["label"], half_from_obj(alg.half, entry["element"]))
-            for entry in block["elements"]
-        ]
+    """Register the tables of a --tables file after the checks listed in the
+    module docstring; any failure is a UsageError."""
+    try:
+        blocks = json.loads(data)
+    except ValueError as exc:
+        raise UsageError(f"--tables is not JSON: {exc}") from None
+    if not isinstance(blocks, list):
+        raise UsageError("--tables must hold a JSON list of degree blocks")
+    seen_degrees, seen_labels = set(), set()
+    for block in blocks:
+        if not isinstance(block, dict) or not isinstance(block.get("elements"), list):
+            raise UsageError('a --tables block must be {"degree": [...], "elements": [...]}')
+        degree = block.get("degree")
+        if (
+            not isinstance(degree, list)
+            or len(degree) != alg.datum.rank
+            or not all(isinstance(g, int) and g >= 0 for g in degree)
+        ):
+            raise UsageError(f"degree {degree!r} is not a list of {alg.datum.rank} naturals")
+        gamma = tuple(degree)
+        if gamma in seen_degrees:
+            raise UsageError(f"degree {degree} appears twice in --tables")
+        seen_degrees.add(gamma)
+        labeled = []
+        for entry in block["elements"]:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("label"), str)
+                and isinstance(entry.get("element"), list)
+                and all(isinstance(t, dict) and isinstance(t.get("c"), str) for t in entry["element"])
+            ):
+                raise UsageError(
+                    'a --tables element must be {"label": str, "element": [{"c": str, "w": str}, ...]}'
+                )
+            label = entry["label"]
+            if label in seen_labels:
+                raise UsageError(f"label {label!r} appears twice in --tables")
+            seen_labels.add(label)
+            words = [_parse_word(alg, t.get("w")) for t in entry["element"]]
+            signs = {s for s, _ in words}
+            if len(signs) > 1:
+                raise UsageError(f"element {label!r} mixes E-side and F-side words")
+            if PLUS in signs:
+                raise UsageError(f"element {label!r} is E-side; tables hold F-side elements")
+            if any(alg.half.word_degree(w) != gamma for _, w in words):
+                raise UsageError(f"element {label!r} has a word not of degree {degree}")
+            try:
+                elem = half_from_obj(alg.half, entry["element"])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"element {label!r}: {exc}") from None
+            if elem.is_zero():
+                raise UsageError(f"element {label!r} is zero")
+            labeled.append((label, elem))
+        _check_dual(alg, gamma, labeled)
         alg.tables.load_user_table(gamma, labeled)
 
 
+def _check_dual(alg: Algebra, gamma, labeled):
+    """Raise unless ((b, x)) over canonical b and user x is a permutation
+    matrix; nothing to check where no canonical basis source covers gamma."""
+    try:
+        cb = alg.tables.canonical_basis(gamma).elements
+    except TableIncomplete:
+        return
+    M = [[alg.tables.fgfrm(b, x) for _, x in labeled] for b in cb]
+    if len(labeled) != len(cb) or not all(map(_unit_vector, M + list(zip(*M)))):
+        raise UsageError(
+            f"the elements of degree {list(gamma)} are not dual to the canonical basis"
+        )
+
+
+def _unit_vector(line) -> bool:
+    return sum(c.is_one() for c in line) == 1 and all(c.is_one() or c.is_zero() for c in line)
+
+
 def _resolve_label(alg: Algebra, token: str, sign: int) -> str:
-    if ":" in token:
-        s, letters = parse_word(alg.half, token)
-        elem = alg.half.word(s, [alg.datum.labels[i] for i in letters])
-        return alg.label_of(sign, elem if s == sign else alg.half.flip(elem))
-    return token
+    try:
+        if ":" in token:
+            s, letters = _parse_word(alg, token)
+            elem = alg.half.word(s, [alg.datum.labels[i] for i in letters])
+            return alg.label_of(sign, elem if s == sign else alg.half.flip(elem))
+        alg.tables.degree_of(token)
+        return token
+    except UnknownLabel as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def cmd_basis(args) -> int:
@@ -159,8 +242,8 @@ def cmd_verify(args) -> int:
 
 def cmd_pair(args) -> int:
     alg = _algebra(args)
-    s1, w1 = parse_word(alg.half, args.left)
-    s2, w2 = parse_word(alg.half, args.right)
+    s1, w1 = _parse_word(alg, args.left)
+    s2, w2 = _parse_word(alg, args.right)
     if {s1, s2} != {PLUS, MINUS}:
         raise UsageError("pair expects one E-side and one F-side word")
     plus = alg.half.element(PLUS, {(w1 if s1 == PLUS else w2): RAT_ONE})
@@ -177,7 +260,7 @@ def cmd_braid(args) -> int:
             ops.append((alg.datum.index(token[:-3]), True))
         else:
             ops.append((alg.datum.index(token), False))
-    sign, letters = parse_word(alg.half, args.element)
+    sign, letters = _parse_word(alg, args.element)
     x = alg.ctx.from_halves(
         minus=alg.half.element(MINUS, {letters: RAT_ONE}) if sign == MINUS else None,
         plus=alg.half.element(PLUS, {letters: RAT_ONE}) if sign == PLUS else None,
@@ -254,12 +337,15 @@ def main(argv=None) -> int:
         if getattr(args, "height", 0) < 0:
             raise UsageError("height bound must be nonnegative")
         return args.func(args)
-    except (UsageError, CartanError) as exc:
+    except (UsageError, CartanError, TableIncomplete, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        import traceback  # only on this path: it costs memory at start-up
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

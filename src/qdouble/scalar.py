@@ -253,6 +253,9 @@ def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
         return ZERO if b.is_zero() else _content_times_prim(b)
     if b.is_zero():
         return _content_times_prim(a)
+    if len(a.c) == 1 or len(b.c) == 1:
+        # a single term is a unit times an integer
+        return Laurent.const(_int_gcd(a.content(), b.content()))
     ca, cb = a.content(), b.content()
     g_int = _int_gcd(ca, cb)
     a, b = _primitive(a), _primitive(b)
@@ -322,20 +325,39 @@ class Rat:
     def __bool__(self):
         return not self.num.is_zero()
 
+    # The operations below take canonical operands and keep the result
+    # canonical without a gcd of the full numerator and denominator: they
+    # cancel only where two factors can meet (Henrici 1956; Knuth, TAOCP 2,
+    # 4.5.1).  `Rat(num, den)` stays the reference that reduces from scratch.
+
     def __add__(self, other):
         other = Rat.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return Rat(self.num + other.num, ONE, _canonical=True)
-        return Rat(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_one():
+            if d.is_one():
+                return _rat(a + c, ONE)
+            # gcd(c + a d, d) = gcd(c, d) = 1
+            return _rat(c + a * d, d)
+        if d.is_one():
+            return _rat(a + c * b, b)
+        g = laurent_gcd(b, d)
+        if g.is_one():
+            # a prime of b d dividing a d + c b would divide both b and d
+            return _rat(a * d + c * b, b * d)
+        b1, d1 = b.exact_div(g), d.exact_div(g)
+        t = a * d1 + c * b1
+        if t.is_zero():
+            return RAT_ZERO
+        # t is coprime to b1 and d1, so it can only share factors with g
+        g2 = laurent_gcd(t, g)
+        if g2.is_one():
+            return _rat(t, b1 * d)
+        return _rat(t.exact_div(g2), b1 * d.exact_div(g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = Rat.__new__(Rat)
-        r.num = -self.num
-        r.den = self.den
-        r._hash = None
-        return r
+        return _rat(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-Rat.of(other))
@@ -345,31 +367,42 @@ class Rat:
 
     def __mul__(self, other):
         other = Rat.of(other)
-        if self.den.is_one() and other.den.is_one():
-            return Rat(self.num * other.num, ONE, _canonical=True)
-        return Rat(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RAT_ZERO
+        # cross-cancel: gcd(a/g1 c/g2, b/g2 d/g1) = 1
+        if not d.is_one():
+            g1 = laurent_gcd(a, d)
+            if not g1.is_one():
+                a, d = a.exact_div(g1), d.exact_div(g1)
+        if not b.is_one():
+            g2 = laurent_gcd(c, b)
+            if not g2.is_one():
+                c, b = c.exact_div(g2), b.exact_div(g2)
+        # with a Laurent operand, keep the other denominator itself
+        return _rat(a * c, d if b.is_one() else b if d.is_one() else b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Rat.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        return Rat(self.num * other.den, self.den * other.num)
+        return self * Rat.of(other).inv()
 
     def __rtruediv__(self, other):
         return Rat.of(other) / self
 
     def inv(self) -> "Rat":
-        return Rat(self.den, self.num)
+        if self.num.is_zero():
+            raise ZeroDivisionError
+        return _unit_normal(self.den, self.num)
 
     def __pow__(self, n: int) -> "Rat":
         if n < 0:
             return self.inv() ** (-n)
-        return Rat(self.num**n, self.den**n)
+        # den^n keeps valuation 0 and a positive leading coefficient
+        return _rat(self.num**n, self.den**n)
 
     def bar(self) -> "Rat":
-        return Rat(self.num.bar(), self.den.bar())
+        return _unit_normal(self.num.bar(), self.den.bar())
 
     def __eq__(self, other):
         if isinstance(other, (int, Laurent)):
@@ -407,6 +440,26 @@ def _canonicalize(num: Laurent, den: Laurent):
         num = num.intdiv(c)
         den = den.intdiv(c)
     return num, den
+
+
+def _rat(num: Laurent, den: Laurent) -> Rat:
+    """The Rat num/den, which the caller knows to be canonical (a zero
+    numerator only ever comes with den = 1)."""
+    r = Rat.__new__(Rat)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
+def _unit_normal(num: Laurent, den: Laurent) -> Rat:
+    """num/den with gcd(num, den) = 1: move the unit +-v^k of den to num."""
+    s = den.min_exp()
+    if s:
+        num, den = num.shift(-s), den.shift(-s)
+    if den.leading() < 0:
+        num, den = -num, -den
+    return _rat(num, den)
 
 
 RAT_ZERO = Rat.of(0)

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import qdouble
+import qdouble.algebra
 from qdouble.cli import main
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
 A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
 
-# a user table for degree (1,) that replaces F_1 by 2 F_1
-USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "2", "w": "F:1"}]}]}]
+# a valid user table for degree (1,): F_1 under the label "x"
+USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "1", "w": "F:1"}]}]}]
 
 
 def run(capsys, *argv):
@@ -87,6 +88,27 @@ class TestBasis:
         assert hashlib.sha256(plain.encode()).hexdigest() == A1_H1_SHA256
         assert with_tables != plain
 
+    @pytest.mark.parametrize(
+        "degree, element, message",
+        [
+            # 2 F_1 pairs to 2 with the canonical F_1: not a dual basis element
+            ([1], [{"c": "2", "w": "F:1"}], "not dual to the canonical basis"),
+            ([1], {"c": "1", "w": "F:1"}, "must be {"),
+            ([2], [{"c": "1", "w": "F:1 1"}, {"c": "1", "w": "E:1 1"}], "mixes E-side and F-side"),
+            ([2], [{"c": "1", "w": "F:1"}], "not of degree [2]"),
+        ],
+        ids=["scaled", "not-a-list", "mixed-signs", "wrong-degree"],
+    )
+    def test_invalid_user_tables(self, capsys, tmp_path, degree, element, message):
+        tables = tmp_path / "tables.json"
+        tables.write_text(
+            json.dumps([{"degree": degree, "elements": [{"label": "x", "element": element}]}])
+        )
+        code = main(["basis", "--preset", "A1", "--height", "1", "--tables", str(tables)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
     def test_unknown_filter_label(self, capsys):
         code = main(["basis", "--preset", "A2", "--height", "1", "--j-plus", "9"])
         assert code == 2
@@ -102,6 +124,11 @@ class TestBasis:
 
     def test_unknown_preset(self, capsys):
         assert main(["basis", "--preset", "Z9", "--height", "1"]) == 2
+
+    @pytest.mark.parametrize("preset", ["{bad", '{"labels": ["1"]}', '{"labels": 1, "A": 2, "d": 3}'])
+    def test_bad_json_datum(self, capsys, preset):
+        assert main(["basis", "--preset", preset, "--height", "1"]) == 2
+        assert "bad Cartan datum JSON" in capsys.readouterr().err
 
     def test_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(tmp_path))
@@ -156,6 +183,25 @@ class TestStrconst:
         payload = json.loads(out)
         assert payload["positive"] is True
         assert len(payload["coefficients"]) == 3
+
+    def test_unknown_labels(self, capsys):
+        code = main(["strconst", "nosuch", "alsono", "--preset", "A2"])
+        assert code == 2
+        assert "unknown dual-canonical-basis label 'nosuch'" in capsys.readouterr().err
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [KeyError("boom"), ValueError("boom")], ids=["KeyError", "ValueError"])
+    def test_exit_3(self, capsys, monkeypatch, exc):
+        def fail(self, x, y):
+            raise exc
+
+        monkeypatch.setattr(qdouble.algebra.Algebra, "pair", fail)
+        code = main(["pair", "E:1", "F:1", "--preset", "A1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"internal error: {type(exc).__name__}: ")
+        assert "Traceback" in err
 
 
 class TestVerify:

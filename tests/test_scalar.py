@@ -86,6 +86,81 @@ class TestRat:
         assert x.num.eval_fraction(t) / x.den.eval_fraction(t) == (2 * t**3 - 1) / (t**2 + 3)
 
 
+def _prod(*factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+PHI1, PHI2, PHI4, PHI8, PHI16 = (cyclotomic(k) for k in (1, 2, 4, 8, 16))
+W = Laurent({4: 2, 0: 1})  # 2v^4 + 1
+TWO = Laurent.const(2)
+
+# Fractions whose numerators and denominators share factors, drawn from the
+# denominators met in practice: products of cyclotomics Phi_k (k = 1, 2, 4,
+# 8, 16), 2v^4 + 1 and the integer 2, with single terms, negatives and zero.
+# Each is reduced from scratch by Rat(num, den).
+SHARED = [
+    (ZERO, ONE),
+    (Laurent.mono(3, -2), ONE),
+    (-ONE, ONE),
+    (_prod(PHI1, PHI2), ONE),
+    (NU, PHI1),
+    (-PHI2, _prod(PHI1, PHI4)),
+    (PHI4.shift(3), _prod(PHI1, PHI2, PHI8)),
+    (_prod(TWO, PHI8), _prod(PHI4, PHI8, PHI8)),
+    (ONE, TWO),
+    (W, _prod(TWO, PHI16)),
+    (-PHI16.shift(-1), _prod(W, PHI2)),
+    (Laurent({2: 1, 1: -1, 0: 3}), _prod(PHI8, PHI8)),
+    (_prod(PHI1, PHI1, PHI2), _prod(TWO, PHI4, PHI8)),
+    (Laurent.mono(-2, 5), _prod(PHI1, PHI16)),
+    (_prod(PHI2, W), _prod(PHI1, PHI1)),
+    (Laurent.const(4), _prod(PHI2, PHI4, PHI8, PHI16)),
+    (NU * 3, _prod(W, W).shift(2)),
+    (_prod(PHI1, PHI4), Laurent.mono(-6, 1)),
+]
+
+
+def _same_as_reference(got, num, den):
+    """got is exactly the canonical form Rat(num, den) reduces to."""
+    ref = Rat(num, den)
+    assert (got.num, got.den) == (ref.num, ref.den)
+    if got.is_zero():
+        assert got.num.c == {} and got.den.c == {0: 1}
+
+
+class TestRatReference:
+    """Every operation of Rat against a from-scratch reduction."""
+
+    pool = [Rat(n, d) for n, d in SHARED]
+
+    @pytest.mark.parametrize("x", pool, ids=range(len(SHARED)))
+    def test_binary(self, x):
+        a, b = x.num, x.den
+        for y in self.pool:
+            c, d = y.num, y.den
+            _same_as_reference(x + y, a * d + c * b, b * d)
+            _same_as_reference(x - y, a * d - c * b, b * d)
+            _same_as_reference(x * y, a * c, b * d)
+            if not y.is_zero():
+                _same_as_reference(x / y, a * d, b * c)
+
+    @pytest.mark.parametrize("x", pool, ids=range(len(SHARED)))
+    def test_unary(self, x):
+        a, b = x.num, x.den
+        _same_as_reference(x.bar(), a.bar(), b.bar())
+        _same_as_reference(-x, -a, b)
+        for n in range(4):
+            _same_as_reference(x**n, a**n, b**n)
+        if not x.is_zero():
+            _same_as_reference(x.inv(), b, a)
+            _same_as_reference(x**-2, b**2, a**2)
+        _same_as_reference(x + 1, a + b, b)
+        _same_as_reference(x * 2, a * 2, b)
+
+
 class TestQNumbers:
     def test_round_3(self):
         # (3) = v^2 + 1 + v^-2
