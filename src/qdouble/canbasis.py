@@ -4,7 +4,6 @@ crystal-style shift operators on dual-canonical-basis labels.
 """
 from __future__ import annotations
 
-import threading
 from itertools import permutations
 
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
@@ -55,14 +54,12 @@ class CanonicalTables:
         self.alg = algebra
         self.half: HalfAlgebra = algebra.half
         self.datum = algebra.datum
-        self._lock = threading.RLock()
         self._cb: dict = {}
         self._dcb: dict = {}
         self._w2d: dict = {}
         self._by_elem: dict = {}
         self._label_info: dict = {}
         self._ell: dict = {}
-        self.d_memo: dict = {}
         self.user_tables: dict = {}
 
     # ----------------------------------------------------------------- fgfrm
@@ -80,12 +77,11 @@ class CanonicalTables:
     # --------------------------------------------------------- canonical bases
     def canonical_basis(self, gamma) -> CBTable:
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma in self._cb:
-                return self._cb[gamma]
-            table = self._build_cb(gamma)
-            self._cb[gamma] = table
-            return table
+        if gamma in self._cb:
+            return self._cb[gamma]
+        table = self._build_cb(gamma)
+        self._cb[gamma] = table
+        return table
 
     def _build_cb(self, gamma) -> CBTable:
         half = self.half
@@ -220,16 +216,15 @@ class CanonicalTables:
     # ------------------------------------------------------------ dual bases
     def dcb_table(self, gamma) -> DCBTable:
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma in self._dcb:
-                return self._dcb[gamma]
-            table = self._build_dcb(gamma)
-            self._dcb[gamma] = table
-            for k, lab in enumerate(table.labels):
-                minus = table.minus[k]
-                self._label_info[lab] = (gamma, k)
-                self._by_elem[minus.key()] = lab
-            return table
+        if gamma in self._dcb:
+            return self._dcb[gamma]
+        table = self._build_dcb(gamma)
+        self._dcb[gamma] = table
+        for k, lab in enumerate(table.labels):
+            minus = table.minus[k]
+            self._label_info[lab] = (gamma, k)
+            self._by_elem[minus.key()] = lab
+        return table
 
     def _build_dcb(self, gamma) -> DCBTable:
         name = self.datum.name
@@ -424,30 +419,29 @@ class CanonicalTables:
     def word_to_dcb(self, sign: int, gamma) -> dict:
         gamma = tuple(gamma)
         key = (sign, gamma)
-        with self._lock:
-            if key in self._w2d:
-                return self._w2d[key]
-            table = self.dcb_table(gamma)
-            basis = self.half.degree_basis(gamma)
-            pivots = basis.pivot_rows if sign == PLUS else basis.pivot_cols
-            D = []
-            for k in range(len(table.labels)):
-                elem = table.minus[k] if sign == MINUS else self.half.flip(table.minus[k])
-                D.append(basis.coords(sign, elem.terms))
-            if len(D) != len(pivots):
-                raise TableConflict(
-                    f"table at {gamma} has {len(D)} elements, dimension is {len(pivots)}"
-                )
-            Dinv = linalg.invert(D)
-            out = {}
-            for w in basis.words:
-                coords = basis.coords(sign, {w: RAT_ONE})
-                sol = linalg.solve_vec(Dinv, coords)
-                out[w] = {
-                    table.labels[k]: c for k, c in enumerate(sol) if not c.is_zero()
-                }
-            self._w2d[key] = out
-            return out
+        if key in self._w2d:
+            return self._w2d[key]
+        table = self.dcb_table(gamma)
+        basis = self.half.degree_basis(gamma)
+        pivots = basis.pivot_rows if sign == PLUS else basis.pivot_cols
+        D = []
+        for k in range(len(table.labels)):
+            elem = table.minus[k] if sign == MINUS else self.half.flip(table.minus[k])
+            D.append(basis.coords(sign, elem.terms))
+        if len(D) != len(pivots):
+            raise TableConflict(
+                f"table at {gamma} has {len(D)} elements, dimension is {len(pivots)}"
+            )
+        Dinv = linalg.invert(D)
+        out = {}
+        for w in basis.words:
+            coords = basis.coords(sign, {w: RAT_ONE})
+            sol = linalg.solve_vec(Dinv, coords)
+            out[w] = {
+                table.labels[k]: c for k, c in enumerate(sol) if not c.is_zero()
+            }
+        self._w2d[key] = out
+        return out
 
     def half_to_dcb(self, x: HalfElem) -> dict:
         """Expand a half element over dual-canonical labels."""
@@ -464,11 +458,10 @@ class CanonicalTables:
     def ell(self, label: str, i) -> int:
         i = self.datum.index(i)
         key = (label, i)
-        with self._lock:
-            if key not in self._ell:
-                plus = self.dcb_elem(PLUS, label)
-                self._ell[key] = self.half.ell_and_top(i, plus)[0]
-            return self._ell[key]
+        if key not in self._ell:
+            plus = self.dcb_elem(PLUS, label)
+            self._ell[key] = self.half.ell_and_top(i, plus)[0]
+        return self._ell[key]
 
     def crystal_shift(self, i, r: int, label: str) -> str:
         """Kashiwara-style shift on plus-side labels: r >= 0 lowers ell_i by r,
@@ -512,12 +505,11 @@ class CanonicalTables:
     def load_user_table(self, gamma, labeled_elements):
         """Register a user-supplied dual basis for one degree before first use."""
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma in self._dcb:
-                raise ValueError(f"table for degree {gamma} already built")
-            labels = [lab for lab, _ in labeled_elements]
-            elems = [el for _, el in labeled_elements]
-            self.user_tables[gamma] = (labels, elems)
+        if gamma in self._dcb:
+            raise ValueError(f"table for degree {gamma} already built")
+        labels = [lab for lab, _ in labeled_elements]
+        elems = [el for _, el in labeled_elements]
+        self.user_tables[gamma] = (labels, elems)
 
 
 def _compositions(gamma, roots):

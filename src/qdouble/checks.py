@@ -1087,7 +1087,7 @@ def suite_braid(seed: int = 2026, include_g2: bool = True):
     img = aff.braid.T(0, aff.bullet(lab(1, 0), lab(0, 1)).with_flavor("localized"))
     shift = kmono((2, 2), (2, 2))
     shifted = aff.ctx.diamond(shift, img).with_flavor("full")
-    coeffs = aff.engine.expand_in_bullet_family(aff.ctx.to_dcb(shifted).terms)
+    coeffs = aff.engine.expand_in_bullet_family(aff.ctx.to_dcb(shifted))
     got = {
         ((tuple(a - 2 for a in am), tuple(a - 2 for a in ap)), lm, lp): c
         for ((am, ap), lm, lp), c in coeffs.items()

@@ -8,8 +8,6 @@ Elements are stored in triangular normal form: (K-monomial, F-word, E-word)
 """
 from __future__ import annotations
 
-import threading
-
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     Laurent,
@@ -123,10 +121,10 @@ class DoubleContext:
     def __init__(self, half: HalfAlgebra):
         self.half = half
         self.datum = half.datum
-        self._lock = threading.RLock()
         self._straight: dict = {}
         self._letter: dict = {}
         self._word_coords: dict = {}
+        self._d_memo: dict = {}
         self.tables = None  # canonical-basis table provider, wired by Algebra
 
     # -- scalars of the torus ----------------------------------------------
@@ -189,12 +187,11 @@ class DoubleContext:
     # -- normalization -----------------------------------------------------------
     def word_coords(self, sign: int, w: tuple) -> dict:
         key = (sign, w)
-        with self._lock:
-            got = self._word_coords.get(key)
-            if got is None:
-                got = self.half._compress(sign, {w: RAT_ONE})
-                self._word_coords[key] = got
-            return got
+        got = self._word_coords.get(key)
+        if got is None:
+            got = self.half._compress(sign, {w: RAT_ONE})
+            self._word_coords[key] = got
+        return got
 
     def _normalize(self, flavor: str, terms: dict) -> dict:
         out: dict = {}
@@ -398,7 +395,8 @@ class DoubleContext:
         return TriElem(self, x.flavor, out, normalized=True)
 
     # -- DCB coordinates ---------------------------------------------------------------------
-    def to_dcb(self, x: TriElem) -> "DCBExpansion":
+    def to_dcb(self, x: TriElem) -> dict:
+        """Coordinates {(K, label_-, label_+): scalar} over K diamond (b_- b_+)."""
         tables = self._tables()
         out = {}
         for (K, f, e), c in x.terms.items():
@@ -410,7 +408,7 @@ class DoubleContext:
                 for lp, cp in row_p.items():
                     key = (K, lm, lp)
                     accumulate(out, key, c * cm * cp)
-        return DCBExpansion(self, x.flavor, out)
+        return out
 
     def _tables(self):
         if self.tables is None:
@@ -422,9 +420,8 @@ class DoubleContext:
         """Minimal monic multiplier clearing the commutator expansion of the pair."""
         tables = self._tables()
         key = (lab_minus, lab_plus)
-        with self._lock:
-            if key in tables.d_memo:
-                return tables.d_memo[key]
+        if key in self._d_memo:
+            return self._d_memo[key]
         bm = tables.dcb_elem(MINUS, lab_minus)
         bp = tables.dcb_elem(PLUS, lab_plus)
         prod = self.multiply(
@@ -432,7 +429,7 @@ class DoubleContext:
         )
         expansion = self.to_dcb(prod)
         fracs = []
-        for (K, lm, lp), c in expansion.terms.items():
+        for (K, lm, lp), c in expansion.items():
             if k_is_one(K):
                 continue
             d_low = self.d_multiplier(lm, lp)
@@ -446,8 +443,7 @@ class DoubleContext:
             unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in in_q.items()}))
             if const != 1 or others or any(k < 3 for k, _ in cyc):
                 raise ValueError(f"multiplier {d} is not a monic product of admissible cyclotomics")
-        with self._lock:
-            tables.d_memo[key] = d
+        self._d_memo[key] = d
         return d
 
     # -- twisted actions -------------------------------------------------------------------------
@@ -520,27 +516,6 @@ def _unit_vec(rank: int, i: int, power: int, side: int):
     if side == PLUS:
         return zero, tuple(vec), zero
     return tuple(vec), zero, zero
-
-
-class DCBExpansion:
-    """Coordinates over the family K diamond (b_- b_+)."""
-
-    __slots__ = ("ctx", "flavor", "terms")
-
-    def __init__(self, ctx: DoubleContext, flavor: str, terms: dict):
-        self.ctx = ctx
-        self.flavor = flavor
-        self.terms = {k: Rat.of(c) for k, c in terms.items() if not Rat.of(c).is_zero()}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DCBExpansion)
-            and self.flavor == other.flavor
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"DCBExpansion[{self.flavor}]({self.terms})"
 
 
 # ---------------------------------------------------------------------------

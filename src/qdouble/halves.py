@@ -8,7 +8,6 @@ live here.
 """
 from __future__ import annotations
 
-import threading
 from itertools import permutations
 
 from .cartan import CartanDatum, get_datum
@@ -114,15 +113,11 @@ class HalfElem:
 
 
 class HalfAlgebra:
-    """Per-datum cache for words, pairing matrices and pivot bases.
-
-    Caches follow a compute-once contract guarded by a lock so concurrent
-    readers see fully built tables.
-    """
+    """Per-datum cache for words, pairing matrices and pivot bases; each
+    entry is computed once."""
 
     def __init__(self, datum):
         self.datum: CartanDatum = get_datum(datum)
-        self._lock = threading.RLock()
         self._words: dict[tuple, list] = {}
         self._pairing: dict[tuple, dict] = {}
         self._basis: dict[tuple, "DegreeBasis"] = {}
@@ -160,13 +155,12 @@ class HalfAlgebra:
 
     def words_of_degree(self, gamma) -> list[tuple]:
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma not in self._words:
-                letters = []
-                for i, m in enumerate(gamma):
-                    letters.extend([i] * m)
-                self._words[gamma] = sorted(set(permutations(letters)))
-            return self._words[gamma]
+        if gamma not in self._words:
+            letters = []
+            for i, m in enumerate(gamma):
+                letters.extend([i] * m)
+            self._words[gamma] = sorted(set(permutations(letters)))
+        return self._words[gamma]
 
     def chi_exp(self, alpha, beta) -> int:
         """nu-exponent of chi(alpha, beta) = q^(alpha.beta)."""
@@ -209,36 +203,35 @@ class HalfAlgebra:
     def pairing_matrix(self, gamma) -> dict:
         """M[e-word][f-word] = <e-word, f-word> for all words of the degree."""
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma in self._pairing:
-                return self._pairing[gamma]
-            datum = self.datum
-            words = self.words_of_degree(gamma)
-            if sum(gamma) == 0:
-                M = {(): {(): RAT_ONE}}
-                self._pairing[gamma] = M
-                return M
-            M: dict[tuple, dict] = {e: {} for e in words}
-            for f in words:
-                j = f[0]
-                rest = f[1:]
-                sub_gamma = list(gamma)
-                sub_gamma[j] -= 1
-                sub = self.pairing_matrix(tuple(sub_gamma))
-                bracket = Rat.of(qangle(1, datum.qi_exp(j)))
-                for e in words:
-                    total = RAT_ZERO
-                    prefix_exp = 0
-                    for p, letter in enumerate(e):
-                        if letter == j:
-                            val = sub[e[:p] + e[p + 1 :]].get(rest)
-                            if val is not None and not val.is_zero():
-                                total = total + nu_power(prefix_exp) * bracket * val
-                        prefix_exp += self.chi_exp(datum.alpha(letter), datum.alpha(j))
-                    if not total.is_zero():
-                        M[e][f] = total
+        if gamma in self._pairing:
+            return self._pairing[gamma]
+        datum = self.datum
+        words = self.words_of_degree(gamma)
+        if sum(gamma) == 0:
+            M = {(): {(): RAT_ONE}}
             self._pairing[gamma] = M
             return M
+        M: dict[tuple, dict] = {e: {} for e in words}
+        for f in words:
+            j = f[0]
+            rest = f[1:]
+            sub_gamma = list(gamma)
+            sub_gamma[j] -= 1
+            sub = self.pairing_matrix(tuple(sub_gamma))
+            bracket = Rat.of(qangle(1, datum.qi_exp(j)))
+            for e in words:
+                total = RAT_ZERO
+                prefix_exp = 0
+                for p, letter in enumerate(e):
+                    if letter == j:
+                        val = sub[e[:p] + e[p + 1 :]].get(rest)
+                        if val is not None and not val.is_zero():
+                            total = total + nu_power(prefix_exp) * bracket * val
+                    prefix_exp += self.chi_exp(datum.alpha(letter), datum.alpha(j))
+                if not total.is_zero():
+                    M[e][f] = total
+        self._pairing[gamma] = M
+        return M
 
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:
         """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees."""
@@ -261,10 +254,9 @@ class HalfAlgebra:
     # -- canonical coordinates ------------------------------------------------------
     def degree_basis(self, gamma) -> "DegreeBasis":
         gamma = tuple(gamma)
-        with self._lock:
-            if gamma not in self._basis:
-                self._basis[gamma] = DegreeBasis(self, gamma)
-            return self._basis[gamma]
+        if gamma not in self._basis:
+            self._basis[gamma] = DegreeBasis(self, gamma)
+        return self._basis[gamma]
 
     def dim(self, gamma) -> int:
         return len(self.degree_basis(gamma).pivot_rows)
@@ -287,34 +279,21 @@ class HalfAlgebra:
         return out
 
     # -- involutions ------------------------------------------------------------------
-    def involution(self, x: HalfElem, which: str) -> HalfElem:
-        """bar (antilinear word reversal), star (linear word reversal),
-        transpose (side swap, anti-map), or startranspose (side swap in place)."""
-        if which == "bar":
-            terms = {tuple(reversed(w)): c.bar() for w, c in x.terms.items()}
-            return HalfElem(self, x.sign, terms)
-        if which == "star":
-            terms = {tuple(reversed(w)): c for w, c in x.terms.items()}
-            return HalfElem(self, x.sign, terms)
-        if which == "transpose":
-            terms = {tuple(reversed(w)): c for w, c in x.terms.items()}
-            return HalfElem(self, -x.sign, terms)
-        if which == "startranspose":
-            return HalfElem(self, -x.sign, dict(x.terms))
-        raise ValueError(f"unknown involution {which!r}")
-
     def bar(self, x: HalfElem) -> HalfElem:
-        return self.involution(x, "bar")
+        """Antilinear word reversal."""
+        return HalfElem(self, x.sign, {tuple(reversed(w)): c.bar() for w, c in x.terms.items()})
 
     def star(self, x: HalfElem) -> HalfElem:
-        return self.involution(x, "star")
+        """Linear word reversal."""
+        return HalfElem(self, x.sign, {tuple(reversed(w)): c for w, c in x.terms.items()})
 
     def transpose(self, x: HalfElem) -> HalfElem:
-        return self.involution(x, "transpose")
+        """Side swap, an anti-map."""
+        return HalfElem(self, -x.sign, {tuple(reversed(w)): c for w, c in x.terms.items()})
 
     def flip(self, x: HalfElem) -> HalfElem:
         """The composition *t: letterwise side swap keeping word order."""
-        return self.involution(x, "startranspose")
+        return HalfElem(self, -x.sign, dict(x.terms))
 
     # -- quasi-derivations -----------------------------------------------------------
     def deriv(self, i, x: HalfElem, variant: str = "plain", power: int = 1) -> HalfElem:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import functools
 
-from .double import TriElem, kmono, k_mul
+from .double import TriElem, kmono, k_mul, k_one
 from .halves import PLUS, MINUS
-from .scalar import Laurent, Rat, RAT_ZERO, accumulate, nu_power, solve_bar_correction
+from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, solve_bar_correction
 
 
 class TriangularityError(ValueError):
@@ -99,194 +99,154 @@ def _assert_q_poly(coeff: Rat, where: str):
         raise TriangularityError(f"{where}: coefficient {lau} is not a polynomial in q")
 
 
+# The two bar-fixed families, per (kind, variant): the kind whose elements
+# make the family at K = 1 ("pair" is d * b_- b_+), the flavor the solve runs
+# in, the sign of the corrections in v, the torus slot (0 for K_-, 1 for K_+)
+# every correction must move, and whether the other slot may move as well.
+_KINDS = {
+    ("circ", "plus"): ("pair", "heis_plus", "positive", 1, False),
+    ("circ", "minus"): ("pair", "heis_minus", "negative", 0, False),
+    ("bullet", "plus"): ("circ", "full", "negative", 0, True),
+    ("bullet", "minus"): ("circ", "full", "positive", 1, True),
+}
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 class Engine:
-    """circ/bullet tables for one algebra; memoized per label pair."""
+    """circ/bullet tables for one algebra; memoized per kind and label pair.
+
+    circ(b_-, b_+) is the bar-fixed element over K diamond (d b_- b_+) in a
+    Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
+    K diamond iota(circ) in the full double; both come from `_solve`.
+    """
 
     def __init__(self, algebra):
-        self.alg = algebra
         self.ctx = algebra.ctx
-        self.half = algebra.half
         self.datum = algebra.datum
-        self._circ: dict = {}
-        self._bullet: dict = {}
-        self._circ_dcb: dict = {}
-        self._bullet_dcb: dict = {}
-        self._circ_bar_row: dict = {}
-        self._bullet_bar_row: dict = {}
+        self.tables = algebra.tables
+        self._solved: dict = {}  # (kind, lm, lp, variant) -> TriElem
+        self._dcb: dict = {}  # (kind, lm, lp, variant) -> DCB coordinates
+        self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
         self._certificates: dict = {}
 
-    # -- shared helpers -----------------------------------------------------
-    @property
-    def tables(self):
-        return self.alg.tables
-
-    def d(self, lm, lp) -> Laurent:
-        return self.ctx.d_multiplier(lm, lp)
-
-    def _pair_tri(self, lm, lp, flavor) -> TriElem:
-        bm = self.tables.dcb_elem(MINUS, lm)
-        bp = self.tables.dcb_elem(PLUS, lp)
-        return self.ctx.from_halves(minus=bm, plus=bp, flavor=flavor)
-
-    def _dcb_terms(self, x: TriElem) -> dict:
-        return self.ctx.to_dcb(x).terms
-
-    # ===================================================================== circ
     def circ(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
-        key = (lm, lp, variant)
-        if key in self._circ:
-            return self._circ[key]
-        side = "positive" if variant == "plus" else "negative"
-        flavor = "heis_plus" if variant == "plus" else "heis_minus"
-        kslot = 1 if variant == "plus" else 0
+        return self._solve("circ", lm, lp, variant)
+
+    def bullet(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
+        return self._solve("bullet", lm, lp, variant)
+
+    def _member(self, kind, lm, lp, variant) -> TriElem:
+        """The element of the kind's family at K = 1, in the kind's flavor."""
+        below, flavor = _KINDS[kind, variant][:2]
+        if below == "pair":
+            bm, bp = self.tables.dcb_elem(MINUS, lm), self.tables.dcb_elem(PLUS, lp)
+            pair = self.ctx.from_halves(minus=bm, plus=bp, flavor=flavor)
+            return pair.scale(self.ctx.d_multiplier(lm, lp))
+        return self._solve(below, lm, lp, variant).with_flavor(flavor)
+
+    def _family_dcb(self, kind, lm, lp, variant) -> dict:
+        """DCB coordinates of the kind's element at (lm, lp)."""
+        key = (kind, lm, lp, variant)
+        if key not in self._dcb:
+            if kind == "pair":
+                coords = {(k_one(self.datum.rank), lm, lp): Rat.of(self.ctx.d_multiplier(lm, lp))}
+            else:
+                coords = self.ctx.to_dcb(self._solve(kind, lm, lp, variant))
+            self._dcb[key] = coords
+        return self._dcb[key]
+
+    def _index_set(self, kind, lm, lp, variant) -> list:
+        """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
+        height of the moved slot, then of the other slot."""
+        slot, free = _KINDS[kind, variant][3:]
         gm = self.tables.degree_of(lm)
         gp = self.tables.degree_of(lp)
         mins = tuple(min(a, b) for a, b in zip(gm, gp))
-        alphas = self.datum.degrees_up_to(mins)
-        index_order = []
-        for alpha in alphas:
-            if not any(alpha):
-                continue
-            gm2 = tuple(a - b for a, b in zip(gm, alpha))
-            gp2 = tuple(a - b for a, b in zip(gp, alpha))
-            for l2 in self.tables.labels_of_degree(gm2):
-                for l3 in self.tables.labels_of_degree(gp2):
-                    index_order.append((alpha, l2, l3))
-
-        def bar_row0(l2, l3):
-            rkey = (l2, l3, variant)
-            got = self._circ_bar_row.get(rkey)
-            if got is not None:
-                return got
-            base = self._pair_tri(l2, l3, flavor).scale(self.d(l2, l3))
-            expansion = self._dcb_terms(self.ctx.bar(base))
-            row = self._family_coords_circ(expansion, kslot)
-            self._circ_bar_row[rkey] = row
-            return row
-
-        @functools.cache
-        def row_of(idx):
-            alpha, l2, l3 = idx
-            return {
-                (tuple(a + b for a, b in zip(alpha, beta)), m2, m3): c
-                for (beta, m2, m3), c in bar_row0(l2, l3).items()
-            }
-
-        solved = bar_fix(bar_row0(lm, lp), index_order, row_of, side, f"circ({lm},{lp})")
-        for s, p in solved.items():
-            _assert_q_poly(p, f"circ({lm},{lp}) correction at {s}")
-
-        result = self._pair_tri(lm, lp, flavor).scale(self.d(lm, lp))
-        rank = self.datum.rank
-        for (alpha, l2, l3), p in solved.items():
-            kvec = kmono(alpha, (0,) * rank) if variant != "plus" else kmono((0,) * rank, alpha)
-            base = self._pair_tri(l2, l3, flavor).scale(self.d(l2, l3))
-            result = result + self.ctx.diamond(kvec, base).scale(p)
-        if self.ctx.bar(result) != result:
-            raise TriangularityError(f"circ({lm},{lp}) failed bar-invariance")
-        self._certificates[("circ", lm, lp, variant)] = solved
-        self._circ[key] = result
-        return result
-
-    def _family_coords_circ(self, expansion: dict, kslot: int) -> dict:
-        """Plain DCB coordinates -> circ-family coordinates (diamond twist and
-        clearing multiplier divided out)."""
-        out = {}
-        for (K, l2, l3), c in expansion.items():
-            other = K[0] if kslot == 1 else K[1]
-            if any(other) or any(K[2]):
-                raise TriangularityError("Heisenberg expansion leaked a forbidden torus part")
-            alpha = K[kslot]
-            dif = tuple(
-                a - b
-                for a, b in zip(self.tables.degree_of(l3), self.tables.degree_of(l2))
-            )
-            sign = 1 if kslot == 1 else -1
-            coeff = c * nu_power(sign * self.datum.dot(alpha, dif)) / Rat.of(self.d(l2, l3))
-            out[(alpha, l2, l3)] = coeff
+        out = []
+        for am in self.datum.degrees_up_to(mins):
+            for ap in self.datum.degrees_up_to(_sub(mins, am)):
+                K = (am, ap)
+                if not any(K[slot]) or (any(K[1 - slot]) and not free):
+                    continue
+                alpha = _add(am, ap)
+                for l2 in self.tables.labels_of_degree(_sub(gm, alpha)):
+                    for l3 in self.tables.labels_of_degree(_sub(gp, alpha)):
+                        out.append((K, l2, l3))
+        out.sort(key=lambda idx: (sum(idx[0][slot]), sum(idx[0][1 - slot]), idx))
         return out
 
-    def circ_dcb(self, lm, lp, variant: str = "plus") -> dict:
-        key = (lm, lp, variant)
-        if key not in self._circ_dcb:
-            self._circ_dcb[key] = self._dcb_terms(
-                self.circ(lm, lp, variant).with_flavor("full")
-            )
-        return self._circ_dcb[key]
+    def _bar_row(self, kind, lm, lp, variant) -> dict:
+        """bar of the K = 1 member over the kind's family; every entry but the
+        diagonal must be a correction label of the pair."""
+        key = (kind, lm, lp, variant)
+        row = self._bar_rows.get(key)
+        if row is None:
+            below = _KINDS[kind, variant][0]
+            bar = self.ctx.bar(self._member(kind, lm, lp, variant))
+            row = self._greedy_expand(self.ctx.to_dcb(bar), below, variant)
+            zero = (0,) * self.datum.rank
+            diag = ((zero, zero), lm, lp)
+            if row.get(diag) != RAT_ONE:
+                raise TriangularityError(f"bar of {kind}({lm},{lp}) has diagonal {row.get(diag)}, not 1")
+            allowed = set(self._index_set(kind, lm, lp, variant))
+            for s in row:
+                if s != diag and s not in allowed:
+                    raise TriangularityError(f"bar of {kind}({lm},{lp}) leaves the family at {s}")
+            self._bar_rows[key] = row
+        return row
 
-    # =================================================================== bullet
-    def bullet(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
-        key = (lm, lp, variant)
-        if key in self._bullet:
-            return self._bullet[key]
-        side = "negative" if variant == "plus" else "positive"
-        corr_slot = 0 if variant == "plus" else 1
-        gm = self.tables.degree_of(lm)
-        gp = self.tables.degree_of(lp)
-        mins = tuple(min(a, b) for a, b in zip(gm, gp))
-        index_order = []
-        for am in self.datum.degrees_up_to(mins):
-            rest = tuple(a - b for a, b in zip(mins, am))
-            for ap in self.datum.degrees_up_to(rest):
-                alpha = tuple(a + b for a, b in zip(am, ap))
-                corr = am if corr_slot == 0 else ap
-                if not any(corr):
-                    continue
-                gm2 = tuple(a - b for a, b in zip(gm, alpha))
-                gp2 = tuple(a - b for a, b in zip(gp, alpha))
-                for l2 in self.tables.labels_of_degree(gm2):
-                    for l3 in self.tables.labels_of_degree(gp2):
-                        index_order.append(((am, ap), l2, l3))
-        index_order.sort(key=lambda idx: (sum(idx[0][corr_slot]), sum(idx[0][1 - corr_slot]), idx[0], idx[1], idx[2]))
-
-        def bar_row0(l2, l3):
-            rkey = (l2, l3, variant)
-            got = self._bullet_bar_row.get(rkey)
-            if got is not None:
-                return got
-            base = self.circ(l2, l3, variant).with_flavor("full")
-            row = self.expand_in_circ_family(self._dcb_terms(self.ctx.bar(base)), variant)
-            self._bullet_bar_row[rkey] = row
-            return row
+    def _solve(self, kind: str, lm: str, lp: str, variant: str) -> TriElem:
+        """The bar-fixed member(lm, lp) + sum p_s K_s diamond member(s) of the
+        kind's family (Lusztig's lemma through bar_fix)."""
+        key = (kind, lm, lp, variant)
+        if key in self._solved:
+            return self._solved[key]
+        side = _KINDS[kind, variant][2]
+        where = f"{kind}({lm},{lp})"
 
         @functools.cache
         def row_of(idx):
             (am, ap), l2, l3 = idx
             return {
-                ((tuple(x + y for x, y in zip(am, bm_)), tuple(x + y for x, y in zip(ap, bp_))), m2, m3): c
-                for ((bm_, bp_), m2, m3), c in bar_row0(l2, l3).items()
+                ((_add(am, bm), _add(ap, bp)), m2, m3): c
+                for ((bm, bp), m2, m3), c in self._bar_row(kind, l2, l3, variant).items()
             }
 
-        solved = bar_fix(bar_row0(lm, lp), index_order, row_of, side, f"bullet({lm},{lp})")
+        solved = bar_fix(
+            self._bar_row(kind, lm, lp, variant),
+            self._index_set(kind, lm, lp, variant),
+            row_of,
+            side,
+            where,
+        )
         for s, p in solved.items():
-            _assert_q_poly(p, f"bullet({lm},{lp}) correction at {s}")
+            _assert_q_poly(p, f"{where} correction at {s}")
 
-        result = self.circ(lm, lp, variant).with_flavor("full")
+        result = self._member(kind, lm, lp, variant)
         for ((am, ap), l2, l3), p in solved.items():
-            base = self.circ(l2, l3, variant).with_flavor("full")
+            base = self._member(kind, l2, l3, variant)
             result = result + self.ctx.diamond(kmono(am, ap), base).scale(p)
         if self.ctx.bar(result) != result:
-            raise TriangularityError(f"bullet({lm},{lp}) failed bar-invariance")
-        self._certificates[("bullet", lm, lp, variant)] = solved
-        self._bullet[key] = result
+            raise TriangularityError(f"{where} failed bar-invariance")
+        self._certificates[key] = solved
+        self._solved[key] = result
         return result
 
-    def bullet_dcb(self, lm, lp, variant: str = "plus") -> dict:
-        key = (lm, lp, variant)
-        if key not in self._bullet_dcb:
-            self._bullet_dcb[key] = self._dcb_terms(self.bullet(lm, lp, variant))
-        return self._bullet_dcb[key]
-
-    def expand_in_circ_family(self, expansion: dict, variant: str = "plus") -> dict:
-        """Expand plain DCB coordinates of a full element over the family
-        K_(am,ap) diamond iota(circ); greedy along growing torus height."""
-        return self._greedy_expand(expansion, self.circ_dcb, variant)
-
     def expand_in_bullet_family(self, expansion: dict, variant: str = "plus") -> dict:
-        return self._greedy_expand(expansion, self.bullet_dcb, variant)
+        """Plain DCB coordinates of a full element over K diamond bullet."""
+        return self._greedy_expand(expansion, "bullet", variant)
 
-    def _greedy_expand(self, expansion: dict, table_fn, variant: str) -> dict:
-        remaining = {k: v for k, v in expansion.items() if not v.is_zero()}
+    def _greedy_expand(self, expansion: dict, kind: str, variant: str) -> dict:
+        """Coordinates over the family K diamond (kind element); greedy along
+        growing torus height."""
+        remaining = dict(expansion)
         out = {}
         while remaining:
             key = min(
@@ -297,18 +257,12 @@ class Engine:
             am, ap, tag = K
             if any(tag) or any(x < 0 for x in am) or any(x < 0 for x in ap):
                 raise TriangularityError(f"expansion outside the basis cone at {key}")
-            dif = tuple(
-                a - b
-                for a, b in zip(self.tables.degree_of(l3), self.tables.degree_of(l2))
-            )
-            lead = Rat.of(self.d(l2, l3)) * nu_power(-self.ctx.kdif_dot(K, dif))
+            dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
+            lead = Rat.of(self.ctx.d_multiplier(l2, l3)) * nu_power(-self.ctx.kdif_dot(K, dif))
             coeff = remaining[key] / lead
             out[((am, ap), l2, l3)] = coeff
-            for (K2, m2, m3), c in table_fn(l2, l3, variant).items():
-                dif2 = tuple(
-                    a - b
-                    for a, b in zip(self.tables.degree_of(m3), self.tables.degree_of(m2))
-                )
+            for (K2, m2, m3), c in self._family_dcb(kind, l2, l3, variant).items():
+                dif2 = _sub(self.tables.degree_of(m3), self.tables.degree_of(m2))
                 shifted = (k_mul(K, K2), m2, m3)
                 val = coeff * c * nu_power(-self.ctx.kdif_dot(K, dif2))
                 accumulate(remaining, shifted, -val)
@@ -324,8 +278,8 @@ class Engine:
         prod = self.ctx.multiply(
             self.ctx.from_halves(minus=self.tables.dcb_elem(MINUS, lm), flavor="full"),
             self.ctx.from_halves(plus=self.tables.dcb_elem(PLUS, lp), flavor="full"),
-        ).scale(self.d(lm, lp))
-        coeffs = self.expand_in_bullet_family(self._dcb_terms(prod))
+        ).scale(self.ctx.d_multiplier(lm, lp))
+        coeffs = self.expand_in_bullet_family(self.ctx.to_dcb(prod))
         report = {"positive": True, "violations": []}
         out = {}
         for idx, c in coeffs.items():

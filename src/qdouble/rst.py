@@ -35,10 +35,7 @@ class LWModule:
             self._check_relations()
         self._build_shapovalov()
 
-    # -- scalars ---------------------------------------------------------------
-    def _mat_mul(self, A, B):
-        return linalg.mat_mul(A, B)
-
+    # -- relations and the Shapovalov form ------------------------------------
     def _check_relations(self):
         datum = self.datum
         n = self.dim
@@ -99,8 +96,8 @@ class LWModule:
                             qangle(1, datum.qi_exp(i))
                         ) ** (r + s) / denom
                         term = self._pow(mats[i], r)
-                        term = self._mat_mul(term, mats[j])
-                        term = self._mat_mul(term, self._pow(mats[i], s))
+                        term = linalg.mat_mul(term, mats[j])
+                        term = linalg.mat_mul(term, self._pow(mats[i], s))
                         for a in range(n):
                             for b in range(n):
                                 acc[a][b] = acc[a][b] + term[a][b] * scale
@@ -111,7 +108,7 @@ class LWModule:
         n = self.dim
         out = [[RAT_ONE if a == b else RAT_ZERO for b in range(n)] for a in range(n)]
         for _ in range(k):
-            out = self._mat_mul(M, out)
+            out = linalg.mat_mul(M, out)
         return out
 
     def _build_shapovalov(self):

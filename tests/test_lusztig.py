@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from qdouble import Algebra
-from qdouble.double import kmono, k_one
+from qdouble import Algebra, lusztig
+from qdouble.double import format_tri, kmono, k_one
 from qdouble.halves import PLUS, MINUS
 from qdouble.lusztig import Engine, TriangularityError, ll_solve, toposort, product_expansion_via_coproduct
 from qdouble.scalar import (
@@ -92,6 +93,28 @@ class TestLLSolve:
         order = toposort([0, 1], lambda k: rows[k])
         with pytest.raises(Exception):
             ll_solve(order, lambda k: rows[k], "positive")
+
+
+class TestBarRowChecks:
+    # every bar row must be unitriangular over the kind's correction labels
+
+    def test_row_leaving_the_family_raises(self, monkeypatch):
+        # corrections of circ in heis_plus move K_+; a table claiming K_- makes
+        # every off-diagonal entry of the bar row fall outside the index set
+        monkeypatch.setitem(lusztig._KINDS, ("circ", "plus"), ("pair", "heis_plus", "positive", 0, False))
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match="leaves the family"):
+            alg.circ(lab1, lab1)
+
+    def test_diagonal_not_one_raises(self, monkeypatch):
+        # with the multiplier replaced by v, bar(v F E) = v^-1 bar(F E) has
+        # v^-2 on the diagonal over the family v K diamond (F E)
+        alg = Algebra("A1")
+        monkeypatch.setattr(alg.ctx, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match="diagonal"):
+            alg.circ(lab1, lab1)
 
 
 class TestCircSL2:
@@ -325,15 +348,20 @@ class TestSpecialClosedForm:
         # for b+ in ker partial_i^op, F_i^r bullet b+ = iota(F_i^r o b+) and the
         # corrections only carry K_{+i} powers (the printed special shape)
         half = a2.half
-        b_plus = a2.dcb_elem(PLUS, "b+(0,1,0,0)")  # E_2: killed by partial_1^op
-        assert half.deriv(0, b_plus, "op").is_zero()
-        lm = a2.label_of(MINUS, half.word(MINUS, "11"))
-        lp = "b+(0,1,0,0)"
-        got = a2.bullet(lm, lp)
-        assert got == a2.circ(lm, lp).with_flavor("full")
-        cert = a2.engine.certificate("circ", lm, lp)
-        for (alpha, _, _), coeff in cert.items():
-            assert alpha[1] == 0  # only K_{+1} appears for i = 1
+        lp = "b+(0,0,1,0)"
+        a2.tables.dcb_table((1, 1))  # defines the degree-(1,1) labels
+        assert half.deriv(0, a2.dcb_elem(PLUS, lp), "op").is_zero()
+        cases = [
+            ("1", ((((0, 0), (1, 0)), "1", "b+(0,1,0,0)"), 2)),
+            ("11", ((((0, 0), (1, 0)), "b+(1,0,0,0)", "b+(0,1,0,0)"), 4)),
+        ]
+        for word, (idx, exp) in cases:
+            lm = a2.label_of(MINUS, half.word(MINUS, word))
+            assert a2.bullet(lm, lp) == a2.circ(lm, lp).with_flavor("full")
+            cert = a2.engine.certificate("circ", lm, lp)
+            assert cert == {idx: Rat.of(Laurent({exp: -1}))}, word
+            for (am, ap), _, _ in cert:
+                assert not any(am) and ap[1] == 0  # only K_{+1} appears for i = 1
 
 
 class TestTwoPathAgreement:
@@ -396,3 +424,40 @@ class TestInterchangeVariant:
         assert isinstance(report["equal"], bool)
         # the variant is bar-fixed as well
         assert sl2.ctx.bar(var) == var
+
+
+class TestMinusVariantPinned:
+    # sha256 over format_tri of circ and bullet (variant "minus") for every
+    # ordered label pair of the listed degrees, circ before bullet, one line
+    # each; and how many of those solves needed a correction
+    CASES = {
+        "A2": (
+            [(0, 1), (1, 0), (1, 1), (2, 1)],
+            "92a7b7f5983d40c8c75387debf0104a5f514d0d38c9c680a6a72a3d59bce6863",
+            72,
+            56,
+        ),
+        "B2": (
+            [(0, 1), (1, 0), (1, 1)],
+            "a19a985816166c6808a3207bb39ecc09561094cd155c9037a7e849ef3612e915",
+            32,
+            20,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, name):
+        degrees, digest, count, corrected = self.CASES[name]
+        alg = Algebra.get(name)
+        labels = [lab for g in degrees for lab in alg.tables.labels_of_degree(g)]
+        h = hashlib.sha256()
+        n = nonempty = 0
+        for lm in labels:
+            for lp in labels:
+                for kind in ("circ", "bullet"):
+                    x = getattr(alg.engine, kind)(lm, lp, "minus")
+                    h.update((format_tri(x) + "\n").encode())
+                    n += 1
+                    nonempty += bool(alg.engine.certificate(kind, lm, lp, "minus"))
+        assert (n, nonempty) == (count, corrected)
+        assert h.hexdigest() == digest
