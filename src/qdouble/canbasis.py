@@ -147,11 +147,12 @@ class CanonicalTables:
     # -- the PBW + bar-correction engine (finite type) --------------------------
     def _sigma(self, x: HalfElem) -> HalfElem:
         """Antilinear algebra automorphism fixing the canonical basis:
-        words unchanged, coefficients barred, sign (-1)^height per degree."""
+        words unchanged, coefficients barred, sign (-1)^height per degree.
+        The words stay the pivot words, so the result is already compressed."""
         terms = {}
         for w, c in x.terms.items():
             terms[w] = c.bar() * Rat.of((-1) ** len(w))
-        return HalfElem(self.half, x.sign, terms)
+        return HalfElem(self.half, x.sign, terms, compressed=True)
 
     def _algorithmic_cb(self, gamma) -> CBTable:
         from .lusztig import ll_solve, toposort
@@ -175,30 +176,26 @@ class CanonicalTables:
                     )
                     p = p * factor
             raw.append(half.flip(p))
-        W = [basis.coords(MINUS, x.terms) for x in raw]
+        W = [basis.coords(x.terms) for x in raw]
         Winv = linalg.invert(W)
-
-        def expand(x: HalfElem):
-            return linalg.solve_vec(Winv, basis.coords(MINUS, x.terms))
-
-        # rescale so the sigma matrix is unitriangular
-        scaled = []
-        for k, x in enumerate(raw):
-            diag = expand(self._sigma(x))[k]
+        sig = [linalg.solve_vec(Winv, basis.coords(self._sigma(x).terms)) for x in raw]
+        # rescale raw[k] by c_k = v^(e_k/2), where v^e_k is the sigma-diagonal,
+        # so the sigma matrix becomes unitriangular: entry (k, l) / (c_k c_l)
+        scale = []
+        for k, row in enumerate(sig):
+            diag = row[k]
             lau = diag.as_laurent()
             if len(lau.c) != 1:
                 raise TableConflict(f"PBW sigma-diagonal not monomial at {gamma}: {diag}")
             (exp, coeff), = lau.c.items()
             if coeff != 1 or exp % 2:
                 raise TableConflict(f"PBW sigma-diagonal not an even unit power: {diag}")
-            scaled.append(x.scale(nu_power(exp // 2)))
-        W = [basis.coords(MINUS, x.terms) for x in scaled]
-        Winv = linalg.invert(W)
-        rows = {k: {} for k in range(len(comps))}
-        for k, x in enumerate(scaled):
-            for l, c in enumerate(expand(self._sigma(x))):
-                if not c.is_zero():
-                    rows[k][l] = c
+            scale.append(nu_power(exp // 2))
+        scaled = [x.scale(c) for x, c in zip(raw, scale)]
+        rows = {
+            k: {l: c / (scale[k] * scale[l]) for l, c in enumerate(row) if not c.is_zero()}
+            for k, row in enumerate(sig)
+        }
         order = toposort(list(range(len(comps))), lambda k: rows[k])
         sols = ll_solve(order, lambda k: rows[k], side="negative")
         labels, elems = [], []
@@ -416,31 +413,28 @@ class CanonicalTables:
         return self.label_of(-sign, self.half.transpose(self.dcb_elem(sign, label)))
 
     # -------------------------------------------------- word -> label transitions
-    def word_to_dcb(self, sign: int, gamma) -> dict:
+    def word_to_dcb(self, gamma) -> dict:
+        """Word -> {label: coefficient} for one degree; F-words and E-words
+        share the pivot form, so one map serves both halves."""
         gamma = tuple(gamma)
-        key = (sign, gamma)
-        if key in self._w2d:
-            return self._w2d[key]
+        if gamma in self._w2d:
+            return self._w2d[gamma]
         table = self.dcb_table(gamma)
         basis = self.half.degree_basis(gamma)
-        pivots = basis.pivot_rows if sign == PLUS else basis.pivot_cols
-        D = []
-        for k in range(len(table.labels)):
-            elem = table.minus[k] if sign == MINUS else self.half.flip(table.minus[k])
-            D.append(basis.coords(sign, elem.terms))
-        if len(D) != len(pivots):
+        D = [basis.coords(elem.terms) for elem in table.minus]
+        if len(D) != basis.rank:
             raise TableConflict(
-                f"table at {gamma} has {len(D)} elements, dimension is {len(pivots)}"
+                f"table at {gamma} has {len(D)} elements, dimension is {basis.rank}"
             )
         Dinv = linalg.invert(D)
         out = {}
         for w in basis.words:
-            coords = basis.coords(sign, {w: RAT_ONE})
+            coords = basis.coords({w: RAT_ONE})
             sol = linalg.solve_vec(Dinv, coords)
             out[w] = {
                 table.labels[k]: c for k, c in enumerate(sol) if not c.is_zero()
             }
-        self._w2d[key] = out
+        self._w2d[gamma] = out
         return out
 
     def half_to_dcb(self, x: HalfElem) -> dict:
@@ -448,7 +442,7 @@ class CanonicalTables:
         out: dict = {}
         for gamma in x.degrees():
             comp = x.component(gamma)
-            w2d = self.word_to_dcb(x.sign, gamma)
+            w2d = self.word_to_dcb(gamma)
             for w, c in comp.terms.items():
                 for lab, d in w2d[w].items():
                     accumulate(out, lab, c * d)

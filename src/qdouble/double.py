@@ -185,12 +185,12 @@ class DoubleContext:
             raise FlavorError("weight tags need check flavor")
 
     # -- normalization -----------------------------------------------------------
-    def word_coords(self, sign: int, w: tuple) -> dict:
-        key = (sign, w)
-        got = self._word_coords.get(key)
+    def word_coords(self, w: tuple) -> dict:
+        """Pivot form of one word, shared by its F-word and E-word."""
+        got = self._word_coords.get(w)
         if got is None:
-            got = self.half._compress(sign, {w: RAT_ONE})
-            self._word_coords[key] = got
+            got = self.half._compress({w: RAT_ONE})
+            self._word_coords[w] = got
         return got
 
     def _normalize(self, flavor: str, terms: dict) -> dict:
@@ -203,8 +203,8 @@ class DoubleContext:
                 continue
             if flavor == "heis_minus" and any(K[1]):
                 continue
-            fc = self.word_coords(MINUS, f)
-            ec = self.word_coords(PLUS, e)
+            fc = self.word_coords(f)
+            ec = self.word_coords(e)
             for wf, af in fc.items():
                 for we, ae in ec.items():
                     key = (K, wf, we)
@@ -312,6 +312,10 @@ class DoubleContext:
 
     # -- involutions ----------------------------------------------------------------------
     def involution(self, x: TriElem, which: str) -> TriElem:
+        if which not in ("bar", "star", "transpose"):
+            raise ValueError(f"unknown involution {which!r}")
+        if which == "star" and x.flavor in ("heis_plus", "heis_minus", "check"):
+            raise FlavorError(f"star is unavailable in flavor {x.flavor}")
         cross = _CROSS[x.flavor]
         half = self.half
         acc: dict = {}
@@ -326,13 +330,9 @@ class DoubleContext:
             if which == "bar":
                 coeff = Rat.of(c).bar()
                 K2 = K
-            elif which == "star":
-                if x.flavor in ("heis_plus", "heis_minus", "check"):
-                    raise FlavorError(f"star is unavailable in flavor {x.flavor}")
+            else:
                 coeff = c
                 K2 = (K[1], K[0], K[2])
-            else:
-                raise ValueError(f"unknown involution {which!r}")
             # anti-image is (reversed e)(reversed f)(K2); restraighten.
             for (K3, f3, e3), c3 in self._straighten(
                 tuple(reversed(e)), tuple(reversed(f)), cross
@@ -402,8 +402,8 @@ class DoubleContext:
         for (K, f, e), c in x.terms.items():
             gm = self.half.word_degree(f)
             gp = self.half.word_degree(e)
-            row_m = tables.word_to_dcb(MINUS, gm)[f]
-            row_p = tables.word_to_dcb(PLUS, gp)[e]
+            row_m = tables.word_to_dcb(gm)[f]
+            row_p = tables.word_to_dcb(gp)[e]
             for lm, cm in row_m.items():
                 for lp, cp in row_p.items():
                     key = (K, lm, lp)

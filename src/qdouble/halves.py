@@ -41,7 +41,7 @@ class HalfElem:
         self.alg = alg
         self.sign = sign
         if not compressed:
-            terms = alg._compress(sign, terms)
+            terms = alg._compress(terms)
         self.terms = terms
 
     # -- ring structure -----------------------------------------------------
@@ -259,9 +259,9 @@ class HalfAlgebra:
         return self._basis[gamma]
 
     def dim(self, gamma) -> int:
-        return len(self.degree_basis(gamma).pivot_rows)
+        return self.degree_basis(gamma).rank
 
-    def _compress(self, sign: int, terms: dict) -> dict:
+    def _compress(self, terms: dict) -> dict:
         """Rewrite every degree component over its pivot words."""
         by_deg: dict[tuple, dict] = {}
         for w, c in terms.items():
@@ -272,9 +272,7 @@ class HalfAlgebra:
         out: dict[tuple, Rat] = {}
         for gamma, component in by_deg.items():
             basis = self.degree_basis(gamma)
-            coords = basis.coords(sign, component)
-            pivots = basis.pivot_rows if sign == PLUS else basis.pivot_cols
-            for w, c in zip(pivots, coords):
+            for w, c in zip(basis.pivots, basis.coords(component)):
                 accumulate(out, w, c)
         return out
 
@@ -292,8 +290,11 @@ class HalfAlgebra:
         return HalfElem(self, -x.sign, {tuple(reversed(w)): c for w, c in x.terms.items()})
 
     def flip(self, x: HalfElem) -> HalfElem:
-        """The composition *t: letterwise side swap keeping word order."""
-        return HalfElem(self, -x.sign, dict(x.terms))
+        """The composition *t: letterwise side swap keeping word order.
+
+        Both halves share the pivot words, so the terms are already compressed.
+        """
+        return HalfElem(self, -x.sign, dict(x.terms), compressed=True)
 
     # -- quasi-derivations -----------------------------------------------------------
     def deriv(self, i, x: HalfElem, variant: str = "plain", power: int = 1) -> HalfElem:
@@ -389,59 +390,42 @@ class HalfAlgebra:
 
 
 class DegreeBasis:
-    """Pivot data of one degree component: lexicographically-first full-rank
-    row set of the word-pairing matrix, matching pivot columns, and the
-    inverse of the pivot submatrix."""
+    """Pivot data of one degree component: the lexicographically-first
+    full-rank row set of the word-pairing matrix and the inverse of the pivot
+    submatrix.  The pairing matrix of a symmetrizable datum is symmetric
+    (Lusztig 1.2.3), so one pivot-word set and one coordinate map serve both
+    halves."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
         words = alg.words_of_degree(gamma)
         M = alg.pairing_matrix(gamma)
         rows = [[M[e].get(f, RAT_ZERO) for f in words] for e in words]
-        row_idx = linalg.greedy_row_basis(rows)
-        reduced = [rows[k] for k in row_idx]
-        cols = [[reduced[r][c] for r in range(len(row_idx))] for c in range(len(words))]
-        col_idx = linalg.greedy_row_basis(cols)
-        assert len(col_idx) == len(row_idx), "pairing matrix rank mismatch"
+        if any(rows[a][b] != rows[b][a] for a in range(len(words)) for b in range(a)):
+            raise ValueError(f"pairing matrix of degree {gamma} is not symmetric")
+        idx = linalg.greedy_row_basis(rows)
         self.words = words
-        self.pivot_rows = [words[k] for k in row_idx]
-        self.pivot_cols = [words[k] for k in col_idx]
-        self.pivot = [[rows[r][c] for c in col_idx] for r in row_idx]
-        self.pivot_inv = linalg.invert(self.pivot) if row_idx else []
-        self._row_of = {w: rows[k] for k, w in zip(range(len(words)), words)}
+        self.pivots = [words[k] for k in idx]
+        self.pivot_inv = linalg.invert([[rows[r][c] for c in idx] for r in idx]) if idx else []
         self._M = M
-        self._col_index = {w: k for k, w in enumerate(words)}
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self.pivots)
 
-    def coords(self, sign: int, component: dict) -> list:
-        """Coordinates of a one-degree component dict over the pivot words."""
-        if not self.pivot_rows:
+    def coords(self, component: dict) -> list:
+        """Coordinates of a one-degree component dict over the pivot words,
+        the same for an element of either half."""
+        if not self.pivots:
             return []
-        if sign == PLUS:
-            vec = [RAT_ZERO] * self.rank
-            for w, c in component.items():
-                row = self._M[w]
-                for k, f in enumerate(self.pivot_cols):
-                    val = row.get(f)
-                    if val is not None:
-                        vec[k] = vec[k] + c * val
-            return linalg.solve_vec(self.pivot_inv, vec)
         vec = [RAT_ZERO] * self.rank
         for w, c in component.items():
-            j = self._col_index[w]
-            for k, e in enumerate(self.pivot_rows):
-                val = self._M[e].get(w)
+            row = self._M[w]
+            for k, f in enumerate(self.pivots):
+                val = row.get(f)
                 if val is not None:
                     vec[k] = vec[k] + c * val
-        # solve pivot . d = vec for column coordinates d
-        inv = self.pivot_inv
-        return [
-            sum((inv[k][r] * vec[r] for r in range(self.rank)), RAT_ZERO)
-            for k in range(self.rank)
-        ]
+        return linalg.solve_vec(self.pivot_inv, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -372,9 +372,9 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
             d1 = half.word_degree(w1)
             d2 = half.word_degree(w2)
             d3 = half.word_degree(w3)
-            for la, ca in tables.word_to_dcb(sign, d1)[w1].items():
-                for lb, cb in tables.word_to_dcb(sign, d2)[w2].items():
-                    for lc, cc in tables.word_to_dcb(sign, d3)[w3].items():
+            for la, ca in tables.word_to_dcb(d1)[w1].items():
+                for lb, cb in tables.word_to_dcb(d2)[w2].items():
+                    for lc, cc in tables.word_to_dcb(d3)[w3].items():
                         key = (la, lb, lc)
                         accumulate(out, key, c * ca * cb * cc)
         return out

@@ -296,9 +296,11 @@ class RSTMap:
             return self._dual_cache[key]
         half = self.alg.half
         basis = half.degree_basis(tuple(gamma))
+        # both halves are spanned by the same pivot words
+        span_minus = [half.element(MINUS, {w: RAT_ONE}) for w in basis.pivots]
+        span_plus = [half.flip(x) for x in span_minus]
         if self.basis_kind == "words":
-            plus = [half.element(PLUS, {w: RAT_ONE}) for w in basis.pivot_rows]
-            minus = [half.element(MINUS, {w: RAT_ONE}) for w in basis.pivot_cols]
+            plus, minus = span_plus, span_minus
         elif self.basis_kind == "dcb":
             labs = self.alg.tables.labels_of_degree(tuple(gamma))
             plus = [self.alg.dcb_elem(PLUS, lab) for lab in labs]
@@ -306,8 +308,6 @@ class RSTMap:
         else:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         # duals: check_plus[b] in U^- with {check_plus[b], plus[c]} = delta
-        span_minus = [half.element(MINUS, {w: RAT_ONE}) for w in basis.pivot_cols]
-        span_plus = [half.element(PLUS, {w: RAT_ONE}) for w in basis.pivot_rows]
         P = [[self.brace(sm, bp) for bp in plus] for sm in span_minus]
         Pinv = linalg.invert(P) if P else []
         check_plus = []

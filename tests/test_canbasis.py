@@ -279,12 +279,14 @@ class TestDCBProperties:
     def test_word_to_dcb_roundtrip(self, a2):
         gamma = (2, 1)
         table = a2.tables.dcb_table(gamma)
-        w2d = a2.tables.word_to_dcb(MINUS, gamma)
-        for w, row in w2d.items():
-            rebuilt = a2.half.zero(MINUS)
-            for lab, c in row.items():
-                rebuilt = rebuilt + a2.dcb_elem(MINUS, lab).scale(c)
-            assert rebuilt == a2.half.word(MINUS, w)
+        w2d = a2.tables.word_to_dcb(gamma)
+        # one map serves both halves: F-words over b_-, E-words over b_+
+        for sign in (MINUS, PLUS):
+            for w, row in w2d.items():
+                rebuilt = a2.half.zero(sign)
+                for lab, c in row.items():
+                    rebuilt = rebuilt + a2.dcb_elem(sign, lab).scale(c)
+                assert rebuilt == a2.half.word(sign, w)
 
 
 class TestCrystal:
@@ -351,8 +353,8 @@ class TestTwistedStructureConstants:
                     key = (a2.half.word_degree(lw), a2.half.word_degree(rw))
                     blocks.setdefault(key, {})[(lw, rw)] = c
                 for (g1, g2), terms in blocks.items():
-                    w2d_l = a2.tables.word_to_dcb(MINUS, g1)
-                    w2d_r = a2.tables.word_to_dcb(MINUS, g2)
+                    w2d_l = a2.tables.word_to_dcb(g1)
+                    w2d_r = a2.tables.word_to_dcb(g2)
                     acc = {}
                     for (lw, rw), c in terms.items():
                         for la, ca in w2d_l[lw].items():

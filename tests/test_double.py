@@ -203,6 +203,14 @@ class TestInvolutions:
         with pytest.raises(FlavorError):
             sl2.star(x)
 
+    @pytest.mark.parametrize("flavor", ["heis_plus", "heis_minus", "check"])
+    def test_star_forbidden_on_zero(self, sl2, flavor):
+        # the flavor decides, not the terms: zero raises as the unit does
+        with pytest.raises(FlavorError):
+            sl2.star(sl2.zero(flavor))
+        with pytest.raises(FlavorError):
+            sl2.star(sl2.one(flavor))
+
     def test_transpose(self, sl2):
         # (K f e)^t swaps the halves; on generators: E^t = F
         assert sl2.transpose(sl2.e_gen(0)) == sl2.f_gen(0)

@@ -139,6 +139,23 @@ class TestNormalForm:
                         raw_pair = raw_pair + c1 * c2 * a2.pairing_matrix(g)[w1].get(w2, Rat.of(0))
             assert raw_pair == a2.pair(x, y)
 
+    def test_one_pivot_form_for_both_halves(self, a2):
+        rng = random.Random(11)
+        for _ in range(20):
+            x = rand_elem(a2, PLUS, rng)
+            assert a2.flip(x).terms == x.terms
+            assert a2.element(MINUS, x.terms).terms == x.terms
+
+    def test_non_symmetric_pairing_raises(self, monkeypatch):
+        alg = HalfAlgebra("A2")
+        gamma = (1, 1)
+        M = {e: dict(row) for e, row in alg.pairing_matrix(gamma).items()}
+        M[(0, 1)][(1, 0)] = M[(0, 1)].get((1, 0), Rat.of(0)) + Rat.of(1)
+        real = alg.pairing_matrix
+        monkeypatch.setattr(alg, "pairing_matrix", lambda g: M if tuple(g) == gamma else real(g))
+        with pytest.raises(ValueError, match="not symmetric"):
+            alg.degree_basis(gamma)
+
 
 class TestInvolutions:
     def test_bar_reverses(self, a2):
