@@ -12,10 +12,12 @@ from itertools import permutations
 
 from .cartan import CartanDatum, get_datum
 from .scalar import (
+    ZERO,
     Rat,
     RAT_ONE,
     RAT_ZERO,
     accumulate,
+    common_denominator,
     nu_power,
     qangle,
     qangle_factorial,
@@ -390,11 +392,12 @@ class HalfAlgebra:
 
 
 class DegreeBasis:
-    """Pivot data of one degree component: the lexicographically-first
-    full-rank row set of the word-pairing matrix and the inverse of the pivot
-    submatrix.  The pairing matrix of a symmetrizable datum is symmetric
-    (Lusztig 1.2.3), so one pivot-word set and one coordinate map serve both
-    halves."""
+    """Pivot data of one degree component: the pivot words are the
+    lexicographically-first independent rows of the word-pairing matrix M.
+    M is symmetric for a symmetrizable datum (Lusztig 1.2.3), so one pivot
+    set and one coordinate map serve both halves, and by M = M[:, pivots] E,
+    E = R / d the reduced row echelon form of M, word w has pivot coordinates
+    E[:, w] = M[w, pivots] P^-1, P = M[pivots, pivots]."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
@@ -403,11 +406,11 @@ class DegreeBasis:
         rows = [[M[e].get(f, RAT_ZERO) for f in words] for e in words]
         if any(rows[a][b] != rows[b][a] for a in range(len(words)) for b in range(a)):
             raise ValueError(f"pairing matrix of degree {gamma} is not symmetric")
-        idx = linalg.greedy_row_basis(rows)
+        # by symmetry the pivot columns are the kept rows
+        _, cols, R, self._d = linalg.row_reduce([[x.as_laurent() for x in row] for row in rows])
         self.words = words
-        self.pivots = [words[k] for k in idx]
-        self.pivot_inv = linalg.invert([[rows[r][c] for c in idx] for r in idx]) if idx else []
-        self._M = M
+        self.pivots = [words[k] for k in cols]
+        self._rest = {w: [r[j] for r in R] for j, w in enumerate(words) if j not in cols}
 
     @property
     def rank(self) -> int:
@@ -415,17 +418,19 @@ class DegreeBasis:
 
     def coords(self, component: dict) -> list:
         """Coordinates of a one-degree component dict over the pivot words,
-        the same for an element of either half."""
-        if not self.pivots:
-            return []
-        vec = [RAT_ZERO] * self.rank
-        for w, c in component.items():
-            row = self._M[w]
-            for k, f in enumerate(self.pivots):
-                val = row.get(f)
-                if val is not None:
-                    vec[k] = vec[k] + c * val
-        return linalg.solve_vec(self.pivot_inv, vec)
+        the same for an element of either half: a pivot word gives its
+        coefficient, a non-pivot word w its coefficient times E[:, w]."""
+        out = [component.get(w, RAT_ZERO) for w in self.pivots]
+        rest = [w for w in component if w not in self.pivots]
+        if rest:
+            nums, den = common_denominator(list(component.values()))
+            num, d = dict(zip(component, nums)), self._d
+            for k, p in enumerate(self.pivots):
+                s = num[p] * d if p in num else ZERO
+                for w in rest:
+                    s = s + num[w] * self._rest[w][k]
+                out[k] = Rat(s, den * d)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Small dense exact linear algebra over Q(v) used by basis computations."""
+"""Small dense exact linear algebra over Q(v) used by basis computations:
+one fraction-free elimination over Z[v, v^-1], `row_reduce`, to which Rat
+matrices come over one common denominator."""
 from __future__ import annotations
 
-from .scalar import Rat, RAT_ZERO, RAT_ONE
+from .scalar import ONE, ZERO, Rat, RAT_ZERO, common_denominator, laurent_gcd
 
 
 class SingularMatrix(ArithmeticError):
@@ -27,50 +29,69 @@ def mat_mul(A, B):
     return out
 
 
+def _primitive_row(row):
+    """The row divided by the gcd of its entries."""
+    g = ZERO
+    for x in row:
+        g = laurent_gcd(g, x) if x else g
+        if g.is_one():
+            return row
+    return [x.exact_div(g) for x in row]
+
+
+def row_reduce(A):
+    """Fraction-free Gauss-Jordan elimination of a Laurent matrix, one row at
+    a time: a row is cross-multiplied against the kept rows, b[c] vec - vec[c] b,
+    and kept, divided by the gcd of its entries, when it is not zero.  So the
+    kept rows are the lexicographically-first independent set and the entries
+    stay small in Z[v, v^-1].  Returns (kept, cols, R, d): R[k] is d times the
+    row of the reduced row echelon form of A with pivot column cols[k]."""
+    kept, rows = [], []  # (pivot column, row), each zero at the others' pivots
+    for idx, vec in enumerate(A):
+        for c, b in rows:
+            if vec[c]:
+                vec = [b[c] * x - vec[c] * y for x, y in zip(vec, b)]
+        c = next((j for j, x in enumerate(vec) if x), None)
+        if c is None:
+            continue
+        vec = _primitive_row(vec)
+        for k, (ck, b) in enumerate(rows):
+            if b[c]:
+                rows[k] = (ck, _primitive_row([vec[c] * y - b[c] * x for y, x in zip(b, vec)]))
+        kept.append(idx)
+        rows.append((c, vec))
+    rows.sort()
+    d = ONE
+    for c, b in rows:
+        d = d * b[c].exact_div(laurent_gcd(d, b[c]))
+    R = [[x * f for x in b] for c, b in rows for f in [d.exact_div(b[c])]]
+    return kept, [c for c, _ in rows], R, d
+
+
+def _laurent_rows(A):
+    """(rows, den): A = rows / den with rows over Z[v, v^-1]."""
+    m = len(A[0]) if A else 0
+    nums, den = common_denominator([x for row in A for x in row])
+    return [nums[i * m : (i + 1) * m] for i in range(len(A))], den
+
+
 def invert(A):
     """Inverse of a square matrix of Rat; raises SingularMatrix."""
     n = len(A)
-    M = [list(row) + [RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularMatrix(f"matrix is singular at column {col}")
-        M[col], M[piv] = M[piv], M[col]
-        inv_p = M[col][col].inv()
-        M[col] = [x * inv_p for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+    rows, den = _laurent_rows(A)
+    aug = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
+    _, cols, R, d = row_reduce(aug)
+    col = next((k for k, c in enumerate(cols) if c != k), len(cols))
+    if col < n:
+        raise SingularMatrix(f"matrix is singular at column {col}")
+    return [[Rat(den * x, d) if x else RAT_ZERO for x in row[n:]] for row in R]
 
 
 def solve_vec(A_inv, v):
     """x = v . A_inv (row vector times inverse)."""
-    n = len(A_inv)
-    out = [RAT_ZERO] * len(A_inv[0])
-    for i in range(n):
-        c = v[i]
-        if c.is_zero():
-            continue
-        for j, a in enumerate(A_inv[i]):
-            if not a.is_zero():
-                out[j] = out[j] + c * a
-    return out
+    return mat_mul([v], A_inv)[0]
 
 
 def greedy_row_basis(rows):
     """Indices of the lexicographically-first maximal independent row set."""
-    kept: list[int] = []
-    basis: list[list[Rat]] = []
-    for idx, row in enumerate(rows):
-        vec = list(row)
-        for b in basis:
-            lead = next((j for j, x in enumerate(b) if not x.is_zero()), None)
-            if lead is not None and not vec[lead].is_zero():
-                f = vec[lead] / b[lead]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        if any(not x.is_zero() for x in vec):
-            kept.append(idx)
-            basis.append(vec)
-    return kept
+    return row_reduce(_laurent_rows(rows)[0])[0]

@@ -27,6 +27,7 @@ __all__ = [
     "qround_binom",
     "solve_bar_correction",
     "accumulate",
+    "common_denominator",
     "clear_denominators",
     "cyclotomic",
     "cyclotomic_factor",
@@ -474,6 +475,18 @@ def accumulate(out: dict, key, val: Rat) -> None:
         out.pop(key, None)
     else:
         out[key] = s
+
+
+def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
+    """(nums, d) with xs[k] = nums[k] / d, d the lcm of the denominators."""
+    dens = {x.den for x in xs} - {ONE}
+    if not dens:
+        return [x.num for x in xs], ONE
+    d = ONE
+    for b in dens:
+        d = d * b.exact_div(laurent_gcd(d, b))
+    cofactor = {b: d.exact_div(b) for b in dens | {ONE}}
+    return [x.num * cofactor[x.den] for x in xs], d
 
 
 def nu_power(k: int) -> Rat:

@@ -125,19 +125,50 @@ class TestNormalForm:
         assert len(a2.words_of_degree((2, 1))) == 3
         assert a2.dim((2, 1)) == 2
 
-    def test_compress_preserves_pairing(self, a2):
+    def test_compress_preserves_pairing(self):
+        # the raw input terms and the compressed element pair alike with
+        # every word of the other half; coefficients include true fractions
+        # and half the inputs are already in pivot form
         rng = random.Random(7)
-        for _ in range(20):
-            x = rand_elem(a2, PLUS, rng)
-            y = rand_elem(a2, MINUS, rng)
-            # compression happened at construction; recompute against raw words
-            raw_pair = Rat.of(0)
-            for w1, c1 in x.terms.items():
-                for w2, c2 in y.terms.items():
-                    g = a2.word_degree(w1)
-                    if g == a2.word_degree(w2):
-                        raw_pair = raw_pair + c1 * c2 * a2.pairing_matrix(g)[w1].get(w2, Rat.of(0))
-            assert raw_pair == a2.pair(x, y)
+        fracs = [Rat.of(1) / Rat.of(qround(2)), nu_power(1) / Rat.of(qround(3)), Rat.of(-2)]
+        for preset, gamma in [
+            ("A2", (2, 1)), ("A2", (1, 2)), ("A2", (2, 2)), ("A2", (3, 2)),
+            ("B2", (2, 1)), ("B2", (1, 2)), ("B2", (2, 2)), ("B2", (2, 3)),
+            ("G2", (2, 1)), ("G2", (1, 2)), ("G2", (1, 3)),
+            ("A1affine", (2, 1)), ("A1affine", (2, 2)), ("A1affine", (3, 2)),
+        ]:
+            alg = HalfAlgebra(preset)
+            words = alg.words_of_degree(gamma)
+            pivots = alg.degree_basis(gamma).pivots
+            M = alg.pairing_matrix(gamma)
+            for trial in range(8):
+                pool = pivots if trial % 2 else words
+                raw = {
+                    w: rng.choice(fracs) * nu_power(rng.randrange(-2, 3))
+                    for w in rng.sample(pool, min(3, len(pool)))
+                }
+                for sign in (PLUS, MINUS):
+                    x = alg.element(sign, raw)
+                    if trial % 2:
+                        assert x.terms == raw
+                    for u in words:
+                        want = sum((c * M[u].get(w, Rat.of(0)) for w, c in raw.items()), Rat.of(0))
+                        got = sum((c * M[u].get(w, Rat.of(0)) for w, c in x.terms.items()), Rat.of(0))
+                        assert got == want, (preset, gamma, sign, u)
+
+    def test_pivot_sets_pinned(self):
+        # the pivot words fix the labels and order every digest depends on
+        pinned = {
+            ("A2", (2, 1)): [(0, 0, 1), (0, 1, 0)],
+            ("B2", (2, 2)): [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 0, 1, 0)],
+            ("G2", (1, 3)): [(0, 1, 1, 1), (1, 0, 1, 1)],
+            ("A1affine", (2, 2)): [
+                (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)
+            ],
+            ("A3", (1, 1, 1)): [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)],
+        }
+        for (preset, gamma), pivots in pinned.items():
+            assert HalfAlgebra(preset).degree_basis(gamma).pivots == pivots, (preset, gamma)
 
     def test_one_pivot_form_for_both_halves(self, a2):
         rng = random.Random(11)

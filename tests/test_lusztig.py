@@ -348,6 +348,10 @@ class TestSymmetries:
         # the same grid in B2: 23 pairs
         assert self.star_mismatches(Algebra("B2"), 3) == ([], 23)
 
+    def test_star_g2(self):
+        # the same grid in G2: 23 pairs
+        assert self.star_mismatches(Algebra("G2"), 3) == ([], 23)
+
     def test_idempotence(self, sl2):
         # feeding computed elements back returns them unchanged: the engine
         # re-solve of the same pair is cached and bar-fixed
