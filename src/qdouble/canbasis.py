@@ -1,6 +1,7 @@
 """Canonical bases of U_q^- (computed for finite type, tabulated where the
-algorithmic path does not reach), their duals under the twisted form, and
-crystal-style shift operators on dual-canonical-basis labels.
+algorithmic path does not reach), their duals under the twisted form (one
+Gram inverse in pivot coordinates per degree), and crystal-style shift
+operators on dual-canonical-basis labels.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from .scalar import (
     nu_power,
     qangle,
     qangle_factorial,
-    qround,
     qround_binom,
 )
 from . import linalg
@@ -30,14 +30,15 @@ class UnknownLabel(KeyError):
 
 
 class TableConflict(AssertionError):
-    """A tabulated family disagrees with the computed basis."""
+    """A table is inconsistent with the computed basis."""
 
 
 class CBTable:
-    def __init__(self, gamma, labels, elements):
+    def __init__(self, gamma, labels, elements, dual_labels):
         self.gamma = gamma
         self.labels = list(labels)
         self.elements = list(elements)  # minus-side HalfElems
+        self.dual_labels = list(dual_labels)  # the label of each element's dual
 
 
 class DCBTable:
@@ -80,6 +81,14 @@ class CanonicalTables:
         if gamma in self._cb:
             return self._cb[gamma]
         table = self._build_cb(gamma)
+        if self.datum.name == "A2" and any(gamma):
+            # the A2 duals are the PBW monomials E1^a1 E2^a2 E12^a12 E21^a21
+            # with min(a1, a2) = 0, labelled b+(a1,a2,a12,a21)
+            table.dual_labels = [
+                f"b+({n1 - m},{n2 - m},{n12},{m})"
+                for n1, n12, n2 in _compositions(gamma, self._pbw_roots()[1])
+                for m in [min(n1, n2)]
+            ]
         self._cb[gamma] = table
         return table
 
@@ -88,15 +97,22 @@ class CanonicalTables:
         name = self.datum.name
         support = [i for i, g in enumerate(gamma) if g]
         if len(support) == 0:
-            return CBTable(gamma, ["1"], [half.unit(MINUS)])
+            return CBTable(gamma, ["1"], [half.unit(MINUS)], ["1"])
         if len(support) == 1:
             i = support[0]
             n = gamma[i]
-            return CBTable(gamma, [f"can[{i}^{n}]"], [half.gen_divided(MINUS, i, n)])
+            return CBTable(
+                gamma,
+                [f"can[{i}^{n}]"],
+                [half.gen_divided(MINUS, i, n)],
+                [f"F[{self.datum.labels[i]}^{n}]"],
+            )
         if self._two_letter_cb_applicable(gamma):
             return self._two_letter_cb(gamma)
-        if name == "A1affine" and tuple(sorted(gamma)) == (2, 2):
+        if name == "A1affine" and gamma == (2, 2):
             return self._affine22_cb()
+        if name == "R3" and gamma == (1, 1, 1):
+            return self._r3_cb()
         if self.datum.is_finite_type():
             return self._algorithmic_cb(gamma)
         raise TableIncomplete(f"no canonical basis source for {name} degree {gamma}")
@@ -120,7 +136,7 @@ class CanonicalTables:
         if gamma[i] == 1 and gamma[j] != 1:
             i, j = j, i
         n = gamma[i]
-        labels, elems = [], []
+        labels, elems, duals = [], [], []
         for s in range(n + 1):
             labels.append(f"can[{i}^{s} {j} {i}^{n - s}]")
             elems.append(
@@ -128,11 +144,12 @@ class CanonicalTables:
                 * half.gen_divided(MINUS, j, 1)
                 * half.gen_divided(MINUS, i, n - s)
             )
-        return CBTable(gamma, labels, elems)
+            duals.append(self._two_letter_label(i, j, n - s, s))
+        return CBTable(gamma, labels, elems, duals)
 
     def _affine22_cb(self) -> CBTable:
         half = self.half
-        labels, elems = [], []
+        labels, elems, duals = [], [], []
         for i, j in [(0, 1), (1, 0)]:
             di = lambda n: half.gen_divided(MINUS, i, n)  # noqa: E731
             dj = lambda n: half.gen_divided(MINUS, j, n)  # noqa: E731
@@ -142,7 +159,24 @@ class CanonicalTables:
             elems.append(di(1) * dj(2) * di(1))
             labels.append(f"can[{i} {j} {i} {j}]")
             elems.append(di(1) * dj(1) * di(1) * dj(1) - di(2) * dj(2))
-        return CBTable((2, 2), labels, elems)
+            duals += [self._reversed_label(w) for w in [(i, i, j, j), (i, j, j, i), (i, j, i, j)]]
+        return CBTable((2, 2), labels, elems, duals)
+
+    def _r3_cb(self) -> CBTable:
+        """R3 degree (1,1,1): the six products F_k^<1> F_j^<1> F_i^<1>."""
+        words = [(k, j, i) for i, j, k in permutations(range(3))]
+        f = [self.half.gen_divided(MINUS, i, 1) for i in range(3)]
+        return CBTable(
+            (1, 1, 1),
+            [f"can[{k} {j} {i}]" for k, j, i in words],
+            [f[k] * f[j] * f[i] for k, j, i in words],
+            [self._reversed_label(w) for w in words],
+        )
+
+    def _reversed_label(self, word) -> str:
+        """The label F[...] of the dual of a divided-power monomial: its word
+        reversed."""
+        return "F[" + " ".join(self.datum.labels[i] for i in reversed(word)) + "]"
 
     # -- the PBW + bar-correction engine (finite type) --------------------------
     def _sigma(self, x: HalfElem) -> HalfElem:
@@ -154,13 +188,18 @@ class CanonicalTables:
             terms[w] = c.bar() * Rat.of((-1) ** len(w))
         return HalfElem(self.half, x.sign, terms, compressed=True)
 
+    def _pbw_roots(self):
+        """A reduced longest word and its positive roots, in PBW order."""
+        datum = self.datum
+        word = datum.longest_word()
+        return word, [datum.weyl_act(word[:r], datum.alpha(i)) for r, i in enumerate(word)]
+
     def _algorithmic_cb(self, gamma) -> CBTable:
         from .lusztig import ll_solve, toposort
 
         half = self.half
         datum = self.datum
-        word = datum.longest_word()
-        roots = [datum.weyl_act(word[: r - 1], datum.alpha(word[r - 1])) for r in range(1, len(word) + 1)]
+        word, roots = self._pbw_roots()
         comps = _compositions(gamma, roots)
         if not comps:
             raise TableIncomplete(f"degree {gamma} unreachable by PBW roots")
@@ -208,7 +247,8 @@ class CanonicalTables:
                 raise TableConflict(f"canonical element at {gamma} not sigma-fixed")
             labels.append("can" + "".join(f"[{r}^{n}]" if n else "" for r, n in enumerate(a)))
             elems.append(elem)
-        return CBTable(gamma, labels, elems)
+        gs = ",".join(map(str, gamma))
+        return CBTable(gamma, labels, elems, [f"b({gs}).{k}" for k in range(len(elems))])
 
     # ------------------------------------------------------------ dual bases
     def dcb_table(self, gamma) -> DCBTable:
@@ -224,58 +264,30 @@ class CanonicalTables:
         return table
 
     def _build_dcb(self, gamma) -> DCBTable:
-        name = self.datum.name
         if gamma in self.user_tables:
-            labels, elems = self.user_tables[gamma]
-            return DCBTable(gamma, labels, elems)
-        support = [i for i, g in enumerate(gamma) if g]
-        if len(support) == 0:
-            return DCBTable(gamma, ["1"], [self.half.unit(MINUS)])
-        if name == "A2":
-            return self._a2_family_dcb(gamma)
-        if len(support) == 1:
-            i = support[0]
-            n = gamma[i]
-            lab = f"F[{self.datum.labels[i]}^{n}]"
-            return DCBTable(gamma, [lab], [self.half.word(MINUS, [i] * n)])
-        if self._two_letter_cb_applicable(gamma):
-            labels, elems = [], []
-            i, j = support
-            if gamma[i] == 1 and gamma[j] != 1:
-                i, j = j, i
-            n = gamma[i]
-            for s in range(n, -1, -1):
-                r = n - s
-                labels.append(self._two_letter_label(i, j, s, r))
-                elems.append(self.two_letter_dcb(i, j, s, r))
-            return DCBTable(gamma, labels, elems)
-        if name == "A1affine" and gamma == (2, 2):
-            return self._affine22_dcb()
-        if name == "R3" and gamma == (1, 1, 1):
-            return self._r3_dcb()
-        if self.datum.is_finite_type():
-            return self._gram_dual_dcb(gamma)
-        raise TableIncomplete(f"no dual canonical basis source for {name} degree {gamma}")
+            return DCBTable(gamma, *self.user_tables[gamma])
+        return self.gram_dual(self.canonical_basis(gamma))
 
-    def _gram_dual_dcb(self, gamma) -> DCBTable:
-        cb = self.canonical_basis(gamma)
-        G = [[self.fgfrm(x, y) for y in cb.elements] for x in cb.elements]
-        Ginv = linalg.invert(G)
-        labels, elems = [], []
-        gs = ",".join(map(str, gamma))
-        for k in range(len(cb.elements)):
-            elem = self.half.zero(MINUS)
-            for l, c in enumerate(Ginv[k]):
-                if not c.is_zero():
-                    elem = elem + cb.elements[l].scale(c)
-            labels.append(f"b({gs}).{k}")
-            elems.append(elem)
-        return DCBTable(gamma, labels, elems)
+    def gram_dual(self, cb: CBTable) -> DCBTable:
+        """The basis dual to cb under ((,)), element for element, labelled by
+        cb.dual_labels.  Over the pivot words, ((x, y)) = v^-ul x P y^T with
+        P = M[pivots, pivots], and the canonical elements are the rows of C,
+        so the dual elements are the rows of v^ul (P C^T)^-1."""
+        half = self.half
+        pivots = half.degree_basis(cb.gamma).pivots
+        M = half.pairing_matrix(cb.gamma)
+        P = [[M[p].get(q, RAT_ZERO) for q in pivots] for p in pivots]
+        Ct = [[x.terms.get(p, RAT_ZERO) for x in cb.elements] for p in pivots]
+        scale = nu_power(self.datum.ulgamma(cb.gamma))
+        elems = [
+            HalfElem(half, MINUS, {p: c * scale for p, c in zip(pivots, row) if c}, compressed=True)
+            for row in linalg.invert(linalg.mat_mul(P, Ct))
+        ]
+        return DCBTable(cb.gamma, cb.dual_labels, elems)
 
     def _two_letter_label(self, i, j, s, r) -> str:
-        li, lj = self.datum.labels[i], self.datum.labels[j]
-        parts = [li] * s + [lj] + [li] * r
-        return "F[" + " ".join(parts) + "]"
+        """The label F[i^s j i^r] of the dual of F_i^<r> F_j F_i^<s>."""
+        return self._reversed_label((i,) * r + (j,) + (i,) * s)
 
     def two_letter_dcb(self, i, j, s: int, r: int) -> HalfElem:
         """F_{i^s j i^r} by the printed two-index recursion; s + r <= -a_ij."""
@@ -301,80 +313,6 @@ class CanonicalTables:
             )
             l += 1
         return cur
-
-    def _a2_family_dcb(self, gamma) -> DCBTable:
-        half = self.half
-        e12 = self.alg.braid.T_half(0, half.gen(PLUS, 1))
-        e21 = self.alg.braid.T_half(1, half.gen(PLUS, 0))
-        m, n = gamma
-        labels, elems = [], []
-        for a12 in range(min(m, n), -1, -1):
-            for a21 in range(min(m, n) - a12, -1, -1):
-                a1 = m - a12 - a21
-                a2 = n - a12 - a21
-                if a1 < 0 or a2 < 0 or min(a1, a2) != 0:
-                    continue
-                prefix = nu_power((a1 - a2) * (a12 - a21))
-                plus = (
-                    half.gen(PLUS, 0) ** a1
-                    * half.gen(PLUS, 1) ** a2
-                    * e12**a12
-                    * e21**a21
-                ).scale(prefix)
-                labels.append(f"b+({a1},{a2},{a12},{a21})")
-                elems.append(half.flip(plus))
-        assert len(elems) == self.half.dim(gamma), "A2 family size mismatch"
-        return DCBTable(gamma, labels, elems)
-
-    def _affine22_dcb(self) -> DCBTable:
-        half = self.half
-        q2 = Rat.of(qround(2, 2))
-        q3 = Rat.of(qround(3, 2))
-        ang = lambda k: Rat.of(qangle(k, 2))  # noqa: E731
-        labels, elems = [], []
-        for i, j in [(0, 1), (1, 0)]:
-            w = lambda s: half.word(MINUS, [{"i": i, "j": j}[ch] for ch in s])  # noqa: E731
-            den124 = (ang(1) * ang(2) * ang(4)).inv()
-            den14 = (ang(1) * ang(4)).inv()
-            f_j2i2 = (
-                w("iijj").scale(nu_power(4) * q2)
-                - w("ijij").scale(nu_power(6) * Rat.of(2) + q2)
-                + (w("ijji") + w("jiij")).scale(ang(1))
-                + w("jiji").scale(q2 + nu_power(-6) * Rat.of(2))
-                - w("jjii").scale(nu_power(-4) * q2)
-            ).scale(den124)
-            f_ij2i = (
-                w("iijj")
-                + w("jjii")
-                + w("jiij")
-                + (w("ijji") - w("ijij") - w("jiji")).scale(q3)
-            ).scale(den14)
-            f_jiji = (
-                w("jjii").scale(nu_power(-4) * q2)
-                - w("iijj").scale(nu_power(4) * q2)
-                + (w("jiij") + w("ijji")).scale(nu_power(-6) - nu_power(6))
-                + w("ijij").scale(nu_power(8) * (Rat.of(2) * nu_power(-6) + q2))
-                - w("jiji").scale(nu_power(-8) * (Rat.of(2) * nu_power(6) + q2))
-            ).scale(den124)
-            li, lj = self.datum.labels[i], self.datum.labels[j]
-            labels += [f"F[{lj} {lj} {li} {li}]", f"F[{li} {lj} {lj} {li}]", f"F[{lj} {li} {lj} {li}]"]
-            elems += [f_j2i2, f_ij2i, f_jiji]
-        return DCBTable((2, 2), labels, elems)
-
-    def _r3_dcb(self) -> DCBTable:
-        half = self.half
-        q2 = Rat.of(qround(2, 2))
-        den = (Rat.of(qangle(1, 2)) * Rat.of(qangle(3, 2))).inv()
-        labels, elems = [], []
-        for i, j, k in permutations(range(3)):
-            w = lambda seq: half.word(MINUS, seq)  # noqa: E731
-            elem = (
-                (w([k, j, i]).scale(q2) - w([j, k, i]) - w([k, i, j])).scale(nu_power(3))
-                + (w([i, j, k]).scale(q2) - w([i, k, j]) - w([j, i, k])).scale(nu_power(-3))
-            ).scale(den)
-            labels.append(f"F[{self.datum.labels[i]} {self.datum.labels[j]} {self.datum.labels[k]}]")
-            elems.append(elem)
-        return DCBTable((1, 1, 1), labels, elems)
 
     # ------------------------------------------------------------- label layer
     def dcb_elem(self, sign: int, label: str) -> HalfElem:

@@ -6,8 +6,9 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
 table source covers), 3 internal error (any other exception; the traceback
 goes to stderr).  A --tables file is checked at load: JSON shape, one block
 per degree, unique labels, F-side words of the block's degree, nonzero
-elements, and, where the canonical basis of the degree is available, that
-((b, x)) over canonical b and user x is a permutation matrix.
+elements, and, where the degree has a canonical basis (every finite-type
+degree, the two-letter degrees, A1affine (2,2) and R3 (1,1,1)), that the
+elements are the dual of the canonical basis in some order.
 Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
 sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
@@ -119,21 +120,16 @@ def _load_user_tables(alg: Algebra, data: bytes):
 
 
 def _check_dual(alg: Algebra, gamma, labeled):
-    """Raise unless ((b, x)) over canonical b and user x is a permutation
-    matrix; nothing to check where no canonical basis source covers gamma."""
+    """Raise unless the user elements are the dual of the canonical basis, in
+    some order; nothing to check where no canonical basis source covers gamma."""
     try:
-        cb = alg.tables.canonical_basis(gamma).elements
+        dual = alg.tables.gram_dual(alg.tables.canonical_basis(gamma)).minus
     except TableIncomplete:
         return
-    M = [[alg.tables.fgfrm(b, x) for _, x in labeled] for b in cb]
-    if len(labeled) != len(cb) or not all(map(_unit_vector, M + list(zip(*M)))):
+    if len(labeled) != len(dual) or {x.key() for _, x in labeled} != {x.key() for x in dual}:
         raise UsageError(
             f"the elements of degree {list(gamma)} are not dual to the canonical basis"
         )
-
-
-def _unit_vector(line) -> bool:
-    return sum(c.is_one() for c in line) == 1 and all(c.is_one() or c.is_zero() for c in line)
 
 
 def _resolve_label(alg: Algebra, token: str, sign: int) -> str:

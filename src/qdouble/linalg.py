@@ -90,8 +90,3 @@ def invert(A):
 def solve_vec(A_inv, v):
     """x = v . A_inv (row vector times inverse)."""
     return mat_mul([v], A_inv)[0]
-
-
-def greedy_row_basis(rows):
-    """Indices of the lexicographically-first maximal independent row set."""
-    return row_reduce(_laurent_rows(rows)[0])[0]

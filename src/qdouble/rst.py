@@ -282,13 +282,9 @@ class RSTMap:
 
     # -- dual bases of the halves w.r.t. the brace pairing -----------------------
     def brace(self, u_minus: HalfElem, u_plus: HalfElem) -> Rat:
-        """{u_-, u_+} = q^(-ulgamma/2) <u_+, u_->, degreewise."""
-        total = RAT_ZERO
-        for gamma in set(u_minus.degrees()) & set(u_plus.degrees()):
-            total = total + nu_power(-self.datum.ulgamma(gamma)) * self.alg.half.pair(
-                u_plus.component(gamma), u_minus.component(gamma)
-            )
-        return total
+        """{u_-, u_+} = q^(-ulgamma/2) <u_+, u_->, degreewise: the twisted form
+        ((u_+^{*t}, u_-))."""
+        return self.alg.tables.fgfrm(self.alg.half.flip(u_plus), u_minus)
 
     def _bases(self, gamma):
         key = (tuple(gamma), self.basis_kind)

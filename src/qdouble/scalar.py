@@ -178,28 +178,35 @@ class Laurent:
         return Laurent(out)
 
     def divmod_poly(self, other: "Laurent"):
-        """Division with remainder by leading term, exact over Z when it divides."""
-        if other.is_zero():
+        """(q, r) with self == q * other + r: long division from the top term
+        while the leading coefficient of other divides, down to the exponent
+        min(self) + deg(other) - val(other), so r has its exponents from
+        min(self) on; r == 0 exactly when other divides self over Z."""
+        if not other.c:
             raise ZeroDivisionError
-        shift = 0
-        a, b = self, other
-        if not a.is_zero():
-            shift = a.min_exp()
-            a = a.shift(-shift)
-        bs = b.min_exp()
-        b = b.shift(-bs)
-        shift -= bs
-        quot = {}
-        lead_e = b.max_exp()
-        lead_c = b.c[lead_e]
-        while not a.is_zero() and a.max_exp() >= lead_e:
-            e = a.max_exp() - lead_e
-            cq, r = divmod(a.c[a.max_exp()], lead_c)
-            if r:
-                break
-            quot[e] = cq
-            a = a - b.shift(e) * cq
-        return Laurent(quot).shift(shift), a.shift(shift)
+        rem, quot = dict(self.c), {}
+        if rem:
+            top_b = max(other.c)
+            lead = other.c[top_b]
+            b_terms = [(k - top_b, c) for k, c in other.c.items()]
+            stop = min(rem) + top_b - min(other.c)
+            for top in range(max(rem), stop - 1, -1):
+                c = rem.get(top)
+                if c is None:
+                    continue
+                cq, r = divmod(c, lead)
+                if r:
+                    break
+                quot[top - top_b] = cq
+                for k, bc in b_terms:
+                    s = rem.get(top + k, 0) - cq * bc
+                    if s:
+                        rem[top + k] = s
+                    else:
+                        del rem[top + k]
+        q, r = Laurent.__new__(Laurent), Laurent.__new__(Laurent)
+        q.c, q._hash, r.c, r._hash = quot, None, rem, None
+        return q, r
 
     def exact_div(self, other: "Laurent") -> "Laurent":
         q, r = self.divmod_poly(other)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from qdouble import Algebra
@@ -5,6 +7,62 @@ from qdouble.canbasis import TableIncomplete
 from qdouble.cartan import PRESETS
 from qdouble.halves import PLUS, MINUS
 from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qangle, qround
+
+
+# The printed dual tables, kept as data independent of the Gram-dual builder.
+
+def affine22_printed(aff):
+    """A1affine degree (2,2): three dual elements per ordered pair (i, j)."""
+    half = aff.half
+    q2 = Rat.of(qround(2, 2))
+    q3 = Rat.of(qround(3, 2))
+    ang = lambda k: Rat.of(qangle(k, 2))  # noqa: E731
+    labels, elems = [], []
+    for i, j in [(0, 1), (1, 0)]:
+        w = lambda s: half.word(MINUS, [{"i": i, "j": j}[ch] for ch in s])  # noqa: E731
+        den124 = (ang(1) * ang(2) * ang(4)).inv()
+        den14 = (ang(1) * ang(4)).inv()
+        f_j2i2 = (
+            w("iijj").scale(nu_power(4) * q2)
+            - w("ijij").scale(nu_power(6) * Rat.of(2) + q2)
+            + (w("ijji") + w("jiij")).scale(ang(1))
+            + w("jiji").scale(q2 + nu_power(-6) * Rat.of(2))
+            - w("jjii").scale(nu_power(-4) * q2)
+        ).scale(den124)
+        f_ij2i = (
+            w("iijj")
+            + w("jjii")
+            + w("jiij")
+            + (w("ijji") - w("ijij") - w("jiji")).scale(q3)
+        ).scale(den14)
+        f_jiji = (
+            w("jjii").scale(nu_power(-4) * q2)
+            - w("iijj").scale(nu_power(4) * q2)
+            + (w("jiij") + w("ijji")).scale(nu_power(-6) - nu_power(6))
+            + w("ijij").scale(nu_power(8) * (Rat.of(2) * nu_power(-6) + q2))
+            - w("jiji").scale(nu_power(-8) * (Rat.of(2) * nu_power(6) + q2))
+        ).scale(den124)
+        li, lj = aff.datum.labels[i], aff.datum.labels[j]
+        labels += [f"F[{lj} {lj} {li} {li}]", f"F[{li} {lj} {lj} {li}]", f"F[{lj} {li} {lj} {li}]"]
+        elems += [f_j2i2, f_ij2i, f_jiji]
+    return labels, elems
+
+
+def r3_printed(r3):
+    """R3 degree (1,1,1): F[i j k] for each permutation (i, j, k)."""
+    half = r3.half
+    q2 = Rat.of(qround(2, 2))
+    den = (Rat.of(qangle(1, 2)) * Rat.of(qangle(3, 2))).inv()
+    labels, elems = [], []
+    for i, j, k in permutations(range(3)):
+        w = lambda seq: half.word(MINUS, seq)  # noqa: E731
+        elem = (
+            (w([k, j, i]).scale(q2) - w([j, k, i]) - w([k, i, j])).scale(nu_power(3))
+            + (w([i, j, k]).scale(q2) - w([i, k, j]) - w([j, i, k])).scale(nu_power(-3))
+        ).scale(den)
+        labels.append(f"F[{r3.datum.labels[i]} {r3.datum.labels[j]} {r3.datum.labels[k]}]")
+        elems.append(elem)
+    return labels, elems
 
 
 @pytest.fixture(scope="module")
@@ -80,22 +138,24 @@ class TestCanonicalBasisA2:
         assert len(table.elements) == a2.half.dim((2, 1)) == 2
 
     def test_family_matches_gram_dual(self, a2):
-        # the monomial dual family must be dual to the computed CB
-        for gamma in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-            cb = a2.tables.canonical_basis(gamma)
-            dcb = a2.tables.dcb_table(gamma)
-            for k, dm in enumerate(dcb.minus):
-                for l, c in enumerate(cb.elements):
-                    val = a2.fgfrm(dm, c)
-                    assert val == (RAT_ONE if k == l else Rat.of(0)) or True
-            # duality as a permutation matrix
-            M = [[a2.fgfrm(dm, c) for c in cb.elements] for dm in dcb.minus]
-            perm_rows = set()
-            for row in M:
-                nz = [j for j, v in enumerate(row) if not v.is_zero()]
-                assert len(nz) == 1 and row[nz[0]] == RAT_ONE, row
-                perm_rows.add(nz[0])
-            assert perm_rows == set(range(len(cb.elements)))
+        # every A2 label through height 4 names the PBW monomial
+        # v^((a1-a2)(a12-a21)) E1^a1 E2^a2 E12^a12 E21^a21, with
+        # E12 = T_1(E_2) and E21 = T_2(E_1)
+        half = a2.half
+        e1, e2 = half.gen(PLUS, 0), half.gen(PLUS, 1)
+        e12, e21 = a2.braid.T_half(0, e2), a2.braid.T_half(1, e1)
+        checked = 0
+        for gamma in a2.datum.degrees_up_to((4, 4)):
+            if not 0 < sum(gamma) <= 4:
+                continue
+            for lab in a2.tables.labels_of_degree(gamma):
+                a1, a2_, a12, a21 = map(int, lab[len("b+(") : -1].split(","))
+                want = (e1**a1 * e2**a2_ * e12**a12 * e21**a21).scale(
+                    nu_power((a1 - a2_) * (a12 - a21))
+                )
+                assert a2.dcb_elem(PLUS, lab) == want, lab
+                checked += 1
+        assert checked == 21
 
     def test_fij_anchor(self, a2):
         # delta of F2^<1> F1^<1> equals the two-letter recursion element F_[12]
@@ -179,6 +239,49 @@ class TestTwoLetterFamilyG2:
                     assert g2.fgfrm(delta, cb) == expected
 
 
+class TestPrintedTables:
+    """The Gram-dual tables equal the printed tables: labels and elements, in
+    order."""
+
+    def test_affine22(self):
+        aff = Algebra.get("A1affine")
+        table = aff.tables.dcb_table((2, 2))
+        labels, elems = affine22_printed(aff)
+        assert table.labels == labels
+        assert table.minus == elems
+
+    def test_r3_111(self):
+        r3 = Algebra.get("R3")
+        table = r3.tables.dcb_table((1, 1, 1))
+        labels, elems = r3_printed(r3)
+        assert table.labels == labels
+        assert table.minus == elems
+
+    @pytest.mark.parametrize("preset", ["B2", "G2", "A1affine", "R3"])
+    def test_two_letter_recursion(self, preset):
+        # degree n alpha_i + alpha_j, n <= -a_ij: F[i^s j i^r] for s = n..0
+        alg = Algebra.get(preset)
+        datum = alg.datum
+        degrees = 0
+        for i in range(datum.rank):
+            for j in range(datum.rank):
+                for n in range(1, -datum.A[i][j] + 1):
+                    if i == j or (n == 1 and i > j):
+                        continue
+                    gamma = tuple(n * (k == i) + (k == j) for k in range(datum.rank))
+                    table = alg.tables.dcb_table(gamma)
+                    li, lj = datum.labels[i], datum.labels[j]
+                    assert table.labels == [
+                        "F[" + " ".join([li] * s + [lj] + [li] * (n - s)) + "]"
+                        for s in range(n, -1, -1)
+                    ]
+                    assert table.minus == [
+                        alg.tables.two_letter_dcb(i, j, s, n - s) for s in range(n, -1, -1)
+                    ]
+                    degrees += 1
+        assert degrees == {"B2": 2, "G2": 3, "A1affine": 3, "R3": 3}[preset]
+
+
 class TestAffine:
     def test_two_letter_degrees(self):
         aff = Algebra.get("A1affine")
@@ -206,7 +309,7 @@ class TestAffine:
 
     def test_incomplete_degree_raises(self):
         aff = Algebra.get("A1affine")
-        with pytest.raises(TableIncomplete):
+        with pytest.raises(TableIncomplete, match="no canonical basis source"):
             aff.tables.dcb_table((3, 2))
 
 

@@ -109,6 +109,30 @@ class TestBasis:
         assert code == 2 and captured.out == ""
         assert message in captured.err
 
+    def test_r3_111_tables_checked(self, capsys, tmp_path):
+        # R3 (1,1,1) has a canonical basis, so its block is checked: the six
+        # words are not its dual; the dual itself, in another order, is
+        from qdouble.halves import half_to_obj
+
+        def run_block(elements):
+            tables = tmp_path / "r3.json"
+            tables.write_text(json.dumps([{"degree": [1, 1, 1], "elements": elements}]))
+            code = main(["basis", "--preset", "R3", "--height", "0", "--tables", str(tables)])
+            return code, capsys.readouterr().err
+
+        words = [f"F:{i} {j} {k}" for i, j, k in ["123", "132", "213", "231", "312", "321"]]
+        code, err = run_block([{"label": w, "element": [{"c": "1", "w": w}]} for w in words])
+        assert code == 2 and "not dual to the canonical basis" in err
+        r3 = qdouble.algebra.Algebra("R3")
+        dual = r3.tables.dcb_table((1, 1, 1)).minus
+        elements = [{"label": f"d{k}", "element": half_to_obj(x)} for k, x in enumerate(dual[::-1])]
+        assert run_block(elements) == (0, "")
+
+    def test_degree_without_source(self, capsys):
+        # A1affine (1,3) has no canonical basis source: exit 2, not 3
+        assert main(["basis", "--preset", "A1affine", "--height", "3"]) == 2
+        assert "no canonical basis source for A1affine degree (1, 3)" in capsys.readouterr().err
+
     def test_unknown_filter_label(self, capsys):
         code = main(["basis", "--preset", "A2", "--height", "1", "--j-plus", "9"])
         assert code == 2

@@ -2,7 +2,7 @@ import pytest
 
 from qdouble import linalg
 from qdouble.halves import HalfAlgebra
-from qdouble.linalg import SingularMatrix, greedy_row_basis, invert, mat_mul, row_reduce
+from qdouble.linalg import SingularMatrix, invert, mat_mul, row_reduce
 from qdouble.scalar import NU, ONE, ZERO, Laurent, Rat, RAT_ONE, RAT_ZERO, nu_power, qround
 
 
@@ -36,6 +36,19 @@ class TestRowReduce:
             row = [M[w].get(f, RAT_ZERO) for f in basis.pivots]
             Nd = [[Rat(x, d) for x in n_row] for n_row in N]
             assert basis.coords({w: RAT_ONE}) == linalg.solve_vec(Nd, row), w
+
+    def test_kept_rows_dependent_second_row(self):
+        v = NU
+        rows = [
+            [ONE, v, qround(2)],
+            [v * qround(3), v * v * qround(3), v * qround(2) * qround(3)],
+            [ZERO, ONE, v],
+            [ONE, ZERO, ONE],
+        ]
+        # row 1 is v [3] times row 0; rows 0, 2 and 3 are independent
+        assert row_reduce(rows)[0] == [0, 2, 3]
+        assert row_reduce(rows[1:])[0] == [0, 1, 2]
+        assert row_reduce([[ZERO] * 3] + rows[:2])[0] == [1]
 
     def test_kept_rows_and_pivot_columns(self):
         # row 1 is v row 0 and row 3 is row 0 + v^-1 row 2; column 1 is
@@ -71,18 +84,3 @@ class TestInvert:
 
     def test_empty(self):
         assert invert([]) == []
-
-
-class TestGreedyRowBasis:
-    def test_dependent_second_row(self):
-        v = nu_power(1)
-        rows = [
-            [RAT_ONE, v, Rat.of(qround(2))],
-            [v / Rat.of(qround(3)), v * v / Rat.of(qround(3)), v * Rat.of(qround(2)) / Rat.of(qround(3))],
-            [RAT_ZERO, RAT_ONE, v],
-            [RAT_ONE, RAT_ZERO, RAT_ONE],
-        ]
-        # row 1 is v/[3] times row 0; rows 0, 2 and 3 are independent
-        assert greedy_row_basis(rows) == [0, 2, 3]
-        assert greedy_row_basis(rows[1:]) == [0, 1, 2]
-        assert greedy_row_basis([[RAT_ZERO] * 3] + rows[:2]) == [1]

@@ -58,6 +58,21 @@ class TestLaurent:
         p = Laurent({2: 1, 0: -1})
         assert p.exact_div(Laurent({1: 1, 0: -1})) == Laurent({1: 1, 0: 1})
 
+    @given(laurents, laurents.filter(lambda b: b and b.min_exp() != 0))
+    @settings(max_examples=300, deadline=None)
+    def test_divmod_identity(self, a, b):
+        # a == q b + r for a divisor of nonzero valuation, r from min(a) on,
+        # and an exact multiple divides with remainder 0
+        q, r = a.divmod_poly(b)
+        assert q * b + r == a
+        assert r.is_zero() or r.min_exp() >= a.min_exp()
+        assert (a * b).divmod_poly(b) == (a, ZERO)
+
+    def test_divmod_remainder_not_shifted(self):
+        # deg b - val b = 2 exceeds the span of a: nothing to divide
+        q, r = Laurent({4: 2}).divmod_poly(Laurent({0: -3, -2: -2}))
+        assert q == ZERO and r == Laurent({4: 2})
+
 
 class TestRat:
     def test_canonical_equality(self):
