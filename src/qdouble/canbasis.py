@@ -5,12 +5,12 @@ operators on dual-canonical-basis labels.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     Rat,
-    RAT_ONE,
     RAT_ZERO,
     accumulate,
     nu_power,
@@ -42,10 +42,11 @@ class CBTable:
 
 
 class DCBTable:
-    def __init__(self, gamma, labels, minus_elems):
+    def __init__(self, gamma, labels, minus_elems, duals):
         self.gamma = gamma
         self.labels = list(labels)
         self.minus = list(minus_elems)
+        self.duals = list(duals)  # the basis dual to minus under ((,))
 
 
 class CanonicalTables:
@@ -86,7 +87,7 @@ class CanonicalTables:
             # with min(a1, a2) = 0, labelled b+(a1,a2,a12,a21)
             table.dual_labels = [
                 f"b+({n1 - m},{n2 - m},{n12},{m})"
-                for n1, n12, n2 in _compositions(gamma, self._pbw_roots()[1])
+                for n1, n12, n2 in _compositions(gamma, self._pbw_roots[1])
                 for m in [min(n1, n2)]
             ]
         self._cb[gamma] = table
@@ -188,6 +189,7 @@ class CanonicalTables:
             terms[w] = c.bar() * Rat.of((-1) ** len(w))
         return HalfElem(self.half, x.sign, terms, compressed=True)
 
+    @cached_property
     def _pbw_roots(self):
         """A reduced longest word and its positive roots, in PBW order."""
         datum = self.datum
@@ -199,49 +201,28 @@ class CanonicalTables:
 
         half = self.half
         datum = self.datum
-        word, roots = self._pbw_roots()
+        word, roots = self._pbw_roots
         comps = _compositions(gamma, roots)
         if not comps:
             raise TableIncomplete(f"degree {gamma} unreachable by PBW roots")
-        # divided-power PBW monomials on the minus side
-        basis = self.half.degree_basis(gamma)
-        raw = []
+        # divided-power PBW monomials on braid's lattice (v^-mu): the sigma-matrix is unitriangular
+        braid = self.alg.braid
+        scaled = []
         for a in comps:
-            p = half.unit(PLUS)
-            for r, n in enumerate(a, start=1):
-                if n:
-                    factor = self.alg.braid.root_vector(word, r, n).scale(
-                        Rat.of(1) / Rat.of(qangle_factorial(n, datum.qi_exp(word[r - 1])))
-                    )
-                    p = p * factor
-            raw.append(half.flip(p))
-        W = [basis.coords(x.terms) for x in raw]
-        Winv = linalg.invert(W)
-        sig = [linalg.solve_vec(Winv, basis.coords(self._sigma(x).terms)) for x in raw]
-        # rescale raw[k] by c_k = v^(e_k/2), where v^e_k is the sigma-diagonal,
-        # so the sigma matrix becomes unitriangular: entry (k, l) / (c_k c_l)
-        scale = []
-        for k, row in enumerate(sig):
-            diag = row[k]
-            lau = diag.as_laurent()
-            if len(lau.c) != 1:
-                raise TableConflict(f"PBW sigma-diagonal not monomial at {gamma}: {diag}")
-            (exp, coeff), = lau.c.items()
-            if coeff != 1 or exp % 2:
-                raise TableConflict(f"PBW sigma-diagonal not an even unit power: {diag}")
-            scale.append(nu_power(exp // 2))
-        scaled = [x.scale(c) for x, c in zip(raw, scale)]
-        rows = {
-            k: {l: c / (scale[k] * scale[l]) for l, c in enumerate(row) if not c.is_zero()}
-            for k, row in enumerate(sig)
-        }
+            c = nu_power(-braid.mu_exponent(word, a))
+            for i, n in zip(word, a):
+                c = c / Rat.of(qangle_factorial(n, datum.qi_exp(i)))
+            scaled.append(half.flip(braid.schubert_pbw(word, a)).scale(c))
+        basis = half.degree_basis(gamma)
+        Winv = linalg.invert([basis.coords(x.terms) for x in scaled])
+        sig = linalg.mat_mul([basis.coords(self._sigma(x).terms) for x in scaled], Winv)
+        rows = {k: {l: c for l, c in enumerate(r) if not c.is_zero()} for k, r in enumerate(sig)}
         order = toposort(list(range(len(comps))), lambda k: rows[k])
         sols = ll_solve(order, lambda k: rows[k], side="negative")
         labels, elems = [], []
         for k, a in enumerate(comps):
-            coeffs = sols[k]
             elem = scaled[k]
-            for l, c in coeffs.items():
+            for l, c in sols[k].items():
                 elem = elem + scaled[l].scale(c)
             if not self._sigma(elem) == elem:
                 raise TableConflict(f"canonical element at {gamma} not sigma-fixed")
@@ -266,24 +247,28 @@ class CanonicalTables:
     def _build_dcb(self, gamma) -> DCBTable:
         if gamma in self.user_tables:
             return DCBTable(gamma, *self.user_tables[gamma])
-        return self.gram_dual(self.canonical_basis(gamma))
+        cb = self.canonical_basis(gamma)
+        return DCBTable(gamma, cb.dual_labels, self.dual_basis(gamma, cb.elements), cb.elements)
 
-    def gram_dual(self, cb: CBTable) -> DCBTable:
-        """The basis dual to cb under ((,)), element for element, labelled by
-        cb.dual_labels.  Over the pivot words, ((x, y)) = v^-ul x P y^T with
-        P = M[pivots, pivots], and the canonical elements are the rows of C,
-        so the dual elements are the rows of v^ul (P C^T)^-1."""
+    def dual_basis(self, gamma, elems) -> list:
+        """The basis dual to elems under ((,)), element for element.  Over the
+        pivot words, ((x, y)) = v^-ul x P y^T with P = M[pivots, pivots], and
+        elems are the rows of C, so the duals are the rows of v^ul (P C^T)^-1.
+        Raises TableConflict on a wrong count, SingularMatrix on dependent elems."""
         half = self.half
-        pivots = half.degree_basis(cb.gamma).pivots
-        M = half.pairing_matrix(cb.gamma)
+        pivots = half.degree_basis(gamma).pivots
+        if len(elems) != len(pivots):
+            raise TableConflict(
+                f"table at {gamma} has {len(elems)} elements, dimension is {len(pivots)}"
+            )
+        M = half.pairing_matrix(gamma)
         P = [[M[p].get(q, RAT_ZERO) for q in pivots] for p in pivots]
-        Ct = [[x.terms.get(p, RAT_ZERO) for x in cb.elements] for p in pivots]
-        scale = nu_power(self.datum.ulgamma(cb.gamma))
-        elems = [
+        Ct = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in pivots]
+        scale = nu_power(self.datum.ulgamma(gamma))
+        return [
             HalfElem(half, MINUS, {p: c * scale for p, c in zip(pivots, row) if c}, compressed=True)
             for row in linalg.invert(linalg.mat_mul(P, Ct))
         ]
-        return DCBTable(cb.gamma, cb.dual_labels, elems)
 
     def _two_letter_label(self, i, j, s, r) -> str:
         """The label F[i^s j i^r] of the dual of F_i^<r> F_j F_i^<s>."""
@@ -324,8 +309,32 @@ class CanonicalTables:
 
     def _label_info_get(self, label):
         if label not in self._label_info:
+            # build the user degrees and the degree the label encodes, then look again
+            for gamma in [*self.user_tables, self._label_degree(label)]:
+                if gamma is not None:
+                    self.dcb_table(gamma)
+        if label not in self._label_info:
             raise UnknownLabel(f"unknown dual-canonical-basis label {label!r}")
         return self._label_info[label]
+
+    def _label_degree(self, label: str):
+        """The degree a built-in label encodes (`1`, `F[i^n j ...]`, `b(gamma).k`,
+        the A2 `b+(a1,a2,a12,a21)`), or None."""
+        gamma = [0] * self.datum.rank
+        try:
+            if label.startswith("F[") and label.endswith("]"):
+                for i, _, n in (tok.partition("^") for tok in label[2:-1].split()):
+                    gamma[self.datum.index(i)] += int(n or 1)
+            elif label.startswith("b("):
+                gamma = [int(g) for g in label[2:].partition(")")[0].split(",")]
+            elif label.startswith("b+("):
+                a1, a2, a12, a21 = map(int, label[3:-1].split(","))
+                gamma = [a1 + a12 + a21, a2 + a12 + a21]
+            elif label != "1":
+                return None
+        except ValueError:  # a CartanError is a ValueError
+            return None
+        return tuple(gamma) if len(gamma) == self.datum.rank and min(gamma) >= 0 else None
 
     def label_of(self, sign: int, elem: HalfElem) -> str:
         """Label of a dual-canonical-basis element, by value."""
@@ -352,26 +361,23 @@ class CanonicalTables:
 
     # -------------------------------------------------- word -> label transitions
     def word_to_dcb(self, gamma) -> dict:
-        """Word -> {label: coefficient} for one degree; F-words and E-words
-        share the pivot form, so one map serves both halves."""
+        """Word -> {label: coefficient} for one degree, by pairing every word
+        with the duals of the table; F-words and E-words share the pivot form,
+        so one map serves both halves."""
         gamma = tuple(gamma)
         if gamma in self._w2d:
             return self._w2d[gamma]
         table = self.dcb_table(gamma)
         basis = self.half.degree_basis(gamma)
-        D = [basis.coords(elem.terms) for elem in table.minus]
-        if len(D) != basis.rank:
-            raise TableConflict(
-                f"table at {gamma} has {len(D)} elements, dimension is {basis.rank}"
-            )
-        Dinv = linalg.invert(D)
-        out = {}
-        for w in basis.words:
-            coords = basis.coords({w: RAT_ONE})
-            sol = linalg.solve_vec(Dinv, coords)
-            out[w] = {
-                table.labels[k]: c for k, c in enumerate(sol) if not c.is_zero()
-            }
+        # the coefficient of w on table element k is ((w, duals[k]))
+        M = self.half.pairing_matrix(gamma)
+        Mw = [[M[w].get(p, RAT_ZERO) for p in basis.pivots] for w in basis.words]
+        Dt = [[d.terms.get(p, RAT_ZERO) for d in table.duals] for p in basis.pivots]
+        scale = nu_power(-self.datum.ulgamma(gamma))
+        out = {
+            w: {table.labels[k]: c * scale for k, c in enumerate(row) if not c.is_zero()}
+            for w, row in zip(basis.words, linalg.mat_mul(Mw, Dt))
+        }
         self._w2d[gamma] = out
         return out
 
@@ -435,13 +441,14 @@ class CanonicalTables:
 
     # ----------------------------------------------------------- file interface
     def load_user_table(self, gamma, labeled_elements):
-        """Register a user-supplied dual basis for one degree before first use."""
+        """Register a user-supplied dual basis for one degree before first use;
+        raises as dual_basis does unless the elements are a basis."""
         gamma = tuple(gamma)
         if gamma in self._dcb:
             raise ValueError(f"table for degree {gamma} already built")
         labels = [lab for lab, _ in labeled_elements]
         elems = [el for _, el in labeled_elements]
-        self.user_tables[gamma] = (labels, elems)
+        self.user_tables[gamma] = (labels, elems, self.dual_basis(gamma, elems))
 
 
 def _compositions(gamma, roots):

@@ -85,7 +85,7 @@ class Builder:
         return self.acc
 
 
-def _unit_k(alg, side, i, power=1):
+def _unit_k(alg, i, power=1):
     vec = [0] * alg.datum.rank
     vec[i] = power
     return tuple(vec)
@@ -293,8 +293,8 @@ def suite_tables_minus_one_family():
         e_ji = half.flip(f_ji)
         lab_fi = alg.label_of(MINUS, half.gen(MINUS, i))
         lab_fj = alg.label_of(MINUS, half.gen(MINUS, j))
-        kpi, kpj = _unit_k(alg, PLUS, i), _unit_k(alg, PLUS, j)
-        kmi, kmj = _unit_k(alg, MINUS, i), _unit_k(alg, MINUS, j)
+        kpi, kpj = _unit_k(alg, i), _unit_k(alg, j)
+        kmi, kmj = _unit_k(alg, i), _unit_k(alg, j)
         zero = (0,) * alg.datum.rank
 
         # commutator of the dual pair
@@ -411,9 +411,6 @@ def suite_tables_equal_d(a_values=(1, 2, 3)):
         zero = (0,) * 2
         amod = a % 2
         d_a2 = 1 if a == 2 else 0
-
-        def kv(ci, cj, side):
-            return (ci, cj) if side == MINUS else (ci, cj)
 
         labs = {}
         for s, r in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (0, 3)]:

@@ -6,9 +6,11 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
 table source covers), 3 internal error (any other exception; the traceback
 goes to stderr).  A --tables file is checked at load: JSON shape, one block
 per degree, unique labels, F-side words of the block's degree, nonzero
-elements, and, where the degree has a canonical basis (every finite-type
-degree, the two-letter degrees, A1affine (2,2) and R3 (1,1,1)), that the
-elements are the dual of the canonical basis in some order.
+elements that form a basis of the degree, and, where the degree has a
+canonical basis (every finite-type degree, the two-letter degrees, A1affine
+(2,2) and R3 (1,1,1)), that the elements are the dual of the canonical basis
+in some order.  strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`,
+--tables labels) or words (`F:...`, `E:...`).
 Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
 sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
@@ -26,10 +28,11 @@ import sys
 
 from . import __version__
 from .algebra import Algebra
-from .canbasis import TableIncomplete, UnknownLabel
+from .canbasis import TableConflict, TableIncomplete, UnknownLabel
 from .cartan import PRESETS, CartanError, get_datum
 from .double import tri_to_obj
 from .halves import PLUS, MINUS, half_from_obj, parse_word
+from .linalg import SingularMatrix
 from .scalar import RAT_ONE, format_scalar
 
 
@@ -115,21 +118,23 @@ def _load_user_tables(alg: Algebra, data: bytes):
             if elem.is_zero():
                 raise UsageError(f"element {label!r} is zero")
             labeled.append((label, elem))
-        _check_dual(alg, gamma, labeled)
-        alg.tables.load_user_table(gamma, labeled)
-
-
-def _check_dual(alg: Algebra, gamma, labeled):
-    """Raise unless the user elements are the dual of the canonical basis, in
-    some order; nothing to check where no canonical basis source covers gamma."""
-    try:
-        dual = alg.tables.gram_dual(alg.tables.canonical_basis(gamma)).minus
-    except TableIncomplete:
-        return
-    if len(labeled) != len(dual) or {x.key() for _, x in labeled} != {x.key() for x in dual}:
-        raise UsageError(
-            f"the elements of degree {list(gamma)} are not dual to the canonical basis"
-        )
+        try:
+            alg.tables.load_user_table(gamma, labeled)
+        except (TableConflict, SingularMatrix):
+            raise UsageError(
+                f"the elements of degree {list(gamma)} are not a basis"
+                f" (dimension {alg.half.dim(gamma)})"
+            ) from None
+        # where gamma has a canonical basis, the elements must be its dual in
+        # some order, that is their duals must be the canonical basis
+        try:
+            cb = alg.tables.canonical_basis(gamma).elements
+        except TableIncomplete:
+            continue
+        if {x.key() for x in alg.tables.dcb_table(gamma).duals} != {x.key() for x in cb}:
+            raise UsageError(
+                f"the elements of degree {list(gamma)} are not dual to the canonical basis"
+            )
 
 
 def _resolve_label(alg: Algebra, token: str, sign: int) -> str:

@@ -85,8 +85,3 @@ def invert(A):
     if col < n:
         raise SingularMatrix(f"matrix is singular at column {col}")
     return [[Rat(den * x, d) if x else RAT_ZERO for x in row[n:]] for row in R]
-
-
-def solve_vec(A_inv, v):
-    """x = v . A_inv (row vector times inverse)."""
-    return mat_mul([v], A_inv)[0]

@@ -287,44 +287,26 @@ class RSTMap:
         return self.alg.tables.fgfrm(self.alg.half.flip(u_plus), u_minus)
 
     def _bases(self, gamma):
-        key = (tuple(gamma), self.basis_kind)
+        """(plus, minus, check_plus, check_minus) with {check_plus[b], plus[c]}
+        = delta = {minus[c], check_minus[b]}: as ((,)) is symmetric, check_plus
+        is the basis dual to minus and check_minus its flip."""
+        gamma = tuple(gamma)
+        key = (gamma, self.basis_kind)
         if key in self._dual_cache:
             return self._dual_cache[key]
         half = self.alg.half
-        basis = half.degree_basis(tuple(gamma))
-        # both halves are spanned by the same pivot words
-        span_minus = [half.element(MINUS, {w: RAT_ONE}) for w in basis.pivots]
-        span_plus = [half.flip(x) for x in span_minus]
+        tables = self.alg.tables
         if self.basis_kind == "words":
-            plus, minus = span_plus, span_minus
+            # both halves are spanned by the same pivot words
+            pivots = half.degree_basis(gamma).pivots
+            minus = [half.element(MINUS, {w: RAT_ONE}) for w in pivots]
+            duals = tables.dual_basis(gamma, minus)
         elif self.basis_kind == "dcb":
-            labs = self.alg.tables.labels_of_degree(tuple(gamma))
-            plus = [self.alg.dcb_elem(PLUS, lab) for lab in labs]
-            minus = [self.alg.dcb_elem(MINUS, lab) for lab in labs]
+            table = tables.dcb_table(gamma)
+            minus, duals = table.minus, table.duals
         else:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
-        # duals: check_plus[b] in U^- with {check_plus[b], plus[c]} = delta
-        P = [[self.brace(sm, bp) for bp in plus] for sm in span_minus]
-        Pinv = linalg.invert(P) if P else []
-        check_plus = []
-        for b in range(len(plus)):
-            elem = half.zero(MINUS)
-            for a in range(len(span_minus)):
-                coeff = Pinv[b][a]
-                if not coeff.is_zero():
-                    elem = elem + span_minus[a].scale(coeff)
-            check_plus.append(elem)
-        Q = [[self.brace(bm, sp) for sp in span_plus] for bm in minus]
-        Qinv = linalg.invert(Q) if Q else []
-        check_minus = []
-        for b in range(len(minus)):
-            elem = half.zero(PLUS)
-            for a in range(len(span_plus)):
-                coeff = Qinv[a][b]
-                if not coeff.is_zero():
-                    elem = elem + span_plus[a].scale(coeff)
-            check_minus.append(elem)
-        out = (plus, minus, check_plus, check_minus)
+        out = ([half.flip(x) for x in minus], minus, duals, [half.flip(x) for x in duals])
         self._dual_cache[key] = out
         return out
 
@@ -351,16 +333,8 @@ class RSTMap:
                     gm = tuple(a - b + c_ for a, b, c_ in zip(du, dv, gp))
                     if any(x < 0 for x in gm):
                         continue
-                    plus, minus, check_plus, check_minus = self._bases(gp)
-                    if gm != gp:
-                        plus_m, minus_m, check_plus_m, check_minus_m = self._bases(gm)
-                    else:
-                        plus_m, minus_m, check_plus_m, check_minus_m = (
-                            plus,
-                            minus,
-                            check_plus,
-                            check_minus,
-                        )
+                    plus, _, check_plus, _ = self._bases(gp)
+                    _, minus_m, _, check_minus_m = self._bases(gm)
                     eta_exp = 2 * datum.eta(gp)
                     for bp, cp in zip(plus, check_plus):
                         cp_v = V.act_half(cp, vv)

@@ -392,6 +392,70 @@ class TestDCBProperties:
                 assert rebuilt == a2.half.word(sign, w)
 
 
+class TestDualBasis:
+    DEGREES = [("A2", (2, 2)), ("B2", (2, 2)), ("A1affine", (2, 2)), ("R3", (1, 1, 1))]
+
+    @pytest.mark.parametrize("preset, gamma", DEGREES)
+    def test_dual_of_dual(self, preset, gamma):
+        tables = Algebra.get(preset).tables
+        cb = tables.canonical_basis(gamma).elements
+        duals = tables.dual_basis(gamma, cb)
+        assert tables.dual_basis(gamma, duals) == cb
+        # the word-level form is an independent route to the same duality
+        for k, d in enumerate(duals):
+            for l, c in enumerate(cb):
+                assert tables.fgfrm(d, c) == (RAT_ONE if k == l else Rat.of(0)), (k, l)
+
+    @staticmethod
+    def _rebuilds_every_word(alg, gamma, nonpivot):
+        basis = alg.half.degree_basis(gamma)
+        assert (len(basis.words) > basis.rank) == nonpivot
+        w2d = alg.tables.word_to_dcb(gamma)
+        assert list(w2d) == basis.words
+        for w, row in w2d.items():
+            rebuilt = alg.half.zero(MINUS)
+            for lab, c in row.items():
+                rebuilt = rebuilt + alg.dcb_elem(MINUS, lab).scale(c)
+            assert rebuilt == alg.half.element(MINUS, {w: RAT_ONE}), w
+
+    @pytest.mark.parametrize(
+        "preset, gamma, nonpivot",
+        [("A2", (2, 2), True), ("B2", (3, 1), True), ("A1affine", (2, 2), False)],
+    )
+    def test_word_to_dcb_rebuilds_every_word(self, preset, gamma, nonpivot):
+        self._rebuilds_every_word(Algebra.get(preset), gamma, nonpivot)
+
+    def test_word_to_dcb_user_table(self):
+        # A1affine (1,3) has no canonical-basis source: a user table of scaled
+        # pivot words is a basis, and its words expand over it
+        alg = Algebra("A1affine")
+        gamma = (1, 3)
+        pivots = alg.half.degree_basis(gamma).pivots
+        alg.tables.load_user_table(
+            gamma,
+            [(f"u{k}", alg.half.element(MINUS, {p: nu_power(k)})) for k, p in enumerate(pivots)],
+        )
+        self._rebuilds_every_word(alg, gamma, True)
+
+
+class TestLabelsByName:
+    @pytest.mark.parametrize(
+        "preset, label, gamma",
+        [
+            ("A1", "1", (0,)),
+            ("A1", "F[1^2]", (2,)),
+            ("B2", "F[1 2 1]", (2, 1)),
+            ("B2", "b(2,2).0", (2, 2)),
+            ("A2", "b+(0,1,1,1)", (2, 3)),
+        ],
+    )
+    def test_label_names_its_degree(self, preset, label, gamma):
+        # a label of a degree not yet built is found by building that degree
+        tables = Algebra(preset).tables
+        assert tables.degree_of(label) == gamma
+        assert label in tables.labels_of_degree(gamma)
+
+
 class TestCrystal:
     def test_sl2_chain(self, sl2):
         # partial-tilde^1 (F^2-label on the plus side) -> F-label

@@ -208,6 +208,46 @@ class TestStrconst:
         assert payload["positive"] is True
         assert len(payload["coefficients"]) == 3
 
+    @pytest.mark.parametrize(
+        "preset, labels, words",
+        [
+            ("A1", ["F[1^1]", "F[1^1]"], ["F:1", "F:1"]),
+            ("A1", ["1", "1"], ["F:", "E:"]),
+            ("A2", ["b+(1,0,0,0)", "b+(1,0,0,0)"], ["F:1", "E:1"]),
+        ],
+        ids=["F-label", "unit", "A2-b+"],
+    )
+    def test_labels_by_name(self, capsys, monkeypatch, preset, labels, words):
+        # in a fresh process no degree is built before the labels are read
+        monkeypatch.setattr(qdouble.algebra.Algebra, "_registry", {})
+        by_label = run(capsys, "strconst", *labels, "--preset", preset)
+        assert by_label[0] == 0
+        assert by_label == run(capsys, "strconst", *words, "--preset", preset)
+
+    def test_user_label(self, capsys, tmp_path):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(USER_TABLE_A1))
+        code, out = run(capsys, "strconst", "x", "x", "--preset", "A1", "--tables", str(tables))
+        assert code == 0 and json.loads(out)["coefficients"]
+
+    @pytest.mark.parametrize(
+        "words",
+        [["1 2 2 2", "2 1 2 2"], ["1 2 2 2", "2 1 2 2", "1 2 2 2|2 1 2 2"]],
+        ids=["too-few", "dependent"],
+    )
+    def test_tables_not_a_basis(self, capsys, tmp_path, words):
+        # A1affine (1,3) has dimension 3 and no canonical-basis source
+        elements = [
+            {"label": f"x{k}", "element": [{"c": "1", "w": f"F:{w}"} for w in text.split("|")]}
+            for k, text in enumerate(words)
+        ]
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps([{"degree": [1, 3], "elements": elements}]))
+        argv = ["strconst", "F:1 2 2 2", "E:1", "--preset", "A1affine", "--tables", str(tables)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "the elements of degree [1, 3] are not a basis (dimension 3)" in err
+
     def test_unknown_labels(self, capsys):
         code = main(["strconst", "nosuch", "alsono", "--preset", "A2"])
         assert code == 2

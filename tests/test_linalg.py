@@ -35,7 +35,7 @@ class TestRowReduce:
                 continue
             row = [M[w].get(f, RAT_ZERO) for f in basis.pivots]
             Nd = [[Rat(x, d) for x in n_row] for n_row in N]
-            assert basis.coords({w: RAT_ONE}) == linalg.solve_vec(Nd, row), w
+            assert basis.coords({w: RAT_ONE}) == linalg.mat_mul([row], Nd)[0], w
 
     def test_kept_rows_dependent_second_row(self):
         v = NU

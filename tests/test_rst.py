@@ -4,7 +4,7 @@ from qdouble import Algebra
 from qdouble.double import kmono
 from qdouble.halves import PLUS, MINUS
 from qdouble.rst import LWModule, ModuleError, RSTMap, module_from_obj, sl2_module, sp4_module, vector_module
-from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qround_binom, qround
+from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qround_binom
 from qdouble.sl2oracle import SL2Oracle
 
 
@@ -39,8 +39,6 @@ class TestModuleConstruction:
         # <v_a | v_a> = (-1)^a binom(m, a)_q
         m = 3
         V = sl2_module(sl2, m)
-        for a in range(m + 1):
-            want = Rat.of(qround(m, 2) if False else RAT_ONE.num)  # placeholder
         vals = [V.shap[a] for a in range(m + 1)]
         from qdouble.scalar import qround_binom
 
@@ -260,3 +258,21 @@ class TestBraceAdjointness:
                 lhs4 = rst.brace(um, up * ediv)
                 rhs4 = rst.brace(half.deriv(i, um, "op"), up)
                 assert lhs4 == rhs4, (wm, wp, i, "right E")
+
+
+class TestBasesWords:
+    @pytest.mark.parametrize(
+        "preset, degrees",
+        [("A1", [(1,), (2,), (3,)]), ("B2", [(1, 1), (2, 1), (1, 2), (2, 2)])],
+    )
+    def test_duals_pair_to_delta(self, preset, degrees):
+        alg = Algebra.get(preset)
+        module = sl2_module(alg, 2) if preset == "A1" else sp4_module(alg, 1)
+        rst = RSTMap(alg, module, basis="words")
+        for gamma in degrees:
+            plus, minus, check_plus, check_minus = rst._bases(gamma)
+            for b in range(len(plus)):
+                for c in range(len(plus)):
+                    want = RAT_ONE if b == c else Rat.of(0)
+                    assert rst.brace(check_plus[b], plus[c]) == want, (gamma, b, c)
+                    assert rst.brace(minus[c], check_minus[b]) == want, (gamma, b, c)
