@@ -13,6 +13,7 @@ from .scalar import (
     Rat,
     RAT_ZERO,
     accumulate,
+    common_denominator,
     nu_power,
     qangle,
     qangle_factorial,
@@ -364,9 +365,18 @@ class CanonicalTables:
         """Word -> {label: coefficient} for one degree, by pairing every word
         with the duals of the table; F-words and E-words share the pivot form,
         so one map serves both halves."""
+        return self._word_rows(gamma)[0]
+
+    def word_to_dcb_numerators(self, gamma):
+        """(rows, d): the rows of word_to_dcb(gamma) as Laurent numerators
+        over one denominator d, the lcm of their denominators."""
+        return self._word_rows(gamma)[1:]
+
+    def _word_rows(self, gamma):
         gamma = tuple(gamma)
-        if gamma in self._w2d:
-            return self._w2d[gamma]
+        got = self._w2d.get(gamma)
+        if got is not None:
+            return got
         table = self.dcb_table(gamma)
         basis = self.half.degree_basis(gamma)
         # the coefficient of w on table element k is ((w, duals[k]))
@@ -378,8 +388,11 @@ class CanonicalTables:
             w: {table.labels[k]: c * scale for k, c in enumerate(row) if not c.is_zero()}
             for w, row in zip(basis.words, linalg.mat_mul(Mw, Dt))
         }
-        self._w2d[gamma] = out
-        return out
+        nums, d = common_denominator([c for row in out.values() for c in row.values()])
+        it = iter(nums)
+        rows = {w: {lab: next(it) for lab in row} for w, row in out.items()}
+        self._w2d[gamma] = got = (out, rows, d)
+        return got
 
     def half_to_dcb(self, x: HalfElem) -> dict:
         """Expand a half element over dual-canonical labels."""

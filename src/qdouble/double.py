@@ -5,18 +5,26 @@ actions.
 
 Elements are stored in triangular normal form: (K-monomial, F-word, E-word)
 -> scalar, with both word blocks compressed to per-degree pivot words.
+
+The kernels (multiply, the involutions, to_dcb and the pivot-word normal
+form) are fraction-free: they bring their inputs over one denominator, sum
+Laurent numerators, with the Laurent straightening memos and v-powers as
+shifts, and reduce each output coefficient once.
 """
 from __future__ import annotations
 
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
+    ONE,
     Laurent,
     Rat,
     RAT_ONE,
     accumulate,
     clear_denominators,
+    common_denominator,
     cyclotomic_factor,
     nu_power,
+    over_denominator,
     qangle,
 )
 
@@ -29,6 +37,10 @@ _CROSS = {
     "heis_plus": (1, 0),
     "heis_minus": (0, 1),
 }
+
+
+# the K-monomial block that is zero in a Heisenberg quotient
+_DROPPED_K = {"heis_plus": 0, "heis_minus": 1}
 
 
 class FlavorError(ValueError):
@@ -185,33 +197,46 @@ class DoubleContext:
             raise FlavorError("weight tags need check flavor")
 
     # -- normalization -----------------------------------------------------------
-    def word_coords(self, w: tuple) -> dict:
-        """Pivot form of one word, shared by its F-word and E-word."""
+    def word_coords(self, w: tuple):
+        """Pivot form (num, d) of one word, shared by its F-word and E-word."""
         got = self._word_coords.get(w)
         if got is None:
-            got = self.half._compress({w: RAT_ONE})
+            got = self.half.degree_basis(self.half.word_degree(w)).column(w)
             self._word_coords[w] = got
         return got
 
     def _normalize(self, flavor: str, terms: dict) -> dict:
-        out: dict = {}
-        for (K, f, e), c in terms.items():
-            c = Rat.of(c)
-            if c.is_zero():
+        terms = {k: c for k, c in terms.items() if c}
+        nums, den = common_denominator([Rat.of(c) for c in terms.values()])
+        return self._normalize_over(flavor, dict(zip(terms, nums)), den)
+
+    def _normalize_over(self, flavor: str, nums: dict, den: Laurent) -> dict:
+        """Triangular normal form of {key: numerator over den}: the words go
+        to their pivot forms, and the numerators whose words have pivot
+        denominators (d_f, d_e) are reduced over den d_f d_e."""
+        drop = _DROPPED_K.get(flavor)
+        by_dens: dict = {}
+        for (K, f, e), n in nums.items():
+            if drop is not None and any(K[drop]):
                 continue
-            if flavor == "heis_plus" and any(K[0]):
-                continue
-            if flavor == "heis_minus" and any(K[1]):
-                continue
-            fc = self.word_coords(f)
-            ec = self.word_coords(e)
+            fc, df = self.word_coords(f)
+            ec, de = self.word_coords(e)
+            acc = by_dens.get((df, de))
+            if acc is None:
+                acc = by_dens[df, de] = {}
             for wf, af in fc.items():
+                nf = n if af.is_one() else n * af
                 for we, ae in ec.items():
-                    key = (K, wf, we)
-                    accumulate(out, key, c * af * ae)
+                    accumulate(acc, (K, wf, we), nf if ae.is_one() else nf * ae)
+        out: dict = {}
+        for (df, de), acc in by_dens.items():
+            for key, c in over_denominator(acc, den * df * de).items():
+                accumulate(out, key, c)
         return out
 
     # -- straightening core ---------------------------------------------------------
+    # Straightening coefficients are products of v-powers and <a>'s, so the
+    # memos hold Laurent values.
     def _straighten_letter(self, i: int, f: tuple, cross):
         key = (i, f, cross)
         got = self._letter.get(key)
@@ -219,17 +244,16 @@ class DoubleContext:
             return got
         rank = self.datum.rank
         if not f:
-            out = {(k_one(rank), (), (i,)): RAT_ONE}
+            out = {(k_one(rank), (), (i,)): ONE}
         else:
             j, frest = f[0], f[1:]
             out = {}
             alpha_j = self.datum.alpha(j)
             for (K, f3, e3), c in self._straighten_letter(i, frest, cross).items():
-                factor = nu_power(2 * self.kdif_dot(K, alpha_j))
                 key2 = (K, (j,) + f3, e3)
-                accumulate(out, key2, c * factor)
+                accumulate(out, key2, c.shift(2 * self.kdif_dot(K, alpha_j)))
             if i == j:
-                br = Rat.of(qangle(-1, self.datum.qi_exp(i)))  # q_i^-1 - q_i
+                br = qangle(-1, self.datum.qi_exp(i))  # q_i^-1 - q_i
                 tp, tm = cross
                 if tp:
                     vec = [0] * rank
@@ -247,20 +271,20 @@ class DoubleContext:
         return out
 
     def _straighten(self, e: tuple, f: tuple, cross):
-        """E-word times F-word as dict {(K, f, e): Rat}, fully triangular."""
+        """E-word times F-word as dict {(K, f, e): Laurent}, fully triangular."""
         key = (e, f, cross)
         got = self._straight.get(key)
         if got is not None:
             return got
         rank = self.datum.rank
         if not e or not f:
-            out = {(k_one(rank), f, e): RAT_ONE}
+            out = {(k_one(rank), f, e): ONE}
         else:
             i, e_head = e[-1], e[:-1]
             deg_head = self.half.word_degree(e_head)
             out = {}
             for (K3, f3, e3), c3 in self._straighten_letter(i, f, cross).items():
-                factor = c3 * nu_power(-2 * self.kdif_dot(K3, deg_head))
+                factor = c3.shift(-2 * self.kdif_dot(K3, deg_head))
                 for (K4, f4, e4), c4 in self._straighten(e_head, f3, cross).items():
                     key2 = (k_mul(K3, K4), f4, e4 + e3)
                     accumulate(out, key2, factor * c4)
@@ -273,20 +297,22 @@ class DoubleContext:
             raise FlavorError(f"flavor mismatch: {x.flavor} vs {y.flavor}")
         cross = _CROSS[x.flavor]
         half = self.half
+        xn, dx = common_denominator(list(x.terms.values()))
+        yn, dy = common_denominator(list(y.terms.values()))
         out: dict = {}
-        for (K1, f1, e1), c1 in x.terms.items():
+        for (K1, f1, e1), n1 in zip(x.terms, xn):
             deg_f1 = half.word_degree(f1)
             deg_e1 = half.word_degree(e1)
-            for (K2, f2, e2), c2 in y.terms.items():
-                base = c1 * c2 * nu_power(
+            for (K2, f2, e2), n2 in zip(y.terms, yn):
+                base = (n1 * n2).shift(
                     2 * (self.kdif_dot(K2, deg_f1) - self.kdif_dot(K2, deg_e1))
                 )
                 K12 = k_mul(K1, K2)
                 for (K3, f3, e3), c3 in self._straighten(e1, f2, cross).items():
-                    coeff = base * c3 * nu_power(2 * self.kdif_dot(K3, deg_f1))
+                    coeff = (base * c3).shift(2 * self.kdif_dot(K3, deg_f1))
                     key = (k_mul(K12, K3), f1 + f3, e3 + e2)
                     accumulate(out, key, coeff)
-        return TriElem(self, x.flavor, out)
+        return TriElem(self, x.flavor, self._normalize_over(x.flavor, out, dx * dy), normalized=True)
 
     # -- gradings ----------------------------------------------------------------------
     def coroot_of_term(self, i: int, key) -> int:
@@ -318,21 +344,20 @@ class DoubleContext:
             raise FlavorError(f"star is unavailable in flavor {x.flavor}")
         cross = _CROSS[x.flavor]
         half = self.half
+        nums, den = common_denominator(list(x.terms.values()))
+        if which == "bar":
+            # bar(n / d) = bar(n) / bar(d)
+            nums, den = [n.bar() for n in nums], den.bar()
         acc: dict = {}
-        for (K, f, e), c in x.terms.items():
+        for (K, f, e), n in zip(x.terms, nums):
             deg_f = half.word_degree(f)
             deg_e = half.word_degree(e)
             if which == "transpose":
                 dif = tuple(a - b for a, b in zip(deg_e, deg_f))
-                coeff = c * nu_power(2 * self.kdif_dot(K, dif))
+                coeff = n.shift(2 * self.kdif_dot(K, dif))
                 accumulate(acc, (K, tuple(reversed(e)), tuple(reversed(f))), coeff)
                 continue
-            if which == "bar":
-                coeff = Rat.of(c).bar()
-                K2 = K
-            else:
-                coeff = c
-                K2 = (K[1], K[0], K[2])
+            K2 = K if which == "bar" else (K[1], K[0], K[2])
             # anti-image is (reversed e)(reversed f)(K2); restraighten.
             for (K3, f3, e3), c3 in self._straighten(
                 tuple(reversed(e)), tuple(reversed(f)), cross
@@ -340,8 +365,8 @@ class DoubleContext:
                 deg_f3 = half.word_degree(f3)
                 deg_e3 = half.word_degree(e3)
                 dif = tuple(a - b for a, b in zip(deg_f3, deg_e3))
-                accumulate(acc, (k_mul(K3, K2), f3, e3), coeff * c3 * nu_power(2 * self.kdif_dot(K2, dif)))
-        return TriElem(self, x.flavor, acc)
+                accumulate(acc, (k_mul(K3, K2), f3, e3), (n * c3).shift(2 * self.kdif_dot(K2, dif)))
+        return TriElem(self, x.flavor, self._normalize_over(x.flavor, acc, den), normalized=True)
 
     def bar(self, x: TriElem) -> TriElem:
         return self.involution(x, "bar")
@@ -396,18 +421,24 @@ class DoubleContext:
 
     # -- DCB coordinates ---------------------------------------------------------------------
     def to_dcb(self, x: TriElem) -> dict:
-        """Coordinates {(K, label_-, label_+): scalar} over K diamond (b_- b_+)."""
-        tables = self._tables()
-        out = {}
-        for (K, f, e), c in x.terms.items():
-            gm = self.half.word_degree(f)
-            gp = self.half.word_degree(e)
-            row_m = tables.word_to_dcb(gm)[f]
-            row_p = tables.word_to_dcb(gp)[e]
-            for lm, cm in row_m.items():
+        """Coordinates {(K, label_-, label_+): scalar} over the products
+        K b_- b_+ (`from_halves` with K, no diamond twist).  A label fixes
+        its degree, so the numerators of one degree pair (gamma_-, gamma_+)
+        share the denominator D_x d(gamma_-) d(gamma_+)."""
+        rows = self._tables().word_to_dcb_numerators
+        nums, dx = common_denominator(list(x.terms.values()))
+        by_pair: dict = {}
+        for (K, f, e), n in zip(x.terms, nums):
+            gm, gp = self.half.word_degree(f), self.half.word_degree(e)
+            acc = by_pair.setdefault((gm, gp), {})
+            row_p = rows(gp)[0][e]
+            for lm, cm in rows(gm)[0][f].items():
+                nm = n * cm
                 for lp, cp in row_p.items():
-                    key = (K, lm, lp)
-                    accumulate(out, key, c * cm * cp)
+                    accumulate(acc, (K, lm, lp), nm * cp)
+        out = {}
+        for (gm, gp), acc in by_pair.items():
+            out.update(over_denominator(acc, dx * rows(gm)[1] * rows(gp)[1]))
         return out
 
     def _tables(self):
@@ -439,8 +470,7 @@ class DoubleContext:
         if not d.is_one():
             if any(k % 2 for k in d.c):
                 raise ValueError(f"multiplier {d} is not a polynomial in q")
-            in_q = d.subs_power(1).c
-            unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in in_q.items()}))
+            unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in d.c.items()}))
             if const != 1 or others or any(k < 3 for k, _ in cyc):
                 raise ValueError(f"multiplier {d} is not a monic product of admissible cyclotomics")
         self._d_memo[key] = d

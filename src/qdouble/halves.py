@@ -12,6 +12,7 @@ from itertools import permutations
 
 from .cartan import CartanDatum, get_datum
 from .scalar import (
+    ONE,
     ZERO,
     Rat,
     RAT_ONE,
@@ -415,6 +416,15 @@ class DegreeBasis:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def column(self, w: tuple):
+        """(num, d): word w is the sum of num[p] / d p over the pivot words,
+        d the lcm of the denominators of its coordinates."""
+        rest = self._rest.get(w)
+        if rest is None:
+            return {w: ONE}, ONE
+        nums, d = common_denominator([Rat(r, self._d) for r in rest])
+        return {p: n for p, n in zip(self.pivots, nums) if n}, d
 
     def coords(self, component: dict) -> list:
         """Coordinates of a one-degree component dict over the pivot words,

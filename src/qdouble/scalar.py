@@ -28,6 +28,7 @@ __all__ = [
     "solve_bar_correction",
     "accumulate",
     "common_denominator",
+    "over_denominator",
     "clear_denominators",
     "cyclotomic",
     "cyclotomic_factor",
@@ -474,8 +475,8 @@ RAT_ZERO = Rat.of(0)
 RAT_ONE = Rat.of(1)
 
 
-def accumulate(out: dict, key, val: Rat) -> None:
-    """out[key] += val over Rat values, keeping no zero entries."""
+def accumulate(out: dict, key, val) -> None:
+    """out[key] += val over Rat or Laurent values, keeping no zero entries."""
     old = out.get(key)
     s = val if old is None else old + val
     if s.is_zero():
@@ -494,6 +495,15 @@ def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
         d = d * b.exact_div(laurent_gcd(d, b))
     cofactor = {b: d.exact_div(b) for b in dens | {ONE}}
     return [x.num * cofactor[x.den] for x in xs], d
+
+
+def over_denominator(nums: dict, den: Laurent) -> dict:
+    """{key: num / den} over a dict of nonzero Laurent numerators: a
+    fraction-free kernel sums its numerators with `accumulate` and reduces
+    each result once here."""
+    if den.is_one():
+        return {k: _rat(t, ONE) for k, t in nums.items()}
+    return {k: Rat(t, den) for k, t in nums.items()}
 
 
 def nu_power(k: int) -> Rat:

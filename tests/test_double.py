@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qdouble.algebra import Algebra
 from qdouble.halves import HalfAlgebra, PLUS, MINUS
 from qdouble.double import (
     DoubleContext,
@@ -12,7 +13,7 @@ from qdouble.double import (
     tri_from_obj,
     tri_to_obj,
 )
-from qdouble.scalar import Laurent, Rat, nu_power, qangle, qround_binom, qangle_factorial, qround_factorial
+from qdouble.scalar import RAT_ONE, Laurent, Rat, nu_power, qangle, qround_binom, qangle_factorial, qround_factorial
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,147 @@ class TestTwistedActions:
         x = sl2.e_gen(0, "localized")
         got = sl2.adjoint_act(0, "K", x)
         assert got == x.scale(nu_power(4))
+
+
+# unrelated denominators: Phi1 Phi2, Phi4, 2v^4 + 1, the integer 2 and the
+# bar-asymmetric v^3 + 2
+FRACTION_DENS = [
+    Laurent({2: 1, 0: -1}),
+    Laurent({2: 1, 0: 1}),
+    Laurent({4: 2, 0: 1}),
+    Laurent({0: 2}),
+    Laurent({3: 1, 0: 2}),
+]
+FRACTION_CASES = [("A2", "full"), ("A2", "localized"), ("B2", "heis_plus")]
+
+
+def frac_tri(ctx, rng, flavor):
+    """A seeded element whose four terms carry four of FRACTION_DENS."""
+    rank = ctx.datum.rank
+    low = -1 if flavor == "localized" else 0
+    terms = {}
+    for den in rng.sample(FRACTION_DENS, 4):
+        f = tuple(rng.randrange(rank) for _ in range(rng.randrange(3)))
+        e = tuple(rng.randrange(rank) for _ in range(rng.randrange(3)))
+        km = tuple(rng.randrange(low, 2) for _ in range(rank))
+        kpl = tuple(rng.randrange(low, 2) for _ in range(rank))
+        if flavor == "heis_plus":
+            km = (0,) * rank
+        num = Laurent({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3]), rng.randrange(-2, 3): 1})
+        terms[(kmono(km, kpl), f, e)] = Rat(num, den)
+    return TriElem(ctx, flavor, terms)
+
+
+def assert_canonical(coeffs):
+    for c in coeffs:
+        assert not c.is_zero()
+        assert Rat(c.num, c.den) == c
+
+
+@pytest.mark.parametrize("preset,flavor", FRACTION_CASES)
+class TestFractionalCoefficients:
+    """The fraction-free kernels on coefficients over several unrelated
+    denominators."""
+
+    def pairs(self, preset, flavor, seed, n=3):
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(seed)
+        for _ in range(n):
+            x, y = frac_tri(ctx, rng, flavor), frac_tri(ctx, rng, flavor)
+            assert len({c.den for c in x.terms.values()}) > 2
+            yield ctx, x, y
+
+    def test_involutions(self, preset, flavor):
+        c = Rat(Laurent({1: 1}), FRACTION_DENS[-1])
+        for ctx, x, _ in self.pairs(preset, flavor, 61):
+            bx = ctx.bar(x)
+            assert_canonical(bx.terms.values())
+            assert bx != x and ctx.bar(bx) == x
+            # bar is antilinear
+            assert ctx.bar(x.scale(c)) == bx.scale(c.bar())
+            if flavor != "heis_plus":
+                sx = ctx.star(x)
+                assert_canonical(sx.terms.values())
+                assert ctx.star(sx) == x
+
+    def test_bar_antiautomorphism(self, preset, flavor):
+        for ctx, x, y in self.pairs(preset, flavor, 63):
+            xy = ctx.multiply(x, y)
+            assert_canonical(xy.terms.values())
+            assert ctx.bar(xy) == ctx.multiply(ctx.bar(y), ctx.bar(x))
+
+    def test_product_is_linear(self, preset, flavor):
+        for ctx, x, y in self.pairs(preset, flavor, 65):
+            assert not ctx.multiply(x, y).is_zero()
+            assert not (ctx.multiply(x, y) + ctx.multiply(x.scale(-1), y)).terms
+
+    def test_to_dcb_rebuilds(self, preset, flavor):
+        alg = Algebra.get(preset)
+        for ctx, x, y in self.pairs(preset, flavor, 67):
+            for z in (x, ctx.multiply(x, y)):
+                coords = ctx.to_dcb(z)
+                assert_canonical(coords.values())
+                back = ctx.zero(flavor)
+                for (K, lm, lp), c in coords.items():
+                    bm, bp = alg.dcb_elem(MINUS, lm), alg.dcb_elem(PLUS, lp)
+                    back = back + ctx.from_halves(minus=bm, plus=bp, K=K, flavor=flavor).scale(c)
+                assert back == z
+
+
+    def test_to_dcb_of_a_pair(self, preset, flavor):
+        # K b_- b_+ has one coordinate: its words' rows cancel on every other label
+        alg = Algebra.get(preset)
+        c = Rat(Laurent({1: 1}), FRACTION_DENS[-1])
+        K = kmono((0, 0), (1, 0))
+        for lm in alg.tables.labels_of_degree((1, 1)):
+            for lp in alg.tables.labels_of_degree((2, 1)):
+                bm, bp = alg.dcb_elem(MINUS, lm), alg.dcb_elem(PLUS, lp)
+                pair = alg.ctx.from_halves(minus=bm, plus=bp, K=K, flavor=flavor)
+                coords = alg.ctx.to_dcb(pair.scale(c))
+                assert_canonical(coords.values())
+                assert coords == {(K, lm, lp): c}
+
+
+class TestWordDenominators:
+    """Words whose pivot coordinates, or DCB coordinates, are not Laurent."""
+
+    def test_normal_form_matches_halves(self):
+        # R3 (1,2,1): the non-pivot words have coordinates over v^4 + 1
+        alg = Algebra.get("R3")
+        ctx, half = alg.ctx, alg.half
+        basis = half.degree_basis((1, 2, 1))
+        rest = [w for w in basis.words if w not in basis.pivots]
+        assert any(not basis.column(w)[1].is_one() for w in rest)
+        c = Rat(Laurent({1: 1}), FRACTION_DENS[-1])
+        K = kmono((1, 0, 0), (0, 0, 1))
+        for f, e in zip(rest, reversed(basis.words)):
+            x = TriElem(ctx, "full", {(K, f, e): c, (K, f, ()): RAT_ONE})
+            want = ctx.from_halves(
+                minus=half.element(MINUS, {f: c}), plus=half.element(PLUS, {e: RAT_ONE}), K=K
+            ) + ctx.from_halves(minus=half.element(MINUS, {f: RAT_ONE}), K=K)
+            assert x == want
+            assert_canonical(x.terms.values())
+
+    def test_to_dcb_user_table(self):
+        # a user table of pivot words times Phi4 puts every DCB coordinate
+        # of a word over Phi4
+        alg = Algebra("A1affine")
+        ctx, gamma = alg.ctx, (1, 3)
+        phi4 = Rat.of(FRACTION_DENS[1])
+        pivots = alg.half.degree_basis(gamma).pivots
+        alg.tables.load_user_table(
+            gamma, [(f"u{k}", alg.half.element(MINUS, {p: phi4})) for k, p in enumerate(pivots)]
+        )
+        assert alg.tables.word_to_dcb_numerators(gamma)[1] == FRACTION_DENS[1]
+        words = alg.half.words_of_degree(gamma)
+        x = TriElem(ctx, "full", {(k_one(2), words[0], words[-1]): RAT_ONE, (k_one(2), (), words[1]): phi4})
+        coords = ctx.to_dcb(x)
+        assert_canonical(coords.values())
+        back = ctx.zero()
+        for (K, lm, lp), c in coords.items():
+            bm, bp = alg.dcb_elem(MINUS, lm), alg.dcb_elem(PLUS, lp)
+            back = back + ctx.from_halves(minus=bm, plus=bp, K=K).scale(c)
+        assert back == x
 
 
 class TestSerialization:
