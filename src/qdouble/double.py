@@ -137,6 +137,7 @@ class DoubleContext:
         self._letter: dict = {}
         self._word_coords: dict = {}
         self._d_memo: dict = {}
+        self._reverse: dict = {}
         self.tables = None  # canonical-basis table provider, wired by Algebra
 
     # -- scalars of the torus ----------------------------------------------
@@ -447,20 +448,29 @@ class DoubleContext:
         return self.tables
 
     # -- clearing multipliers -----------------------------------------------------------------
+    def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
+        """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
+        memoised per label pair: the commutator expansion d_multiplier
+        clears, and the terms the engine builds bar rows from."""
+        key = (lab_minus, lab_plus)
+        got = self._reverse.get(key)
+        if got is None:
+            tables = self._tables()
+            bm = tables.dcb_elem(MINUS, lab_minus)
+            bp = tables.dcb_elem(PLUS, lab_plus)
+            prod = self.multiply(
+                self.from_halves(plus=bp, flavor="full"), self.from_halves(minus=bm, flavor="full")
+            )
+            got = self._reverse[key] = self.to_dcb(prod)
+        return got
+
     def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
         """Minimal monic multiplier clearing the commutator expansion of the pair."""
-        tables = self._tables()
         key = (lab_minus, lab_plus)
         if key in self._d_memo:
             return self._d_memo[key]
-        bm = tables.dcb_elem(MINUS, lab_minus)
-        bp = tables.dcb_elem(PLUS, lab_plus)
-        prod = self.multiply(
-            self.from_halves(plus=bp, flavor="full"), self.from_halves(minus=bm, flavor="full")
-        )
-        expansion = self.to_dcb(prod)
         fracs = []
-        for (K, lm, lp), c in expansion.items():
+        for (K, lm, lp), c in self.reverse_dcb(lab_minus, lab_plus).items():
             if k_is_one(K):
                 continue
             d_low = self.d_multiplier(lm, lp)

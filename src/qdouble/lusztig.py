@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 
-from .double import TriElem, kmono, k_mul, k_one
+from .double import _DROPPED_K, TriElem, kmono, k_mul, k_one
 from .halves import PLUS, MINUS
 from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, solve_bar_correction
 
@@ -134,6 +134,8 @@ class Engine:
         self._solved: dict = {}  # (kind, lm, lp, variant) -> TriElem
         self._dcb: dict = {}  # (kind, lm, lp, variant) -> DCB coordinates
         self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
+        self._half_bars: dict = {}  # label -> DCB coordinates of bar(b_label)
+        self._pair_bars: dict = {}  # (lm, lp) -> DCB coordinates of bar(b_- b_+) in full
         self._certificates: dict = {}
 
     def circ(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
@@ -182,15 +184,67 @@ class Engine:
         out.sort(key=lambda idx: (sum(idx[0][slot]), sum(idx[0][1 - slot]), idx))
         return out
 
+    def _half_bar(self, label) -> dict:
+        """DCB coordinates of bar(b_label), memoised per label.  The halves
+        share their pivot words and word-to-label maps, and bar acts on the
+        words of either half alike, so one expansion serves b_- and b_+."""
+        got = self._half_bars.get(label)
+        if got is None:
+            got = self.tables.half_to_dcb(self.ctx.half.bar(self.tables.dcb_elem(MINUS, label)))
+            self._half_bars[label] = got
+        return got
+
+    def _pair_bar(self, lm, lp) -> dict:
+        """DCB coordinates of bar(b_- b_+) in `full`, memoised per pair.  Bar
+        is an antilinear anti-automorphism, so bar(b_- b_+) = bar(b_+) bar(b_-)
+        is the combination of the reverse products b'_+ b'_- (reverse_dcb)
+        with the coefficients of the two half bars."""
+        key = (lm, lp)
+        got = self._pair_bars.get(key)
+        if got is None:
+            got = {}
+            bar_p = self._half_bar(lp)
+            for am, cm in self._half_bar(lm).items():
+                for ap, cp in bar_p.items():
+                    c = cm * cp
+                    for idx, r in self.ctx.reverse_dcb(am, ap).items():
+                        accumulate(got, idx, c * r)
+            self._pair_bars[key] = got
+        return got
+
+    def _member_bar(self, kind, lm, lp, variant) -> dict:
+        """DCB coordinates of bar of the K = 1 member, by linearity from
+        _pair_bar; no member is barred.
+
+        circ: bar(d b_- b_+) = bar(d) bar(b_- b_+), less the terms the
+        Heisenberg quotient drops (the quotient map from `full` is an algebra
+        map and commutes with bar).  bullet: the member is iota of circ, whose
+        coordinates c over K b_l2 b_l3 give bar(c) bar(b_l2 b_l3) K, and K
+        moves to the left past the weight deg l3 - deg l2.
+        """
+        below, flavor = _KINDS[kind, variant][:2]
+        if below == "pair":
+            d = Rat.of(self.ctx.d_multiplier(lm, lp)).bar()
+            drop = _DROPPED_K[flavor]
+            return {idx: d * c for idx, c in self._pair_bar(lm, lp).items() if not any(idx[0][drop])}
+        out: dict = {}
+        for (K, l2, l3), c in self._family_dcb(below, lm, lp, variant).items():
+            dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
+            f = c.bar() * nu_power(-2 * self.ctx.kdif_dot(K, dif))
+            for (K2, m2, m3), r in self._pair_bar(l2, l3).items():
+                accumulate(out, (k_mul(K, K2), m2, m3), f * r)
+        return out
+
     def _bar_row(self, kind, lm, lp, variant) -> dict:
-        """bar of the K = 1 member over the kind's family; every entry but the
-        diagonal must be a correction label of the pair."""
+        """bar of the K = 1 member over the kind's family, expanded from
+        _member_bar; every entry but the diagonal must be a correction label
+        of the pair.  The bar-invariance check at the end of _solve is the
+        independent proof that these rows are right."""
         key = (kind, lm, lp, variant)
         row = self._bar_rows.get(key)
         if row is None:
             below = _KINDS[kind, variant][0]
-            bar = self.ctx.bar(self._member(kind, lm, lp, variant))
-            row = self._greedy_expand(self.ctx.to_dcb(bar), below, variant)
+            row = self._greedy_expand(self._member_bar(kind, lm, lp, variant), below, variant)
             zero = (0,) * self.datum.rank
             diag = ((zero, zero), lm, lp)
             if row.get(diag) != RAT_ONE:

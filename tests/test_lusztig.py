@@ -1,11 +1,13 @@
 import hashlib
+import json
 import random
 
 import pytest
 
 from qdouble import Algebra, lusztig
+from qdouble.cli import _load_user_tables
 from qdouble.double import format_tri, kmono, k_one
-from qdouble.halves import PLUS, MINUS
+from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.lusztig import Engine, TriangularityError, ll_solve, toposort, product_expansion_via_coproduct
 from qdouble.scalar import (
     Laurent,
@@ -115,6 +117,64 @@ class TestBarRowChecks:
         lab1 = sl2_label(alg, 1)
         with pytest.raises(TriangularityError, match="diagonal"):
             alg.circ(lab1, lab1)
+
+
+class TestLinearBarRows:
+    # the bar of every family member, read off the cached reverse products by
+    # linearity, equals the member barred in the double and expanded directly
+
+    @staticmethod
+    def _labels(alg):
+        degrees = alg.datum.degrees_up_to((2,) * alg.datum.rank)
+        return [lab for g in degrees if sum(g) <= 2 for lab in alg.tables.labels_of_degree(g)]
+
+    @staticmethod
+    def _compare(alg, labels):
+        eng, ctx = alg.engine, alg.ctx
+        n = 0
+        for lm in labels:
+            for lp in labels:
+                for kind in ("circ", "bullet"):
+                    for variant in ("plus", "minus"):
+                        direct = ctx.to_dcb(ctx.bar(eng._member(kind, lm, lp, variant)))
+                        assert eng._member_bar(kind, lm, lp, variant) == direct, (kind, lm, lp, variant)
+                        n += 1
+        return n
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "A1affine"])
+    def test_height_two(self, name):
+        alg = Algebra.get(name)
+        labels = self._labels(alg)
+        assert len(labels) == 7
+        assert self._compare(alg, labels) == 4 * 7 * 7
+
+    def test_multiplier_is_barred(self, monkeypatch):
+        # the multipliers met in the tests are bar-invariant; a multiplier v
+        # must enter the bar of the circ member as v^-1
+        alg = Algebra("A1")
+        monkeypatch.setattr(alg.ctx, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
+        lab1 = sl2_label(alg, 1)
+        for variant in ("plus", "minus"):
+            member = alg.engine._member("circ", lab1, lab1, variant)
+            direct = alg.ctx.to_dcb(alg.ctx.bar(member))
+            assert alg.engine._member_bar("circ", lab1, lab1, variant) == direct
+
+    def test_user_table(self):
+        # A2 with its (1,1) block read from a --tables file: the same
+        # elements, relabelled and in reverse order
+        built = Algebra.get("A2").tables.dcb_table((1, 1)).minus
+        block = {
+            "degree": [1, 1],
+            "elements": [
+                {"label": lab, "element": half_to_obj(el)}
+                for lab, el in zip(["x", "y"], reversed(built))
+            ],
+        }
+        alg = Algebra("A2")
+        _load_user_tables(alg, json.dumps([block]).encode())
+        labels = self._labels(alg)
+        assert {"x", "y"} <= set(labels)
+        assert self._compare(alg, labels) == 4 * 7 * 7
 
 
 class TestCircSL2:
