@@ -198,7 +198,7 @@ class CanonicalTables:
         return word, [datum.weyl_act(word[:r], datum.alpha(i)) for r, i in enumerate(word)]
 
     def _algorithmic_cb(self, gamma) -> CBTable:
-        from .lusztig import ll_solve, toposort
+        from .lusztig import bar_fix
 
         half = self.half
         datum = self.datum
@@ -217,13 +217,18 @@ class CanonicalTables:
         basis = half.degree_basis(gamma)
         Winv = linalg.invert([basis.coords(x.terms) for x in scaled])
         sig = linalg.mat_mul([basis.coords(self._sigma(x).terms) for x in scaled], Winv)
-        rows = {k: {l: c for l, c in enumerate(r) if not c.is_zero()} for k, r in enumerate(sig)}
-        order = toposort(list(range(len(comps))), lambda k: rows[k])
-        sols = ll_solve(order, lambda k: rows[k], side="negative")
+        # in the sorted composition order (lexicographic in Lusztig data) the
+        # sigma-matrix is upper unitriangular (Lusztig, J. AMS 3, 1990)
+        n = len(comps)
+        for k, r in enumerate(sig):
+            if not r[k].is_one() or any(not c.is_zero() for c in r[:k]):
+                raise TableConflict(f"sigma-matrix at {gamma} is not upper unitriangular in row {k}")
+        rows = [{l: c for l, c in enumerate(r) if not c.is_zero()} for r in sig]
         labels, elems = [], []
         for k, a in enumerate(comps):
             elem = scaled[k]
-            for l, c in sols[k].items():
+            fix = bar_fix(rows[k], range(k + 1, n), rows.__getitem__, "negative", f"{gamma} row {k}")
+            for l, c in fix.items():
                 elem = elem + scaled[l].scale(c)
             if not self._sigma(elem) == elem:
                 raise TableConflict(f"canonical element at {gamma} not sigma-fixed")

@@ -15,7 +15,7 @@ Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
 sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
 key covering the datum, the bytes of the --tables file and the package
-version.  The algorithmic canonical-basis path covers every finite-type
+source.  The algorithmic canonical-basis path covers every finite-type
 datum, JSON data included.
 """
 from __future__ import annotations
@@ -25,8 +25,8 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 
-from . import __version__
 from .algebra import Algebra
 from .canbasis import TableConflict, TableIncomplete, UnknownLabel
 from .cartan import PRESETS, CartanError, get_datum
@@ -165,7 +165,7 @@ def cmd_basis(args) -> int:
     if cache_dir:
         # the name as well as the matrix: some hand tables are chosen by name
         key_parts = [
-            __version__,
+            _source_digest(),
             alg.datum.name,
             alg.datum.to_json(),
             hashlib.sha256(tables or b"").hexdigest(),
@@ -201,6 +201,17 @@ def cmd_basis(args) -> int:
         os.replace(tmp, cache_file)
     _emit(args, text)
     return 0
+
+
+def _source_digest() -> str:
+    """sha256 of the package's *.py sources in sorted path order, so that a
+    changed program never reads a table the old one cached."""
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _read_cache(path: str) -> str | None:

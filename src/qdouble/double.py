@@ -13,12 +13,16 @@ shifts, and reduce each output coefficient once.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
+from . import linalg
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     ONE,
     Laurent,
     Rat,
     RAT_ONE,
+    RAT_ZERO,
     accumulate,
     clear_denominators,
     common_denominator,
@@ -389,21 +393,26 @@ class DoubleContext:
         terms = {k: c for k, c in x.terms.items() if not any(k[0][idx])}
         return TriElem(self, flavor, terms, normalized=True)
 
-    def normalize_tags(self, x: TriElem) -> TriElem:
-        """Fold weight tags lying in the root lattice into plus exponents."""
-        from fractions import Fraction
+    @cached_property
+    def _cartan_inverse(self):
+        """A^-1 over Q, or None when the Cartan matrix is singular."""
+        try:
+            return linalg.invert([[Rat.of(a) for a in row] for row in self.datum.A])
+        except linalg.SingularMatrix:
+            return None
 
+    def normalize_tags(self, x: TriElem) -> TriElem:
+        """Fold weight tags lying in the root lattice into plus exponents: a
+        tag moves when A x = tag has an integral solution x."""
         rank = self.datum.rank
+        inv = self._cartan_inverse
         out = {}
         for (K, f, e), c in x.terms.items():
             minus, plus, tag = K
-            if any(tag):
-                # solve A x = tag over Q; integral solutions are root-lattice weights
-                A = [[Fraction(self.datum.A[i][j]) for j in range(rank)] for i in range(rank)]
-                b = [Fraction(t) for t in tag]
-                sol = _solve_fractions(A, b)
-                if sol is not None and all(s.denominator == 1 for s in sol):
-                    plus = tuple(p + int(s) for p, s in zip(plus, sol))
+            if any(tag) and inv is not None:
+                sol = [sum((a * Rat.of(t) for a, t in zip(row, tag)), RAT_ZERO) for row in inv]
+                if all(s.is_laurent() and set(s.num.c) <= {0} for s in sol):
+                    plus = tuple(p + s.num.c.get(0, 0) for p, s in zip(plus, sol))
                     tag = (0,) * rank
             key = ((tuple(minus), tuple(plus), tuple(tag)), f, e)
             accumulate(out, key, c)
@@ -527,26 +536,6 @@ class DoubleContext:
             else:
                 raise ValueError(f"unknown twisted generator {kind!r}")
         return out
-
-
-def _solve_fractions(A, b):
-    """Gaussian elimination over Q; None when singular/inconsistent."""
-    from fractions import Fraction
-
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1, 1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
 
 
 def _unit_vec(rank: int, i: int, power: int, side: int):

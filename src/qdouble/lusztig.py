@@ -1,6 +1,9 @@
-"""The equivariant bar-correction engine and its two applications: the
-circle product in the Heisenberg quotient and the bullet product in the full
-double, together with structure-constant extraction and basis enumeration.
+"""Lusztig's lemma and the equivariant bar-correction engine.
+
+`bar_fix` is the one bar-correction solver: the canonical bases of the halves
+(`CanonicalTables._algorithmic_cb`), the circle product in the Heisenberg
+quotients and the bullet product in the full double all go through it.  Also
+structure-constant extraction and basis enumeration.
 """
 from __future__ import annotations
 
@@ -13,42 +16,6 @@ from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, solve_bar_corr
 
 class TriangularityError(ValueError):
     pass
-
-
-def toposort(labels, row_fn):
-    """Deterministic topological order: s before t whenever row(t)[s] != 0.
-
-    Preserves the incoming label order among incomparable elements; raises on
-    cycles (bar matrix not unitriangular).
-    """
-    deps = {t: set() for t in labels}
-    for t in labels:
-        row = row_fn(t)
-        diag = row.get(t)
-        if diag is None or not (Rat.of(diag) == Rat.of(1)):
-            raise TriangularityError(f"bar matrix diagonal at {t} is {diag}, not 1")
-        for s, c in row.items():
-            if s != t and not Rat.of(c).is_zero():
-                deps[t].add(s)
-    out = []
-    done = set()
-    marked = set()
-
-    def visit(t):
-        if t in done:
-            return
-        if t in marked:
-            raise TriangularityError(f"bar matrix has a cycle through {t}")
-        marked.add(t)
-        for s in sorted(deps[t], key=labels.index):
-            visit(s)
-        marked.discard(t)
-        done.add(t)
-        out.append(t)
-
-    for t in labels:
-        visit(t)
-    return out
 
 
 def bar_fix(target_row, candidates, row, side: str, where: str) -> dict:
@@ -73,24 +40,6 @@ def bar_fix(target_row, candidates, row, side: str, where: str) -> dict:
             raise TriangularityError(f"{where}: non-integral datum at {s}: {f}")
         p[s] = Rat.of(solve_bar_correction(f.as_laurent(), side))
     return p
-
-
-def ll_solve(order, row_fn, side: str):
-    """Unique bar-fixed corrections over a unitriangular family.
-
-    order: labels listed lower-first (as produced by toposort); row_fn(t) is
-    the expansion of bar(E_t) over the family.  Returns, per target t, a dict
-    s -> p_s with C_t = E_t + sum p_s E_s bar-fixed (see bar_fix).
-    """
-
-    @functools.cache
-    def row(t):
-        return {s: Rat.of(c) for s, c in row_fn(t).items()}
-
-    return {
-        t: bar_fix(row(t), reversed(order[:k]), row, side, f"target {t}")
-        for k, t in enumerate(order)
-    }
 
 
 def _assert_q_poly(coeff: Rat, where: str):

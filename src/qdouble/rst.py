@@ -3,7 +3,7 @@ the canonical invariant, and the equivariant map into the weight-extended
 double, with comparison hooks against bullet elements."""
 from __future__ import annotations
 
-from .double import TriElem, kmono
+from .double import TriElem, k_mul, kmono
 from .halves import HalfElem, PLUS, MINUS
 from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qangle_factorial, qround
 from . import linalg
@@ -359,8 +359,6 @@ class RSTMap:
                                 + 2 * ctx.kdif_dot(K2, gm)
                                 - ctx.kdif_dot(K2, gp)
                             )
-                            from .double import k_mul
-
                             term = ctx.from_halves(
                                 minus=bm, plus=bp, K=k_mul(K1, K2), flavor="check"
                             )
@@ -371,13 +369,9 @@ class RSTMap:
 
     def xi_invariant(self) -> TriElem:
         """Xi applied to the canonical invariant."""
-        V = self.V
-        datum = self.datum
         total = self.alg.ctx.zero("check")
-        rho_exp = 2 * datum.two_rho_dot(V.mu)
-        for a in range(V.dim):
-            coeff = nu_power(rho_exp - 4 * datum.eta(V.degrees[a]))
-            total = total + self.xi_pair(V.dual_vector(a), {a: RAT_ONE}).scale(coeff)
+        for coeff, dual, a in self.canonical_invariant():
+            total = total + self.xi_pair(dual, {a: RAT_ONE}).scale(coeff)
         return self.alg.ctx.normalize_tags(total)
 
     def canonical_invariant(self):

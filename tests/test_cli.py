@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,29 @@ class TestBasis:
         assert all(json.loads(e.read_text()) for e in cache.glob("basis-*.json"))
         assert not list(cache.glob("*.tmp"))
 
+
+    def test_cache_key_covers_source(self, tmp_path):
+        # the same command from a copy of the package one byte apart: a changed
+        # program is not served the table the old one cached
+        pkg = Path(qdouble.__file__).resolve().parent
+        copy = tmp_path / "src" / "qdouble"
+        shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "__init__.py", "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        cache = tmp_path / "cache"
+        outs = []
+        for src in (pkg.parent, copy.parent):
+            env = {**os.environ, "QDOUBLE_CACHE_DIR": str(cache), "PYTHONPATH": str(src)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdouble.cli", "basis", "--preset", "A1", "--height", "1"],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0]).hexdigest() == A1_H1_SHA256
+        assert len(list(cache.glob("basis-*.json"))) == 2
 
 class TestBraidCmd:
     def test_t1_on_e2(self, capsys):

@@ -242,6 +242,32 @@ class TestQuotients:
         assert sl2.project_heis(sl2.iota_plus(x)) == x
 
 
+class TestNormalizeTags:
+    # a weight tag is folded into the plus exponents exactly when it is in the
+    # root lattice: A x = tag has an integral solution x
+
+    def tagged(self, ctx, plus, tag):
+        f = ctx.half.element(MINUS, {(0,): RAT_ONE})
+        return ctx.from_halves(minus=f, K=kmono((0,) * len(tag), plus, tag), flavor="check").scale(
+            Rat.of(Laurent({1: 2}))
+        )
+
+    def test_root_lattice_tag_folds(self, a2):
+        got = a2.normalize_tags(self.tagged(a2, (0, 1), (2, -1)))
+        assert got == self.tagged(a2, (1, 1), (0, 0))
+
+    def test_fractional_solution_stays(self, a2):
+        # A x = (1, 0) has the solution (2/3, 1/3)
+        x = self.tagged(a2, (0, 1), (1, 0))
+        assert a2.normalize_tags(x) == x
+
+    def test_singular_cartan_leaves_every_tag(self):
+        aff = DoubleContext(HalfAlgebra("A1affine"))
+        for tag in [(2, -2), (1, 0), (2, 2), (-4, 4)]:
+            x = self.tagged(aff, (0, 1), tag)
+            assert aff.normalize_tags(x) == x
+
+
 class TestTwistedActions:
     def test_lambda_bar_anticommutes(self, sl2):
         rng = random.Random(47)
