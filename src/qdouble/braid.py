@@ -211,9 +211,6 @@ class BraidOps:
             total += a * self.datum.dot(tuple(inv_sum), self.datum.alpha(word[r - 1]))
         return -total
 
-    def schubert_pbw_scaled(self, word, amounts) -> HalfElem:
-        return self.schubert_pbw(word, amounts).scale(nu_power(self.mu_exponent(word, amounts)))
-
 
 def tame_apply(algebra, i, lab_plus: str):
     """Verify and return the braid image of a dual-canonical-basis element.

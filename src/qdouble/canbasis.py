@@ -8,6 +8,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations
 
+from .cartan import PRESETS
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     Rat,
@@ -83,7 +84,7 @@ class CanonicalTables:
         if gamma in self._cb:
             return self._cb[gamma]
         table = self._build_cb(gamma)
-        if self.datum.name == "A2" and any(gamma):
+        if self._is_preset("A2") and any(gamma):
             # the A2 duals are the PBW monomials E1^a1 E2^a2 E12^a12 E21^a21
             # with min(a1, a2) = 0, labelled b+(a1,a2,a12,a21)
             table.dual_labels = [
@@ -96,7 +97,6 @@ class CanonicalTables:
 
     def _build_cb(self, gamma) -> CBTable:
         half = self.half
-        name = self.datum.name
         support = [i for i, g in enumerate(gamma) if g]
         if len(support) == 0:
             return CBTable(gamma, ["1"], [half.unit(MINUS)], ["1"])
@@ -111,13 +111,20 @@ class CanonicalTables:
             )
         if self._two_letter_cb_applicable(gamma):
             return self._two_letter_cb(gamma)
-        if name == "A1affine" and gamma == (2, 2):
+        if gamma == (2, 2) and self._is_preset("A1affine"):
             return self._affine22_cb()
-        if name == "R3" and gamma == (1, 1, 1):
+        if gamma == (1, 1, 1) and self._is_preset("R3"):
             return self._r3_cb()
         if self.datum.is_finite_type():
             return self._algorithmic_cb(gamma)
+        name = self.datum.name or self.datum.to_json()
         raise TableIncomplete(f"no canonical basis source for {name} degree {gamma}")
+
+    def _is_preset(self, name) -> bool:
+        """True when the datum has the Cartan matrix and symmetrizers of the
+        preset, whatever its name: the hand tables depend on nothing else."""
+        preset = PRESETS[name]
+        return (self.datum.A, self.datum.d) == (preset.A, preset.d)
 
     def _two_letter_cb_applicable(self, gamma) -> bool:
         support = [i for i, g in enumerate(gamma) if g]
@@ -357,13 +364,6 @@ class CanonicalTables:
 
     def degree_of(self, label: str):
         return self._label_info_get(label)[0]
-
-    def star_label(self, sign: int, label: str) -> str:
-        return self.label_of(sign, self.half.star(self.dcb_elem(sign, label)))
-
-    def transpose_label(self, sign: int, label: str) -> str:
-        """Label (on the other side) of the transpose image."""
-        return self.label_of(-sign, self.half.transpose(self.dcb_elem(sign, label)))
 
     # -------------------------------------------------- word -> label transitions
     def word_to_dcb(self, gamma) -> dict:

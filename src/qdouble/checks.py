@@ -231,8 +231,9 @@ def suite_sl2_oracle():
 # criterion 5: clearing multipliers
 # ===========================================================================
 
-def suite_multipliers(height: int = 4):
+def suite_multipliers():
     out = []
+    height = 4
     one = Laurent({0: 1})
     for preset in ("A2", "B2"):
         alg = Algebra.get(preset)
@@ -400,10 +401,10 @@ def suite_tables_minus_one_family():
     return out
 
 
-def suite_tables_equal_d(a_values=(1, 2, 3)):
+def suite_tables_equal_d():
     """The equal-d family at a = 1 (A2), a = 2 (affine A1), a = 3 (hyperbolic)."""
     out = []
-    for a in a_values:
+    for a in (1, 2, 3):
         alg = {1: Algebra.get("A2"), 2: Algebra.get("A1affine"), 3: r2a3()}[a]
         half = alg.half
         ctx = alg.ctx
@@ -1022,9 +1023,9 @@ def suite_tables_tony():
 # criterion 7: braid symmetries
 # ===========================================================================
 
-def suite_braid(seed: int = 2026, include_g2: bool = True):
+def suite_braid(seed: int = 2026):
     out = []
-    for preset in ("A2", "B2") + (("G2",) if include_g2 else ()):
+    for preset in ("A2", "B2", "G2"):
         alg = Algebra.get(preset)
         out.append((f"braid relation {preset}", alg.braid.braid_relation_check(0, 1), ""))
     out.append(("braid relation A1xA1", Algebra.get("A1xA1").braid.braid_relation_check(0, 1), ""))
@@ -1109,8 +1110,9 @@ def suite_braid(seed: int = 2026, include_g2: bool = True):
 # criterion 8: tameness
 # ===========================================================================
 
-def suite_tame(height: int = 4):
+def suite_tame():
     out = []
+    height = 4
     a2 = Algebra.get("A2")
     ok = True
     count = 0

@@ -163,10 +163,8 @@ def cmd_basis(args) -> int:
     cache_dir = os.environ.get("QDOUBLE_CACHE_DIR")
     cache_file = None
     if cache_dir:
-        # the name as well as the matrix: some hand tables are chosen by name
         key_parts = [
             _source_digest(),
-            alg.datum.name,
             alg.datum.to_json(),
             hashlib.sha256(tables or b"").hexdigest(),
             args.height,

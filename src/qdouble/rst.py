@@ -21,7 +21,7 @@ class LWModule:
     from the lowest-weight vector (or taken from the input blocks).
     """
 
-    def __init__(self, algebra, name, mu, degrees, E, F, shapovalov=None, check=True):
+    def __init__(self, algebra, name, mu, degrees, E, F, shapovalov=None):
         self.alg = algebra
         self.datum = algebra.datum
         self.name = name
@@ -31,8 +31,7 @@ class LWModule:
         self.E = {i: [[Rat.of(c) for c in row] for row in M] for i, M in E.items()}
         self.F = {i: [[Rat.of(c) for c in row] for row in M] for i, M in F.items()}
         self._shap = shapovalov
-        if check:
-            self._check_relations()
+        self._check_relations()
         self._build_shapovalov()
 
     # -- relations and the Shapovalov form ------------------------------------

@@ -6,7 +6,6 @@ equality is structural.  The bar involution is v -> v^-1.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 import re
 
@@ -214,9 +213,6 @@ class Laurent:
         if not r.is_zero():
             raise InexactDivision(f"{self} not divisible by {other}")
         return q
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        return sum((Fraction(v) * x**k for k, v in self.c.items()), Fraction(0))
 
     # -- comparisons ----------------------------------------------------
     def __eq__(self, other):
@@ -613,26 +609,16 @@ def cyclotomic(k: int) -> Laurent:
     return p
 
 
-def _euler_phi(k: int) -> int:
-    return cyclotomic(k).max_exp() if k > 1 else 1
-
-
-def _factor_int_poly(p: Laurent):
-    """Irreducible factorization over Z via sympy; p must have valuation 0.
-
-    Returns (integer content, [(Laurent factor, multiplicity)]).
-    """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly({e: c for e, c in p.c.items()}, x)
-    content, factors = expr.factor_list()
-    out = []
-    for f, m in factors:
-        d = f.as_dict()
-        lf = Laurent({(e[0] if isinstance(e, tuple) else e): int(c) for e, c in d.items()})
-        out.append((lf, int(m)))
-    return int(content), out
+def _totient(k: int) -> int:
+    """Euler's totient, the degree of cyclotomic(k), by trial division."""
+    out, n, p = k, k, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 def _symmetrize_factor(p: Laurent) -> Laurent:
@@ -660,27 +646,28 @@ def is_symmetric(p: Laurent) -> bool:
 
 def clear_denominators(fractions) -> Laurent:
     """Minimal d in Z[v+v^-1] with positive minimal leading coefficient such
-    that d * f is a Laurent polynomial for every f in the input."""
+    that d * f is a Laurent polynomial for every f in the input.
+
+    d is the lcm of the integer contents of the denominators times, for each
+    cyclotomic index k, the symmetrized Phi_k to the largest multiplicity it
+    has in a denominator.  Raises ValueError on a denominator with a
+    non-cyclotomic factor.
+    """
     fractions = [Rat.of(f) for f in fractions]
-    dens = [f.den for f in fractions if not f.is_zero()]
+    dens = {f.den for f in fractions} - {ONE}
     if not dens:
         return ONE
-    # lcm of denominators (they are canonical: content-coprime with num)
-    lcm = ONE
-    int_lcm = 1
-    for d in dens:
-        c = d.content()
-        prim = _primitive(d)
+    int_lcm, mult = 1, {}
+    for den in dens:
+        _, c, cyc, others = cyclotomic_factor(den)
+        if others:
+            raise ValueError(f"denominator {den} has the non-cyclotomic factor {others[0]}")
         int_lcm = int_lcm * c // _int_gcd(int_lcm, c)
-        g = laurent_gcd(lcm, prim)
-        lcm = lcm * prim.exact_div(g)
-    lcm = _primitive(lcm)
-    if lcm.is_one():
-        return Laurent.const(int_lcm)
-    _, factors = _factor_int_poly(lcm)
+        for k, m in cyc:
+            mult[k] = max(mult.get(k, 0), m)
     d = Laurent.const(int_lcm)
-    for p, m in factors:
-        d = d * _symmetrize_factor(p) ** m
+    for k in sorted(mult):
+        d = d * _symmetrize_factor(cyclotomic(k)) ** mult[k]
     assert is_symmetric(d)
     for f in fractions:
         assert (Rat.of(d) * f).is_laurent(), "clearing factor failed"
@@ -688,34 +675,36 @@ def clear_denominators(fractions) -> Laurent:
 
 
 def cyclotomic_factor(p: Laurent):
-    """Factor p as unit * constant * product of cyclotomics.
+    """Factor p as unit * constant * product of cyclotomics * cofactor, by
+    exact division by Phi_1, Phi_2, ... while the cofactor has degree left.
 
     Returns (unit, constant, factors, others) where unit = (+-1, v-power),
     factors is a sorted list of (k, multiplicity) over cyclotomic indices and
-    others lists non-cyclotomic irreducible Laurent factors (empty in the cases
-    prop:cyclotom-style results guarantee).
+    others is [the cyclotomic-free cofactor], or [] when that cofactor is 1.
+    Only k with totient(k) <= deg(cofactor) can divide, and totient(k) >=
+    sqrt(k/2) bounds the search by k <= 2 deg^2.
     """
     if p.is_zero():
         raise ValueError("cannot factor 0")
     val = p.min_exp()
     q = p.shift(-val)
-    content, factors = _factor_int_poly(q)
-    sign = 1
-    if content < 0:
-        sign, content = -1, -content
+    sign = 1 if q.leading() > 0 else -1
+    content = q.content()
+    q = q.intdiv(sign * content)
     cyc = []
-    others = []
-    for f, m in factors:
-        deg = f.max_exp()
-        k_candidates = [k for k in range(1, 6 * deg * deg + 7) if _euler_phi(k) == deg]
-        for k in k_candidates:
-            if cyclotomic(k) == f:
+    k = 1
+    while q.max_exp() and k <= 2 * q.max_exp() ** 2:
+        if _totient(k) <= q.max_exp():
+            m = 0
+            while True:
+                quot, rem = q.divmod_poly(cyclotomic(k))
+                if rem:
+                    break
+                q, m = quot, m + 1
+            if m:
                 cyc.append((k, m))
-                break
-        else:
-            others.append((f, m))
-    cyc.sort()
-    return (sign, val), content, cyc, others
+        k += 1
+    return (sign, val), content, cyc, [q] if q.max_exp() else []
 
 
 # ---------------------------------------------------------------------------

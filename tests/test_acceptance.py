@@ -35,7 +35,7 @@ class TestAcceptance:
         _run("4", checks.suite_sl2_oracle())
 
     def test_criterion_05_multipliers(self):
-        _run("5", checks.suite_multipliers(height=4))
+        _run("5", checks.suite_multipliers())
 
     def test_criterion_06_printed_tables(self):
         _run("6a", checks.suite_tables_minus_one_family())
@@ -48,7 +48,7 @@ class TestAcceptance:
         _run("7", checks.suite_braid())
 
     def test_criterion_08_tameness(self):
-        _run("8", checks.suite_tame(height=4))
+        _run("8", checks.suite_tame())
 
     def test_criterion_09_rst(self):
         _run("9", checks.suite_rst())

@@ -5,7 +5,7 @@ import pytest
 from qdouble import Algebra
 from qdouble.canbasis import TableIncomplete
 from qdouble.cartan import PRESETS
-from qdouble.halves import PLUS, MINUS
+from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qangle, qround
 
 
@@ -179,6 +179,20 @@ class TestJsonDatum:
         want = a2.tables.canonical_basis((2, 1))
         assert got.labels == want.labels
         assert [x.terms for x in got.elements] == [x.terms for x in want.elements]
+
+    @pytest.mark.parametrize("preset, gamma", [("A1affine", (2, 2)), ("R3", (1, 1, 1))])
+    def test_nameless_json_takes_the_hand_table(self, preset, gamma):
+        # the hand tables are chosen by the Cartan data, not by the name
+        def render(table):
+            return table.labels, [half_to_obj(x) for x in table.elements], table.dual_labels
+
+        got = Algebra(PRESETS[preset].to_json()).tables.canonical_basis(gamma)
+        assert render(got) == render(Algebra.get(preset).tables.canonical_basis(gamma))
+
+    def test_nameless_json_named_in_incomplete_message(self):
+        alg = Algebra(PRESETS["A1affine"].to_json())
+        with pytest.raises(TableIncomplete, match=r"source for \{.*\[\[2, -2\], \[-2, 2\]\].*\} degree \(3, 2\)"):
+            alg.tables.canonical_basis((3, 2))
 
 
 class TestCanonicalBasisB2:

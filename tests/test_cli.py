@@ -10,6 +10,7 @@ import pytest
 
 import qdouble
 import qdouble.algebra
+import qdouble.cartan
 from qdouble.cli import main
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
@@ -133,6 +134,12 @@ class TestBasis:
         # A1affine (1,3) has no canonical basis source: exit 2, not 3
         assert main(["basis", "--preset", "A1affine", "--height", "3"]) == 2
         assert "no canonical basis source for A1affine degree (1, 3)" in capsys.readouterr().err
+
+    def test_json_a2_matches_preset(self, capsys):
+        # a JSON copy of A2 gets the preset's b+(...) dual labels
+        json_a2 = qdouble.cartan.PRESETS["A2"].to_json()
+        got = run(capsys, "basis", "--preset", json_a2, "--height", "1")
+        assert got == run(capsys, "basis", "--preset", "A2", "--height", "1") and got[0] == 0
 
     def test_unknown_filter_label(self, capsys):
         code = main(["basis", "--preset", "A2", "--height", "1", "--j-plus", "9"])

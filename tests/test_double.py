@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qdouble
 
 from qdouble.algebra import Algebra
 from qdouble.halves import HalfAlgebra, PLUS, MINUS
@@ -423,6 +429,31 @@ class TestWordDenominators:
             bm, bp = alg.dcb_elem(MINUS, lm), alg.dcb_elem(PLUS, lp)
             back = back + ctx.from_halves(minus=bm, plus=bp, K=K).scale(c)
         assert back == x
+
+
+# the criterion-5 multipliers with any import of sympy failing
+NO_SYMPY_MULTIPLIERS = """
+import sys
+sys.modules["sympy"] = None
+from qdouble import Algebra
+from qdouble.scalar import qround
+aff = Algebra.get("A1affine")
+for g in [(1, 1), (2, 1), (2, 2)]:
+    aff.tables.dcb_table(g)
+assert aff.d_multiplier("F[1 2 2 1]", "F[1 2 2 1]") == qround(2, 4)
+assert aff.d_multiplier("F[2 2 1 1]", "F[2 2 1 1]") == qround(2, 2) * qround(4, 2)
+r3 = Algebra.get("R3")
+r3.tables.dcb_table((1, 1, 1))
+assert r3.d_multiplier("F[1 2 3]", "F[1 2 3]") == qround(3, 2)
+"""
+
+
+class TestMultipliers:
+    def test_without_sympy(self):
+        src = str(Path(qdouble.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", NO_SYMPY_MULTIPLIERS], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSerialization:

@@ -1,6 +1,11 @@
-import pytest
+import functools
+import itertools
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from math import lcm
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from qdouble.scalar import (
     Laurent,
@@ -23,7 +28,13 @@ from qdouble.scalar import (
     format_scalar,
     parse_scalar,
     BarInconsistency,
+    _symmetrize_factor,
 )
+
+
+def eval_fraction(p: Laurent, x: Fraction) -> Fraction:
+    """p evaluated at the rational number x."""
+    return sum((Fraction(v) * x**k for k, v in p.c.items()), Fraction(0))
 
 
 def L(**kw):
@@ -98,7 +109,7 @@ class TestRat:
     def test_numeric_agreement(self):
         x = Rat(Laurent({3: 2, 0: -1}), Laurent({2: 1, 0: 3}))
         t = Fraction(7, 3)
-        assert x.num.eval_fraction(t) / x.den.eval_fraction(t) == (2 * t**3 - 1) / (t**2 + 3)
+        assert eval_fraction(x.num, t) / eval_fraction(x.den, t) == (2 * t**3 - 1) / (t**2 + 3)
 
 
 def _prod(*factors):
@@ -278,6 +289,91 @@ class TestCyclotomicFactor:
         p = Laurent({2: 1, 1: 1, 0: -1})
         _, _, cyc, others = cyclotomic_factor(p)
         assert cyc == [] and len(others) == 1
+
+
+# -- the sympy factorisation over Z, kept as the reference for the factorizer --
+
+_X = sympy.Symbol("x")
+
+
+def _to_poly(p: Laurent) -> sympy.Poly:
+    """p / v^val(p) as a sympy polynomial in x = v."""
+    val = p.min_exp()
+    return sympy.Poly({e - val: c for e, c in p.c.items()}, _X)
+
+
+def _from_poly(f: sympy.Poly) -> Laurent:
+    return Laurent({e: int(c) for (e,), c in f.as_dict().items()})
+
+
+@functools.cache
+def _cyclotomic_index(f: sympy.Poly) -> int:
+    return next(k for k in itertools.count(1) if sympy.Poly(sympy.cyclotomic_poly(k, _X), _X) == f)
+
+
+def sympy_cyclotomic_factor(p: Laurent):
+    """What cyclotomic_factor must return, read off sympy's factor_list."""
+    content, factors = _to_poly(p).factor_list()
+    cyc, rest = [], ONE
+    for f, m in factors:
+        if f.is_cyclotomic:
+            cyc.append((_cyclotomic_index(f), m))
+        else:
+            rest = rest * _from_poly(f) ** m
+    sign = -1 if content < 0 else 1
+    return (sign, p.min_exp()), abs(int(content)), sorted(cyc), [] if rest.is_one() else [rest]
+
+
+def sympy_clear_denominators(fractions):
+    """The multiplier clear_denominators must return, from sympy's lcm and
+    factor_list of the denominators; None when one has a non-cyclotomic factor."""
+    int_lcm, den_lcm = 1, sympy.Poly(1, _X)
+    for f in fractions:
+        c, prim = _to_poly(f.den).primitive()
+        int_lcm, den_lcm = lcm(int_lcm, int(c)), den_lcm.lcm(prim)
+    d = Laurent.const(int_lcm)
+    for f, m in den_lcm.factor_list()[1]:
+        if not f.is_cyclotomic:
+            return None
+        d = d * _symmetrize_factor(_from_poly(f)) ** m
+    return d
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """sign * content * v^shift * prod Phi_k^m (k <= 40, m <= 3), times an
+    optional cofactor of degree <= 4 that may or may not be cyclotomic-free."""
+    p = Laurent.mono(draw(st.sampled_from([1, -1])) * draw(st.integers(1, 12)), draw(st.integers(-5, 5)))
+    for k, m in draw(st.dictionaries(st.integers(1, 40), st.integers(1, 3), max_size=3)).items():
+        p = p * cyclotomic(k) ** m
+    coeffs = draw(st.none() | st.lists(st.integers(-3, 3), min_size=2, max_size=5))
+    if coeffs is not None:
+        cofactor = Laurent(dict(enumerate(coeffs)))
+        assume(not cofactor.is_zero())
+        p = p * cofactor
+    return p
+
+
+class TestFactorizerOracle:
+    @given(cyclotomic_products())
+    @settings(max_examples=50, deadline=None)
+    def test_cyclotomic_factor_matches_sympy(self, p):
+        assert cyclotomic_factor(p) == sympy_cyclotomic_factor(p)
+
+    @given(cyclotomic_products(), cyclotomic_products())
+    @settings(max_examples=30, deadline=None)
+    def test_clear_denominators_matches_sympy(self, p1, p2):
+        fractions = [Rat(ONE, p1), Rat(NU, p2)]
+        want = sympy_clear_denominators(fractions)
+        if want is None:
+            with pytest.raises(ValueError, match="non-cyclotomic"):
+                clear_denominators(fractions)
+        else:
+            assert clear_denominators(fractions) == want
+
+    def test_non_cyclotomic_denominator_raises(self):
+        with pytest.raises(ValueError, match="non-cyclotomic"):
+            clear_denominators([Rat(ONE, Laurent({2: 1, 1: 1, 0: -1}))])
 
 
 class TestSerialization:
