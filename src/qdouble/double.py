@@ -10,10 +10,18 @@ The kernels (multiply, the involutions, to_dcb and the pivot-word normal
 form) are fraction-free: they bring their inputs over one denominator, sum
 Laurent numerators, with the Laurent straightening memos and v-powers as
 shifts, and reduce each output coefficient once.
+
+A K-monomial q-commutes past a word with an exponent linear in the word's
+degree, so each context caches one pairing vector per K-monomial
+(`pairing_vector`, with kdif_dot(K, gamma) its dot product with gamma) and
+memoises the products of K-monomials (`k_product`).  Every term that
+straightening E-word times F-word produces has the weight of the input pair,
+so bar and star twist each input term once, before the straightened terms.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul, sub
 
 from . import linalg
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
@@ -142,18 +150,35 @@ class DoubleContext:
         self._word_coords: dict = {}
         self._d_memo: dict = {}
         self._reverse: dict = {}
+        self._pairing: dict = {}
+        self._kprod: dict = {}
         self.tables = None  # canonical-basis table provider, wired by Algebra
 
     # -- scalars of the torus ----------------------------------------------
+    def pairing_vector(self, K) -> tuple:
+        """The vector lambda(K) with kdif_dot(K, gamma) = sum_j lambda_j gamma_j,
+        memoised per K-monomial: (plus - minus) . alpha_j + d_j tag_j."""
+        lam = self._pairing.get(K)
+        if lam is None:
+            minus, plus, tag = K
+            dif = tuple(p - m for p, m in zip(plus, minus))
+            datum = self.datum
+            lam = self._pairing[K] = tuple(
+                datum.dot(dif, datum.alpha(j)) + tag[j] * datum.d[j] for j in range(datum.rank)
+            )
+        return lam
+
     def kdif_dot(self, K, gamma) -> int:
         """(plus + 2mu - minus) . gamma, tags entering through coroot data."""
-        minus, plus, tag = K
-        dif = tuple(p - m for p, m in zip(plus, minus))
-        out = self.datum.dot(dif, gamma)
-        for k, t in enumerate(tag):
-            if t:
-                out += t * self.datum.d[k] * gamma[k]
-        return out
+        return sum(map(mul, self.pairing_vector(K), gamma))
+
+    def k_product(self, K1, K2):
+        """k_mul(K1, K2), memoised per context."""
+        key = (K1, K2)
+        got = self._kprod.get(key)
+        if got is None:
+            got = self._kprod[key] = k_mul(K1, K2)
+        return got
 
     # -- constructors ---------------------------------------------------------
     def one(self, flavor="full") -> TriElem:
@@ -191,7 +216,7 @@ class DoubleContext:
         minus, plus, tag = K
         if flavor in ("full", "heis_plus", "heis_minus"):
             if any(x < 0 for x in minus) or any(x < 0 for x in plus):
-                raise FlavorError(f"negative K exponent needs localized flavor")
+                raise FlavorError("negative K exponent needs localized flavor")
             if any(tag):
                 raise FlavorError("weight tags need check flavor")
         if flavor == "heis_plus" and any(minus):
@@ -253,10 +278,9 @@ class DoubleContext:
         else:
             j, frest = f[0], f[1:]
             out = {}
-            alpha_j = self.datum.alpha(j)
             for (K, f3, e3), c in self._straighten_letter(i, frest, cross).items():
                 key2 = (K, (j,) + f3, e3)
-                accumulate(out, key2, c.shift(2 * self.kdif_dot(K, alpha_j)))
+                accumulate(out, key2, c.shift(2 * self.pairing_vector(K)[j]))
             if i == j:
                 br = qangle(-1, self.datum.qi_exp(i))  # q_i^-1 - q_i
                 tp, tm = cross
@@ -291,7 +315,7 @@ class DoubleContext:
             for (K3, f3, e3), c3 in self._straighten_letter(i, f, cross).items():
                 factor = c3.shift(-2 * self.kdif_dot(K3, deg_head))
                 for (K4, f4, e4), c4 in self._straighten(e_head, f3, cross).items():
-                    key2 = (k_mul(K3, K4), f4, e4 + e3)
+                    key2 = (self.k_product(K3, K4), f4, e4 + e3)
                     accumulate(out, key2, factor * c4)
         self._straight[key] = out
         return out
@@ -304,19 +328,17 @@ class DoubleContext:
         half = self.half
         xn, dx = common_denominator(list(x.terms.values()))
         yn, dy = common_denominator(list(y.terms.values()))
+        kdif, kprod = self.kdif_dot, self.k_product
         out: dict = {}
         for (K1, f1, e1), n1 in zip(x.terms, xn):
             deg_f1 = half.word_degree(f1)
-            deg_e1 = half.word_degree(e1)
+            dif1 = tuple(map(sub, deg_f1, half.word_degree(e1)))
             for (K2, f2, e2), n2 in zip(y.terms, yn):
-                base = (n1 * n2).shift(
-                    2 * (self.kdif_dot(K2, deg_f1) - self.kdif_dot(K2, deg_e1))
-                )
-                K12 = k_mul(K1, K2)
+                base = (n1 * n2).shift(2 * kdif(K2, dif1))
+                K12 = kprod(K1, K2)
                 for (K3, f3, e3), c3 in self._straighten(e1, f2, cross).items():
-                    coeff = (base * c3).shift(2 * self.kdif_dot(K3, deg_f1))
-                    key = (k_mul(K12, K3), f1 + f3, e3 + e2)
-                    accumulate(out, key, coeff)
+                    coeff = (base * c3).shift(2 * kdif(K3, deg_f1))
+                    accumulate(out, (kprod(K12, K3), f1 + f3, e3 + e2), coeff)
         return TriElem(self, x.flavor, self._normalize_over(x.flavor, out, dx * dy), normalized=True)
 
     # -- gradings ----------------------------------------------------------------------
@@ -337,7 +359,7 @@ class DoubleContext:
                 for a, b in zip(self.half.word_degree(e), self.half.word_degree(f))
             )
             coeff = c * nu_power(-self.kdif_dot(K, dif))
-            key = (k_mul(K, K1), f, e)
+            key = (self.k_product(K, K1), f, e)
             accumulate(out, key, coeff)
         return TriElem(self, x.flavor, out, normalized=True)
 
@@ -363,14 +385,14 @@ class DoubleContext:
                 accumulate(acc, (K, tuple(reversed(e)), tuple(reversed(f))), coeff)
                 continue
             K2 = K if which == "bar" else (K[1], K[0], K[2])
-            # anti-image is (reversed e)(reversed f)(K2); restraighten.
+            # anti-image is (reversed e)(reversed f)(K2); restraighten.  Every
+            # straightened term has weight deg f - deg e, so K2 moves left
+            # past all of them with one twist.
+            n = n.shift(2 * self.kdif_dot(K2, tuple(map(sub, deg_f, deg_e))))
             for (K3, f3, e3), c3 in self._straighten(
                 tuple(reversed(e)), tuple(reversed(f)), cross
             ).items():
-                deg_f3 = half.word_degree(f3)
-                deg_e3 = half.word_degree(e3)
-                dif = tuple(a - b for a, b in zip(deg_f3, deg_e3))
-                accumulate(acc, (k_mul(K3, K2), f3, e3), (n * c3).shift(2 * self.kdif_dot(K2, dif)))
+                accumulate(acc, (self.k_product(K3, K2), f3, e3), n * c3)
         return TriElem(self, x.flavor, self._normalize_over(x.flavor, acc, den), normalized=True)
 
     def bar(self, x: TriElem) -> TriElem:

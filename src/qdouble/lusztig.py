@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 
-from .double import _DROPPED_K, TriElem, kmono, k_mul, k_one
+from .double import _DROPPED_K, TriElem, kmono, k_one
 from .halves import PLUS, MINUS
 from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, solve_bar_correction
 
@@ -181,7 +181,7 @@ class Engine:
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
             f = c.bar() * nu_power(-2 * self.ctx.kdif_dot(K, dif))
             for (K2, m2, m3), r in self._pair_bar(l2, l3).items():
-                accumulate(out, (k_mul(K, K2), m2, m3), f * r)
+                accumulate(out, (self.ctx.k_product(K, K2), m2, m3), f * r)
         return out
 
     def _bar_row(self, kind, lm, lp, variant) -> dict:
@@ -266,7 +266,7 @@ class Engine:
             out[((am, ap), l2, l3)] = coeff
             for (K2, m2, m3), c in self._family_dcb(kind, l2, l3, variant).items():
                 dif2 = _sub(self.tables.degree_of(m3), self.tables.degree_of(m2))
-                shifted = (k_mul(K, K2), m2, m3)
+                shifted = (self.ctx.k_product(K, K2), m2, m3)
                 val = coeff * c * nu_power(-self.ctx.kdif_dot(K, dif2))
                 accumulate(remaining, shifted, -val)
         return out

@@ -3,7 +3,7 @@ the canonical invariant, and the equivariant map into the weight-extended
 double, with comparison hooks against bullet elements."""
 from __future__ import annotations
 
-from .double import TriElem, k_mul, kmono
+from .double import TriElem, kmono
 from .halves import HalfElem, PLUS, MINUS
 from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qangle_factorial, qround
 from . import linalg
@@ -359,7 +359,7 @@ class RSTMap:
                                 - ctx.kdif_dot(K2, gp)
                             )
                             term = ctx.from_halves(
-                                minus=bm, plus=bp, K=k_mul(K1, K2), flavor="check"
+                                minus=bm, plus=bp, K=ctx.k_product(K1, K2), flavor="check"
                             )
                             out = out + term.scale(
                                 val * prefactor * nu_power(eta_exp + exp)

@@ -1,7 +1,5 @@
 """The acceptance gate: one test per criterion, each printing a pass/fail
 line per verified identity.  Everything is exact (zero tolerance)."""
-import pytest
-
 from qdouble import checks
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from qdouble.braid import BraidOps
-from qdouble.double import DoubleContext, TriElem, kmono, k_one
-from qdouble.halves import HalfAlgebra, PLUS, MINUS
+from qdouble.double import DoubleContext, TriElem, kmono
+from qdouble.halves import HalfAlgebra, PLUS
 from qdouble.scalar import Laurent, Rat, nu_power, qangle
 
 

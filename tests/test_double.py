@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import random
 import subprocess
@@ -11,15 +13,18 @@ import qdouble
 from qdouble.algebra import Algebra
 from qdouble.halves import HalfAlgebra, PLUS, MINUS
 from qdouble.double import (
+    FLAVORS,
+    _CROSS,
     DoubleContext,
     TriElem,
     FlavorError,
     kmono,
+    k_mul,
     k_one,
     tri_from_obj,
     tri_to_obj,
 )
-from qdouble.scalar import RAT_ONE, Laurent, Rat, nu_power, qangle, qround_binom, qangle_factorial, qround_factorial
+from qdouble.scalar import RAT_ONE, Laurent, Rat, accumulate, nu_power, qangle, qround_binom, qangle_factorial
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +178,6 @@ class TestDiamond:
         x = rand_tri(a2, rng, height=2, nterms=2)
         K1 = kmono((1, 0), (0, 1))
         K2 = kmono((0, 1), (1, 0))
-        from qdouble.double import k_mul
-
         assert a2.diamond(K1, a2.diamond(K2, x)) == a2.diamond(k_mul(K1, K2), x)
 
 
@@ -288,6 +291,129 @@ class TestTwistedActions:
         x = sl2.e_gen(0, "localized")
         got = sl2.adjoint_act(0, "K", x)
         assert got == x.scale(nu_power(4))
+
+
+# -- the torus kernels against their per-term definitions -------------------
+
+def kdif_explicit(datum, K, gamma):
+    """(plus - minus) . gamma + sum_k tag_k d_k gamma_k, term by term."""
+    minus, plus, tag = K
+    dif = tuple(p - m for p, m in zip(plus, minus))
+    return datum.dot(dif, gamma) + sum(t * d * g for t, d, g in zip(tag, datum.d, gamma))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def reference_multiply(ctx, x, y):
+    """x y with every torus twist and K-product recomputed per straightened
+    term, over Rat coefficients."""
+    wd = ctx.half.word_degree
+    kdif = functools.partial(kdif_explicit, ctx.datum)
+    out = {}
+    for (K1, f1, e1), c1 in x.terms.items():
+        for (K2, f2, e2), c2 in y.terms.items():
+            base = c1 * c2 * nu_power(2 * (kdif(K2, wd(f1)) - kdif(K2, wd(e1))))
+            for (K3, f3, e3), c3 in ctx._straighten(e1, f2, _CROSS[x.flavor]).items():
+                coeff = base * Rat.of(c3) * nu_power(2 * kdif(K3, wd(f1)))
+                accumulate(out, (k_mul(k_mul(K1, K2), K3), f1 + f3, e3 + e2), coeff)
+    return TriElem(ctx, x.flavor, out)
+
+
+def reference_involution(ctx, x, which):
+    """bar/star/transpose with the twist of K2 recomputed from the weight of
+    every straightened term."""
+    wd = ctx.half.word_degree
+    kdif = functools.partial(kdif_explicit, ctx.datum)
+    out = {}
+    for (K, f, e), c in x.terms.items():
+        if which == "bar":
+            c = c.bar()
+        if which == "transpose":
+            coeff = c * nu_power(2 * kdif(K, _sub(wd(e), wd(f))))
+            accumulate(out, (K, e[::-1], f[::-1]), coeff)
+            continue
+        K2 = K if which == "bar" else (K[1], K[0], K[2])
+        for (K3, f3, e3), c3 in ctx._straighten(e[::-1], f[::-1], _CROSS[x.flavor]).items():
+            coeff = c * Rat.of(c3) * nu_power(2 * kdif(K2, _sub(wd(f3), wd(e3))))
+            accumulate(out, (k_mul(K3, K2), f3, e3), coeff)
+    return TriElem(ctx, x.flavor, out)
+
+
+ORACLE_PRESETS = ["A2", "B2", "G2", "A1affine", "R3"]
+
+
+def oracle_tri(ctx, rng, flavor, nterms=3):
+    """A seeded element of the flavor: negative exponents in `localized` and
+    `check`, a nonzero weight tag on every `check` term, no K_- (K_+) in
+    heis_plus (heis_minus), and coefficients over a few denominators."""
+    rank = ctx.datum.rank
+    low = -1 if flavor in ("localized", "check") else 0
+    terms = {}
+    for k in range(nterms):
+        f = tuple(rng.randrange(rank) for _ in range(rng.randrange(3)))
+        e = tuple(rng.randrange(rank) for _ in range(rng.randrange(3)))
+        km = tuple(rng.randrange(low, 2) for _ in range(rank))
+        kpl = tuple(rng.randrange(low, 2) for _ in range(rank))
+        tag = [0] * rank
+        if flavor == "check":
+            tag = [rng.randrange(-1, 2) for _ in range(rank)]
+            tag[k % rank] = rng.choice([-1, 1, 2])
+        if flavor == "heis_plus":
+            km = (0,) * rank
+        if flavor == "heis_minus":
+            kpl = (0,) * rank
+        num = Laurent({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3])})
+        terms[(kmono(km, kpl, tag), f, e)] = Rat(num, FRACTION_DENS[k % 3])
+    return TriElem(ctx, flavor, terms)
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+class TestTorusKernels:
+    """multiply and the involutions read the twist of a K-monomial off its
+    cached pairing vector, once per input term where the weight allows; the
+    per-term definitions must give the same elements."""
+
+    def test_kdif_dot_explicit(self, preset):
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(71)
+        rank = ctx.datum.rank
+        for _ in range(40):
+            K = kmono(*(tuple(rng.randrange(-2, 3) for _ in range(rank)) for _ in range(3)))
+            gamma = tuple(rng.randrange(-3, 4) for _ in range(rank))
+            assert ctx.kdif_dot(K, gamma) == kdif_explicit(ctx.datum, K, gamma)
+        # on alpha_k, the tag of alpha_k pairs to d_k and K_+k to 2 d_k
+        for k in range(rank):
+            unit = tuple(int(j == k) for j in range(rank))
+            zero = (0,) * rank
+            assert ctx.kdif_dot(kmono(zero, zero, unit), unit) == ctx.datum.d[k]
+            assert ctx.kdif_dot(kmono(zero, unit), unit) == 2 * ctx.datum.d[k]
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_kernels_match_per_term_definitions(self, preset, flavor):
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(73 + FLAVORS.index(flavor))
+        involutions = ["bar", "transpose"] + ([] if flavor in ("heis_plus", "heis_minus", "check") else ["star"])
+        for _ in range(3):
+            x, y = oracle_tri(ctx, rng, flavor), oracle_tri(ctx, rng, flavor)
+            assert ctx.multiply(x, y) == reference_multiply(ctx, x, y)
+            for which in involutions:
+                assert ctx.involution(x, which) == reference_involution(ctx, x, which)
+
+
+@pytest.mark.parametrize("preset", ["A2", "B2", "G2"])
+def test_straightened_terms_keep_the_weight(preset):
+    # the one twist per input term in `involution` rests on this
+    ctx = Algebra.get(preset).ctx
+    wd = ctx.half.word_degree
+    words = [w for n in range(4) for w in itertools.product(range(ctx.datum.rank), repeat=n)]
+    for cross in sorted(set(_CROSS.values())):
+        for e in words:
+            for f in words:
+                weight = _sub(wd(f), wd(e))
+                for K3, f3, e3 in ctx._straighten(e, f, cross):
+                    assert _sub(wd(f3), wd(e3)) == weight
 
 
 # unrelated denominators: Phi1 Phi2, Phi4, 2v^4 + 1, the integer 2 and the

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qdouble.cartan import PRESETS
 from qdouble.halves import (
     HalfAlgebra,
     PLUS,

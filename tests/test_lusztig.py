@@ -6,19 +6,17 @@ import pytest
 from qdouble import Algebra, lusztig
 from qdouble.canbasis import CanonicalTables, TableConflict
 from qdouble.cli import _load_user_tables
-from qdouble.double import format_tri, kmono, k_one
+from qdouble.double import format_tri, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
-from qdouble.lusztig import Engine, TriangularityError, bar_fix, product_expansion_via_coproduct
+from qdouble.lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
 from qdouble.scalar import (
     BarInconsistency,
     Laurent,
     Rat,
     RAT_ONE,
-    RAT_ZERO,
     nu_power,
     qangle,
     qround,
-    solve_bar_correction,
 )
 from qdouble.sl2oracle import SL2Oracle
 

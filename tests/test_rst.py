@@ -4,7 +4,7 @@ from qdouble import Algebra
 from qdouble.double import kmono
 from qdouble.halves import PLUS, MINUS
 from qdouble.rst import LWModule, ModuleError, RSTMap, module_from_obj, sl2_module, sp4_module, vector_module
-from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qround_binom
+from qdouble.scalar import Rat, RAT_ONE, nu_power, qround_binom
 from qdouble.sl2oracle import SL2Oracle
 
 

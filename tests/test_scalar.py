@@ -16,7 +16,6 @@ from qdouble.scalar import (
     qsq,
     qround,
     qangle,
-    qsq_factorial,
     qround_factorial,
     qangle_factorial,
     qsq_binom,

@@ -1,7 +1,7 @@
 import pytest
 
 from qdouble.double import kmono
-from qdouble.scalar import Laurent, Rat, nu_power, qsq_binom
+from qdouble.scalar import Rat, nu_power
 from qdouble.sl2oracle import SL2Oracle
 
 
