@@ -2,9 +2,9 @@
 verification, Schubert-cell PBW monomials and tameness checks."""
 from __future__ import annotations
 
-from .double import DoubleContext, TriElem, FlavorError, kmono, k_one
+from .double import DoubleContext, TriElem, FlavorError, _unit_vec, kmono
 from .halves import HalfElem, PLUS, MINUS
-from .scalar import Rat, nu_power, qangle_factorial
+from .scalar import Rat, nu_power
 
 
 class BraidOps:
@@ -24,31 +24,26 @@ class BraidOps:
             return got
         ctx = self.ctx
         datum = self.datum
-        rank = datum.rank
         if i == j:
-            vec = [0] * rank
-            vec[i] = -1
-            if sign == PLUS:
-                K = kmono((0,) * rank, vec)
-                out = TriElem(ctx, "localized", {(K, (i,), ()): nu_power(-datum.qi_exp(i))})
-            else:
-                K = kmono(vec, (0,) * rank)
-                out = TriElem(ctx, "localized", {(K, (), (i,)): nu_power(-datum.qi_exp(i))})
+            # T_i(E_i) = q_i^-1 K_+i^-1 F_i and T_i(F_i) = q_i^-1 K_-i^-1 E_i
+            K = kmono(*_unit_vec(datum.rank, i, -1, sign))
+            term = (K, (i,), ()) if sign == PLUS else (K, (), (i,))
+            out = TriElem(ctx, "localized", {term: nu_power(-datum.qi_exp(i))})
         else:
+            # sum_{r+s=-a_ij} (-1)^r q_i^s v^(d_i a_ij) X_i^<r> X_j X_i^<s>
             a = datum.A[i][j]
-            qi = datum.qi_exp(i)
-            acc = ctx.zero("localized")
+            half = ctx.half
+            acc = half.zero(sign)
             for r in range(-a + 1):
                 s = -a - r
-                denom = Rat.of(qangle_factorial(r, qi)) * Rat.of(qangle_factorial(s, qi))
-                coeff = Rat.of((-1) ** r) * nu_power(qi * s + datum.d[i] * a) / denom
-                word = (i,) * r + (j,) + (i,) * s
-                if sign == PLUS:
-                    term = TriElem(ctx, "localized", {(k_one(rank), (), word): coeff})
-                else:
-                    term = TriElem(ctx, "localized", {(k_one(rank), word, ()): coeff})
-                acc = acc + term
-            out = acc
+                x_r, x_s = half.gen_divided(sign, i, r), half.gen_divided(sign, i, s)
+                coeff = Rat.of((-1) ** r) * nu_power(datum.qi_exp(i) * s + datum.d[i] * a)
+                acc = acc + (x_r * half.gen(sign, j) * x_s).scale(coeff)
+            out = ctx.from_halves(
+                minus=acc if sign == MINUS else None,
+                plus=acc if sign == PLUS else None,
+                flavor="localized",
+            )
         self._letters[key] = out
         return out
 
@@ -84,12 +79,8 @@ class BraidOps:
             out = out + acc
         return out
 
-    def T_word(self, word, x: TriElem, inverse: bool = False) -> TriElem:
-        """Apply T_{i_1} ... T_{i_m}; with inverse, the inverse of that product."""
-        if inverse:
-            for i in word:
-                x = self.T(i, x, inverse=True)
-            return x
+    def T_word(self, word, x: TriElem) -> TriElem:
+        """Apply T_{i_1} ... T_{i_m}."""
         for i in reversed(word):
             x = self.T(i, x)
         return x
@@ -127,10 +118,8 @@ class BraidOps:
         for k in range(rank):
             gens.append(ctx.e_gen(k, "localized"))
             gens.append(ctx.f_gen(k, "localized"))
-            vec = [0] * rank
-            vec[k] = 1
-            gens.append(ctx.k_elem(kmono(vec, (0,) * rank), "localized"))
-            gens.append(ctx.k_elem(kmono((0,) * rank, vec), "localized"))
+            for side in (MINUS, PLUS):
+                gens.append(ctx.k_elem(kmono(*_unit_vec(rank, k, 1, side)), "localized"))
         return gens
 
     def braid_relation_check(self, i, j) -> bool:

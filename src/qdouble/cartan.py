@@ -103,18 +103,8 @@ class CartanDatum:
         return out
 
     def degrees_of_height(self, h: int) -> list[tuple[int, ...]]:
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(tuple(prefix + [remaining]))
-                return
-            for k in range(remaining + 1):
-                rec(prefix + [k], remaining - k, slots - 1)
-
-        rec([], h, self.rank)
-        out.sort()
-        return out
+        """All degrees of height h, in lex order."""
+        return [t for t in self.degrees_up_to((h,) * self.rank) if sum(t) == h]
 
     # -- Weyl group (finite type only where needed) -------------------------
     def simple_reflection(self, i: int, alpha) -> tuple[int, ...]:

@@ -1296,12 +1296,13 @@ def suite_strconst():
                             continue
                         pairs += 1
                         all_pos = all_pos and rep["positive"]
-    out.append((f"A2 structure constants integral (pairs of total height <= 4)", ok, f"{pairs} pairs"))
+    # positivity is a conjecture: reported in the detail, never asserted
+    positivity = "all positive" if all_pos else "negative coefficients found"
     out.append(
         (
-            "A2 positivity report (conjecture, never asserted)",
-            True,
-            "all positive" if all_pos else "negative coefficients found",
+            "A2 structure constants integral (pairs of total height <= 4)",
+            ok,
+            f"{pairs} pairs; positivity: {positivity}",
         )
     )
     return out

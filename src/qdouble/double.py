@@ -6,9 +6,13 @@ actions.
 Elements are stored in triangular normal form: (K-monomial, F-word, E-word)
 -> scalar, with both word blocks compressed to per-degree pivot words.
 
+Straightening is one recursion with one memo, `_straight`, keyed by
+(E-word, F-word, cross): a one-letter E-word moves past the F-word letter by
+letter, and a longer one straightens its last letter first.
+
 The kernels (multiply, the involutions, to_dcb and the pivot-word normal
 form) are fraction-free: they bring their inputs over one denominator, sum
-Laurent numerators, with the Laurent straightening memos and v-powers as
+Laurent numerators, with the Laurent straightening memo and v-powers as
 shifts, and reduce each output coefficient once.
 
 A K-monomial q-commutes past a word with an exponent linear in the word's
@@ -42,26 +46,20 @@ from .scalar import (
 
 FLAVORS = ("full", "heis_plus", "heis_minus", "localized", "check")
 
-_CROSS = {
-    "full": (1, 1),
-    "localized": (1, 1),
-    "check": (1, 1),
-    "heis_plus": (1, 0),
-    "heis_minus": (0, 1),
-}
-
-
 # the K-monomial block that is zero in a Heisenberg quotient
 _DROPPED_K = {"heis_plus": 0, "heis_minus": 1}
+
+# which of K_+ and K_- the commutator [E_i, F_i] keeps, per flavor
+_CROSS = {fl: (_DROPPED_K.get(fl) != 1, _DROPPED_K.get(fl) != 0) for fl in FLAVORS}
 
 
 class FlavorError(ValueError):
     pass
 
 
-def kmono(minus, plus, tag=None, rank=None):
+def kmono(minus, plus, tag=None):
     if tag is None:
-        tag = (0,) * (rank if rank is not None else len(minus))
+        tag = (0,) * len(minus)
     return (tuple(minus), tuple(plus), tuple(tag))
 
 
@@ -146,7 +144,6 @@ class DoubleContext:
         self.half = half
         self.datum = half.datum
         self._straight: dict = {}
-        self._letter: dict = {}
         self._word_coords: dict = {}
         self._d_memo: dict = {}
         self._reverse: dict = {}
@@ -266,39 +263,7 @@ class DoubleContext:
 
     # -- straightening core ---------------------------------------------------------
     # Straightening coefficients are products of v-powers and <a>'s, so the
-    # memos hold Laurent values.
-    def _straighten_letter(self, i: int, f: tuple, cross):
-        key = (i, f, cross)
-        got = self._letter.get(key)
-        if got is not None:
-            return got
-        rank = self.datum.rank
-        if not f:
-            out = {(k_one(rank), (), (i,)): ONE}
-        else:
-            j, frest = f[0], f[1:]
-            out = {}
-            for (K, f3, e3), c in self._straighten_letter(i, frest, cross).items():
-                key2 = (K, (j,) + f3, e3)
-                accumulate(out, key2, c.shift(2 * self.pairing_vector(K)[j]))
-            if i == j:
-                br = qangle(-1, self.datum.qi_exp(i))  # q_i^-1 - q_i
-                tp, tm = cross
-                if tp:
-                    vec = [0] * rank
-                    vec[i] = 1
-                    Kp = kmono((0,) * rank, vec)
-                    key2 = (Kp, frest, ())
-                    accumulate(out, key2, br)
-                if tm:
-                    vec = [0] * rank
-                    vec[i] = 1
-                    Km = kmono(vec, (0,) * rank)
-                    key2 = (Km, frest, ())
-                    accumulate(out, key2, -br)
-        self._letter[key] = out
-        return out
-
+    # memo holds Laurent values.
     def _straighten(self, e: tuple, f: tuple, cross):
         """E-word times F-word as dict {(K, f, e): Laurent}, fully triangular."""
         key = (e, f, cross)
@@ -308,11 +273,23 @@ class DoubleContext:
         rank = self.datum.rank
         if not e or not f:
             out = {(k_one(rank), f, e): ONE}
+        elif len(e) == 1:
+            i, j, frest = e[0], f[0], f[1:]
+            out = {}
+            for (K, f3, e3), c in self._straighten(e, frest, cross).items():
+                accumulate(out, (K, (j,) + f3, e3), c.shift(2 * self.pairing_vector(K)[j]))
+            if i == j:  # [E_i, F_i] = (q_i^-1 - q_i)(K_+i - K_-i), cross picks the terms
+                br = qangle(-1, self.datum.qi_exp(i))
+                tp, tm = cross
+                if tp:
+                    accumulate(out, (kmono(*_unit_vec(rank, i, 1, PLUS)), frest, ()), br)
+                if tm:
+                    accumulate(out, (kmono(*_unit_vec(rank, i, 1, MINUS)), frest, ()), -br)
         else:
             i, e_head = e[-1], e[:-1]
             deg_head = self.half.word_degree(e_head)
             out = {}
-            for (K3, f3, e3), c3 in self._straighten_letter(i, f, cross).items():
+            for (K3, f3, e3), c3 in self._straighten((i,), f, cross).items():
                 factor = c3.shift(-2 * self.kdif_dot(K3, deg_head))
                 for (K4, f4, e4), c4 in self._straighten(e_head, f3, cross).items():
                     key2 = (self.k_product(K3, K4), f4, e4 + e3)
@@ -409,11 +386,10 @@ class DoubleContext:
         assert x.flavor == "heis_plus"
         return x.with_flavor("full")
 
-    def project_heis(self, x: TriElem, side: int = PLUS) -> TriElem:
-        flavor = "heis_plus" if side == PLUS else "heis_minus"
-        idx = 0 if side == PLUS else 1
-        terms = {k: c for k, c in x.terms.items() if not any(k[0][idx])}
-        return TriElem(self, flavor, terms, normalized=True)
+    def project_heis(self, x: TriElem) -> TriElem:
+        """The quotient map onto heis_plus, where K_- is zero."""
+        terms = {(K, f, e): c for (K, f, e), c in x.terms.items() if not any(K[0])}
+        return TriElem(self, "heis_plus", terms, normalized=True)
 
     @cached_property
     def _cartan_inverse(self):

@@ -301,22 +301,26 @@ class HalfAlgebra:
 
     # -- quasi-derivations -----------------------------------------------------------
     def deriv(self, i, x: HalfElem, variant: str = "plain", power: int = 1) -> HalfElem:
-        """partial_i (variant plain) or partial_i^op on either half.
+        """partial_i (variant plain) or partial_i^op = * partial_i * on either half.
 
         power r applies the divided power partial_i^(r) = partial_i^r / (r)_{q_i}!.
         Minus-side input is handled by conjugating with the transpose.
         """
         i = self.datum.index(i)
+        if variant == "op":
+            return self.star(self.deriv(i, self.star(x), "plain", power))
+        if variant != "plain":
+            raise ValueError(f"unknown derivation variant {variant!r}")
         if x.sign == MINUS:
             return self.transpose(self.deriv(i, self.transpose(x), variant, power))
         out = x
         for _ in range(power):
-            out = self._deriv_once(i, out, variant)
+            out = self._deriv_once(i, out)
         if power > 1:
             out = out.scale(Rat.of(1) / Rat.of(qround_factorial(power, self.datum.qi_exp(i))))
         return out
 
-    def _deriv_once(self, i: int, x: HalfElem, variant: str) -> HalfElem:
+    def _deriv_once(self, i: int, x: HalfElem) -> HalfElem:
         datum = self.datum
         alpha_i = datum.alpha(i)
         out: dict[tuple, Rat] = {}
@@ -325,40 +329,27 @@ class HalfAlgebra:
             shifted = list(deg)
             shifted[i] -= 1
             lead = -datum.dot(alpha_i, tuple(shifted))
-            if variant == "plain":
-                suffix_exp = 0
-                for p in range(len(w) - 1, -1, -1):
-                    if w[p] == i:
-                        coeff = c * nu_power(lead + suffix_exp)
-                        key = w[:p] + w[p + 1 :]
-                        accumulate(out, key, coeff)
-                    suffix_exp += self.chi_exp(alpha_i, datum.alpha(w[p]))
-            elif variant == "op":
-                prefix_exp = 0
-                for p in range(len(w)):
-                    if w[p] == i:
-                        coeff = c * nu_power(lead + prefix_exp)
-                        key = w[:p] + w[p + 1 :]
-                        accumulate(out, key, coeff)
-                    prefix_exp += self.chi_exp(datum.alpha(w[p]), alpha_i)
-            else:
-                raise ValueError(f"unknown derivation variant {variant!r}")
+            suffix_exp = 0
+            for p in range(len(w) - 1, -1, -1):
+                if w[p] == i:
+                    coeff = c * nu_power(lead + suffix_exp)
+                    key = w[:p] + w[p + 1 :]
+                    accumulate(out, key, coeff)
+                suffix_exp += self.chi_exp(alpha_i, datum.alpha(w[p]))
         return HalfElem(self, PLUS, out)
 
-    def ell_and_top(self, i, x: HalfElem, variant: str = "plain"):
+    def ell_and_top(self, i, x: HalfElem):
         """Nilpotency depth ell_i(x) and the top divided-power image."""
         if x.is_zero():
             raise ValueError("ell_i undefined on 0")
         i = self.datum.index(i)
         depth = 0
-        current = x
         top = x
         while True:
-            nxt = self.deriv(i, current, variant)
+            nxt = self.deriv(i, top)
             if nxt.is_zero():
                 break
             depth += 1
-            current = nxt
             top = nxt
         if depth:
             top = top.scale(Rat.of(1) / Rat.of(qround_factorial(depth, self.datum.qi_exp(i))))

@@ -3,6 +3,8 @@ the canonical invariant, and the equivariant map into the weight-extended
 double, with comparison hooks against bullet elements."""
 from __future__ import annotations
 
+from itertools import product
+
 from .double import TriElem, kmono
 from .halves import HalfElem, PLUS, MINUS
 from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qangle_factorial, qround
@@ -40,33 +42,20 @@ class LWModule:
         n = self.dim
         rank = datum.rank
         zero = [[RAT_ZERO] * n for _ in range(n)]
-        # degree compatibility
+        # degree compatibility: E_i raises the degree by alpha_i, F_i lowers it
         for i in range(rank):
             for j in range(n):
                 for k in range(n):
-                    if not self.E[i][k][j].is_zero():
-                        expected = tuple(
-                            d + (1 if t == i else 0) for t, d in enumerate(self.degrees[j])
-                        )
-                        if self.degrees[k] != expected:
-                            raise ModuleError(f"E_{i} breaks the grading at {j}->{k}")
-                    if not self.F[i][k][j].is_zero():
-                        expected = tuple(
-                            d - (1 if t == i else 0) for t, d in enumerate(self.degrees[j])
-                        )
-                        if self.degrees[k] != expected:
-                            raise ModuleError(f"F_{i} breaks the grading at {j}->{k}")
+                    for mats, tag, step in ((self.E, "E", 1), (self.F, "F", -1)):
+                        moved = tuple(d + step * (t == i) for t, d in enumerate(self.degrees[j]))
+                        if not mats[i][k][j].is_zero() and self.degrees[k] != moved:
+                            raise ModuleError(f"{tag}_{i} breaks the grading at {j}->{k}")
         # commutators [E_i^<1>, F_j^<1>] = delta_ij diag(-(coroot(-mu+|v|))_{q_i})
         for i in range(rank):
             for j in range(rank):
-                comm = [
-                    [
-                        sum((self.E[i][a][t] * self.F[j][t][b] for t in range(n)), RAT_ZERO)
-                        - sum((self.F[j][a][t] * self.E[i][t][b] for t in range(n)), RAT_ZERO)
-                        for b in range(n)
-                    ]
-                    for a in range(n)
-                ]
+                ef = linalg.mat_mul(self.E[i], self.F[j])
+                fe = linalg.mat_mul(self.F[j], self.E[i])
+                comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ef, fe)]
                 if i != j:
                     if comm != zero:
                         raise ModuleError(f"[E_{i}, F_{j}] does not vanish")
@@ -100,7 +89,7 @@ class LWModule:
                         for a in range(n):
                             for b in range(n):
                                 acc[a][b] = acc[a][b] + term[a][b] * scale
-                    if acc != [[RAT_ZERO] * n for _ in range(n)]:
+                    if acc != zero:
                         raise ModuleError(f"Serre relation fails on {tag}-side at ({i},{j})")
 
     def _pow(self, M, k):
@@ -123,25 +112,14 @@ class LWModule:
             raise ModuleError("no lowest-weight vector of degree zero")
         shap[base] = RAT_ONE
         for j in order[1:]:
-            done = False
-            for i in range(self.datum.rank):
-                for w in range(n):
-                    if shap[w] is None or self.E[i][j][w].is_zero():
-                        continue
-                    # <v_j|v_j> from <E_i w | v_j> = <w | F_i v_j>
-                    c = self.E[i][j][w]
-                    val = sum(
-                        (self.F[i][t][j] * (shap[t] if t == w else RAT_ZERO) for t in range(n)),
-                        RAT_ZERO,
-                    )
-                    shap[j] = val / c
-                    done = True
+            for i, w in product(range(self.datum.rank), range(n)):
+                if shap[w] is not None and not self.E[i][j][w].is_zero():
                     break
-                if done:
-                    break
-            if not done:
+            else:
                 raise ModuleError(f"cannot reach vector {j} for the Shapovalov chain")
-        if any(s is None or s.is_zero() for s in shap):
+            # <v_j|v_j> from <E_i w | v_j> = <w | F_i v_j>
+            shap[j] = self.F[i][w][j] * shap[w] / self.E[i][j][w]
+        if any(s.is_zero() for s in shap):
             raise ModuleError("Shapovalov block is singular")
         self.shap = shap
         # adjointness spot-check
@@ -320,11 +298,10 @@ class RSTMap:
         out = ctx.zero("check")
         tag = tuple(2 * m for m in V.mu)
         by_deg_u: dict = {}
-        for j, c in uvec.items():
-            by_deg_u.setdefault(V.degrees[j], {})[j] = c
         by_deg_v: dict = {}
-        for j, c in vvec.items():
-            by_deg_v.setdefault(V.degrees[j], {})[j] = c
+        for vec, by_deg in ((uvec, by_deg_u), (vvec, by_deg_v)):
+            for j, c in vec.items():
+                by_deg.setdefault(V.degrees[j], {})[j] = c
         for du, uv in by_deg_u.items():
             for dv, vv in by_deg_v.items():
                 prefactor = nu_power(datum.ulgamma(dv) - datum.ulgamma(du))
@@ -348,22 +325,14 @@ class RSTMap:
                             if val.is_zero():
                                 continue
                             # (K_(kv,0) diamond b_-)(K_(0,2mu-dv) diamond b_+)
-                            # assembled in triangular form: K1 K2 b_- b_+ with
-                            # the two diamond twists and the K2 crossing of b_-
                             kv = tuple(a - b for a, b in zip(dv, gp))
                             K1 = kmono(kv, (0,) * rank)
                             K2 = kmono((0,) * rank, tuple(-x for x in dv), tag)
-                            exp = (
-                                ctx.kdif_dot(K1, gm)
-                                + 2 * ctx.kdif_dot(K2, gm)
-                                - ctx.kdif_dot(K2, gp)
+                            term = ctx.multiply(
+                                ctx.diamond(K1, ctx.from_halves(minus=bm, flavor="check")),
+                                ctx.diamond(K2, ctx.from_halves(plus=bp, flavor="check")),
                             )
-                            term = ctx.from_halves(
-                                minus=bm, plus=bp, K=ctx.k_product(K1, K2), flavor="check"
-                            )
-                            out = out + term.scale(
-                                val * prefactor * nu_power(eta_exp + exp)
-                            )
+                            out = out + term.scale(val * prefactor * nu_power(eta_exp))
         return ctx.normalize_tags(out)
 
     def xi_invariant(self) -> TriElem:

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from qdouble.braid import BraidOps
-from qdouble.double import DoubleContext, TriElem, kmono
-from qdouble.halves import HalfAlgebra, PLUS
-from qdouble.scalar import Laurent, Rat, nu_power, qangle
+from qdouble.double import DoubleContext, TriElem, k_one, kmono
+from qdouble.halves import HalfAlgebra, MINUS, PLUS
+from qdouble.scalar import Laurent, Rat, nu_power, qangle, qangle_factorial
 
 
 def schubert_pbw_scaled(ops, word, amounts):
@@ -68,6 +68,33 @@ class TestGeneratorImages:
         half = a2.ctx.half
         got = a2.T_half(0, a2.T_half(1, half.gen(PLUS, 0)))
         assert got == half.gen(PLUS, 1)
+
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
+    def test_letter_images_against_words(self, preset):
+        # T_i(X_j), i != j, against its terms written out word by word; every
+        # letter image is memoised per (i, sign, j)
+        ops_ = ops(preset)
+        ctx, datum = ops_.ctx, ops_.datum
+        for i in range(datum.rank):
+            for j in range(datum.rank):
+                for sign in (PLUS, MINUS):
+                    # memoised per (i, sign, j)
+                    assert ops_._letter_image(i, sign, j) is ops_._letter_image(i, sign, j)
+                if i == j:
+                    continue
+                a, qi = datum.A[i][j], datum.qi_exp(i)
+                for sign in (PLUS, MINUS):
+                    terms = {}
+                    for r in range(-a + 1):
+                        s = -a - r
+                        denom = Rat.of(qangle_factorial(r, qi)) * Rat.of(qangle_factorial(s, qi))
+                        coeff = Rat.of((-1) ** r) * nu_power(qi * s + datum.d[i] * a) / denom
+                        word = (i,) * r + (j,) + (i,) * s
+                        f, e = ((), word) if sign == PLUS else (word, ())
+                        terms[(k_one(datum.rank), f, e)] = coeff
+                    want = TriElem(ctx, "localized", terms)
+                    assert ops_._letter_image(i, sign, j) == want
 
 
 class TestBraidRelations:

@@ -70,6 +70,27 @@ class TestDegrees:
         # oracle: grid count
         assert len(A2.degrees_up_to((2, 2))) == 9
 
+    @pytest.mark.parametrize("preset", ["A1", "A2", "A3"])
+    def test_degrees_of_height_against_recursion(self, preset):
+        # the recursive enumerator degrees_of_height once had, as a reference
+        datum = PRESETS[preset]
+
+        def reference(h):
+            out = []
+
+            def rec(prefix, remaining, slots):
+                if slots == 1:
+                    out.append(tuple(prefix + [remaining]))
+                    return
+                for k in range(remaining + 1):
+                    rec(prefix + [k], remaining - k, slots - 1)
+
+            rec([], h, datum.rank)
+            return sorted(out)
+
+        for h in range(7):
+            assert datum.degrees_of_height(h) == reference(h)
+
 
 class TestValidation:
     def test_rejects_asymmetrizable(self):

@@ -4,13 +4,24 @@ import pytest
 
 from qdouble.halves import (
     HalfAlgebra,
+    HalfElem,
     PLUS,
     MINUS,
     format_half,
     half_from_obj,
     half_to_obj,
 )
-from qdouble.scalar import Laurent, Rat, nu_power, qangle, qangle_factorial, qround, qsq_binom
+from qdouble.scalar import (
+    Laurent,
+    Rat,
+    accumulate,
+    nu_power,
+    qangle,
+    qangle_factorial,
+    qround,
+    qround_factorial,
+    qsq_binom,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,30 @@ def rand_elem(alg, sign, rng, height=4, nterms=3):
         w = tuple(rng.randrange(alg.datum.rank) for _ in range(rng.randrange(1, height + 1)))
         terms[w] = Rat.of(Laurent({rng.randrange(-3, 4): rng.randrange(-4, 5) or 1}))
     return alg.element(sign, terms)
+
+
+def reference_op(alg, i, x, power):
+    """partial_i^(power) op by its own loop: each letter i is removed with the
+    chi-weight of the letters before it; minus side by the transpose."""
+    if x.sign == MINUS:
+        return alg.transpose(reference_op(alg, i, alg.transpose(x), power))
+    datum = alg.datum
+    alpha_i = datum.alpha(i)
+    for _ in range(power):
+        out = {}
+        for w, c in x.terms.items():
+            shifted = list(alg.word_degree(w))
+            shifted[i] -= 1
+            lead = -datum.dot(alpha_i, tuple(shifted))
+            prefix_exp = 0
+            for p, letter in enumerate(w):
+                if letter == i:
+                    accumulate(out, w[:p] + w[p + 1 :], c * nu_power(lead + prefix_exp))
+                prefix_exp += alg.chi_exp(datum.alpha(letter), alpha_i)
+        x = HalfElem(alg, PLUS, out)
+    if power > 1:
+        x = x.scale(Rat.of(1) / Rat.of(qround_factorial(power, datum.qi_exp(i))))
+    return x
 
 
 class TestCoproduct:
@@ -293,6 +328,18 @@ class TestDerivations:
                     rhs2 = rhs2 + pref * a2.pair(a2.deriv(i, xc), y)
                 assert lhs2 == rhs2
 
+    @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
+    def test_op_is_star_conjugate_of_plain(self, preset):
+        # partial_i^op = * partial_i *, against the op derivation's own loop
+        alg = HalfAlgebra(preset)
+        rng = random.Random(23)
+        for _ in range(6):
+            for sign in (PLUS, MINUS):
+                x = rand_elem(alg, sign, rng, height=4, nterms=3)
+                for i in range(alg.datum.rank):
+                    for power in (1, 2, 3):
+                        assert alg.deriv(i, x, "op", power) == reference_op(alg, i, x, power)
+
     def test_ell_and_top(self, a2, sl2):
         for n in range(1, 5):
             depth, top = sl2.ell_and_top(0, sl2.word(PLUS, "1" * n))
@@ -337,8 +384,6 @@ class TestPsiRescale:
         assert a2.psi_rescale(a2.psi_rescale(x), inverse=True) == x
 
     def test_divided_power_alignment(self, sl2):
-        from qdouble.scalar import qround_factorial
-
         n = 3
         x = sl2.gen_divided(MINUS, 0, n)
         got = sl2.psi_rescale(x)

@@ -346,6 +346,21 @@ class TestStructureConstants:
         coeffs, _ = sl2.structure_constants(lab0, lab0)
         assert coeffs == {(((0,), (0,)), lab0, lab0): RAT_ONE}
 
+    def test_integrality_line_can_fail(self, monkeypatch):
+        # the A2 verify line fails when any structure constant cannot be
+        # formed; the positivity report rides in its detail, not as a check
+        from qdouble import checks
+
+        def broken(self, lm, lp):
+            raise TriangularityError("patched")
+
+        monkeypatch.setattr(Algebra, "structure_constants", broken)
+        lines = {name: (ok, detail) for name, ok, detail in checks.suite_strconst()}
+        assert not any("positivity" in name for name in lines)
+        ok, detail = lines["A2 structure constants integral (pairs of total height <= 4)"]
+        assert not ok
+        assert detail == "0 pairs; positivity: all positive"
+
 
 class TestSymmetries:
     def test_transpose_symmetry(self, a2):
@@ -481,6 +496,21 @@ class TestInterchangeVariant:
         assert var == std
         # the variant is bar-fixed as well
         assert sl2.ctx.bar(var) == var
+
+    @pytest.mark.parametrize("name, height", [("A2", 3), ("B2", 3), ("G2", 2), ("A1affine", 3)])
+    def test_bullet_does_not_depend_on_the_side(self, name, height):
+        # the bullet basis built over the H- circ family (corrections in the
+        # other torus slot, opposite sign) is the one built over H+
+        alg = Algebra.get(name)
+        labels = [
+            lab
+            for h in range(height + 1)
+            for g in alg.datum.degrees_of_height(h)
+            for lab in alg.tables.labels_of_degree(g)
+        ]
+        for lm in labels:
+            for lp in labels:
+                assert alg.bullet(lm, lp, variant="minus") == alg.bullet(lm, lp), (lm, lp)
 
 
 class TestMinusVariantPinned:

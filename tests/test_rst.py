@@ -1,10 +1,10 @@
 import pytest
 
-from qdouble import Algebra
+from qdouble import Algebra, linalg
 from qdouble.double import kmono
 from qdouble.halves import PLUS, MINUS
 from qdouble.rst import LWModule, ModuleError, RSTMap, module_from_obj, sl2_module, sp4_module, vector_module
-from qdouble.scalar import Rat, RAT_ONE, nu_power, qround_binom
+from qdouble.scalar import Rat, RAT_ONE, RAT_ZERO, nu_power, qround_binom
 from qdouble.sl2oracle import SL2Oracle
 
 
@@ -18,6 +18,25 @@ def orc(sl2):
     return SL2Oracle(sl2.ctx)
 
 
+# V(1) x V(1) for A1xA1 on v00, v10, v01, v11
+A1XA1_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def a1xa1_tensor_square():
+    """Action matrices (E, F) of V(1) x V(1); E[i][k][j] is the v_k-coefficient
+    of E_i v_j."""
+
+    def mats(entries):
+        out = {i: [[RAT_ZERO] * 4 for _ in range(4)] for i in range(2)}
+        for i, k, j, c in entries:
+            out[i][k][j] = Rat.of(c)
+        return out
+
+    E = mats([(0, 1, 0, 1), (0, 3, 2, 1), (1, 2, 0, 1), (1, 3, 1, 1)])
+    F = mats([(0, 0, 1, -1), (0, 2, 3, -1), (1, 0, 2, -1), (1, 1, 3, -1)])
+    return E, F
+
+
 class TestModuleConstruction:
     def test_sl2_modules_validate(self, sl2):
         for m in range(5):
@@ -28,6 +47,10 @@ class TestModuleConstruction:
         b2 = Algebra.get("B2")
         assert sp4_module(b2, 1).dim == 4
         assert sp4_module(b2, 2).dim == 5
+
+    def test_a1xa1_tensor_square_validates(self):
+        E, F = a1xa1_tensor_square()
+        assert LWModule(Algebra.get("A1xA1"), "V1xV1", (1, 1), A1XA1_DEGREES, E, F).dim == 4
 
     def test_vector_modules_validate(self):
         for preset in ("A1", "A2", "A3"):
@@ -50,6 +73,96 @@ class TestModuleConstruction:
         F = [[Rat.of(0), Rat.of(1)], [Rat.of(0), Rat.of(0)]]
         with pytest.raises(ModuleError):
             LWModule(sl2, "bad", (5,), [(0,), (1,)], {0: E}, {0: F})
+
+    def test_rejects_bad_grading(self, sl2):
+        V = sl2_module(sl2, 2)
+        E, F = [list(r) for r in V.E[0]], [list(r) for r in V.F[0]]
+        E[2][0] = RAT_ONE
+        with pytest.raises(ModuleError, match="E_0 breaks the grading at 0->2"):
+            LWModule(sl2, "bad", V.mu, V.degrees, {0: E}, V.F)
+        F[0][2] = RAT_ONE
+        with pytest.raises(ModuleError, match="F_0 breaks the grading at 2->0"):
+            LWModule(sl2, "bad", V.mu, V.degrees, V.E, {0: F})
+
+    def test_rejects_wrong_diagonal_commutator(self, sl2):
+        V = sl2_module(sl2, 2)
+        F = [[c * Rat.of(2) for c in row] for row in V.F[0]]
+        with pytest.raises(ModuleError, match=r"\[E_0, F_0\] wrong at \(0,0\)"):
+            LWModule(sl2, "bad", V.mu, V.degrees, V.E, {0: F})
+
+    def test_rejects_nonvanishing_cross_commutator(self):
+        E, F = a1xa1_tensor_square()
+        E[0][3][2], F[0][2][3] = Rat.of(2), Rat.of(-1) / Rat.of(2)
+        with pytest.raises(ModuleError, match=r"\[E_0, F_1\] does not vanish"):
+            LWModule(Algebra.get("A1xA1"), "bad", (1, 1), A1XA1_DEGREES, E, F)
+
+    @pytest.mark.parametrize("side", ["E", "F"])
+    def test_serre_break_is_a_commutator_break(self, side):
+        # The Serre checks stand behind the commutator checks, and on a
+        # finite-dimensional module whose commutators hold the Serre elements
+        # act as zero (each is a lowest-weight vector of positive weight for
+        # the adjoint sl2 action on End V).  So a module that breaks Serre on
+        # either side is rejected by a commutator first.
+        E, F = a1xa1_tensor_square()
+        scale = Rat.of(2) if side == "E" else Rat.of(1) / Rat.of(2)
+        E[0][3][2], F[0][2][3] = scale, Rat.of(-1) / scale
+        X = E if side == "E" else F
+        serre = [
+            [x - y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(linalg.mat_mul(X[0], X[1]), linalg.mat_mul(X[1], X[0]))
+        ]
+        assert any(not c.is_zero() for row in serre for c in row)
+        with pytest.raises(ModuleError, match=r"\[E_0, F_1\] does not vanish"):
+            LWModule(Algebra.get("A1xA1"), "bad", (1, 1), A1XA1_DEGREES, E, F)
+
+    def test_rejects_missing_lowest_weight(self, sl2):
+        zero = [[RAT_ZERO]]
+        with pytest.raises(ModuleError, match="no lowest-weight vector of degree zero"):
+            LWModule(sl2, "bad", (2,), [(1,)], {0: zero}, {0: zero})
+
+    # V(m) + V(n) with V(n) from degree (m - n)/2 up, in a degree-preserving
+    # basis given by the columns of P: the relations hold (each error below
+    # comes after them), but the Shapovalov chain cannot give the basis a
+    # diagonal invariant form
+    MIXED = {
+        "cannot reach vector 3": (2, 0, [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        "Shapovalov block is singular": (
+            2,
+            0,
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]],
+        ),
+        "Shapovalov adjointness fails": (
+            3,
+            1,
+            [
+                [1, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 1, 0],
+                [0, 0, 1, 0, 0, 1],
+                [0, 0, 0, 1, 0, 0],
+                [0, 1, 0, 0, -1, 0],
+                [0, 0, 1, 0, 0, 2],
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("message", sorted(MIXED))
+    def test_rejects_unusable_shapovalov_basis(self, sl2, message):
+        m, n, P = self.MIXED[message]
+        big, small = sl2_module(sl2, m), sl2_module(sl2, n)
+        shift = (m - n) // 2
+        degrees = big.degrees + [(d[0] + shift,) for d in small.degrees]
+
+        def block_sum(A, B):
+            return [list(row) + [RAT_ZERO] * len(B) for row in A] + [
+                [RAT_ZERO] * len(A) + list(row) for row in B
+            ]
+
+        E, F = block_sum(big.E[0], small.E[0]), block_sum(big.F[0], small.F[0])
+        P = [[Rat.of(c) for c in row] for row in P]
+        P_inv = linalg.invert(P)
+        E, F = (linalg.mat_mul(P_inv, linalg.mat_mul(X, P)) for X in (E, F))
+        with pytest.raises(ModuleError, match=message):
+            LWModule(sl2, "bad", (m,), degrees, {0: E}, {0: F})
 
     def test_module_file_roundtrip(self, sl2):
         V = sl2_module(sl2, 2)
