@@ -85,14 +85,14 @@ class BraidOps:
             x = self.T(i, x)
         return x
 
-    def T_half(self, i, x: HalfElem, inverse: bool = False) -> HalfElem:
+    def T_half(self, i, x: HalfElem) -> HalfElem:
         """T_i of a half element whose image stays in the same half."""
         tri = self.ctx.from_halves(
             minus=x if x.sign == MINUS else None,
             plus=x if x.sign == PLUS else None,
             flavor="localized",
         )
-        out = self.T(i, tri, inverse=inverse)
+        out = self.T(i, tri)
         return self._extract_half(out, x.sign)
 
     def _extract_half(self, tri: TriElem, sign: int) -> HalfElem:

@@ -13,7 +13,6 @@ from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .scalar import (
     Rat,
     RAT_ZERO,
-    accumulate,
     common_denominator,
     nu_power,
     qangle,
@@ -188,15 +187,6 @@ class CanonicalTables:
         return "F[" + " ".join(self.datum.labels[i] for i in reversed(word)) + "]"
 
     # -- the PBW + bar-correction engine (finite type) --------------------------
-    def _sigma(self, x: HalfElem) -> HalfElem:
-        """Antilinear algebra automorphism fixing the canonical basis:
-        words unchanged, coefficients barred, sign (-1)^height per degree.
-        The words stay the pivot words, so the result is already compressed."""
-        terms = {}
-        for w, c in x.terms.items():
-            terms[w] = c.bar() * Rat.of((-1) ** len(w))
-        return HalfElem(self.half, x.sign, terms, compressed=True)
-
     @cached_property
     def _pbw_roots(self):
         """A reduced longest word and its positive roots, in PBW order."""
@@ -221,9 +211,13 @@ class CanonicalTables:
             for i, n in zip(word, a):
                 c = c / Rat.of(qangle_factorial(n, datum.qi_exp(i)))
             scaled.append(half.flip(braid.schubert_pbw(word, a)).scale(c))
+        # sigma, the antilinear automorphism fixing the canonical basis, keeps
+        # the pivot words and bars each coefficient, times (-1)^height; so the
+        # sigma-matrix is (-1)^height bar(W) W^-1 with W the pivot coordinates
         basis = half.degree_basis(gamma)
-        Winv = linalg.invert([basis.coords(x.terms) for x in scaled])
-        sig = linalg.mat_mul([basis.coords(self._sigma(x).terms) for x in scaled], Winv)
+        sign = Rat.of((-1) ** sum(gamma))
+        W = [basis.coords(x.terms) for x in scaled]
+        sig = linalg.mat_mul([[c.bar() * sign for c in r] for r in W], linalg.invert(W))
         # in the sorted composition order (lexicographic in Lusztig data) the
         # sigma-matrix is upper unitriangular (Lusztig, J. AMS 3, 1990)
         n = len(comps)
@@ -237,7 +231,7 @@ class CanonicalTables:
             fix = bar_fix(rows[k], range(k + 1, n), rows.__getitem__, "negative", f"{gamma} row {k}")
             for l, c in fix.items():
                 elem = elem + scaled[l].scale(c)
-            if not self._sigma(elem) == elem:
+            if any(c.bar() * sign != c for c in elem.terms.values()):
                 raise TableConflict(f"canonical element at {gamma} not sigma-fixed")
             labels.append("can" + "".join(f"[{r}^{n}]" if n else "" for r, n in enumerate(a)))
             elems.append(elem)
@@ -400,15 +394,12 @@ class CanonicalTables:
         return got
 
     def half_to_dcb(self, x: HalfElem) -> dict:
-        """Expand a half element over dual-canonical labels."""
-        out: dict = {}
-        for gamma in x.degrees():
-            comp = x.component(gamma)
-            w2d = self.word_to_dcb(gamma)
-            for w, c in comp.terms.items():
-                for lab, d in w2d[w].items():
-                    accumulate(out, lab, c * d)
-        return out
+        """Expand a half element over dual-canonical labels: the label slot of
+        its side in the to_dcb coordinates of x as an element of the double."""
+        ctx = self.alg.ctx
+        if x.sign == MINUS:
+            return {lm: c for (_, lm, _), c in ctx.to_dcb(ctx.from_halves(minus=x)).items()}
+        return {lp: c for (_, _, lp), c in ctx.to_dcb(ctx.from_halves(plus=x)).items()}
 
     # ------------------------------------------------------------ crystal layer
     def ell(self, label: str, i) -> int:

@@ -85,10 +85,23 @@ class Builder:
         return self.acc
 
 
-def _unit_k(alg, i, power=1):
-    vec = [0] * alg.datum.rank
-    vec[i] = power
-    return tuple(vec)
+def _interval(half, a, b):
+    """E_[a,b] of sl_(n+1), 1-indexed inclusive; 1 when a > b."""
+    if a > b:
+        return half.unit(PLUS)
+    out_e = half.gen(PLUS, b - 1)
+    for idx in range(b - 2, a - 2, -1):
+        gd = half.gen_divided(PLUS, idx, 1)
+        out_e = (out_e * gd).scale(nu_power(1)) - (gd * out_e).scale(nu_power(-1))
+    return out_e
+
+
+def _e2112(b2):
+    """E_2112 of B2: E_2 E_112 - q^2 E_12 E_12."""
+    half = b2.half
+    e12 = half.flip(b2.tables.two_letter_dcb(0, 1, 1, 0))
+    e112 = half.flip(b2.tables.two_letter_dcb(0, 1, 2, 0))
+    return half.gen(PLUS, 1) * e112 - (e12 * e12).scale(nu_power(4))
 
 
 # ===========================================================================
@@ -294,8 +307,8 @@ def suite_tables_minus_one_family():
         e_ji = half.flip(f_ji)
         lab_fi = alg.label_of(MINUS, half.gen(MINUS, i))
         lab_fj = alg.label_of(MINUS, half.gen(MINUS, j))
-        kpi, kpj = _unit_k(alg, i), _unit_k(alg, j)
-        kmi, kmj = _unit_k(alg, i), _unit_k(alg, j)
+        kpi, kpj = alg.datum.alpha(i), alg.datum.alpha(j)
+        kmi, kmj = alg.datum.alpha(i), alg.datum.alpha(j)
         zero = (0,) * alg.datum.rank
 
         # commutator of the dual pair
@@ -948,10 +961,7 @@ def suite_tables_tony():
         )
     )
 
-    e12 = half.flip(f12)
-    e112 = half.flip(b2.tables.two_letter_dcb(0, 1, 2, 0))
-    e2112 = half.gen(PLUS, 1) * e112 - (e12 * e12).scale(nu_power(4))
-    lab2112 = b2.label_of(PLUS, e2112)
+    lab2112 = b2.label_of(PLUS, _e2112(b2))
     f2112 = b2.dcb_elem(MINUS, lab2112)
     lab_f211 = b2.label_of(MINUS, b2.tables.two_letter_dcb(0, 1, 0, 2))
     lab_f112 = b2.label_of(MINUS, b2.tables.two_letter_dcb(0, 1, 2, 0))
@@ -985,27 +995,16 @@ def suite_tables_tony():
         alg = Algebra.get(preset)
         n = alg.datum.rank
         half = alg.half
-
-        def interval(a, b):
-            # E_[a,b], 1-indexed inclusive
-            if a > b:
-                return half.unit(PLUS)
-            out_e = half.gen(PLUS, b - 1)
-            for idx in range(b - 2, a - 2, -1):
-                gd = half.gen_divided(PLUS, idx, 1)
-                out_e = (out_e * gd).scale(nu_power(1)) - (gd * out_e).scale(nu_power(-1))
-            return out_e
-
         ok = True
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                e_ab = interval(a, b)
+                e_ab = _interval(half, a, b)
                 lm = alg.label_of(MINUS, half.flip(e_ab))
                 lp = alg.label_of(PLUS, half.star(e_ab))
                 got = alg.circ(lm, lp).with_flavor("full")
                 want = alg.ctx.zero("full")
                 for jj in range(a - 1, b + 1):
-                    e_aj = interval(a, jj)
+                    e_aj = _interval(half, a, jj)
                     star_aj = half.star(e_aj)
                     kvecp = tuple(1 if jj + 1 <= t + 1 <= b else 0 for t in range(n))
                     coeff = Rat.of((-1) ** (b - jj)) * q_(b - jj)
@@ -1209,10 +1208,7 @@ def suite_rst():
         rst = RSTMap(alg, V)
         got = rst.xi_invariant()
         half = alg.half
-        e_int = half.gen(PLUS, n - 1)
-        for i in range(n - 2, -1, -1):
-            gd = half.gen_divided(PLUS, i, 1)
-            e_int = (e_int * gd).scale(nu_power(1)) - (gd * e_int).scale(nu_power(-1))
+        e_int = _interval(half, 1, n)
         f_lab = alg.label_of(MINUS, half.flip(e_int))
         e_star_lab = alg.label_of(PLUS, half.star(e_int))
         bullet = alg.bullet(f_lab, e_star_lab).with_flavor("check")
@@ -1230,11 +1226,7 @@ def suite_rst():
     )
     out.append(("sp4 omega_1 invariant = -F_121 bullet E_121", ok, ""))
     V2 = sp4_module(b2, 2)
-    half = b2.half
-    e12 = half.flip(b2.tables.two_letter_dcb(0, 1, 1, 0))
-    e112 = half.flip(b2.tables.two_letter_dcb(0, 1, 2, 0))
-    e2112 = half.gen(PLUS, 1) * e112 - (e12 * e12).scale(nu_power(4))
-    lab2112 = b2.label_of(PLUS, e2112)
+    lab2112 = b2.label_of(PLUS, _e2112(b2))
     ok = RSTMap(b2, V2).xi_invariant() == b2.bullet(lab2112, lab2112).with_flavor("check")
     out.append(("sp4 omega_2 invariant = F_2112 bullet E_2112", ok, ""))
     return out

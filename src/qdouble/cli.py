@@ -178,18 +178,7 @@ def cmd_basis(args) -> int:
             _emit(args, text)
             return 0
     rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
-    payload = []
-    for row in rows:
-        payload.append(
-            {
-                "K_minus": row["K_minus"],
-                "K_plus": row["K_plus"],
-                "b_minus": row["b_minus"],
-                "b_plus": row["b_plus"],
-                "element": tri_to_obj(row["element"]),
-                "certificate": row["certificate"],
-            }
-        )
+    payload = [{**row, "element": tri_to_obj(row["element"])} for row in rows]
     text = json.dumps(payload, indent=1, sort_keys=True)
     if cache_file:
         os.makedirs(cache_dir, exist_ok=True)

@@ -273,16 +273,13 @@ class Engine:
 
     # ======================================================== structure constants
     def structure_constants(self, lm: str, lp: str):
-        """Expansion of d * b_- b_+ over K diamond (b'_- bullet b'_+).
+        """Expansion of d * b_- b_+ over K diamond (b'_- bullet b'_+); its DCB
+        coordinates are {(1, lm, lp): d} by definition (the "pair" family).
 
         Returns (coefficients, positivity report); integrality is asserted,
         positivity only reported.
         """
-        prod = self.ctx.multiply(
-            self.ctx.from_halves(minus=self.tables.dcb_elem(MINUS, lm), flavor="full"),
-            self.ctx.from_halves(plus=self.tables.dcb_elem(PLUS, lp), flavor="full"),
-        ).scale(self.ctx.d_multiplier(lm, lp))
-        coeffs = self.expand_in_bullet_family(self.ctx.to_dcb(prod))
+        coeffs = self.expand_in_bullet_family(self._family_dcb("pair", lm, lp, "plus"))
         report = {"positive": True, "violations": []}
         out = {}
         for idx, c in coeffs.items():
@@ -407,7 +404,6 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
                 -2 * (datum.dot(d2m, d1m) + datum.dot(d2m, d3m) + datum.dot(d3m, d1m))
             )
             coeff = cp * cm * weight * pair1 * pair2
-            K = kmono(d3m, d3p)
             term = ctx.from_halves(
                 minus=tables.dcb_elem(MINUS, m2),
                 plus=tables.dcb_elem(PLUS, p2),

@@ -388,9 +388,5 @@ class RSTMap:
         lhs = ctx.zero("check")
         for coeff, uu, vv in terms:
             lhs = lhs + self.xi_pair(uu, vv).scale(coeff)
-        xi_uv = self.xi_pair(uvec, vvec)
-        E = ctx.e_gen(i, "check").scale(bracket.inv())
-        rank = datum.rank
-        kp_inv = ctx.k_elem(kmono((0,) * rank, tuple(-1 if t == i else 0 for t in range(rank))), "check")
-        rhs = ctx.multiply(ctx.multiply(E, xi_uv) - ctx.multiply(xi_uv, E), kp_inv)
+        rhs = ctx.adjoint_act(i, "E", self.xi_pair(uvec, vvec)).scale(bracket.inv())
         return ctx.normalize_tags(lhs) == ctx.normalize_tags(rhs)

@@ -535,45 +535,38 @@ def qangle(a: int, base: int = 1) -> Laurent:
     return Laurent({a: 1, -a: -1}).subs_power(base)
 
 
-def qsq_factorial(a: int, base: int = 1) -> Laurent:
+def _qproduct(q, args, base: int) -> Laurent:
+    """The product of q(j, base) over j in args, in order; ONE when empty."""
     p = ONE
-    for j in range(1, a + 1):
-        p = p * qsq(j, base)
+    for j in args:
+        p = p * q(j, base)
     return p
+
+
+def qsq_factorial(a: int, base: int = 1) -> Laurent:
+    return _qproduct(qsq, range(1, a + 1), base)
 
 
 def qround_factorial(a: int, base: int = 1) -> Laurent:
-    p = ONE
-    for j in range(1, a + 1):
-        p = p * qround(j, base)
-    return p
+    return _qproduct(qround, range(1, a + 1), base)
 
 
 def qangle_factorial(a: int, base: int = 1) -> Laurent:
-    p = ONE
-    for j in range(1, a + 1):
-        p = p * qangle(j, base)
-    return p
+    return _qproduct(qangle, range(1, a + 1), base)
 
 
 def qsq_binom(a: int, n: int, base: int = 1) -> Laurent:
     """[a choose n] in base v^base; 0 for n < 0."""
     if n < 0:
         return ZERO
-    num = ONE
-    for j in range(n):
-        num = num * qsq(a - j, base)
-    return num.exact_div(qsq_factorial(n, base))
+    return _qproduct(qsq, range(a, a - n, -1), base).exact_div(qsq_factorial(n, base))
 
 
 def qround_binom(a: int, n: int, base: int = 1) -> Laurent:
     """(a choose n) in base v^base; 0 for n < 0."""
     if n < 0:
         return ZERO
-    num = ONE
-    for j in range(n):
-        num = num * qround(a - j, base)
-    return num.exact_div(qround_factorial(n, base))
+    return _qproduct(qround, range(a, a - n, -1), base).exact_div(qround_factorial(n, base))
 
 
 # ---------------------------------------------------------------------------

@@ -47,23 +47,11 @@ class SL2Oracle:
         return out
 
     def cheb_closed(self, m: int, k: int = 0, side: str = "F") -> TriElem:
-        """F^k C^(m) (or C^(m) E^k) by the explicit double sum."""
-        ctx = self.ctx
-        out = ctx.zero("full")
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                coeff = (
-                    Rat.of((-1) ** (a + b))
-                    * nu_power(2 * (k + 1) * (a - b))
-                    * Rat.of(qsq_binom(m - a, b, -4))
-                    * Rat.of(qsq_binom(m - b, a, 4))
-                )
-                if side == "F":
-                    word = self.fe_word(0, 0, m + k - a - b, m - a - b)
-                else:
-                    word = self.fe_word(0, 0, m - a - b, m + k - a - b)
-                out = out + ctx.diamond(kmono((b,), (a,)), word).scale(coeff)
-        return out
+        """F^k C^(m) (or C^(m) E^k) by the explicit double sum, which is the
+        bullet closed form with gap k."""
+        if side == "F":
+            return self.bullet_closed(m + k, m)
+        return self.bullet_closed(m, m + k)
 
     # -- closed circle/bullet forms ----------------------------------------------
     def circ_closed(self, m_minus: int, m_plus: int) -> TriElem:

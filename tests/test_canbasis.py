@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -6,7 +7,7 @@ from qdouble import Algebra
 from qdouble.canbasis import TableIncomplete
 from qdouble.cartan import PRESETS
 from qdouble.halves import PLUS, MINUS, half_to_obj
-from qdouble.scalar import Laurent, Rat, RAT_ONE, nu_power, qangle, qround
+from qdouble.scalar import Laurent, Rat, RAT_ONE, RAT_ZERO, nu_power, qangle, qround
 
 
 # The printed dual tables, kept as data independent of the Gram-dual builder.
@@ -506,6 +507,30 @@ class TestCrystal:
             coeffs = a2.tables.half_to_dcb(img)
             for c in coeffs.values():
                 assert c.is_laurent()
+
+
+class TestHalfToDcb:
+    @pytest.mark.parametrize("preset", ["A2", "B2"])
+    def test_matches_word_loop(self, preset):
+        # half_to_dcb reads to_dcb of the element in the double; the loop it
+        # replaced summed the word-to-label rows over the words of each degree
+        alg = Algebra.get(preset)
+        rng = random.Random(16)
+        for sign in (MINUS, PLUS):
+            for _ in range(8):
+                terms = {}
+                for _ in range(rng.randrange(1, 5)):
+                    w = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+                    terms[w] = Rat.of(Laurent({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3])}))
+                x = alg.half.element(sign, terms)
+                want = {}
+                for gamma in x.degrees():
+                    w2d = alg.tables.word_to_dcb(gamma)
+                    for w, c in x.component(gamma).terms.items():
+                        for lab, d in w2d[w].items():
+                            want[lab] = want.get(lab, RAT_ZERO) + c * d
+                want = {lab: c for lab, c in want.items() if not c.is_zero()}
+                assert alg.tables.half_to_dcb(x) == want
 
 
 class TestTwistedStructureConstants:

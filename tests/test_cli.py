@@ -98,8 +98,23 @@ class TestBasis:
             ([1], {"c": "1", "w": "F:1"}, "must be {"),
             ([2], [{"c": "1", "w": "F:1 1"}, {"c": "1", "w": "E:1 1"}], "mixes E-side and F-side"),
             ([2], [{"c": "1", "w": "F:1"}], "not of degree [2]"),
+            ([-1], [{"c": "1", "w": "F:1"}], "degree [-1] is not a list of 1 naturals"),
+            ([1], [{"c": "1", "w": "E:1"}], "element 'x' is E-side; tables hold F-side elements"),
+            ([1], [{"c": "1*u", "w": "F:1"}], "element 'x': cannot parse Laurent term '1*u'"),
+            ([1], [{"c": "0", "w": "F:1"}], "element 'x' is zero"),
+            ([1], [{"c": "1", "w": "1"}], "word '1' must read 'E:...' or 'F:...'"),
         ],
-        ids=["scaled", "not-a-list", "mixed-signs", "wrong-degree"],
+        ids=[
+            "scaled",
+            "not-a-list",
+            "mixed-signs",
+            "wrong-degree",
+            "negative-degree",
+            "all-E",
+            "bad-coefficient",
+            "zero-element",
+            "no-prefix",
+        ],
     )
     def test_invalid_user_tables(self, capsys, tmp_path, degree, element, message):
         tables = tmp_path / "tables.json"
@@ -110,6 +125,51 @@ class TestBasis:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "--tables is not JSON"),
+            ('{"degree": [1]}', "--tables must hold a JSON list of degree blocks"),
+            ("[1]", 'a --tables block must be {"degree": [...], "elements": [...]}'),
+            (json.dumps(USER_TABLE_A1 * 2), "degree [1] appears twice in --tables"),
+            (
+                json.dumps([{"degree": [1], "elements": USER_TABLE_A1[0]["elements"] * 2}]),
+                "label 'x' appears twice in --tables",
+            ),
+        ],
+        ids=["not-json", "not-a-list", "block-not-a-dict", "degree-twice", "label-twice"],
+    )
+    def test_invalid_tables_file(self, capsys, tmp_path, text, message):
+        tables = tmp_path / "tables.json"
+        tables.write_text(text)
+        code = main(["basis", "--preset", "A1", "--height", "1", "--tables", str(tables)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
+    def test_tables_without_canonical_source_load(self, capsys, tmp_path):
+        # A1affine (1,3) has no canonical basis to be dual to: three of its
+        # four words are a basis (the Serre relation ties all four), and load
+        words = ["1 2 2 2", "2 1 2 2", "2 2 1 2"]
+        elements = [{"label": f"x{k}", "element": [{"c": "1", "w": f"F:{w}"}]} for k, w in enumerate(words)]
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps([{"degree": [1, 3], "elements": elements}]))
+        code, out = run(capsys, "basis", "--preset", "A1affine", "--height", "0", "--tables", str(tables))
+        assert code == 0 and json.loads(out)[0]["b_minus"] == "1"
+
+    def test_out_file(self, capsys, tmp_path):
+        # --out writes the bytes stdout would carry, less print's newline
+        target = tmp_path / "table.json"
+        assert run(capsys, "basis", "--preset", "A1", "--height", "1", "--out", str(target)) == (0, "")
+        written = target.read_bytes() + b"\n"
+        assert hashlib.sha256(written).hexdigest() == A1_H1_SHA256
+
+    def test_negative_height(self, capsys):
+        code = main(["basis", "--preset", "A1", "--height", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "height bound must be nonnegative" in captured.err
 
     def test_r3_111_tables_checked(self, capsys, tmp_path):
         # R3 (1,1,1) has a canonical basis, so its block is checked: the six
@@ -161,6 +221,22 @@ class TestBasis:
     def test_bad_json_datum(self, capsys, preset):
         assert main(["basis", "--preset", preset, "--height", "1"]) == 2
         assert "bad Cartan datum JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, message",
+        [
+            ('{"labels": ["1", "2"], "A": [[2]], "d": [1, 1]}', "Cartan matrix shape does not match labels"),
+            ('{"labels": ["1"], "A": [[2]], "d": [0]}', "symmetrizers must be positive"),
+            ('{"labels": ["1"], "A": [[3]], "d": [1]}', "diagonal Cartan entries must equal 2"),
+            ('{"labels": ["1", "2"], "A": [[2, 0], [-1, 2]], "d": [1, 1]}', "a_ij = 0 iff a_ji = 0 violated"),
+        ],
+        ids=["shape", "symmetrizer", "diagonal", "zero-pattern"],
+    )
+    def test_invalid_json_datum(self, capsys, preset, message):
+        code = main(["basis", "--preset", preset, "--height", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
     def test_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(tmp_path))
@@ -305,6 +381,15 @@ class TestVerify:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_failing_suite_exits_1(self, capsys, monkeypatch):
+        from qdouble import checks
+
+        monkeypatch.setitem(checks.SUITES, "failing", lambda: [("patched identity", False, "")])
+        monkeypatch.setitem(checks.CLI_SUITES, "sl2", ("failing",))
+        code, out = run(capsys, "verify", "sl2")
+        assert code == 1
+        assert out == "FAIL patched identity\n0/1 checks passed\n"
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from qdouble import Algebra, lusztig
-from qdouble.canbasis import CanonicalTables, TableConflict
+from qdouble.braid import BraidOps
+from qdouble.canbasis import TableConflict
 from qdouble.cli import _load_user_tables
-from qdouble.double import format_tri, kmono
+from qdouble.double import format_tri, k_one, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
 from qdouble.scalar import (
@@ -63,10 +64,11 @@ class TestLLSolve:
         assert bar_fix(rows[1], [0], rows.__getitem__, "positive", "E2") == {0: Rat.of(Laurent({1: 1}))}
 
     def test_sigma_not_unitriangular_raises(self, monkeypatch):
-        # a sigma whose image is off by v gives the PBW degree (2,2) of A2 a
-        # sigma-matrix with diagonal v, which the canonical basis must refuse
-        sigma = CanonicalTables._sigma
-        monkeypatch.setattr(CanonicalTables, "_sigma", lambda self, x: sigma(self, x).scale(nu_power(1)))
+        # PBW monomials rescaled by v^mu instead of v^-mu give the degree (2,2)
+        # of A2 a sigma-matrix off the unitriangular form, which the canonical
+        # basis must refuse
+        mu = BraidOps.mu_exponent
+        monkeypatch.setattr(BraidOps, "mu_exponent", lambda self, word, a: -mu(self, word, a))
         with pytest.raises(TableConflict, match="not upper unitriangular"):
             Algebra("A2").tables.canonical_basis((2, 2))
 
@@ -345,6 +347,43 @@ class TestStructureConstants:
         lab0 = sl2.tables.labels_of_degree((0,))[0]
         coeffs, _ = sl2.structure_constants(lab0, lab0)
         assert coeffs == {(((0,), (0,)), lab0, lab0): RAT_ONE}
+
+    def test_multiplier_enters(self):
+        # d = (2)_q on the dual pair F_ij, E_ij of A1affine: the expansion
+        # over K diamond bullet rebuilds d b_- b_+, not b_- b_+
+        aff = Algebra.get("A1affine")
+        ctx = aff.ctx
+        lab = aff.tables._two_letter_label(0, 1, 1, 0)
+        coeffs, _ = aff.structure_constants(lab, lab)
+        total = ctx.zero("full")
+        for ((am, ap), l2, l3), c in coeffs.items():
+            total = total + ctx.diamond(kmono(am, ap), aff.bullet(l2, l3)).scale(c)
+        pair = ctx.from_halves(minus=aff.dcb_elem(MINUS, lab), plus=aff.dcb_elem(PLUS, lab), flavor="full")
+        assert total == pair.scale(aff.d_multiplier(lab, lab)) != pair
+
+    @pytest.mark.parametrize("preset", ["A2", "B2"])
+    def test_pair_coordinates_by_definition(self, preset):
+        # structure_constants expands the "pair" family's coordinates
+        # {(1, lm, lp): d} in place of to_dcb of the product d b_- b_+; the two
+        # agree on every label pair through height 3
+        alg = Algebra.get(preset)
+        ctx, tables = alg.ctx, alg.tables
+        one = k_one(alg.datum.rank)
+        labels = [
+            lab
+            for h in range(4)
+            for gamma in alg.datum.degrees_of_height(h)
+            for lab in tables.labels_of_degree(gamma)
+        ]
+        for lm in labels:
+            for lp in labels:
+                d = ctx.d_multiplier(lm, lp)
+                prod = ctx.multiply(
+                    ctx.from_halves(minus=tables.dcb_elem(MINUS, lm), flavor="full"),
+                    ctx.from_halves(plus=tables.dcb_elem(PLUS, lp), flavor="full"),
+                ).scale(d)
+                want = {(one, lm, lp): Rat.of(d)}
+                assert ctx.to_dcb(prod) == want == alg.engine._family_dcb("pair", lm, lp, "plus"), (lm, lp)
 
     def test_integrality_line_can_fail(self, monkeypatch):
         # the A2 verify line fails when any structure constant cannot be

@@ -16,6 +16,7 @@ from qdouble.scalar import (
     qsq,
     qround,
     qangle,
+    qsq_factorial,
     qround_factorial,
     qangle_factorial,
     qsq_binom,
@@ -214,6 +215,33 @@ class TestQNumbers:
                 lhs = qsq_binom(a, n, -2)
                 rhs = qsq_binom(a, n, 2).shift(2 * n * (n - a))
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("base", [1, 2, 4, -4])
+    def test_products_match_loops(self, base):
+        # every factorial and binomial is one q-product; the loops they
+        # replaced multiply q(1) ... q(a), and q(a) ... q(a - n + 1) divided
+        # exactly by the factorial of n
+        def factorial(q, a):
+            p = ONE
+            for j in range(1, a + 1):
+                p = p * q(j, base)
+            return p
+
+        def binom(q, a, n):
+            if n < 0:
+                return ZERO
+            num = ONE
+            for j in range(n):
+                num = num * q(a - j, base)
+            return num.exact_div(factorial(q, n))
+
+        for a in range(9):
+            assert qsq_factorial(a, base) == factorial(qsq, a)
+            assert qround_factorial(a, base) == factorial(qround, a)
+            assert qangle_factorial(a, base) == factorial(qangle, a)
+            for n in range(-1, a + 2):
+                assert qsq_binom(a, n, base) == binom(qsq, a, n), (a, n)
+                assert qround_binom(a, n, base) == binom(qround, a, n), (a, n)
 
     def test_angle_vs_round(self):
         for a in range(8):
