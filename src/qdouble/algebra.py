@@ -2,25 +2,23 @@
 canonical-basis tables and the circle/bullet engine."""
 from __future__ import annotations
 
+from .braid import BraidOps
+from .canbasis import CanonicalTables
 from .cartan import get_datum
+from .double import DoubleContext
 from .halves import HalfAlgebra
+from .lusztig import Engine
 
 
 class Algebra:
     _registry: dict = {}
 
     def __init__(self, datum):
-        from .braid import BraidOps
-        from .canbasis import CanonicalTables
-        from .double import DoubleContext
-        from .lusztig import Engine
-
         self.datum = get_datum(datum)
         self.half = HalfAlgebra(self.datum)
         self.ctx = DoubleContext(self.half)
         self.braid = BraidOps(self.ctx)
         self.tables = CanonicalTables(self)
-        self.ctx.tables = self.tables
         self.engine = Engine(self)
 
     @classmethod
@@ -44,7 +42,7 @@ class Algebra:
         return self.engine.bullet(lm, lp, variant)
 
     def d_multiplier(self, lm, lp):
-        return self.ctx.d_multiplier(lm, lp)
+        return self.engine.d_multiplier(lm, lp)
 
     def structure_constants(self, lm, lp):
         return self.engine.structure_constants(lm, lp)

@@ -64,8 +64,6 @@ class BraidOps:
     def T(self, i, x: TriElem, inverse: bool = False) -> TriElem:
         """Braid operator T_i (or its inverse) on the localized double."""
         i = self.datum.index(i)
-        if x.flavor not in ("localized",):
-            x = x.with_flavor("localized")
         if inverse:
             return self.ctx.transpose(self.T(i, self.ctx.transpose(x)))
         ctx = self.ctx
@@ -209,8 +207,6 @@ def tame_apply(algebra, i, lab_plus: str):
     are computed independently; a mismatch is a fatal consistency error.
     Returns (K-monomial, minus label, plus label) of the basis-element form.
     """
-    from .double import kmono
-
     i = algebra.datum.index(i)
     half = algebra.half
     b = algebra.dcb_elem(PLUS, lab_plus)

@@ -1,7 +1,8 @@
 """Canonical bases of U_q^- (computed for finite type, tabulated where the
 algorithmic path does not reach), their duals under the twisted form (one
-Gram inverse in pivot coordinates per degree), and crystal-style shift
-operators on dual-canonical-basis labels.
+Gram inverse in pivot coordinates per degree), the coordinates of words and
+of elements of the double over the dual canonical bases (`word_to_dcb`,
+`to_dcb`), and crystal-style shift operators on dual-canonical-basis labels.
 """
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ from itertools import permutations
 
 from .cartan import PRESETS
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
+from .lusztig import bar_fix
 from .scalar import (
     Rat,
     RAT_ZERO,
+    accumulate,
     common_denominator,
     nu_power,
+    over_denominator,
     qangle,
     qangle_factorial,
     qround_binom,
@@ -195,8 +199,6 @@ class CanonicalTables:
         return word, [datum.weyl_act(word[:r], datum.alpha(i)) for r, i in enumerate(word)]
 
     def _algorithmic_cb(self, gamma) -> CBTable:
-        from .lusztig import bar_fix
-
         half = self.half
         datum = self.datum
         word, roots = self._pbw_roots
@@ -366,10 +368,27 @@ class CanonicalTables:
         so one map serves both halves."""
         return self._word_rows(gamma)[0]
 
-    def word_to_dcb_numerators(self, gamma):
-        """(rows, d): the rows of word_to_dcb(gamma) as Laurent numerators
-        over one denominator d, the lcm of their denominators."""
-        return self._word_rows(gamma)[1:]
+    def to_dcb(self, x) -> dict:
+        """Coordinates {(K, label_-, label_+): scalar} of an element x of the
+        double over the products K b_- b_+ (`from_halves` with K, no diamond
+        twist).  A label fixes its degree, so the numerators of one degree
+        pair (gamma_-, gamma_+) share the denominator D_x d(gamma_-) d(gamma_+),
+        with d(gamma) the lcm of the denominators of word_to_dcb(gamma)."""
+        rows = self._word_rows
+        nums, dx = common_denominator(list(x.terms.values()))
+        by_pair: dict = {}
+        for (K, f, e), n in zip(x.terms, nums):
+            gm, gp = self.half.word_degree(f), self.half.word_degree(e)
+            acc = by_pair.setdefault((gm, gp), {})
+            row_p = rows(gp)[1][e]
+            for lm, cm in rows(gm)[1][f].items():
+                nm = n * cm
+                for lp, cp in row_p.items():
+                    accumulate(acc, (K, lm, lp), nm * cp)
+        out = {}
+        for (gm, gp), acc in by_pair.items():
+            out.update(over_denominator(acc, dx * rows(gm)[2] * rows(gp)[2]))
+        return out
 
     def _word_rows(self, gamma):
         gamma = tuple(gamma)
@@ -398,8 +417,8 @@ class CanonicalTables:
         its side in the to_dcb coordinates of x as an element of the double."""
         ctx = self.alg.ctx
         if x.sign == MINUS:
-            return {lm: c for (_, lm, _), c in ctx.to_dcb(ctx.from_halves(minus=x)).items()}
-        return {lp: c for (_, _, lp), c in ctx.to_dcb(ctx.from_halves(plus=x)).items()}
+            return {lm: c for (_, lm, _), c in self.to_dcb(ctx.from_halves(minus=x)).items()}
+        return {lp: c for (_, _, lp), c in self.to_dcb(ctx.from_halves(plus=x)).items()}
 
     # ------------------------------------------------------------ crystal layer
     def ell(self, label: str, i) -> int:

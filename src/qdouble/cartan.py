@@ -54,9 +54,6 @@ class CartanDatum:
     def alpha(self, i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     # -- pairing layer ----------------------------------------------------
     def dot(self, alpha, beta) -> int:
         """alpha . beta = sum d_i a_ij alpha_i beta_j on Gamma."""
@@ -92,9 +89,6 @@ class CartanDatum:
         return 2 * self.d[i]
 
     # -- degree enumeration ------------------------------------------------
-    def height(self, alpha) -> int:
-        return sum(alpha)
-
     def degrees_up_to(self, gamma) -> list[tuple[int, ...]]:
         """All componentwise-bounded degrees, sorted by height then lex."""
         ranges = [range(g + 1) for g in gamma]

@@ -3,13 +3,17 @@ tests.  Every check returns (name, ok, detail); nothing here mutates state
 beyond the algebra caches."""
 from __future__ import annotations
 
+import json
 import random
 
+from . import linalg
 from .algebra import Algebra
 from .braid import tame_apply
 from .cartan import CartanDatum
-from .double import TriElem, kmono
+from .double import TriElem, kmono, tri_to_obj
 from .halves import PLUS, MINUS, HalfElem
+from .lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
+from .rst import RSTMap, sl2_module, sp4_module, vector_module
 from .scalar import (
     Laurent,
     Rat,
@@ -1084,7 +1088,7 @@ def suite_braid(seed: int = 2026):
     img = aff.braid.T(0, aff.bullet(lab(1, 0), lab(0, 1)).with_flavor("localized"))
     shift = kmono((2, 2), (2, 2))
     shifted = aff.ctx.diamond(shift, img).with_flavor("full")
-    coeffs = aff.engine.expand_in_bullet_family(aff.ctx.to_dcb(shifted))
+    coeffs = aff.engine.expand_in_bullet_family(aff.tables.to_dcb(shifted))
     got = {
         ((tuple(a - 2 for a in am), tuple(a - 2 for a in ap)), lm, lp): c
         for ((am, ap), lm, lp), c in coeffs.items()
@@ -1171,8 +1175,6 @@ def suite_tame():
 # ===========================================================================
 
 def suite_rst():
-    from .rst import RSTMap, sl2_module, sp4_module, vector_module
-
     out = []
     sl2 = Algebra.get("A1")
     orc = SL2Oracle(sl2.ctx)
@@ -1297,6 +1299,22 @@ def suite_strconst():
             f"{pairs} pairs; positivity: {positivity}",
         )
     )
+
+    # every A2 pair above has d = 1; the A1affine pair F[1 2] has d = (2)_q,
+    # so its expansion must rebuild d b_- b_+, which differs from b_- b_+
+    aff = Algebra.get("A1affine")
+    f12 = "F[1 2]"
+    try:
+        coeffs, _ = aff.structure_constants(f12, f12)
+    except TriangularityError:
+        coeffs = {}  # no expansion rebuilds d b_- b_+
+    total = aff.ctx.zero("full")
+    for ((am, ap), l2, l3), c in coeffs.items():
+        total = total + aff.ctx.diamond(kmono(am, ap), aff.bullet(l2, l3)).scale(c)
+    pair = aff.ctx.from_halves(minus=aff.dcb_elem(MINUS, f12), plus=aff.dcb_elem(PLUS, f12))
+    d = aff.d_multiplier(f12, f12)
+    ok = d == qround(2, 2) and total == pair.scale(d) != pair
+    out.append(("A1affine F[1 2] structure constants rebuild d b_- b_+ with d = (2)_q", ok, ""))
     return out
 
 
@@ -1305,9 +1323,6 @@ def suite_strconst():
 # ===========================================================================
 
 def suite_properties(seed: int = 2026):
-    from . import linalg
-    from .lusztig import bar_fix, product_expansion_via_coproduct
-
     out = []
     rng = random.Random(seed)
     ok = True
@@ -1391,9 +1406,6 @@ def suite_properties(seed: int = 2026):
     out.append(("two-path product expansion agreement (rank 2)", ok, ""))
 
     sl2 = Algebra.get("A1")
-    import json
-
-    from .double import tri_to_obj
 
     def render(alg):
         rows = alg.engine.enumerate_basis((2,))

@@ -1,7 +1,8 @@
 """The double U_q(g~), its Heisenberg quotients, and the localized/check
-extensions: triangular straightening, the diamond action, involutions,
-DCB-coordinate expansion, clearing multipliers and the twisted adjoint
-actions.
+extensions: triangular straightening, the diamond action, involutions and
+the twisted adjoint actions.  The double knows no labels: coordinates over
+the dual canonical bases (`CanonicalTables.to_dcb`) and clearing multipliers
+(`Engine.d_multiplier`) live with the tables and the engine.
 
 Elements are stored in triangular normal form: (K-monomial, F-word, E-word)
 -> scalar, with both word blocks compressed to per-degree pivot words.
@@ -10,8 +11,8 @@ Straightening is one recursion with one memo, `_straight`, keyed by
 (E-word, F-word, cross): a one-letter E-word moves past the F-word letter by
 letter, and a longer one straightens its last letter first.
 
-The kernels (multiply, the involutions, to_dcb and the pivot-word normal
-form) are fraction-free: they bring their inputs over one denominator, sum
+The kernels (multiply, the involutions and the pivot-word normal form) are
+fraction-free: they bring their inputs over one denominator, sum
 Laurent numerators, with the Laurent straightening memo and v-powers as
 shifts, and reduce each output coefficient once.
 
@@ -36,11 +37,11 @@ from .scalar import (
     RAT_ONE,
     RAT_ZERO,
     accumulate,
-    clear_denominators,
     common_denominator,
-    cyclotomic_factor,
+    format_scalar,
     nu_power,
     over_denominator,
+    parse_scalar,
     qangle,
 )
 
@@ -145,11 +146,8 @@ class DoubleContext:
         self.datum = half.datum
         self._straight: dict = {}
         self._word_coords: dict = {}
-        self._d_memo: dict = {}
-        self._reverse: dict = {}
         self._pairing: dict = {}
         self._kprod: dict = {}
-        self.tables = None  # canonical-basis table provider, wired by Algebra
 
     # -- scalars of the torus ----------------------------------------------
     def pairing_vector(self, K) -> tuple:
@@ -427,72 +425,6 @@ class DoubleContext:
             accumulate(out, key, c)
         return TriElem(self, x.flavor, out, normalized=True)
 
-    # -- DCB coordinates ---------------------------------------------------------------------
-    def to_dcb(self, x: TriElem) -> dict:
-        """Coordinates {(K, label_-, label_+): scalar} over the products
-        K b_- b_+ (`from_halves` with K, no diamond twist).  A label fixes
-        its degree, so the numerators of one degree pair (gamma_-, gamma_+)
-        share the denominator D_x d(gamma_-) d(gamma_+)."""
-        rows = self._tables().word_to_dcb_numerators
-        nums, dx = common_denominator(list(x.terms.values()))
-        by_pair: dict = {}
-        for (K, f, e), n in zip(x.terms, nums):
-            gm, gp = self.half.word_degree(f), self.half.word_degree(e)
-            acc = by_pair.setdefault((gm, gp), {})
-            row_p = rows(gp)[0][e]
-            for lm, cm in rows(gm)[0][f].items():
-                nm = n * cm
-                for lp, cp in row_p.items():
-                    accumulate(acc, (K, lm, lp), nm * cp)
-        out = {}
-        for (gm, gp), acc in by_pair.items():
-            out.update(over_denominator(acc, dx * rows(gm)[1] * rows(gp)[1]))
-        return out
-
-    def _tables(self):
-        if self.tables is None:
-            raise RuntimeError("no canonical-basis tables wired into this context")
-        return self.tables
-
-    # -- clearing multipliers -----------------------------------------------------------------
-    def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
-        """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
-        memoised per label pair: the commutator expansion d_multiplier
-        clears, and the terms the engine builds bar rows from."""
-        key = (lab_minus, lab_plus)
-        got = self._reverse.get(key)
-        if got is None:
-            tables = self._tables()
-            bm = tables.dcb_elem(MINUS, lab_minus)
-            bp = tables.dcb_elem(PLUS, lab_plus)
-            prod = self.multiply(
-                self.from_halves(plus=bp, flavor="full"), self.from_halves(minus=bm, flavor="full")
-            )
-            got = self._reverse[key] = self.to_dcb(prod)
-        return got
-
-    def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
-        """Minimal monic multiplier clearing the commutator expansion of the pair."""
-        key = (lab_minus, lab_plus)
-        if key in self._d_memo:
-            return self._d_memo[key]
-        fracs = []
-        for (K, lm, lp), c in self.reverse_dcb(lab_minus, lab_plus).items():
-            if k_is_one(K):
-                continue
-            d_low = self.d_multiplier(lm, lp)
-            fracs.append(c / Rat.of(d_low))
-        d = clear_denominators(fracs)
-        # prop:square-roots-style sanity: monic product of Phi_k(q), k >= 3
-        if not d.is_one():
-            if any(k % 2 for k in d.c):
-                raise ValueError(f"multiplier {d} is not a polynomial in q")
-            unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in d.c.items()}))
-            if const != 1 or others or any(k < 3 for k, _ in cyc):
-                raise ValueError(f"multiplier {d} is not a monic product of admissible cyclotomics")
-        self._d_memo[key] = d
-        return d
-
     # -- twisted actions -------------------------------------------------------------------------
     def adjoint_act(self, i, kind: str, x: TriElem) -> TriElem:
         if x.flavor not in ("localized", "check"):
@@ -550,8 +482,6 @@ def _unit_vec(rank: int, i: int, power: int, side: int):
 # ---------------------------------------------------------------------------
 
 def format_tri(x: TriElem) -> str:
-    from .scalar import format_scalar
-
     parts = []
     for (K, f, e) in sorted(x.terms):
         c = format_scalar(x.terms[(K, f, e)])
@@ -565,8 +495,6 @@ def format_tri(x: TriElem) -> str:
 
 
 def tri_to_obj(x: TriElem):
-    from .scalar import format_scalar
-
     out = []
     for (K, f, e) in sorted(x.terms):
         out.append(
@@ -581,8 +509,6 @@ def tri_to_obj(x: TriElem):
 
 
 def tri_from_obj(ctx: DoubleContext, flavor: str, obj) -> TriElem:
-    from .scalar import parse_scalar
-
     terms = {}
     for item in obj:
         K = kmono(item["K"]["minus"], item["K"]["plus"], item["K"].get("tag"))

@@ -19,7 +19,9 @@ from .scalar import (
     RAT_ZERO,
     accumulate,
     common_denominator,
+    format_scalar,
     nu_power,
+    parse_scalar,
     qangle,
     qangle_factorial,
     qround_factorial,
@@ -451,8 +453,6 @@ def parse_word(alg: HalfAlgebra, text: str):
 
 
 def format_half(x: HalfElem) -> str:
-    from .scalar import format_scalar
-
     parts = []
     for w in sorted(x.terms):
         parts.append(f"({format_scalar(x.terms[w])})*{format_word(x.alg, x.sign, w)}")
@@ -460,8 +460,6 @@ def format_half(x: HalfElem) -> str:
 
 
 def half_to_obj(x: HalfElem):
-    from .scalar import format_scalar
-
     return [
         {"c": format_scalar(x.terms[w]), "w": format_word(x.alg, x.sign, w)}
         for w in sorted(x.terms)
@@ -469,8 +467,6 @@ def half_to_obj(x: HalfElem):
 
 
 def half_from_obj(alg: HalfAlgebra, obj) -> HalfElem:
-    from .scalar import parse_scalar
-
     sign = None
     terms = {}
     for item in obj:

@@ -2,16 +2,28 @@
 
 `bar_fix` is the one bar-correction solver: the canonical bases of the halves
 (`CanonicalTables._algorithmic_cb`), the circle product in the Heisenberg
-quotients and the bullet product in the full double all go through it.  Also
-structure-constant extraction and basis enumeration.
+quotients and the bullet product in the full double all go through it.  The
+engine also owns the per-label-pair memos: the reverse products b_+ b_- in
+DCB coordinates (`reverse_dcb`) and the clearing multipliers
+(`d_multiplier`).  Also structure-constant extraction and basis enumeration.
 """
 from __future__ import annotations
 
 import functools
 
-from .double import _DROPPED_K, TriElem, kmono, k_one
+from .double import _DROPPED_K, TriElem, kmono, k_is_one, k_one
 from .halves import PLUS, MINUS
-from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, solve_bar_correction
+from .scalar import (
+    Laurent,
+    Rat,
+    RAT_ONE,
+    RAT_ZERO,
+    accumulate,
+    clear_denominators,
+    cyclotomic_factor,
+    nu_power,
+    solve_bar_correction,
+)
 
 
 class TriangularityError(ValueError):
@@ -85,8 +97,48 @@ class Engine:
         self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
         self._half_bars: dict = {}  # label -> DCB coordinates of bar(b_label)
         self._pair_bars: dict = {}  # (lm, lp) -> DCB coordinates of bar(b_- b_+) in full
+        self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
+        self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
         self._certificates: dict = {}
 
+    # ====================================================== clearing multipliers
+    def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
+        """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
+        memoised per label pair: the commutator expansion d_multiplier
+        clears, and the terms bar rows are built from."""
+        key = (lab_minus, lab_plus)
+        got = self._reverse.get(key)
+        if got is None:
+            ctx = self.ctx
+            bm = self.tables.dcb_elem(MINUS, lab_minus)
+            bp = self.tables.dcb_elem(PLUS, lab_plus)
+            prod = ctx.multiply(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
+            got = self._reverse[key] = self.tables.to_dcb(prod)
+        return got
+
+    def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
+        """Minimal monic multiplier clearing the commutator expansion of the pair."""
+        key = (lab_minus, lab_plus)
+        if key in self._d_memo:
+            return self._d_memo[key]
+        fracs = []
+        for (K, lm, lp), c in self.reverse_dcb(lab_minus, lab_plus).items():
+            if k_is_one(K):
+                continue
+            d_low = self.d_multiplier(lm, lp)
+            fracs.append(c / Rat.of(d_low))
+        d = clear_denominators(fracs)
+        # prop:square-roots-style sanity: monic product of Phi_k(q), k >= 3
+        if not d.is_one():
+            if any(k % 2 for k in d.c):
+                raise ValueError(f"multiplier {d} is not a polynomial in q")
+            unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in d.c.items()}))
+            if const != 1 or others or any(k < 3 for k, _ in cyc):
+                raise ValueError(f"multiplier {d} is not a monic product of admissible cyclotomics")
+        self._d_memo[key] = d
+        return d
+
+    # ================================================================ circ/bullet
     def circ(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
         return self._solve("circ", lm, lp, variant)
 
@@ -99,7 +151,7 @@ class Engine:
         if below == "pair":
             bm, bp = self.tables.dcb_elem(MINUS, lm), self.tables.dcb_elem(PLUS, lp)
             pair = self.ctx.from_halves(minus=bm, plus=bp, flavor=flavor)
-            return pair.scale(self.ctx.d_multiplier(lm, lp))
+            return pair.scale(self.d_multiplier(lm, lp))
         return self._solve(below, lm, lp, variant).with_flavor(flavor)
 
     def _family_dcb(self, kind, lm, lp, variant) -> dict:
@@ -107,9 +159,9 @@ class Engine:
         key = (kind, lm, lp, variant)
         if key not in self._dcb:
             if kind == "pair":
-                coords = {(k_one(self.datum.rank), lm, lp): Rat.of(self.ctx.d_multiplier(lm, lp))}
+                coords = {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}
             else:
-                coords = self.ctx.to_dcb(self._solve(kind, lm, lp, variant))
+                coords = self.tables.to_dcb(self._solve(kind, lm, lp, variant))
             self._dcb[key] = coords
         return self._dcb[key]
 
@@ -156,7 +208,7 @@ class Engine:
             for am, cm in self._half_bar(lm).items():
                 for ap, cp in bar_p.items():
                     c = cm * cp
-                    for idx, r in self.ctx.reverse_dcb(am, ap).items():
+                    for idx, r in self.reverse_dcb(am, ap).items():
                         accumulate(got, idx, c * r)
             self._pair_bars[key] = got
         return got
@@ -165,23 +217,23 @@ class Engine:
         """DCB coordinates of bar of the K = 1 member, by linearity from
         _pair_bar; no member is barred.
 
-        circ: bar(d b_- b_+) = bar(d) bar(b_- b_+), less the terms the
-        Heisenberg quotient drops (the quotient map from `full` is an algebra
-        map and commutes with bar).  bullet: the member is iota of circ, whose
-        coordinates c over K b_l2 b_l3 give bar(c) bar(b_l2 b_l3) K, and K
-        moves to the left past the weight deg l3 - deg l2.
+        The member has coordinates c over K b_l2 b_l3 (for circ the one
+        pair term {(1, lm, lp): d}, for bullet those of iota(circ)), which
+        give bar(c) bar(b_l2 b_l3) K, and K moves to the left past the weight
+        deg l3 - deg l2.  A Heisenberg quotient then drops its zero torus
+        block (the quotient map from `full` is an algebra map and commutes
+        with bar).
         """
         below, flavor = _KINDS[kind, variant][:2]
-        if below == "pair":
-            d = Rat.of(self.ctx.d_multiplier(lm, lp)).bar()
-            drop = _DROPPED_K[flavor]
-            return {idx: d * c for idx, c in self._pair_bar(lm, lp).items() if not any(idx[0][drop])}
+        drop = _DROPPED_K.get(flavor)
         out: dict = {}
         for (K, l2, l3), c in self._family_dcb(below, lm, lp, variant).items():
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
             f = c.bar() * nu_power(-2 * self.ctx.kdif_dot(K, dif))
             for (K2, m2, m3), r in self._pair_bar(l2, l3).items():
-                accumulate(out, (self.ctx.k_product(K, K2), m2, m3), f * r)
+                K3 = self.ctx.k_product(K, K2)
+                if drop is None or not any(K3[drop]):
+                    accumulate(out, (K3, m2, m3), f * r)
         return out
 
     def _bar_row(self, kind, lm, lp, variant) -> dict:
@@ -261,7 +313,7 @@ class Engine:
             if any(tag) or any(x < 0 for x in am) or any(x < 0 for x in ap):
                 raise TriangularityError(f"expansion outside the basis cone at {key}")
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
-            lead = Rat.of(self.ctx.d_multiplier(l2, l3)) * nu_power(-self.ctx.kdif_dot(K, dif))
+            lead = Rat.of(self.d_multiplier(l2, l3)) * nu_power(-self.ctx.kdif_dot(K, dif))
             coeff = remaining[key] / lead
             out[((am, ap), l2, l3)] = coeff
             for (K2, m2, m3), c in self._family_dcb(kind, l2, l3, variant).items():

@@ -7,7 +7,17 @@ from itertools import product
 
 from .double import TriElem, kmono
 from .halves import HalfElem, PLUS, MINUS
-from .scalar import Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qangle_factorial, qround
+from .scalar import (
+    Rat,
+    RAT_ONE,
+    RAT_ZERO,
+    accumulate,
+    nu_power,
+    parse_scalar,
+    qangle,
+    qangle_factorial,
+    qround,
+)
 from . import linalg
 
 
@@ -232,8 +242,6 @@ def sp4_module(algebra, fundamental: int) -> LWModule:
 def module_from_obj(algebra, obj) -> LWModule:
     """Module file: {"mu":[...],"vectors":[{"name","degree"}...],
     "E":{i: matrix},"F":{i: matrix},"shapovalov":[...]} with scalar strings."""
-    from .scalar import parse_scalar
-
     degrees = [tuple(v["degree"]) for v in obj["vectors"]]
     E = {
         int(i): [[parse_scalar(c) for c in row] for row in M] for i, M in obj["E"].items()

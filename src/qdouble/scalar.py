@@ -294,13 +294,10 @@ class Rat:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: Laurent, den: Laurent, _canonical=False):
+    def __init__(self, num: Laurent, den: Laurent):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonicalize(num, den)
         self._hash = None
 
     @staticmethod
@@ -308,9 +305,9 @@ class Rat:
         if isinstance(x, Rat):
             return x
         if isinstance(x, int):
-            return Rat(Laurent.const(x), ONE, _canonical=True)
+            return _rat(Laurent.const(x), ONE)
         if isinstance(x, Laurent):
-            return Rat(x, ONE, _canonical=True)
+            return _rat(x, ONE)
         raise TypeError(f"cannot coerce {x!r} to Rat")
 
     def is_zero(self) -> bool:
@@ -503,7 +500,7 @@ def over_denominator(nums: dict, den: Laurent) -> dict:
 
 
 def nu_power(k: int) -> Rat:
-    return Rat(Laurent.mono(1, k), ONE, _canonical=True)
+    return _rat(Laurent.mono(1, k), ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,6 @@ class SL2Oracle:
         self._cheb[m] = out
         return out
 
-    def cheb_closed(self, m: int, k: int = 0, side: str = "F") -> TriElem:
-        """F^k C^(m) (or C^(m) E^k) by the explicit double sum, which is the
-        bullet closed form with gap k."""
-        if side == "F":
-            return self.bullet_closed(m + k, m)
-        return self.bullet_closed(m, m + k)
-
     # -- closed circle/bullet forms ----------------------------------------------
     def circ_closed(self, m_minus: int, m_plus: int) -> TriElem:
         ctx = self.ctx

@@ -162,7 +162,7 @@ class TestWildExample:
     def expansion(self, aff, img):
         shift = kmono((2, 2), (2, 2))
         shifted = aff.ctx.diamond(shift, img).with_flavor("full")
-        coeffs = aff.engine.expand_in_bullet_family(aff.ctx.to_dcb(shifted))
+        coeffs = aff.engine.expand_in_bullet_family(aff.tables.to_dcb(shifted))
         return {
             ((tuple(a - 2 for a in am), tuple(a - 2 for a in ap)), lm, lp): c
             for ((am, ap), lm, lp), c in coeffs.items()
@@ -217,7 +217,7 @@ class TestBraidBasisConjectureReport:
                     shift = kmono((3, 3), (3, 3))
                     shifted = a2.ctx.diamond(shift, img).with_flavor("full")
                     try:
-                        coeffs = a2.engine.expand_in_bullet_family(a2.ctx.to_dcb(shifted))
+                        coeffs = a2.engine.expand_in_bullet_family(a2.tables.to_dcb(shifted))
                         member = len(coeffs) == 1 and all(
                             c.is_one() for c in coeffs.values()
                         )

@@ -214,6 +214,15 @@ class TestBasis:
         rows = json.loads(out)
         assert all(r["b_minus"] == "1" for r in rows)
 
+    def test_j_plus_filter(self, capsys):
+        # --j-plus 1 keeps exactly the rows whose b_plus has no alpha_2 part
+        code, out = run(capsys, "basis", "--preset", "A2", "--height", "1", "--j-plus", "1")
+        assert code == 0
+        _, full = run(capsys, "basis", "--preset", "A2", "--height", "1")
+        tables = qdouble.algebra.Algebra.get("A2").tables
+        kept = [r for r in json.loads(full) if not tables.degree_of(r["b_plus"])[1]]
+        assert json.loads(out) == kept and 0 < len(kept) < len(json.loads(full))
+
     def test_unknown_preset(self, capsys):
         assert main(["basis", "--preset", "Z9", "--height", "1"]) == 2
 

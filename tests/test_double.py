@@ -24,7 +24,8 @@ from qdouble.double import (
     tri_from_obj,
     tri_to_obj,
 )
-from qdouble.scalar import RAT_ONE, Laurent, Rat, accumulate, nu_power, qangle, qround_binom, qangle_factorial
+from qdouble.scalar import RAT_ONE, Laurent, Rat, accumulate, common_denominator, nu_power, qangle, qround_binom, qangle_factorial
+from qdouble.sl2oracle import SL2Oracle
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +293,22 @@ class TestTwistedActions:
         got = sl2.adjoint_act(0, "K", x)
         assert got == x.scale(nu_power(4))
 
+    def test_adjoint_f_kills_casimirs(self, sl2):
+        orc = SL2Oracle(sl2)
+        for m in range(4):
+            assert sl2.adjoint_act(0, "F", orc.chebyshev(m).with_flavor("localized")).is_zero()
+
+    def test_adjoint_f_twisted_leibniz(self, sl2):
+        # ad_F(xy) = ad_F(x) y + (K_- x K_-^-1) ad_F(y)
+        rng = random.Random(53)
+        km = sl2.k_elem(kmono((1,), (0,)), "localized")
+        km_inv = sl2.k_elem(kmono((-1,), (0,)), "localized")
+        for _ in range(4):
+            x = rand_tri(sl2, rng, flavor="localized", height=2, nterms=2)
+            y = rand_tri(sl2, rng, flavor="localized", height=2, nterms=2)
+            rhs = sl2.adjoint_act(0, "F", x) * y + km * x * km_inv * sl2.adjoint_act(0, "F", y)
+            assert sl2.adjoint_act(0, "F", x * y) == rhs
+
 
 # -- the torus kernels against their per-term definitions -------------------
 
@@ -492,7 +509,7 @@ class TestFractionalCoefficients:
         alg = Algebra.get(preset)
         for ctx, x, y in self.pairs(preset, flavor, 67):
             for z in (x, ctx.multiply(x, y)):
-                coords = ctx.to_dcb(z)
+                coords = alg.tables.to_dcb(z)
                 assert_canonical(coords.values())
                 back = ctx.zero(flavor)
                 for (K, lm, lp), c in coords.items():
@@ -510,7 +527,7 @@ class TestFractionalCoefficients:
             for lp in alg.tables.labels_of_degree((2, 1)):
                 bm, bp = alg.dcb_elem(MINUS, lm), alg.dcb_elem(PLUS, lp)
                 pair = alg.ctx.from_halves(minus=bm, plus=bp, K=K, flavor=flavor)
-                coords = alg.ctx.to_dcb(pair.scale(c))
+                coords = alg.tables.to_dcb(pair.scale(c))
                 assert_canonical(coords.values())
                 assert coords == {(K, lm, lp): c}
 
@@ -545,10 +562,11 @@ class TestWordDenominators:
         alg.tables.load_user_table(
             gamma, [(f"u{k}", alg.half.element(MINUS, {p: phi4})) for k, p in enumerate(pivots)]
         )
-        assert alg.tables.word_to_dcb_numerators(gamma)[1] == FRACTION_DENS[1]
+        rows = alg.tables.word_to_dcb(gamma).values()
+        assert common_denominator([c for row in rows for c in row.values()])[1] == FRACTION_DENS[1]
         words = alg.half.words_of_degree(gamma)
         x = TriElem(ctx, "full", {(k_one(2), words[0], words[-1]): RAT_ONE, (k_one(2), (), words[1]): phi4})
-        coords = ctx.to_dcb(x)
+        coords = alg.tables.to_dcb(x)
         assert_canonical(coords.values())
         back = ctx.zero()
         for (K, lm, lp), c in coords.items():

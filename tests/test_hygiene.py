@@ -1,13 +1,35 @@
-"""Source hygiene without a linter: every imported name in the package and
-the tests is used.  A name counts as used when it appears as an identifier,
-inside a string annotation, or in `__all__`."""
+"""Source hygiene without a linter.  Every imported name in the package and
+the tests is used: a name counts as used when it appears as an identifier,
+inside a string annotation, or in `__all__`.  The package's imports run one
+way: each module imports only from modules before it in LAYER_ORDER, and
+at module level (cli alone defers its `checks` import, to keep it out of
+start-up)."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "qdouble").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qdouble").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+
+LAYER_ORDER = (
+    "scalar",
+    "linalg",
+    "cartan",
+    "halves",
+    "double",
+    "braid",
+    "lusztig",
+    "canbasis",
+    "algebra",
+    "rst",
+    "sl2oracle",
+    "checks",
+    "cli",
+    "__init__",
+)
+DEFERRED_IMPORTS = {"cli"}
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +64,42 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_import_faults(module: str, source: str) -> list:
+    """(line, fault) for each relative import of `module` that sits inside a
+    function or class, or names a module not before it in LAYER_ORDER."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        if id(node) not in top and module not in DEFERRED_IMPORTS:
+            faults.append((node.lineno, "not at module level"))
+        targets = [node.module] if node.module else [alias.name for alias in node.names]
+        for target in targets:
+            if target not in LAYER_ORDER[: LAYER_ORDER.index(module)]:
+                faults.append((node.lineno, f"imports {target}"))
+    return faults
+
+
+def test_layer_order_names_every_module():
+    assert sorted(LAYER_ORDER) == sorted(p.stem for p in PACKAGE)
+
+
+def test_scan_finds_import_faults():
+    src = "from .scalar import Rat\nfrom . import linalg\ndef f():\n    from .halves import PLUS\n"
+    assert package_import_faults("double", src) == [(4, "not at module level")]
+    assert package_import_faults("linalg", src) == [
+        (2, "imports linalg"),
+        (4, "not at module level"),
+        (4, "imports halves"),
+    ]
+    assert package_import_faults("cli", src) == []
+    assert package_import_faults("double", "from .canbasis import CanonicalTables\n") == [(1, "imports canbasis")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_run_one_way(path):
+    assert package_import_faults(path.stem, path.read_text()) == []

@@ -95,7 +95,7 @@ class TestBarRowChecks:
         # with the multiplier replaced by v, bar(v F E) = v^-1 bar(F E) has
         # v^-2 on the diagonal over the family v K diamond (F E)
         alg = Algebra("A1")
-        monkeypatch.setattr(alg.ctx, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
+        monkeypatch.setattr(alg.engine, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
         lab1 = sl2_label(alg, 1)
         with pytest.raises(TriangularityError, match="diagonal"):
             alg.circ(lab1, lab1)
@@ -118,7 +118,7 @@ class TestLinearBarRows:
             for lp in labels:
                 for kind in ("circ", "bullet"):
                     for variant in ("plus", "minus"):
-                        direct = ctx.to_dcb(ctx.bar(eng._member(kind, lm, lp, variant)))
+                        direct = alg.tables.to_dcb(ctx.bar(eng._member(kind, lm, lp, variant)))
                         assert eng._member_bar(kind, lm, lp, variant) == direct, (kind, lm, lp, variant)
                         n += 1
         return n
@@ -134,11 +134,11 @@ class TestLinearBarRows:
         # the multipliers met in the tests are bar-invariant; a multiplier v
         # must enter the bar of the circ member as v^-1
         alg = Algebra("A1")
-        monkeypatch.setattr(alg.ctx, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
+        monkeypatch.setattr(alg.engine, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
         lab1 = sl2_label(alg, 1)
         for variant in ("plus", "minus"):
             member = alg.engine._member("circ", lab1, lab1, variant)
-            direct = alg.ctx.to_dcb(alg.ctx.bar(member))
+            direct = alg.tables.to_dcb(alg.ctx.bar(member))
             assert alg.engine._member_bar("circ", lab1, lab1, variant) == direct
 
     def test_user_table(self):
@@ -377,13 +377,13 @@ class TestStructureConstants:
         ]
         for lm in labels:
             for lp in labels:
-                d = ctx.d_multiplier(lm, lp)
+                d = alg.engine.d_multiplier(lm, lp)
                 prod = ctx.multiply(
                     ctx.from_halves(minus=tables.dcb_elem(MINUS, lm), flavor="full"),
                     ctx.from_halves(plus=tables.dcb_elem(PLUS, lp), flavor="full"),
                 ).scale(d)
                 want = {(one, lm, lp): Rat.of(d)}
-                assert ctx.to_dcb(prod) == want == alg.engine._family_dcb("pair", lm, lp, "plus"), (lm, lp)
+                assert tables.to_dcb(prod) == want == alg.engine._family_dcb("pair", lm, lp, "plus"), (lm, lp)
 
     def test_integrality_line_can_fail(self, monkeypatch):
         # the A2 verify line fails when any structure constant cannot be

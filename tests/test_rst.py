@@ -282,6 +282,11 @@ class TestXiSL2:
             rst = RSTMap(sl2, V)
             assert rst.centrality_check(rst.xi_invariant())
 
+    def test_centrality_fails_off_the_centre(self, sl2):
+        # [E_1, F_1] is a nonzero torus term after the group-like projection
+        rst = RSTMap(sl2, sl2_module(sl2, 1))
+        assert not rst.centrality_check(sl2.ctx.e_gen(0, "check"))
+
     def test_basis_independence(self, sl2):
         m = 2
         V = sl2_module(sl2, m)

@@ -46,9 +46,9 @@ class TestChebyshev:
         for m in range(4):
             for k in range(3):
                 lhs = orc.ctx.multiply(orc.fpow(k), orc.chebyshev(m))
-                assert lhs == orc.cheb_closed(m, k, "F")
+                assert lhs == orc.bullet_closed(m + k, m)
                 rhs = orc.ctx.multiply(orc.chebyshev(m), orc.epow(k))
-                assert rhs == orc.cheb_closed(m, k, "E")
+                assert rhs == orc.bullet_closed(m, m + k)
 
     def test_product_rule(self, orc):
         # C^(a) C^(b) = sum (K_- K_+)^j C^(a+b-2j)
