@@ -1309,8 +1309,8 @@ def suite_strconst():
     except TriangularityError:
         coeffs = {}  # no expansion rebuilds d b_- b_+
     total = aff.ctx.zero("full")
-    for ((am, ap), l2, l3), c in coeffs.items():
-        total = total + aff.ctx.diamond(kmono(am, ap), aff.bullet(l2, l3)).scale(c)
+    for ((am, ap), l2, l3), coeff in coeffs.items():
+        total = total + aff.ctx.diamond(kmono(am, ap), aff.bullet(l2, l3)).scale(coeff)
     pair = aff.ctx.from_halves(minus=aff.dcb_elem(MINUS, f12), plus=aff.dcb_elem(PLUS, f12))
     d = aff.d_multiplier(f12, f12)
     ok = d == qround(2, 2) and total == pair.scale(d) != pair

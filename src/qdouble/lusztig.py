@@ -93,7 +93,7 @@ class Engine:
         self.datum = algebra.datum
         self.tables = algebra.tables
         self._solved: dict = {}  # (kind, lm, lp, variant) -> TriElem
-        self._dcb: dict = {}  # (kind, lm, lp, variant) -> DCB coordinates
+        self._dcb: dict = {}  # (kind, lm, lp, variant; None for "pair") -> DCB coordinates
         self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
         self._half_bars: dict = {}  # label -> DCB coordinates of bar(b_label)
         self._pair_bars: dict = {}  # (lm, lp) -> DCB coordinates of bar(b_- b_+) in full
@@ -155,8 +155,9 @@ class Engine:
         return self._solve(below, lm, lp, variant).with_flavor(flavor)
 
     def _family_dcb(self, kind, lm, lp, variant) -> dict:
-        """DCB coordinates of the kind's element at (lm, lp)."""
-        key = (kind, lm, lp, variant)
+        """DCB coordinates of the kind's element at (lm, lp).  The pair's
+        coordinates do not depend on the variant, so it is stored once."""
+        key = (kind, lm, lp, None if kind == "pair" else variant)
         if key not in self._dcb:
             if kind == "pair":
                 coords = {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}

@@ -564,6 +564,8 @@ class TestWordDenominators:
         )
         rows = alg.tables.word_to_dcb(gamma).values()
         assert common_denominator([c for row in rows for c in row.values()])[1] == FRACTION_DENS[1]
+        # the denominator to_dcb stores and uses is that lcm, not a multiple
+        assert alg.tables._word_rows(gamma)[2] == FRACTION_DENS[1]
         words = alg.half.words_of_degree(gamma)
         x = TriElem(ctx, "full", {(k_one(2), words[0], words[-1]): RAT_ONE, (k_one(2), (), words[1]): phi4})
         coords = alg.tables.to_dcb(x)
