@@ -270,8 +270,8 @@ class CanonicalTables:
             raise TableConflict(
                 f"table at {gamma} has {len(elems)} elements, dimension is {len(pivots)}"
             )
-        M = half.pairing_matrix(gamma)
-        P = [[M[p].get(q, RAT_ZERO) for q in pivots] for p in pivots]
+        M, at = half.pairing_matrix(gamma), half.word_index(gamma)
+        P = [[Rat.of(M[at[p]][at[q]]) for q in pivots] for p in pivots]
         Ct = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in pivots]
         scale = nu_power(self.datum.ulgamma(gamma))
         return [
@@ -398,8 +398,8 @@ class CanonicalTables:
         table = self.dcb_table(gamma)
         basis = self.half.degree_basis(gamma)
         # the coefficient of w on table element k is ((w, duals[k]))
-        M = self.half.pairing_matrix(gamma)
-        Mw = [[M[w].get(p, RAT_ZERO) for p in basis.pivots] for w in basis.words]
+        M, at = self.half.pairing_matrix(gamma), self.half.word_index(gamma)
+        Mw = [[Rat.of(row[at[p]]) for p in basis.pivots] for row in M]
         Dt = [[d.terms.get(p, RAT_ZERO) for d in table.duals] for p in basis.pivots]
         scale = nu_power(-self.datum.ulgamma(gamma))
         out = {

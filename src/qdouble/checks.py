@@ -1285,7 +1285,7 @@ def suite_strconst():
                     for lp in a2.tables.labels_of_degree(g2):
                         try:
                             coeffs, rep = a2.structure_constants(lm, lp)
-                        except Exception:
+                        except TriangularityError:
                             ok = False
                             continue
                         pairs += 1

@@ -124,7 +124,8 @@ class HalfAlgebra:
     def __init__(self, datum):
         self.datum: CartanDatum = get_datum(datum)
         self._words: dict[tuple, list] = {}
-        self._pairing: dict[tuple, dict] = {}
+        self._index: dict[tuple, dict] = {}
+        self._pairing: dict[tuple, list] = {}
         self._basis: dict[tuple, "DegreeBasis"] = {}
 
     # -- constructors ---------------------------------------------------------
@@ -167,6 +168,13 @@ class HalfAlgebra:
             self._words[gamma] = sorted(set(permutations(letters)))
         return self._words[gamma]
 
+    def word_index(self, gamma) -> dict:
+        """{word: its position in words_of_degree(gamma)}."""
+        gamma = tuple(gamma)
+        if gamma not in self._index:
+            self._index[gamma] = {w: a for a, w in enumerate(self.words_of_degree(gamma))}
+        return self._index[gamma]
+
     def chi_exp(self, alpha, beta) -> int:
         """nu-exponent of chi(alpha, beta) = q^(alpha.beta)."""
         return 2 * self.datum.dot(alpha, beta)
@@ -205,36 +213,49 @@ class HalfAlgebra:
         return out
 
     # -- pairing -----------------------------------------------------------------
-    def pairing_matrix(self, gamma) -> dict:
-        """M[e-word][f-word] = <e-word, f-word> for all words of the degree."""
+    def pairing_matrix(self, gamma) -> list:
+        """M[a][b] = <words[a], words[b]> in Z[v, v^-1] over the words of the
+        degree, by the recursion on the first letter j of words[b]:
+        <e, j f> = <1>_{q_j} sum over the letters j of e of v^s <e without it, f>,
+        s the chi-exponent of the letters before it against j."""
         gamma = tuple(gamma)
-        if gamma in self._pairing:
-            return self._pairing[gamma]
+        M = self._pairing.get(gamma)
+        if M is not None:
+            return M
         datum = self.datum
         words = self.words_of_degree(gamma)
-        if sum(gamma) == 0:
-            M = {(): {(): RAT_ONE}}
-            self._pairing[gamma] = M
+        if not any(gamma):
+            M = self._pairing[gamma] = [[ONE]]
             return M
-        M: dict[tuple, dict] = {e: {} for e in words}
-        for f in words:
-            j = f[0]
-            rest = f[1:]
-            sub_gamma = list(gamma)
-            sub_gamma[j] -= 1
-            sub = self.pairing_matrix(tuple(sub_gamma))
-            bracket = Rat.of(qangle(1, datum.qi_exp(j)))
+        M = [[ZERO] * len(words) for _ in words]
+        for j in range(datum.rank):
+            if not gamma[j]:
+                continue
+            sub_gamma = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+            sub = self.pairing_matrix(sub_gamma)
+            at = self.word_index(sub_gamma)
+            chi = [self.chi_exp(datum.alpha(i), datum.alpha(j)) for i in range(datum.rank)]
+            # for every word e: (row of e with one j deleted, its v-shift)
+            deleted = []
             for e in words:
-                total = RAT_ZERO
-                prefix_exp = 0
+                out, shift = [], 0
                 for p, letter in enumerate(e):
                     if letter == j:
-                        val = sub[e[:p] + e[p + 1 :]].get(rest)
-                        if val is not None and not val.is_zero():
-                            total = total + nu_power(prefix_exp) * bracket * val
-                    prefix_exp += self.chi_exp(datum.alpha(letter), datum.alpha(j))
-                if not total.is_zero():
-                    M[e][f] = total
+                        out.append((sub[at[e[:p] + e[p + 1 :]]], shift))
+                    shift += chi[letter]
+                deleted.append(out)
+            bracket = qangle(1, datum.qi_exp(j))
+            for b, f in enumerate(words):
+                if f[0] != j:
+                    continue
+                r = at[f[1:]]
+                for a, terms in enumerate(deleted):
+                    total = ZERO
+                    for row, shift in terms:
+                        if row[r]:
+                            total = total + row[r].shift(shift)
+                    if total:
+                        M[a][b] = total * bracket
         self._pairing[gamma] = M
         return M
 
@@ -249,10 +270,11 @@ class HalfAlgebra:
             gamma = self.word_degree(w1)
             if gamma not in by_deg:
                 continue
-            row = self.pairing_matrix(gamma)[w1]
+            at = self.word_index(gamma)
+            row = self.pairing_matrix(gamma)[at[w1]]
             for w2, c2 in by_deg[gamma]:
-                val = row.get(w2)
-                if val is not None:
+                val = row[at[w2]]
+                if val:
                     total = total + c1 * c2 * val
         return total
 
@@ -391,17 +413,18 @@ class DegreeBasis:
     M is symmetric for a symmetrizable datum (Lusztig 1.2.3), so one pivot
     set and one coordinate map serve both halves, and by M = M[:, pivots] E,
     E = R / d the reduced row echelon form of M, word w has pivot coordinates
-    E[:, w] = M[w, pivots] P^-1, P = M[pivots, pivots]."""
+    E[:, w] = M[w, pivots] P^-1, P = M[pivots, pivots].  The whole layer is
+    over Z[v, v^-1]: M has Laurent entries, and `linalg.row_reduce` returns
+    R and d as Laurent polynomials."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
         words = alg.words_of_degree(gamma)
         M = alg.pairing_matrix(gamma)
-        rows = [[M[e].get(f, RAT_ZERO) for f in words] for e in words]
-        if any(rows[a][b] != rows[b][a] for a in range(len(words)) for b in range(a)):
+        if any(M[a][b] != M[b][a] for a in range(len(words)) for b in range(a)):
             raise ValueError(f"pairing matrix of degree {gamma} is not symmetric")
         # by symmetry the pivot columns are the kept rows
-        _, cols, R, self._d = linalg.row_reduce([[x.as_laurent() for x in row] for row in rows])
+        _, cols, R, self._d = linalg.row_reduce(M)
         self.words = words
         self.pivots = [words[k] for k in cols]
         self._rest = {w: [r[j] for r in R] for j, w in enumerate(words) if j not in cols}

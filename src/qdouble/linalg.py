@@ -1,9 +1,10 @@
-"""Small dense exact linear algebra over Q(v) used by basis computations:
-one fraction-free elimination over Z[v, v^-1], `row_reduce`, to which Rat
-matrices come over one common denominator."""
+"""Small dense exact linear algebra used by basis computations: one
+fraction-free elimination over Z[v, v^-1], `row_reduce`, which takes Laurent
+matrices as they are (the pivot layer's pairing matrices) and Rat matrices
+over one common denominator (`invert`)."""
 from __future__ import annotations
 
-from .scalar import ONE, ZERO, Rat, RAT_ZERO, common_denominator, laurent_gcd
+from .scalar import ONE, ZERO, Rat, RAT_ZERO, common_denominator, laurent_gcd, mul_sub
 
 
 class SingularMatrix(ArithmeticError):
@@ -41,23 +42,26 @@ def _primitive_row(row):
 
 def row_reduce(A):
     """Fraction-free Gauss-Jordan elimination of a Laurent matrix, one row at
-    a time: a row is cross-multiplied against the kept rows, b[c] vec - vec[c] b,
-    and kept, divided by the gcd of its entries, when it is not zero.  So the
-    kept rows are the lexicographically-first independent set and the entries
-    stay small in Z[v, v^-1].  Returns (kept, cols, R, d): R[k] is d times the
-    row of the reduced row echelon form of A with pivot column cols[k]."""
+    a time: a row is cross-multiplied against the kept rows, b[c] vec - vec[c] b
+    (each entry one `mul_sub`), and kept, divided by the gcd of its entries,
+    when it is not zero.  So the kept rows are the lexicographically-first
+    independent set and the entries stay small in Z[v, v^-1].  Returns
+    (kept, cols, R, d): R[k] is d times the row of the reduced row echelon
+    form of A with pivot column cols[k]."""
     kept, rows = [], []  # (pivot column, row), each zero at the others' pivots
     for idx, vec in enumerate(A):
         for c, b in rows:
             if vec[c]:
-                vec = [b[c] * x - vec[c] * y for x, y in zip(vec, b)]
+                bc, vc = b[c], vec[c]
+                vec = [mul_sub(bc, x, vc, y) for x, y in zip(vec, b)]
         c = next((j for j, x in enumerate(vec) if x), None)
         if c is None:
             continue
         vec = _primitive_row(vec)
         for k, (ck, b) in enumerate(rows):
             if b[c]:
-                rows[k] = (ck, _primitive_row([vec[c] * y - b[c] * x for y, x in zip(b, vec)]))
+                vc, bc = vec[c], b[c]
+                rows[k] = (ck, _primitive_row([mul_sub(vc, y, bc, x) for y, x in zip(b, vec)]))
         kept.append(idx)
         rows.append((c, vec))
     rows.sort()

@@ -16,6 +16,7 @@ __all__ = [
     "ONE",
     "NU",
     "Q",
+    "mul_sub",
     "qsq",
     "qround",
     "qangle",
@@ -237,6 +238,25 @@ ZERO = Laurent()
 ONE = Laurent({0: 1})
 NU = Laurent({1: 1})
 Q = Laurent({2: 1})
+
+
+def mul_sub(a: Laurent, x: Laurent, b: Laurent, y: Laurent) -> Laurent:
+    """a x - b y in one pass over the terms of the four operands: the
+    cross-multiplied entry of a fraction-free elimination step."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, v1 in a.c.items():
+        for k2, v2 in x.c.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + v1 * v2
+    for k1, v1 in b.c.items():
+        for k2, v2 in y.c.items():
+            k = k1 + k2
+            out[k] = get(k, 0) - v1 * v2
+    r = Laurent.__new__(Laurent)
+    r.c = {k: v for k, v in out.items() if v}
+    r._hash = None
+    return r
 
 
 def _primitive(p: Laurent) -> Laurent:

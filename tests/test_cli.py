@@ -383,6 +383,22 @@ class TestInternalError:
         assert err.startswith(f"internal error: {type(exc).__name__}: ")
         assert "Traceback" in err
 
+    def test_verify_strconst_exit_3(self, capsys, monkeypatch):
+        # an internal error in criterion 10's A2 line is not a failed check;
+        # the A1affine line runs unpatched, so only the A2 catch is exercised
+        real = qdouble.algebra.Algebra.structure_constants
+
+        def broken(self, lm, lp):
+            if self.datum.name == "A2":
+                raise TypeError("patched")
+            return real(self, lm, lp)
+
+        monkeypatch.setattr(qdouble.algebra.Algebra, "structure_constants", broken)
+        code = main(["verify", "sl2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("internal error: TypeError: patched")
+
 
 class TestVerify:
     def test_sl2_suite(self, capsys):

@@ -12,6 +12,7 @@ from qdouble.halves import (
     half_to_obj,
 )
 from qdouble.scalar import (
+    ONE,
     Laurent,
     Rat,
     accumulate,
@@ -64,6 +65,37 @@ def reference_op(alg, i, x, power):
     if power > 1:
         x = x.scale(Rat.of(1) / Rat.of(qround_factorial(power, datum.qi_exp(i))))
     return x
+
+
+def reference_pairing(alg, gamma, memo):
+    """{e: {f: <e, f>}} by the Rat recursion on the first letter j of f,
+    one word pair and one position at a time, zero entries left out:
+    <e, j f'> = sum over the letters j of e of v^s <1>_{q_j} <e without it, f'>."""
+    if gamma in memo:
+        return memo[gamma]
+    datum = alg.datum
+    words = alg.words_of_degree(gamma)
+    if sum(gamma) == 0:
+        memo[gamma] = {(): {(): Rat.of(1)}}
+        return memo[gamma]
+    M = {e: {} for e in words}
+    for f in words:
+        j, rest = f[0], f[1:]
+        sub = reference_pairing(alg, gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :], memo)
+        bracket = Rat.of(qangle(1, datum.qi_exp(j)))
+        for e in words:
+            total = Rat.of(0)
+            prefix_exp = 0
+            for p, letter in enumerate(e):
+                if letter == j:
+                    val = sub[e[:p] + e[p + 1 :]].get(rest)
+                    if val is not None and not val.is_zero():
+                        total = total + nu_power(prefix_exp) * bracket * val
+                prefix_exp += alg.chi_exp(datum.alpha(letter), datum.alpha(j))
+            if not total.is_zero():
+                M[e][f] = total
+    memo[gamma] = M
+    return M
 
 
 class TestCoproduct:
@@ -126,6 +158,29 @@ class TestPairing:
                 expected = Rat.of(qangle_factorial(r, k).shift(k * (r * (r - 1) // 2)))
                 assert lhs == expected, (preset, i, r)
 
+    @pytest.mark.parametrize(
+        "preset, height",
+        [("A2", 5), ("B2", 5), ("G2", 5), ("A1affine", 5), ("A3", 4), ("R3", 4)],
+    )
+    def test_matrix_matches_reference(self, preset, height):
+        # one Laurent matrix per degree, entry for entry the Rat recursion's,
+        # with the same zero pattern
+        alg = HalfAlgebra(preset)
+        memo = {}
+        for h in range(height + 1):
+            for gamma in alg.datum.degrees_of_height(h):
+                ref = reference_pairing(alg, gamma, memo)
+                words = alg.words_of_degree(gamma)
+                M = alg.pairing_matrix(gamma)
+                assert len(M) == len(words)
+                for e, row in zip(words, M):
+                    assert len(row) == len(words)
+                    for f, x in zip(words, row):
+                        assert isinstance(x, Laurent)
+                        want = ref[e].get(f)
+                        assert (want is None) == x.is_zero(), (gamma, e, f)
+                        assert want is None or Rat.of(x) == want, (gamma, e, f)
+
     def test_a2_fij_calibration(self, a2):
         # mandatory orientation calibration: the rank-2 dual-pair value.
         # F_ij = (q^(1/2) F2 F1 - q^(-1/2) F1 F2)/(q - q^(-1)); E_ij its letter flip.
@@ -174,7 +229,7 @@ class TestNormalForm:
             alg = HalfAlgebra(preset)
             words = alg.words_of_degree(gamma)
             pivots = alg.degree_basis(gamma).pivots
-            M = alg.pairing_matrix(gamma)
+            M, at = alg.pairing_matrix(gamma), alg.word_index(gamma)
             for trial in range(8):
                 pool = pivots if trial % 2 else words
                 raw = {
@@ -186,8 +241,9 @@ class TestNormalForm:
                     if trial % 2:
                         assert x.terms == raw
                     for u in words:
-                        want = sum((c * M[u].get(w, Rat.of(0)) for w, c in raw.items()), Rat.of(0))
-                        got = sum((c * M[u].get(w, Rat.of(0)) for w, c in x.terms.items()), Rat.of(0))
+                        row = M[at[u]]
+                        want = sum((c * row[at[w]] for w, c in raw.items()), Rat.of(0))
+                        got = sum((c * row[at[w]] for w, c in x.terms.items()), Rat.of(0))
                         assert got == want, (preset, gamma, sign, u)
 
     def test_pivot_sets_pinned(self):
@@ -214,8 +270,9 @@ class TestNormalForm:
     def test_non_symmetric_pairing_raises(self, monkeypatch):
         alg = HalfAlgebra("A2")
         gamma = (1, 1)
-        M = {e: dict(row) for e, row in alg.pairing_matrix(gamma).items()}
-        M[(0, 1)][(1, 0)] = M[(0, 1)].get((1, 0), Rat.of(0)) + Rat.of(1)
+        at = alg.word_index(gamma)
+        M = [list(row) for row in alg.pairing_matrix(gamma)]
+        M[at[(0, 1)]][at[(1, 0)]] = M[at[(0, 1)]][at[(1, 0)]] + ONE
         real = alg.pairing_matrix
         monkeypatch.setattr(alg, "pairing_matrix", lambda g: M if tuple(g) == gamma else real(g))
         with pytest.raises(ValueError, match="not symmetric"):

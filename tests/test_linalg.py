@@ -1,13 +1,90 @@
+import random
+
 import pytest
 
 from qdouble import linalg
 from qdouble.halves import HalfAlgebra
 from qdouble.linalg import SingularMatrix, invert, mat_mul, row_reduce
-from qdouble.scalar import NU, ONE, ZERO, Laurent, Rat, RAT_ONE, RAT_ZERO, nu_power, qround
+from qdouble.scalar import (
+    NU,
+    ONE,
+    ZERO,
+    Laurent,
+    Rat,
+    RAT_ONE,
+    RAT_ZERO,
+    laurent_gcd,
+    mul_sub,
+    nu_power,
+    qround,
+)
 
 
 def identity(n, one=RAT_ONE, zero=RAT_ZERO):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def rand_laurent(rng, nterms):
+    return Laurent({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(nterms)})
+
+
+def reference_primitive_row(row):
+    g = ZERO
+    for x in row:
+        g = laurent_gcd(g, x) if x else g
+        if g.is_one():
+            return row
+    return [x.exact_div(g) for x in row]
+
+
+def reference_row_reduce(A):
+    """row_reduce with each cross-multiplied entry formed by two products,
+    a negation and a sum."""
+    kept, rows = [], []
+    for idx, vec in enumerate(A):
+        for c, b in rows:
+            if vec[c]:
+                vec = [b[c] * x - vec[c] * y for x, y in zip(vec, b)]
+        c = next((j for j, x in enumerate(vec) if x), None)
+        if c is None:
+            continue
+        vec = reference_primitive_row(vec)
+        for k, (ck, b) in enumerate(rows):
+            if b[c]:
+                rows[k] = (ck, reference_primitive_row([vec[c] * y - b[c] * x for y, x in zip(b, vec)]))
+        kept.append(idx)
+        rows.append((c, vec))
+    rows.sort()
+    d = ONE
+    for c, b in rows:
+        d = d * b[c].exact_div(laurent_gcd(d, b[c]))
+    R = [[x * f for x in b] for c, b in rows for f in [d.exact_div(b[c])]]
+    return kept, [c for c, _ in rows], R, d
+
+
+class TestMulSub:
+    def test_matches_products(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            a, x, b, y = (rand_laurent(rng, rng.choice([0, 1, 1, 2, 3, 5])) for _ in range(4))
+            got = mul_sub(a, x, b, y)
+            assert got == a * x - b * y, (a, x, b, y)
+            assert all(got.c.values())
+            assert hash(got) == hash(a * x - b * y)
+
+    def test_full_cancellation(self):
+        v = NU
+        a, x = ONE + v, ONE - v
+        cases = [(a, x, x, a), (a, x, ONE, ONE - v * v), (v, v, Laurent({2: 1}), ONE), (ZERO, a, x, ZERO)]
+        for a, x, b, y in cases:
+            got = mul_sub(a, x, b, y)
+            assert got == ZERO and got.c == {} and hash(got) == hash(ZERO)
+
+    def test_single_terms_and_zeros(self):
+        two_v = Laurent({1: 2})
+        assert mul_sub(two_v, NU, ZERO, ONE) == Laurent({2: 2})
+        assert mul_sub(ZERO, ONE, two_v, NU) == Laurent({2: -2})
+        assert mul_sub(NU, ONE, ONE, ONE) == Laurent({1: 1, 0: -1})
 
 
 class TestRowReduce:
@@ -17,8 +94,8 @@ class TestRowReduce:
         # P N == d I exactly, entries in Z[v, v^-1]
         alg = HalfAlgebra(preset)
         basis = alg.degree_basis(gamma)
-        M = alg.pairing_matrix(gamma)
-        P = [[M[e].get(f, RAT_ZERO).as_laurent() for f in basis.pivots] for e in basis.pivots]
+        M, at = alg.pairing_matrix(gamma), alg.word_index(gamma)
+        P = [[M[at[e]][at[f]] for f in basis.pivots] for e in basis.pivots]
         r = len(P)
         kept, cols, R, d = row_reduce([row + ident for row, ident in zip(P, identity(r, ONE, ZERO))])
         assert kept == list(range(r)) and cols == list(range(r))
@@ -33,9 +110,33 @@ class TestRowReduce:
         for w in basis.words:
             if w in basis.pivots:
                 continue
-            row = [M[w].get(f, RAT_ZERO) for f in basis.pivots]
+            row = [Rat.of(M[at[w]][at[f]]) for f in basis.pivots]
             Nd = [[Rat(x, d) for x in n_row] for n_row in N]
             assert basis.coords({w: RAT_ONE}) == linalg.mat_mul([row], Nd)[0], w
+
+    @pytest.mark.parametrize(
+        "preset, gamma",
+        [
+            ("B2", (2, 2)), ("B2", (3, 3)), ("G2", (1, 3)), ("A1affine", (2, 2)),
+            ("A3", (1, 2, 1)), ("R3", (1, 1, 1)),
+        ],
+    )
+    def test_matches_reference_on_pairing(self, preset, gamma):
+        M = HalfAlgebra(preset).pairing_matrix(gamma)
+        assert row_reduce(M) == reference_row_reduce(M)
+
+    def test_matches_reference_on_rank_deficient(self):
+        # A = C B with B of r rows, so rank A <= r < min(m, n)
+        rng = random.Random(17)
+        for trial in range(12):
+            m, n = rng.randrange(3, 7), rng.randrange(3, 7)
+            r = rng.randrange(1, min(m, n))
+            B = [[rand_laurent(rng, rng.choice([0, 1, 2])) for _ in range(n)] for _ in range(r)]
+            C = [[rand_laurent(rng, rng.choice([0, 1, 2])) for _ in range(r)] for _ in range(m)]
+            A = [[sum((C[i][k] * B[k][j] for k in range(r)), ZERO) for j in range(n)] for i in range(m)]
+            got = row_reduce(A)
+            assert got == reference_row_reduce(A), trial
+            assert len(got[0]) <= r
 
     def test_kept_rows_dependent_second_row(self):
         v = NU
