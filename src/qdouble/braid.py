@@ -133,11 +133,6 @@ class BraidOps:
                 return False
         return True
 
-    def inverse_check(self, i, x: TriElem) -> bool:
-        return self.T(i, self.T(i, x), inverse=True) == x and self.T(
-            i, self.T(i, x, inverse=True)
-        ) == x
-
     def T_equivariance_check(self, i, x: TriElem) -> dict:
         """The three symmetry identities for T_i on one element."""
         ctx = self.ctx

@@ -203,8 +203,6 @@ class CanonicalTables:
         datum = self.datum
         word, roots = self._pbw_roots
         comps = _compositions(gamma, roots)
-        if not comps:
-            raise TableIncomplete(f"degree {gamma} unreachable by PBW roots")
         # divided-power PBW monomials on braid's lattice (v^-mu): the sigma-matrix is unitriangular
         braid = self.alg.braid
         scaled = []

@@ -79,11 +79,6 @@ class CartanDatum:
         """alpha_i^vee on Gamma."""
         return sum(self.A[i][j] * aj for j, aj in enumerate(alpha))
 
-    def coroot_bi(self, i: int, bideg) -> int:
-        """alpha_i^vee on Gamma + Gamma: alpha_i^vee(alpha_{+-j}) = +-a_ij."""
-        minus, plus = bideg
-        return self.coroot(i, plus) - self.coroot(i, minus)
-
     def qi_exp(self, i: int) -> int:
         """nu-exponent of q_i."""
         return 2 * self.d[i]
@@ -170,19 +165,12 @@ class CartanDatum:
     def longest_word(self) -> tuple[int, ...]:
         """A reduced word of the longest element (greedy descent on -rho)."""
         n_pos = len(self.positive_roots())
-        word: list[int] = []
-        # track image of the positive chamber via the set of positive roots
-        # made negative; greedy: pick any i whose simple root is not yet inverted
+        word: tuple[int, ...] = ()
+        # greedy: append the first i that raises the length; every element
+        # but the longest has one
         while len(word) < n_pos:
-            for i in range(self.rank):
-                trial = word + [i]
-                if self.length(tuple(trial)) == len(trial):
-                    word = trial
-                    break
-            else:
-                raise CartanError("failed to extend reduced word")
-        assert self.length(tuple(word)) == n_pos
-        return tuple(word)
+            word += (next(i for i in range(self.rank) if self.length(word + (i,)) > len(word)),)
+        return word
 
     def inversions(self, word) -> list[tuple[int, ...]]:
         """Positive roots sent negative by the inverse of the word's element."""

@@ -223,11 +223,14 @@ class DoubleContext:
 
     # -- normalization -----------------------------------------------------------
     def word_coords(self, w: tuple):
-        """Pivot form (num, d) of one word, shared by its F-word and E-word."""
+        """Pivot form (num, d) of one word, shared by its F-word and E-word:
+        w is the sum of num[p] / d p over the pivot words, d the lcm of the
+        denominators of its coordinates."""
         got = self._word_coords.get(w)
         if got is None:
-            got = self.half.degree_basis(self.half.word_degree(w)).column(w)
-            self._word_coords[w] = got
+            basis = self.half.degree_basis(self.half.word_degree(w))
+            nums, d = common_denominator(basis.coords({w: RAT_ONE}))
+            got = self._word_coords[w] = ({p: n for p, n in zip(basis.pivots, nums) if n}, d)
         return got
 
     def _normalize(self, flavor: str, terms: dict) -> dict:
@@ -380,10 +383,6 @@ class DoubleContext:
         return self.involution(x, "transpose")
 
     # -- quotients and inclusions ---------------------------------------------------------
-    def iota_plus(self, x: TriElem) -> TriElem:
-        assert x.flavor == "heis_plus"
-        return x.with_flavor("full")
-
     def project_heis(self, x: TriElem) -> TriElem:
         """The quotient map onto heis_plus, where K_- is zero."""
         terms = {(K, f, e): c for (K, f, e), c in x.terms.items() if not any(K[0])}

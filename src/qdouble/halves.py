@@ -203,15 +203,6 @@ class HalfAlgebra:
             out.append((weight, tuple(left), tuple(right)))
         return out
 
-    def coproduct(self, x: HalfElem):
-        """Coproduct of an element: dict (left word, right word) -> Rat."""
-        out: dict[tuple, Rat] = {}
-        for w, c in x.terms.items():
-            for weight, lw, rw in self.coproduct_word(w):
-                key = (lw, rw)
-                accumulate(out, key, c * nu_power(weight))
-        return out
-
     # -- pairing -----------------------------------------------------------------
     def pairing_matrix(self, gamma) -> list:
         """M[a][b] = <words[a], words[b]> in Z[v, v^-1] over the words of the
@@ -432,15 +423,6 @@ class DegreeBasis:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def column(self, w: tuple):
-        """(num, d): word w is the sum of num[p] / d p over the pivot words,
-        d the lcm of the denominators of its coordinates."""
-        rest = self._rest.get(w)
-        if rest is None:
-            return {w: ONE}, ONE
-        nums, d = common_denominator([Rat(r, self._d) for r in rest])
-        return {p: n for p, n in zip(self.pivots, nums) if n}, d
 
     def coords(self, component: dict) -> list:
         """Coordinates of a one-degree component dict over the pivot words,

@@ -375,7 +375,7 @@ class Engine:
         out = []
         for am, ap, lmm, lpp in entries:
             elem = self.ctx.diamond(kmono(am, ap), self.bullet(lmm, lpp))
-            cert = self._certificates.get(("bullet", lmm, lpp, "plus"), {})
+            cert = self.certificate("bullet", lmm, lpp)
             out.append(
                 {
                     "K_minus": list(am),

@@ -15,7 +15,6 @@ from .scalar import (
     nu_power,
     parse_scalar,
     qangle,
-    qangle_factorial,
     qround,
 )
 from . import linalg
@@ -29,8 +28,13 @@ class LWModule:
     """Lowest-weight module given by action matrices of the unit divided powers.
 
     E[i][k][j] is the v_k-coefficient of E_i^<1> v_j (same layout for F).
-    Relations are verified at construction; the Shapovalov pairing is built
-    from the lowest-weight vector (or taken from the input blocks).
+    Construction checks the grading (E_i raises the degree by alpha_i, F_i
+    lowers it) and the commutators [E_i^<1>, F_j^<1>].  These imply the
+    quantum Serre relations, which are not checked: a Serre element on
+    either side is killed by ad F_i and has ad K_i-weight 2 - a_ij > 0 in
+    End V, so on a finite-dimensional module it would be a lowest-weight
+    vector of positive weight, and acts as zero.  The Shapovalov pairing is
+    built from the lowest-weight vector (or taken from the input blocks).
     """
 
     def __init__(self, algebra, name, mu, degrees, E, F, shapovalov=None):
@@ -77,37 +81,6 @@ class LWModule:
                             expect = want if a == b else RAT_ZERO
                             if comm[a][b] != expect:
                                 raise ModuleError(f"[E_{i}, F_{i}] wrong at ({a},{b})")
-        # quantum Serre relations at unit divided powers
-        for i in range(rank):
-            for j in range(rank):
-                if i == j or rank == 1:
-                    continue
-                m = 1 - datum.A[i][j]
-                for mats, tag in ((self.E, "E"), (self.F, "F")):
-                    acc = [[RAT_ZERO] * n for _ in range(n)]
-                    for s in range(m + 1):
-                        r = m - s
-                        denom = Rat.of(qangle_factorial(r, datum.qi_exp(i))) * Rat.of(
-                            qangle_factorial(s, datum.qi_exp(i))
-                        )
-                        scale = Rat.of((-1) ** s) * Rat.of(
-                            qangle(1, datum.qi_exp(i))
-                        ) ** (r + s) / denom
-                        term = self._pow(mats[i], r)
-                        term = linalg.mat_mul(term, mats[j])
-                        term = linalg.mat_mul(term, self._pow(mats[i], s))
-                        for a in range(n):
-                            for b in range(n):
-                                acc[a][b] = acc[a][b] + term[a][b] * scale
-                    if acc != zero:
-                        raise ModuleError(f"Serre relation fails on {tag}-side at ({i},{j})")
-
-    def _pow(self, M, k):
-        n = self.dim
-        out = [[RAT_ONE if a == b else RAT_ZERO for b in range(n)] for a in range(n)]
-        for _ in range(k):
-            out = linalg.mat_mul(M, out)
-        return out
 
     def _build_shapovalov(self):
         if self._shap is not None:
@@ -372,29 +345,21 @@ class RSTMap:
         return True
 
     def equivariance_check(self, i: int, uvec: dict, vvec: dict) -> bool:
-        """Xi(E_i^<1> . (u tensor v)) = [E_i^<1>, Xi(u tensor v)] K_{+i}^(-1)."""
+        """Xi(E_i . (u tensor v)) = [E_i, Xi(u tensor v)] K_{+i}^(-1), with
+        E_i . (u tensor v) = u tensor E_i v - K_i^-1 F_i u tensor K_i v."""
         V = self.V
         ctx = self.alg.ctx
         datum = self.datum
-        bracket = Rat.of(qangle(1, datum.qi_exp(i)))
 
-        def k_eig(j, power):
-            w = -V.mu[i] + datum.coroot(i, V.degrees[j])
-            return nu_power(power * datum.qi_exp(i) * w)
+        def K(power, vec):
+            # v_j has K_i-eigenvalue q_i^(coroot_i(|v_j|) - mu_i)
+            return {
+                j: c * nu_power(power * datum.qi_exp(i) * (datum.coroot(i, V.degrees[j]) - V.mu[i]))
+                for j, c in vec.items()
+            }
 
-        # tensor action: E(u x v) = u x E(v) - K^-1 F(u) x K(v)
-        terms = []
-        for j, cu in uvec.items():
-            for k, cv in vvec.items():
-                ev = {t: Rat.of(M) for t, M in enumerate(r[k] for r in V.E[i]) if not M.is_zero()}
-                for t, m in ev.items():
-                    terms.append((cu * cv * m, {j: RAT_ONE}, {t: RAT_ONE}))
-                fu = {t: M for t, M in enumerate(r[j] for r in V.F[i]) if not M.is_zero()}
-                for t, m in fu.items():
-                    coeff = cu * cv * m * k_eig(t, -1) * k_eig(k, 1) * Rat.of(-1)
-                    terms.append((coeff, {t: RAT_ONE}, {k: RAT_ONE}))
-        lhs = ctx.zero("check")
-        for coeff, uu, vv in terms:
-            lhs = lhs + self.xi_pair(uu, vv).scale(coeff)
-        rhs = ctx.adjoint_act(i, "E", self.xi_pair(uvec, vvec)).scale(bracket.inv())
+        lhs = self.xi_pair(uvec, V.act_letter(PLUS, i, vvec)) - self.xi_pair(
+            K(-1, V.act_letter(MINUS, i, uvec)), K(1, vvec)
+        )
+        rhs = ctx.adjoint_act(i, "E", self.xi_pair(uvec, vvec))
         return ctx.normalize_tags(lhs) == ctx.normalize_tags(rhs)

@@ -27,6 +27,12 @@ def a2():
     return ops("A2")
 
 
+def inverse_check(ops, i, x):
+    return ops.T(i, ops.T(i, x), inverse=True) == x and ops.T(
+        i, ops.T(i, x, inverse=True)
+    ) == x
+
+
 def rand_tri(ctx, rng, height=3, nterms=2):
     rank = ctx.datum.rank
     terms = {}
@@ -133,8 +139,8 @@ class TestEquivariance:
         rng = random.Random(63)
         for _ in range(4):
             x = rand_tri(a2.ctx, rng)
-            assert a2.inverse_check(0, x)
-            assert a2.inverse_check(1, x)
+            assert inverse_check(a2, 0, x)
+            assert inverse_check(a2, 1, x)
 
 
 class TestSchubert:

@@ -1,6 +1,8 @@
 import pytest
 
 from qdouble.cartan import CartanDatum, CartanError, PRESETS, get_datum
+from qdouble.double import DoubleContext, k_one
+from qdouble.halves import HalfAlgebra
 
 
 A2 = PRESETS["A2"]
@@ -46,16 +48,21 @@ class TestUlgamma:
 
 
 class TestCoroot:
+    # alpha_i^vee on the bidegree of a term: +-a_ij on alpha_{+-j}, the plus
+    # degree read from the E-word and the minus degree from the F-word
+    ctx = DoubleContext(HalfAlgebra(A2))
+    K = k_one(2)
+
     def test_plus(self):
-        assert A2.coroot_bi(0, (((0, 0)), (1, 0))) == 2
+        assert self.ctx.coroot_of_term(0, (self.K, (), (0,))) == 2
 
     def test_minus(self):
-        assert A2.coroot_bi(0, ((1, 0), (0, 0))) == -2
+        assert self.ctx.coroot_of_term(0, (self.K, (0,), ())) == -2
 
     def test_symmetric_kills(self):
-        for g in [(1, 0), (2, 3)]:
-            assert A2.coroot_bi(0, (g, g)) == 0
-            assert A2.coroot_bi(1, (g, g)) == 0
+        for w in [(0,), (0, 0, 1, 1, 1)]:
+            assert self.ctx.coroot_of_term(0, (self.K, w, w)) == 0
+            assert self.ctx.coroot_of_term(1, (self.K, w, w)) == 0
 
 
 class TestDegrees:

@@ -24,7 +24,7 @@ from qdouble.double import (
     tri_from_obj,
     tri_to_obj,
 )
-from qdouble.scalar import RAT_ONE, Laurent, Rat, accumulate, common_denominator, nu_power, qangle, qround_binom, qangle_factorial
+from qdouble.scalar import ONE, RAT_ONE, Laurent, Rat, accumulate, common_denominator, nu_power, qangle, qround_binom, qangle_factorial
 from qdouble.sl2oracle import SL2Oracle
 
 
@@ -249,7 +249,7 @@ class TestQuotients:
     def test_iota_section(self, sl2):
         rng = random.Random(43)
         x = rand_tri(sl2, rng, flavor="heis_plus", height=2, nterms=3)
-        assert sl2.project_heis(sl2.iota_plus(x)) == x
+        assert sl2.project_heis(x.with_flavor("full")) == x
 
 
 class TestNormalizeTags:
@@ -541,7 +541,7 @@ class TestWordDenominators:
         ctx, half = alg.ctx, alg.half
         basis = half.degree_basis((1, 2, 1))
         rest = [w for w in basis.words if w not in basis.pivots]
-        assert any(not basis.column(w)[1].is_one() for w in rest)
+        assert any(not ctx.word_coords(w)[1].is_one() for w in rest)
         c = Rat(Laurent({1: 1}), FRACTION_DENS[-1])
         K = kmono((1, 0, 0), (0, 0, 1))
         for f, e in zip(rest, reversed(basis.words)):
@@ -551,6 +551,41 @@ class TestWordDenominators:
             ) + ctx.from_halves(minus=half.element(MINUS, {f: RAT_ONE}), K=K)
             assert x == want
             assert_canonical(x.terms.values())
+
+    @staticmethod
+    def reference_column(basis, w):
+        """(num, d) of word w from the reduced row echelon form, built per
+        word: the pivot-form routine that `coords` replaced."""
+        rest = basis._rest.get(w)
+        if rest is None:
+            return {w: ONE}, ONE
+        nums, d = common_denominator([Rat(r, basis._d) for r in rest])
+        return {p: n for p, n in zip(basis.pivots, nums) if n}, d
+
+    @pytest.mark.parametrize(
+        "preset, gamma",
+        [
+            ("A2", (3, 3)),
+            ("B2", (2, 2)),
+            ("G2", (1, 3)),
+            ("A1affine", (2, 2)),
+            ("R3", (1, 2, 1)),
+            ("R3", (2, 2, 1)),
+        ],
+    )
+    def test_word_coords_match_reference_column(self, preset, gamma):
+        # on each degree, fails if word_coords keeps zero numerators or
+        # returns the unreduced row-echelon denominator basis._d
+        alg = Algebra.get(preset)
+        basis = alg.half.degree_basis(gamma)
+        dens = set()
+        for w in basis.words:
+            got = alg.ctx.word_coords(w)
+            assert got == self.reference_column(basis, w)
+            if w not in basis.pivots:
+                dens.add(got[1])
+        if preset == "R3":
+            assert dens == {ONE, Laurent({4: 1, 0: 1})}
 
     def test_to_dcb_user_table(self):
         # a user table of pivot words times Phi4 puts every DCB coordinate

@@ -3,7 +3,8 @@ the tests is used: a name counts as used when it appears as an identifier,
 inside a string annotation, or in `__all__`.  The package's imports run one
 way: each module imports only from modules before it in LAYER_ORDER, and
 at module level (cli alone defers its `checks` import, to keep it out of
-start-up)."""
+start-up).  Every public function, class and method of the package is named
+somewhere else in the package, except the KEPT_PUBLIC names."""
 import ast
 from pathlib import Path
 
@@ -30,6 +31,23 @@ LAYER_ORDER = (
     "__init__",
 )
 DEFERRED_IMPORTS = {"cli"}
+
+# public names that no package code calls: paper-facing objects and oracle
+# entries the tests check, and serialization entry points
+KEPT_PUBLIC = {
+    "basis_elem",
+    "bullet_factored",
+    "cheb_product",
+    "epsilon_stat",
+    "lambda_closed",
+    "brace",
+    "lambda_act",
+    "psi_rescale",
+    "reduced_words",
+    "module_from_obj",
+    "half_to_obj",
+    "tri_from_obj",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -103,3 +121,44 @@ def test_scan_finds_import_faults():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_imports_run_one_way(path):
     assert package_import_faults(path.stem, path.read_text()) == []
+
+
+def unreferenced_public(sources: dict) -> list:
+    """(module, name) for each public function, class or method defined in
+    `sources` ({module: text}) that no code outside its own body names, as an
+    identifier or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    out = []
+    for module, tree in trees.items():
+        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defs += [m for c in defs if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
+        for node in defs:
+            if node.name.startswith("_"):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if all(id(r) in inside for r in refs.get(node.name, [])):
+                out.append((module, node.name))
+    return sorted(out)
+
+
+def test_scan_finds_unreferenced_names():
+    a = (
+        "def f():\n    return g()\n"
+        "def g():\n    return 1\n"
+        "def h(n):\n    return h(n - 1)\n"
+        "class C:\n    def m(self):\n        pass\n    def k(self):\n        pass\n"
+        "    def _p(self):\n        pass\n"
+    )
+    b = "from .a import C\nC().m()\n"
+    assert unreferenced_public({"a": a, "b": b}) == [("a", "f"), ("a", "h"), ("a", "k")]
+
+
+def test_every_public_name_is_referenced():
+    found = unreferenced_public({p.stem: p.read_text() for p in PACKAGE})
+    assert [f for f in found if f[1] not in KEPT_PUBLIC] == []
+    assert sorted(KEPT_PUBLIC - {name for _, name in found}) == []
