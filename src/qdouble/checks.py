@@ -657,8 +657,8 @@ def suite_tables_equal_d():
         eng = alg.circ(lab_iji, lab_iji)
         dmin = alg.d_multiplier(lab_iji, lab_iji)
         ok = (
-            alg.ctx.bar(printed) == printed
-            and alg.ctx.bar(eng) == eng
+            alg.ctx.is_bar_fixed(printed)
+            and alg.ctx.is_bar_fixed(eng)
             and dmin == qround(a, 2)
             and printed != eng
         )
@@ -683,7 +683,7 @@ def suite_tables_equal_d():
             .value()
         )
         eng_b = alg.bullet(lab_iji, lab_iji)
-        ok = alg.ctx.bar(eng_b) == eng_b and alg.ctx.project_heis(eng_b) == eng
+        ok = alg.ctx.is_bar_fixed(eng_b) and alg.ctx.project_heis(eng_b) == eng
         out.append(
             (
                 f"equal-d a={a}: F_iji bullet E_iji (engine characterization)",
@@ -1102,7 +1102,7 @@ def suite_braid(seed: int = 2026):
     out.append(
         (
             "wild braid image of the mixed affine pair (4-term decomposition)",
-            got == want and aff.ctx.bar(img) == img and len(got) > 1,
+            got == want and aff.ctx.is_bar_fixed(img) and len(got) > 1,
             "",
         )
     )

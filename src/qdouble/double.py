@@ -22,6 +22,12 @@ degree, so each context caches one pairing vector per K-monomial
 memoises the products of K-monomials (`k_product`).  Every term that
 straightening E-word times F-word produces has the weight of the input pair,
 so bar and star twist each input term once, before the straightened terms.
+
+An involution has one numerator stage (`_involution_numerators`): the
+reversed words are straightened and expanded to pivot words, grouped by
+their pivot denominators.  `involution` reduces each group's numerators
+once; `is_bar_fixed` compares them with the element's coefficients by
+cross-multiplication and reduces nothing.
 """
 from __future__ import annotations
 
@@ -239,28 +245,29 @@ class DoubleContext:
         return self._normalize_over(flavor, dict(zip(terms, nums)), den)
 
     def _normalize_over(self, flavor: str, nums: dict, den: Laurent) -> dict:
-        """Triangular normal form of {key: numerator over den}: the words go
-        to their pivot forms, and the numerators whose words have pivot
-        denominators (d_f, d_e) are reduced over den d_f d_e."""
+        """Triangular normal form of {key: numerator over den}."""
+        return _over_groups(self._pivot_numerators(flavor, nums), den)
+
+    def _pivot_numerators(self, flavor: str, nums: dict) -> dict:
+        """{(d_f, d_e): {key: numerator}}: the words of {key: numerator} go
+        to their pivot forms, grouped by the pivot denominators (d_f, d_e) of
+        the F-word and the E-word, so that a group's numerators lie over
+        den d_f d_e for the common denominator den of the input."""
         drop = _DROPPED_K.get(flavor)
-        by_dens: dict = {}
+        groups: dict = {}
         for (K, f, e), n in nums.items():
             if drop is not None and any(K[drop]):
                 continue
             fc, df = self.word_coords(f)
             ec, de = self.word_coords(e)
-            acc = by_dens.get((df, de))
+            acc = groups.get((df, de))
             if acc is None:
-                acc = by_dens[df, de] = {}
+                acc = groups[df, de] = {}
             for wf, af in fc.items():
                 nf = n if af.is_one() else n * af
                 for we, ae in ec.items():
                     accumulate(acc, (K, wf, we), nf if ae.is_one() else nf * ae)
-        out: dict = {}
-        for (df, de), acc in by_dens.items():
-            for key, c in over_denominator(acc, den * df * de).items():
-                accumulate(out, key, c)
-        return out
+        return groups
 
     # -- straightening core ---------------------------------------------------------
     # Straightening coefficients are products of v-powers and <a>'s, so the
@@ -343,6 +350,13 @@ class DoubleContext:
 
     # -- involutions ----------------------------------------------------------------------
     def involution(self, x: TriElem, which: str) -> TriElem:
+        out = _over_groups(*self._involution_numerators(x, which))
+        return TriElem(self, x.flavor, out, normalized=True)
+
+    def _involution_numerators(self, x: TriElem, which: str):
+        """The image of x before any reduction: (groups, den) with the image
+        the sum over groups[(d_f, d_e)] of {key: numerator / (den d_f d_e)}
+        in pivot words (see _pivot_numerators)."""
         if which not in ("bar", "star", "transpose"):
             raise ValueError(f"unknown involution {which!r}")
         if which == "star" and x.flavor in ("heis_plus", "heis_minus", "check"):
@@ -371,7 +385,34 @@ class DoubleContext:
                 tuple(reversed(e)), tuple(reversed(f)), cross
             ).items():
                 accumulate(acc, (self.k_product(K3, K2), f3, e3), n * c3)
-        return TriElem(self, x.flavor, self._normalize_over(x.flavor, acc, den), normalized=True)
+        return self._pivot_numerators(x.flavor, acc), den
+
+    def is_bar_fixed(self, x: TriElem) -> bool:
+        """bar(x) == x, decided on the numerators of bar(x): each key's
+        fractions sum by cross-multiplication and compare with x's
+        coefficient the same way, so no coefficient of bar(x) is reduced."""
+        groups, den = self._involution_numerators(x, "bar")
+        sums: dict = {}  # key -> (numerator, denominator), not reduced
+        for (df, de), acc in groups.items():
+            d = den * df * de
+            for key, n in acc.items():
+                got = sums.get(key)
+                if got is None:
+                    sums[key] = (n, d)
+                elif got[1] == d:
+                    sums[key] = (got[0] + n, d)
+                else:
+                    sums[key] = (got[0] * d + n * got[1], got[1] * d)
+        if not sums.keys() >= x.terms.keys():
+            return False
+        for key, (n, d) in sums.items():
+            c = x.terms.get(key)
+            if c is None:
+                if n:
+                    return False
+            elif (n if c.den.is_one() else n * c.den) != (c.num if d.is_one() else c.num * d):
+                return False
+        return True
 
     def bar(self, x: TriElem) -> TriElem:
         return self.involution(x, "bar")
@@ -465,6 +506,16 @@ class DoubleContext:
             else:
                 raise ValueError(f"unknown twisted generator {kind!r}")
         return out
+
+
+def _over_groups(groups: dict, den: Laurent) -> dict:
+    """The reduced coefficients of pivot-numerator groups over den: each
+    group's numerators are reduced once over den d_f d_e, then summed."""
+    out: dict = {}
+    for (df, de), acc in groups.items():
+        for key, c in over_denominator(acc, den * df * de).items():
+            accumulate(out, key, c)
+    return out
 
 
 def _unit_vec(rank: int, i: int, power: int, side: int):

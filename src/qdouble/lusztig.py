@@ -5,7 +5,10 @@
 quotients and the bullet product in the full double all go through it.  The
 engine also owns the per-label-pair memos: the reverse products b_+ b_- in
 DCB coordinates (`reverse_dcb`) and the clearing multipliers
-(`d_multiplier`).  Also structure-constant extraction and basis enumeration.
+(`d_multiplier`).  Every solve ends with the exact bar-invariance check
+`DoubleContext.is_bar_fixed` of its result.  Also structure-constant
+extraction and basis enumeration, which computes each twisted row
+K diamond bullet(b_-, b_+) once per engine.
 """
 from __future__ import annotations
 
@@ -100,6 +103,7 @@ class Engine:
         self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
         self._certificates: dict = {}
+        self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
 
     # ====================================================== clearing multipliers
     def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
@@ -289,7 +293,7 @@ class Engine:
         for ((am, ap), l2, l3), p in solved.items():
             base = self._member(kind, l2, l3, variant)
             result = result + self.ctx.diamond(kmono(am, ap), base).scale(p)
-        if self.ctx.bar(result) != result:
+        if not self.ctx.is_bar_fixed(result):
             raise TriangularityError(f"{where} failed bar-invariance")
         self._certificates[key] = solved
         self._solved[key] = result
@@ -374,7 +378,10 @@ class Engine:
         entries.sort()
         out = []
         for am, ap, lmm, lpp in entries:
-            elem = self.ctx.diamond(kmono(am, ap), self.bullet(lmm, lpp))
+            elem = self._twisted.get((am, ap, lmm, lpp))
+            if elem is None:
+                elem = self.ctx.diamond(kmono(am, ap), self.bullet(lmm, lpp))
+                self._twisted[am, ap, lmm, lpp] = elem
             cert = self.certificate("bullet", lmm, lpp)
             out.append(
                 {

@@ -3,6 +3,12 @@
 Everything downstream computes over these scalars.  Laurent polynomials are
 dicts {exponent: int}; rational functions are canonical num/den pairs so that
 equality is structural.  The bar involution is v -> v^-1.
+
+`Rat` keeps the canonical form without reducing from scratch: it cancels
+only where two factors can meet.  A product with a single term m v^k over 1
+(every v-power twist, sign and integer scale) is the other numerator shifted
+and scaled over its own denominator, with only the integer
+gcd(m, content(den)) to divide out.
 """
 from __future__ import annotations
 
@@ -392,6 +398,12 @@ class Rat:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return RAT_ZERO
+        # a twist, sign or scale m v^k meets only the integer content of
+        # the other denominator
+        if b.is_one() and len(a.c) == 1:
+            return _times_term(c, d, a)
+        if d.is_one() and len(c.c) == 1:
+            return _times_term(a, b, c)
         # cross-cancel: gcd(a/g1 c/g2, b/g2 d/g1) = 1
         if not d.is_one():
             g1 = laurent_gcd(a, d)
@@ -472,6 +484,21 @@ def _rat(num: Laurent, den: Laurent) -> Rat:
     r.den = den
     r._hash = None
     return r
+
+
+def _times_term(num: Laurent, den: Laurent, term: Laurent) -> Rat:
+    """(m v^k num)/den for canonical num/den and the single term m v^k:
+    num shifted and scaled over den as it is, unless m shares an integer
+    factor g with the content of den, which then divides out of both."""
+    ((k, m),) = term.c.items()
+    g = _int_gcd(m, den.content())
+    if g != 1:
+        m //= g
+        den = den.intdiv(g)
+    r = Laurent.__new__(Laurent)
+    r.c = {e + k: x * m for e, x in num.c.items()}
+    r._hash = None
+    return _rat(r, den)
 
 
 def _unit_normal(num: Laurent, den: Laurent) -> Rat:

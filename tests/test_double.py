@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import os
@@ -530,6 +531,109 @@ class TestFractionalCoefficients:
                 coords = alg.tables.to_dcb(pair.scale(c))
                 assert_canonical(coords.values())
                 assert coords == {(K, lm, lp): c}
+
+
+class TestIsBarFixed:
+    """is_bar_fixed(x) decides bar(x) == x on the unreduced numerators of
+    bar(x); it must agree with the reduced bar on fixed elements, on the same
+    elements with one coefficient moved, and where bar(x) reaches a key from
+    two pivot-denominator groups."""
+
+    @staticmethod
+    def solved(alg, flavor, rng):
+        """Solved elements of the flavor: circ in a Heisenberg quotient,
+        bullet otherwise, twisted by a torus monomial with negative
+        exponents in localized and check."""
+        labels = [lab for g in alg.datum.degrees_up_to((1,) * alg.datum.rank) for lab in alg.tables.labels_of_degree(g)]
+        rank = alg.datum.rank
+        out = []
+        for _ in range(3):
+            lm, lp = rng.choice(labels), rng.choice(labels)
+            if flavor in ("heis_plus", "heis_minus"):
+                out.append(alg.engine.circ(lm, lp, "plus" if flavor == "heis_plus" else "minus"))
+                continue
+            x = alg.engine.bullet(lm, lp).with_flavor(flavor)
+            if flavor != "full":
+                K = kmono(*(tuple(rng.randrange(-1, 2) for _ in range(rank)) for _ in range(2)))
+                x = alg.ctx.diamond(K, x)
+            out.append(x)
+        return out
+
+    @staticmethod
+    def assert_agrees(ctx, x, fixed=None):
+        """is_bar_fixed(x) is bar(x) == x, and is `fixed` when that is given."""
+        got = ctx.is_bar_fixed(x)
+        assert got is (ctx.bar(x) == x)
+        assert fixed is None or got is fixed
+        return got
+
+    @staticmethod
+    def moved(ctx, x, rng):
+        """x with one coefficient plus v, which bar sends to v^-1 (a term
+        that bar sends to v^2 times itself keeps x fixed)."""
+        key = rng.choice(sorted(x.terms))
+        terms = dict(x.terms)
+        accumulate(terms, key, nu_power(1))
+        return TriElem(ctx, x.flavor, terms, normalized=True)
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_agrees_with_bar(self, preset, flavor):
+        alg = Algebra.get(preset)
+        ctx = alg.ctx
+        rng = random.Random(81 + FLAVORS.index(flavor))
+        fixed = self.solved(alg, flavor, rng)
+        for _ in range(2):
+            y = oracle_tri(ctx, rng, flavor)
+            fixed.append(y + ctx.bar(y))
+        moved = []
+        for x in fixed:
+            self.assert_agrees(ctx, x, True)
+            moved.append(self.assert_agrees(ctx, self.moved(ctx, x, rng)))
+        assert not all(moved)
+
+    def test_image_inside_the_support(self):
+        # x = bar(F E) = F E + (q^-1 - q)(K_+ - K_-) has bar(x) = F E: bar(x)
+        # agrees with x on its own support and misses the torus terms of x
+        ctx = Algebra.get("A2").ctx
+        x = ctx.bar(ctx.multiply(ctx.f_gen(0), ctx.e_gen(0)))
+        assert set(ctx.bar(x).terms) < set(x.terms)
+        self.assert_agrees(ctx, x, False)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_key_from_two_groups(self, flavor):
+        # in G2 (4, 2) the reverse of the pivot word 0 0 0 1 0 1 has pivot
+        # denominator v^4 + 1 and shares pivot words with the reverses of
+        # pivot words of denominator 1; A2, B2 and A1affine have no pivot
+        # denominator but 1 on the degrees of height at most 6 and parts at
+        # most 4
+        alg = Algebra.get("G2")
+        ctx = alg.ctx
+        rng = random.Random(89 + FLAVORS.index(flavor))
+        rank = ctx.datum.rank
+        low = -1 if flavor in ("localized", "check") else 0
+        pivots = alg.half.degree_basis((4, 2)).pivots
+        assert (0, 0, 0, 1, 0, 1) in pivots
+        terms = {}
+        for side in (0, 1):
+            km = tuple(rng.randrange(low, 2) for _ in range(rank))
+            kpl = tuple(rng.randrange(low, 2) for _ in range(rank))
+            if flavor == "heis_plus":
+                km = (0,) * rank
+            if flavor == "heis_minus":
+                kpl = (0,) * rank
+            tag = (1, 0) if flavor == "check" else (0, 0)
+            for p in pivots:
+                key = (kmono(km, kpl, tag), p, ()) if side == 0 else (kmono(km, kpl, tag), (), p)
+                terms[key] = Rat(Laurent({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3])}), FRACTION_DENS[side])
+        y = TriElem(ctx, flavor, terms)
+        for x, fixed in ((y, False), (y + ctx.bar(y), True)):
+            groups, _ = ctx._involution_numerators(x, "bar")
+            assert len(groups) > 1
+            seen = collections.Counter(key for acc in groups.values() for key in acc)
+            assert max(seen.values()) > 1
+            self.assert_agrees(ctx, x, fixed)
+        self.assert_agrees(ctx, self.moved(ctx, y + ctx.bar(y), rng), False)
 
 
 class TestWordDenominators:

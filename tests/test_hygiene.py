@@ -4,7 +4,8 @@ inside a string annotation, or in `__all__`.  The package's imports run one
 way: each module imports only from modules before it in LAYER_ORDER, and
 at module level (cli alone defers its `checks` import, to keep it out of
 start-up).  Every public function, class and method of the package is named
-somewhere else in the package, except the KEPT_PUBLIC names."""
+somewhere else in the package (a method as an attribute), except the
+KEPT_PUBLIC names."""
 import ast
 from pathlib import Path
 
@@ -125,23 +126,29 @@ def test_package_imports_run_one_way(path):
 
 def unreferenced_public(sources: dict) -> list:
     """(module, name) for each public function, class or method defined in
-    `sources` ({module: text}) that no code outside its own body names, as an
-    identifier or as an attribute."""
+    `sources` ({module: text}) that no code outside its own body names.  A
+    function or class counts as named by an identifier or an attribute, a
+    method only by an attribute: a local or a parameter of the same name
+    does not call it."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    refs: dict = {}
+    names: dict = {}
+    attrs: dict = {}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                refs.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append(node)
     out = []
     for module, tree in trees.items():
         defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-        defs += [m for c in defs if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
-        for node in defs:
+        methods = [m for c in defs if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
+        for node in defs + methods:
             if node.name.startswith("_"):
                 continue
+            refs = attrs.get(node.name, []) + ([] if node in methods else names.get(node.name, []))
             inside = set(map(id, ast.walk(node)))
-            if all(id(r) in inside for r in refs.get(node.name, [])):
+            if all(id(r) in inside for r in refs):
                 out.append((module, node.name))
     return sorted(out)
 
@@ -153,9 +160,11 @@ def test_scan_finds_unreferenced_names():
         "def h(n):\n    return h(n - 1)\n"
         "class C:\n    def m(self):\n        pass\n    def k(self):\n        pass\n"
         "    def _p(self):\n        pass\n"
+        "    def n(self):\n        pass\n"
     )
     b = "from .a import C\nC().m()\n"
-    assert unreferenced_public({"a": a, "b": b}) == [("a", "f"), ("a", "h"), ("a", "k")]
+    assert unreferenced_public({"a": a, "b": b}) == [("a", "f"), ("a", "h"), ("a", "k"), ("a", "n")]
+    assert unreferenced_public({"a": a, "b": b + "C().n()\n"}) == [("a", "f"), ("a", "h"), ("a", "k")]
 
 
 def test_every_public_name_is_referenced():

@@ -100,6 +100,29 @@ class TestBarRowChecks:
         with pytest.raises(TriangularityError, match="diagonal"):
             alg.circ(lab1, lab1)
 
+    def test_final_check_can_fail(self, monkeypatch):
+        # the first correction of each solve gains v^-2: still a polynomial
+        # in q, so only the final bar-invariance check can see it
+        def skewed(target_row, candidates, row, side, where):
+            p = bar_fix(target_row, candidates, row, side, where)
+            if p:
+                s = next(iter(p))
+                p[s] = p[s] + nu_power(-2)
+            return p
+
+        monkeypatch.setattr(lusztig, "bar_fix", skewed)
+        alg = Algebra("A2")
+        labels = [lab for g in alg.datum.degrees_up_to((1, 1)) for lab in alg.tables.labels_of_degree(g)]
+        failed = 0
+        for lm in labels:
+            for lp in labels:
+                try:
+                    alg.bullet(lm, lp)
+                except TriangularityError as exc:
+                    assert "failed bar-invariance" in str(exc)
+                    failed += 1
+        assert (len(labels), failed) == (5, 14)
+
 
 class TestLinearBarRows:
     # the bar of every family member, read off the cached reverse products by

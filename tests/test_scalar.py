@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from qdouble import scalar
 from qdouble.scalar import (
     Laurent,
     Rat,
@@ -185,6 +186,30 @@ class TestRatReference:
             _same_as_reference(x**-2, b**2, a**2)
         _same_as_reference(x + 1, a + b, b)
         _same_as_reference(x * 2, a * 2, b)
+
+
+class TestSingleTermProducts:
+    """A factor m v^k over 1 shifts and scales the other numerator over its
+    denominator as it is.  Only the integer content of that denominator can
+    meet m, and an integer gcd divides it out, so no laurent_gcd runs."""
+
+    terms = [Laurent.mono(m, k) for m in (1, -1, 2, -2, 3, 4) for k in (-3, 0, 2)]
+
+    def test_pool_has_content_in_its_denominators(self):
+        assert {2, 6} <= {x.den.content() for x in TestRatReference.pool}
+
+    @pytest.mark.parametrize("x", TestRatReference.pool, ids=range(len(SHARED)))
+    def test_against_reference(self, x, monkeypatch):
+        calls = []
+        real = scalar.laurent_gcd
+        monkeypatch.setattr(scalar, "laurent_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+        for t in self.terms:
+            y = Rat.of(t)
+            products = (x * y, y * x)
+            assert calls == []
+            for got in products:
+                _same_as_reference(got, x.num * t, x.den)
+            calls.clear()
 
 
 class TestQNumbers:
