@@ -214,9 +214,10 @@ def _read_cache(path: str) -> str | None:
 
 
 def _emit(args, text: str):
+    """Print the text, or write the same bytes to the --out file."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
         print(text)
 

@@ -31,7 +31,12 @@ def mat_mul(A, B):
 
 
 def _primitive_row(row):
-    """The row divided by the gcd of its entries."""
+    """The row shifted to valuation 0 and divided by the gcd of its entries.
+    The gcd never holds a unit v^k, so the shift is what divides out the
+    powers of v that the cross-multiplications bring in."""
+    k = min(x.min_exp() for x in row if x)
+    if k:
+        row = [x.shift(-k) for x in row]
     g = ZERO
     for x in row:
         g = laurent_gcd(g, x) if x else g
@@ -44,8 +49,9 @@ def row_reduce(A):
     """Fraction-free Gauss-Jordan elimination of a Laurent matrix, one row at
     a time: a row is cross-multiplied against the kept rows, b[c] vec - vec[c] b
     (each entry one `mul_sub`), and kept, divided by the gcd of its entries,
-    when it is not zero.  So the kept rows are the lexicographically-first
-    independent set and the entries stay small in Z[v, v^-1].  Returns
+    when it is not zero, after a shift to valuation 0.  So the kept rows
+    are the lexicographically-first independent set and the entries stay
+    small in Z[v, v^-1].  Returns
     (kept, cols, R, d): R[k] is d times the row of the reduced row echelon
     form of A with pivot column cols[k]."""
     kept, rows = [], []  # (pivot column, row), each zero at the others' pivots

@@ -15,6 +15,8 @@ from qdouble.cli import main
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
 A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
+# stdout of `verify all` at the default seed
+VERIFY_ALL_SHA256 = "f26896c8289827e3712d641fd8bec6db7a4b8bcb741e02bf33bf87178b85cc87"
 
 # a valid user table for degree (1,): F_1 under the label "x"
 USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "1", "w": "F:1"}]}]}]
@@ -159,10 +161,12 @@ class TestBasis:
         assert code == 0 and json.loads(out)[0]["b_minus"] == "1"
 
     def test_out_file(self, capsys, tmp_path):
-        # --out writes the bytes stdout would carry, less print's newline
+        # --out writes the bytes that stdout carries
         target = tmp_path / "table.json"
-        assert run(capsys, "basis", "--preset", "A1", "--height", "1", "--out", str(target)) == (0, "")
-        written = target.read_bytes() + b"\n"
+        argv = ("basis", "--preset", "A1", "--height", "1")
+        assert run(capsys, *argv, "--out", str(target)) == (0, "")
+        written = target.read_bytes()
+        assert written == run(capsys, *argv)[1].encode()
         assert hashlib.sha256(written).hexdigest() == A1_H1_SHA256
 
     def test_negative_height(self, capsys):
@@ -410,11 +414,46 @@ class TestVerify:
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         from qdouble import checks
 
-        monkeypatch.setitem(checks.SUITES, "failing", lambda: [("patched identity", False, "")])
+        monkeypatch.setitem(checks.SUITES, "failing", lambda seed: [("patched identity", False, "")])
         monkeypatch.setitem(checks.CLI_SUITES, "sl2", ("failing",))
         code, out = run(capsys, "verify", "sl2")
         assert code == 1
         assert out == "FAIL patched identity\n0/1 checks passed\n"
+
+    def test_failing_line_names_its_case(self, capsys, monkeypatch):
+        # the closed form made wrong at (m_-, m_+) = (1, 2) alone
+        from qdouble.sl2oracle import SL2Oracle
+
+        closed = SL2Oracle.circ_closed
+
+        def wrong(self, m_minus, m_plus):
+            x = closed(self, m_minus, m_plus)
+            return x + x if (m_minus, m_plus) == (1, 2) else x
+
+        monkeypatch.setattr(SL2Oracle, "circ_closed", wrong)
+        code, out = run(capsys, "verify", "sl2")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL sl2 circ engine = closed form (m <= 4) -- first failing case: (1, 2)"]
+
+    def test_holds_stops_at_the_first_failing_case(self):
+        from qdouble.checks import holds
+
+        def cases():
+            yield (0, 0), True
+            yield (1, 2), False
+            raise AssertionError("a case after the failing one was evaluated")
+
+        assert holds("x", cases(), "kept") == ("x", False, "first failing case: (1, 2)")
+        assert holds("x", [(0, True), ((0, 1), True)], "kept") == ("x", True, "kept")
+        assert holds("x", [], "kept") == ("x", True, "kept")
+
+    def test_verify_all_bytes(self, capsys):
+        # every suite, byte for byte; the acceptance tests have warmed the
+        # shared instances by the time this runs
+        code, out = run(capsys, "verify", "all")
+        assert code == 0 and out.endswith("\n117/117 checks passed\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2

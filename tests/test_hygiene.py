@@ -5,7 +5,8 @@ way: each module imports only from modules before it in LAYER_ORDER, and
 at module level (cli alone defers its `checks` import, to keep it out of
 start-up).  Every public function, class and method of the package is named
 somewhere else in the package (a method as an attribute), except the
-KEPT_PUBLIC names."""
+KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
+other modules define."""
 import ast
 from pathlib import Path
 
@@ -171,3 +172,51 @@ def test_every_public_name_is_referenced():
     found = unreferenced_public({p.stem: p.read_text() for p in PACKAGE})
     assert [f for f in found if f[1] not in KEPT_PUBLIC] == []
     assert sorted(KEPT_PUBLIC - {name for _, name in found}) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_reads(sources: dict) -> list:
+    """(module, line, name) for each read of an attribute `x._name` in
+    `sources` ({module: text}) whose `_name` the reading module does not
+    define but another one does: as a function, method or class, or as an
+    assigned name or attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {}
+    for module, tree in trees.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        defined[module] = {name for name in names if _private(name)}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items() if other != module))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in elsewhere - defined[module]
+            ):
+                out.append((module, node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_scan_finds_foreign_private_reads():
+    a = (
+        "class A:\n    def __init__(self):\n        self._x = 1\n"
+        "    def _m(self):\n        return self._x\n"
+    )
+    b = "def f(a, o):\n    return a._m(), a._x, o._other, a.__init__\n"
+    assert foreign_private_reads({"a": a, "b": b}) == [("b", 2, "_m"), ("b", 2, "_x")]
+    assert foreign_private_reads({"a": a, "b": b + "def _m():\n    pass\n"}) == [("b", 2, "_x")]
+
+
+def test_no_foreign_private_reads():
+    assert foreign_private_reads({p.stem: p.read_text() for p in PACKAGE}) == []

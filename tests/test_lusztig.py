@@ -410,18 +410,19 @@ class TestStructureConstants:
 
     def test_integrality_line_can_fail(self, monkeypatch):
         # the A2 verify line fails when any structure constant cannot be
-        # formed; the positivity report rides in its detail, not as a check
+        # formed, and names the first such pair; the positivity report rides
+        # in a passing line's detail, never as a check
         from qdouble import checks
 
         def broken(self, lm, lp):
             raise TriangularityError("patched")
 
         monkeypatch.setattr(Algebra, "structure_constants", broken)
-        lines = {name: (ok, detail) for name, ok, detail in checks.suite_strconst()}
+        lines = {name: (ok, detail) for name, ok, detail in checks.suite_strconst(2026)}
         assert not any("positivity" in name for name in lines)
         ok, detail = lines["A2 structure constants integral (pairs of total height <= 4)"]
         assert not ok
-        assert detail == "0 pairs; positivity: all positive"
+        assert detail == "first failing case: ('1', 'b+(0,4,0,0)')"
 
 
 class TestSymmetries:
