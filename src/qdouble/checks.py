@@ -179,8 +179,7 @@ def suite_rank2_pairing(seed):
             for s in range(n + 1)
             for s2 in range(n + 1)
         )
-        # "[]" reads as the list of failing grid points (n, s, r, s', r')
-        yield holds(f"rank-2 pairing grid {preset} (s+r <= {amax})", cases, "[]")
+        yield holds(f"rank-2 pairing grid {preset} (s+r <= {amax})", cases)
     # A2 anchor: the formula gives (-1)^(r+s') (q-q^-1)^2/(q^-1-q) = +(q-q^-1);
     # the shorthand display in the partial-converse proof omits the sign factor
     a2 = Algebra.get("A2")
@@ -260,8 +259,7 @@ def suite_multipliers(seed):
             for lab in alg.tables.labels_of_degree(gamma)
         ]
         cases = (((lm, lp), alg.d_multiplier(lm, lp) == ONE) for lm in labs for lp in labs)
-        # "[]" reads as the list of label pairs with d != 1
-        yield holds(f"multipliers trivial on {preset} pairs (ht <= {height} each)", cases, "[]")
+        yield holds(f"multipliers trivial on {preset} pairs (ht <= {height} each)", cases)
     for preset, name, lab, want in [
         ("A1affine", "affine d(F_ij) = (2)_q", "F[1 2]", qround(2, 2)),
         ("A1affine", "affine d(F_ij2i) = (2)_{q^2}", "F[1 2 2 1]", qround(2, 4)),

@@ -12,11 +12,13 @@ canonical basis (every finite-type degree, the two-letter degrees, A1affine
 in some order.  strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`,
 --tables labels) or words (`F:...`, `E:...`).
 Output is deterministic: fixed evaluation order, so the bytes are the same
-across runs and PYTHONHASHSEEDs; scalars in canonical text form, JSON with
-sorted keys.  With QDOUBLE_CACHE_DIR set, basis tables are cached under a
-key covering the datum, the bytes of the --tables file and the package
-source.  The algorithmic canonical-basis path covers every finite-type
-datum, JSON data included.
+across runs and PYTHONHASHSEEDs; scalars in canonical text form.  JSON output
+has a one-space indent, sorted keys, ASCII escapes and one trailing newline:
+its bytes are those of json.dumps(..., indent=1, sort_keys=True) plus "\n".
+With QDOUBLE_CACHE_DIR set, basis tables are cached under a key covering the
+datum, the bytes of the --tables file and the package source.  The
+algorithmic canonical-basis path covers every finite-type datum, JSON data
+included.
 """
 from __future__ import annotations
 
@@ -179,7 +181,7 @@ def cmd_basis(args) -> int:
             return 0
     rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
     payload = [{**row, "element": tri_to_obj(row["element"])} for row in rows]
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    text = _dumps(payload)
     if cache_file:
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{cache_file}.{os.getpid()}.tmp"
@@ -211,6 +213,31 @@ def _read_cache(path: str) -> str | None:
     except (OSError, ValueError):
         return None
     return text
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=1, sort_keys=True), byte for byte, built one string
+    per container (the standard encoder is pure Python under any indent).  A
+    dict key that is not a str raises TypeError."""
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return repr(o)
+    inner = nl + " "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_encode_str(k) + ": " + _dumps(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in o]) + nl + "]"
+    return json.dumps(o)
 
 
 def _emit(args, text: str):
@@ -268,7 +295,7 @@ def cmd_braid(args) -> int:
     )
     for i, inv in reversed(ops):
         x = alg.braid.T(i, x, inverse=inv)
-    print(json.dumps(tri_to_obj(x), indent=1, sort_keys=True))
+    print(_dumps(tri_to_obj(x)))
     return 0
 
 
@@ -284,7 +311,7 @@ def cmd_strconst(args) -> int:
         },
         "positive": report["positive"],
     }
-    print(json.dumps(payload, indent=1, sort_keys=True))
+    print(_dumps(payload))
     return 0
 
 

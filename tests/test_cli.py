@@ -7,16 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st, target
 
 import qdouble
 import qdouble.algebra
 import qdouble.cartan
-from qdouble.cli import main
+from qdouble.cli import _dumps, main
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
 A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
+# stdout of `basis --preset A2 --height 2`, the headline table (663 rows)
+A2_H2_SHA256 = "f11550d8693fdbff4fe42a6fcd0445e2ad7694166d51e3559867b7f87e610d2a"
 # stdout of `verify all` at the default seed
-VERIFY_ALL_SHA256 = "f26896c8289827e3712d641fd8bec6db7a4b8bcb741e02bf33bf87178b85cc87"
+VERIFY_ALL_SHA256 = "432c8068c757da3ba0824f0751573392b06ccbd79fc1c32348c4095d18e35b2b"
 
 # a valid user table for degree (1,): F_1 under the label "x"
 USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "1", "w": "F:1"}]}]}]
@@ -80,6 +83,11 @@ class TestBasis:
         code, out = run(capsys, "basis", "--preset", preset, "--height", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_pinned_headline_bytes(self, capsys):
+        code, out = run(capsys, "basis", "--preset", "A2", "--height", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == A2_H2_SHA256
 
     def test_user_tables_stay_private(self, capsys, tmp_path):
         tables = tmp_path / "tables.json"
@@ -319,6 +327,11 @@ class TestBraidCmd:
         rows = json.loads(out)
         assert len(rows) == 1 and rows[0]["E"] == "2" and rows[0]["c"] == "1"
 
+    def test_output_is_indented_json(self, capsys):
+        code, out = run(capsys, "braid", "--preset", "B2", "--word", "1 2", "--element", "F:1 2")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
+
 
 class TestStrconst:
     def test_sl2_fe(self, capsys):
@@ -343,6 +356,11 @@ class TestStrconst:
         by_label = run(capsys, "strconst", *labels, "--preset", preset)
         assert by_label[0] == 0
         assert by_label == run(capsys, "strconst", *words, "--preset", preset)
+
+    def test_output_is_indented_json(self, capsys):
+        code, out = run(capsys, "strconst", "F:1", "E:1", "--preset", "A2")
+        assert code == 0 and len(json.loads(out)["coefficients"]) > 1
+        assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
 
     def test_user_label(self, capsys, tmp_path):
         tables = tmp_path / "tables.json"
@@ -372,6 +390,41 @@ class TestStrconst:
         code = main(["strconst", "nosuch", "alsono", "--preset", "A2"])
         assert code == 2
         assert "unknown dual-canonical-basis label 'nosuch'" in capsys.readouterr().err
+
+
+# strs with quotes, backslashes, control and non-ASCII characters, and
+# astral characters that escape to surrogate pairs; ints past 2**64
+_texts = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t a\xe9\u2028\U0001d11e') | st.characters())
+_ints = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64))
+_json = st.recursive(
+    _texts | _ints | st.booleans() | st.none() | st.floats(),
+    lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids) | st.dictionaries(_texts, kids, max_size=4),
+    max_leaves=30,
+)
+# depth 6, keys out of order, every kind of leaf and both empty containers
+_DEEP = {"z": 0, "a": [{"\U0001d11e": [[{"k": ["\"\\\x01\xe9", -(2**70), None, True, {}, []]}]]}]}
+
+
+def _depth(o) -> int:
+    items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+    return 1 + max(map(_depth, items), default=0)
+
+
+class TestDumps:
+    @given(_json)
+    @example(_DEEP)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_of_json_dumps(self, obj):
+        target(float(_depth(obj)))
+        assert _dumps(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+    @given(st.integers() | st.none() | st.booleans() | st.tuples(st.integers()), _json)
+    @settings(max_examples=50, deadline=None)
+    def test_non_str_key_raises(self, key, value):
+        with pytest.raises(TypeError):
+            _dumps([{"a": {key: value}}])
+        with pytest.raises(TypeError):
+            _dumps({"a": 1, key: value})
 
 
 class TestInternalError:

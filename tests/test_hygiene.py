@@ -6,7 +6,8 @@ at module level (cli alone defers its `checks` import, to keep it out of
 start-up).  Every public function, class and method of the package is named
 somewhere else in the package (a method as an attribute), except the
 KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
-other modules define."""
+other modules define.  No module calls `json.dump`/`json.dumps` with an
+`indent=` keyword: `cli._dumps` is the one indented JSON writer."""
 import ast
 from pathlib import Path
 
@@ -220,3 +221,30 @@ def test_scan_finds_foreign_private_reads():
 
 def test_no_foreign_private_reads():
     assert foreign_private_reads({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def indented_dumps_calls(source: str) -> list:
+    """Lines of the calls `dump(...)`/`dumps(...)`, plain or as an attribute,
+    that pass an `indent=` keyword."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    )
+
+
+def test_scan_finds_indented_dumps():
+    src = (
+        "import json\nfrom json import dumps\n"
+        "json.dumps(x, indent=1, sort_keys=True)\n"
+        "dumps(x, indent=None)\njson.dump(x, fh, indent=2)\n"
+        "json.dumps(x, sort_keys=True)\n_dumps(x)\n"
+    )
+    assert indented_dumps_calls(src) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_one_indented_json_writer(path):
+    assert indented_dumps_calls(path.read_text()) == []
