@@ -15,8 +15,9 @@ from .lusztig import bar_fix
 from .scalar import (
     Rat,
     RAT_ZERO,
-    accumulate,
+    add_mul,
     common_denominator,
+    laurent_values,
     nu_power,
     over_denominator,
     qangle,
@@ -370,8 +371,9 @@ class CanonicalTables:
         """Coordinates {(K, label_-, label_+): scalar} of an element x of the
         double over the products K b_- b_+ (`from_halves` with K, no diamond
         twist).  A label fixes its degree, so the numerators of one degree
-        pair (gamma_-, gamma_+) share the denominator D_x d(gamma_-) d(gamma_+),
-        with d(gamma) the lcm of the denominators of word_to_dcb(gamma)."""
+        pair (gamma_-, gamma_+), each summed by `add_mul`, share the denominator
+        D_x d(gamma_-) d(gamma_+), d(gamma) the lcm of the denominators of
+        word_to_dcb(gamma)."""
         rows = self._word_rows
         nums, dx = common_denominator(list(x.terms.values()))
         by_pair: dict = {}
@@ -380,12 +382,12 @@ class CanonicalTables:
             acc = by_pair.setdefault((gm, gp), {})
             row_p = rows(gp)[1][e]
             for lm, cm in rows(gm)[1][f].items():
-                nm = n * cm
+                nm = (n * cm).c
                 for lp, cp in row_p.items():
-                    accumulate(acc, (K, lm, lp), nm * cp)
+                    add_mul(acc.setdefault((K, lm, lp), {}), nm, cp.c)
         out = {}
         for (gm, gp), acc in by_pair.items():
-            out.update(over_denominator(acc, dx * rows(gm)[2] * rows(gp)[2]))
+            out.update(over_denominator(laurent_values(acc), dx * rows(gm)[2] * rows(gp)[2]))
         return out
 
     def _word_rows(self, gamma):

@@ -11,10 +11,11 @@ Straightening is one recursion with one memo, `_straight`, keyed by
 (E-word, F-word, cross): a one-letter E-word moves past the F-word letter by
 letter, and a longer one straightens its last letter first.
 
-The kernels (multiply, the involutions and the pivot-word normal form) are
-fraction-free: they bring their inputs over one denominator, sum
-Laurent numerators, with the Laurent straightening memo and v-powers as
-shifts, and reduce each output coefficient once.
+The kernels (straightening, multiply, the involutions and the pivot-word
+normal form) are fraction-free: over one common denominator, they sum each
+numerator into a coefficient dict with `scalar.add_mul`, product and v-shift
+in one pass; a term on two pivot words passes to the normal form as it is,
+and each output coefficient is reduced once.
 
 A K-monomial q-commutes past a word with an exponent linear in the word's
 degree, so each context caches one pairing vector per K-monomial
@@ -43,7 +44,9 @@ from .scalar import (
     RAT_ONE,
     RAT_ZERO,
     accumulate,
+    add_mul,
     common_denominator,
+    laurent_values,
     format_scalar,
     nu_power,
     over_denominator,
@@ -100,7 +103,8 @@ class TriElem:
         self.terms = terms
 
     def __add__(self, other: "TriElem") -> "TriElem":
-        assert self.flavor == other.flavor
+        if self.flavor != other.flavor:
+            raise FlavorError(f"flavor mismatch: {self.flavor} vs {other.flavor}")
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
@@ -242,20 +246,23 @@ class DoubleContext:
     def _normalize(self, flavor: str, terms: dict) -> dict:
         terms = {k: c for k, c in terms.items() if c}
         nums, den = common_denominator([Rat.of(c) for c in terms.values()])
-        return self._normalize_over(flavor, dict(zip(terms, nums)), den)
+        return self._normalize_over(flavor, {k: dict(n.c) for k, n in zip(terms, nums)}, den)
 
     def _normalize_over(self, flavor: str, nums: dict, den: Laurent) -> dict:
-        """Triangular normal form of {key: numerator over den}."""
+        """Triangular normal form of {key: numerator over den}, numerators as
+        coefficient dicts that the normal form consumes."""
         return _over_groups(self._pivot_numerators(flavor, nums), den)
 
     def _pivot_numerators(self, flavor: str, nums: dict) -> dict:
         """{(d_f, d_e): {key: numerator}}: the words of {key: numerator} go
         to their pivot forms, grouped by the pivot denominators (d_f, d_e) of
         the F-word and the E-word, so that a group's numerators lie over
-        den d_f d_e for the common denominator den of the input."""
+        den d_f d_e for the common denominator den of the input.  Numerators
+        come in as coefficient dicts, summed into in place, and go out as Laurents."""
         drop = _DROPPED_K.get(flavor)
         groups: dict = {}
-        for (K, f, e), n in nums.items():
+        for key, n in nums.items():
+            K, f, e = key
             if drop is not None and any(K[drop]):
                 continue
             fc, df = self.word_coords(f)
@@ -263,11 +270,18 @@ class DoubleContext:
             acc = groups.get((df, de))
             if acc is None:
                 acc = groups[df, de] = {}
+            if f in fc and e in ec:  # both pivot words: the term stays as it is
+                if acc.setdefault(key, n) is not n:
+                    add_mul(acc[key], n, ONE.c)
+                continue
             for wf, af in fc.items():
-                nf = n if af.is_one() else n * af
+                nf = n
+                if f not in fc:
+                    nf = {}
+                    add_mul(nf, n, af.c)
                 for we, ae in ec.items():
-                    accumulate(acc, (K, wf, we), nf if ae.is_one() else nf * ae)
-        return groups
+                    add_mul(acc.setdefault((K, wf, we), {}), nf, ae.c)
+        return {g: laurent_values(acc) for g, acc in groups.items()}
 
     # -- straightening core ---------------------------------------------------------
     # Straightening coefficients are products of v-powers and <a>'s, so the
@@ -280,29 +294,29 @@ class DoubleContext:
             return got
         rank = self.datum.rank
         if not e or not f:
-            out = {(k_one(rank), f, e): ONE}
-        elif len(e) == 1:
+            self._straight[key] = out = {(k_one(rank), f, e): ONE}
+            return out
+        sums: dict = {}
+        if len(e) == 1:
             i, j, frest = e[0], f[0], f[1:]
-            out = {}
             for (K, f3, e3), c in self._straighten(e, frest, cross).items():
-                accumulate(out, (K, (j,) + f3, e3), c.shift(2 * self.pairing_vector(K)[j]))
+                shift = 2 * self.pairing_vector(K)[j]
+                add_mul(sums.setdefault((K, (j,) + f3, e3), {}), c.c, ONE.c, shift)
             if i == j:  # [E_i, F_i] = (q_i^-1 - q_i)(K_+i - K_-i), cross picks the terms
-                br = qangle(-1, self.datum.qi_exp(i))
-                tp, tm = cross
-                if tp:
-                    accumulate(out, (kmono(*_unit_vec(rank, i, 1, PLUS)), frest, ()), br)
-                if tm:
-                    accumulate(out, (kmono(*_unit_vec(rank, i, 1, MINUS)), frest, ()), -br)
+                br = qangle(-1, self.datum.qi_exp(i)).c
+                for side, sign, kept in ((PLUS, 1, cross[0]), (MINUS, -1, cross[1])):
+                    if kept:
+                        K = kmono(*_unit_vec(rank, i, 1, side))
+                        add_mul(sums.setdefault((K, frest, ()), {}), br, {0: sign})
         else:
             i, e_head = e[-1], e[:-1]
             deg_head = self.half.word_degree(e_head)
-            out = {}
             for (K3, f3, e3), c3 in self._straighten((i,), f, cross).items():
-                factor = c3.shift(-2 * self.kdif_dot(K3, deg_head))
+                shift = -2 * self.kdif_dot(K3, deg_head)
                 for (K4, f4, e4), c4 in self._straighten(e_head, f3, cross).items():
                     key2 = (self.k_product(K3, K4), f4, e4 + e3)
-                    accumulate(out, key2, factor * c4)
-        self._straight[key] = out
+                    add_mul(sums.setdefault(key2, {}), c3.c, c4.c, shift)
+        self._straight[key] = out = laurent_values(sums)
         return out
 
     # -- multiplication -------------------------------------------------------------
@@ -319,11 +333,12 @@ class DoubleContext:
             deg_f1 = half.word_degree(f1)
             dif1 = tuple(map(sub, deg_f1, half.word_degree(e1)))
             for (K2, f2, e2), n2 in zip(y.terms, yn):
-                base = (n1 * n2).shift(2 * kdif(K2, dif1))
+                base = (n1 * n2).c
+                shift = 2 * kdif(K2, dif1)
                 K12 = kprod(K1, K2)
                 for (K3, f3, e3), c3 in self._straighten(e1, f2, cross).items():
-                    coeff = (base * c3).shift(2 * kdif(K3, deg_f1))
-                    accumulate(out, (kprod(K12, K3), f1 + f3, e3 + e2), coeff)
+                    key = (kprod(K12, K3), f1 + f3, e3 + e2)
+                    add_mul(out.setdefault(key, {}), base, c3.c, shift + 2 * kdif(K3, deg_f1))
         return TriElem(self, x.flavor, self._normalize_over(x.flavor, out, dx * dy), normalized=True)
 
     # -- gradings ----------------------------------------------------------------------
@@ -373,18 +388,17 @@ class DoubleContext:
             deg_e = half.word_degree(e)
             if which == "transpose":
                 dif = tuple(a - b for a, b in zip(deg_e, deg_f))
-                coeff = n.shift(2 * self.kdif_dot(K, dif))
-                accumulate(acc, (K, tuple(reversed(e)), tuple(reversed(f))), coeff)
+                acc[K, tuple(reversed(e)), tuple(reversed(f))] = n.shift(2 * self.kdif_dot(K, dif)).c
                 continue
             K2 = K if which == "bar" else (K[1], K[0], K[2])
             # anti-image is (reversed e)(reversed f)(K2); restraighten.  Every
             # straightened term has weight deg f - deg e, so K2 moves left
             # past all of them with one twist.
-            n = n.shift(2 * self.kdif_dot(K2, tuple(map(sub, deg_f, deg_e))))
+            shift = 2 * self.kdif_dot(K2, tuple(map(sub, deg_f, deg_e)))
             for (K3, f3, e3), c3 in self._straighten(
                 tuple(reversed(e)), tuple(reversed(f)), cross
             ).items():
-                accumulate(acc, (self.k_product(K3, K2), f3, e3), n * c3)
+                add_mul(acc.setdefault((self.k_product(K3, K2), f3, e3), {}), n.c, c3.c, shift)
         return self._pivot_numerators(x.flavor, acc), den
 
     def is_bar_fixed(self, x: TriElem) -> bool:
@@ -510,10 +524,14 @@ class DoubleContext:
 
 def _over_groups(groups: dict, den: Laurent) -> dict:
     """The reduced coefficients of pivot-numerator groups over den: each
-    group's numerators are reduced once over den d_f d_e, then summed."""
+    group's numerators are reduced once over den d_f d_e, then summed (a
+    single group needs no sum)."""
     out: dict = {}
     for (df, de), acc in groups.items():
-        for key, c in over_denominator(acc, den * df * de).items():
+        part = over_denominator(acc, den if df.is_one() and de.is_one() else den * df * de)
+        if len(groups) == 1:
+            return part
+        for key, c in part.items():
             accumulate(out, key, c)
     return out
 

@@ -33,6 +33,8 @@ __all__ = [
     "qround_binom",
     "solve_bar_correction",
     "accumulate",
+    "add_mul",
+    "laurent_values",
     "common_denominator",
     "over_denominator",
     "clear_denominators",
@@ -525,6 +527,32 @@ def accumulate(out: dict, key, val) -> None:
         out[key] = s
 
 
+def add_mul(acc: dict, a: dict, b: dict, shift: int = 0) -> None:
+    """acc += a b v^shift in place over coefficient dicts {exponent: int} (a
+    Laurent's `.c`), with no temporary Laurent; a and b are only read, and
+    zero coefficients stay in acc until `laurent_values`."""
+    get = acc.get
+    for k1, v1 in a.items():
+        k1 += shift
+        for k2, v2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + v1 * v2
+
+
+def laurent_values(sums: dict) -> dict:
+    """{key: Laurent} of {key: coefficient dict} summed by `add_mul`,
+    without zero coefficients or zero values.  The Laurents take over the
+    dicts that hold no zero, so the caller must not reuse sums."""
+    out = {}
+    for key, c in sums.items():
+        if 0 in c.values():
+            c = {k: v for k, v in c.items() if v}
+        if c:
+            r = out[key] = Laurent.__new__(Laurent)
+            r.c, r._hash = c, None
+    return out
+
+
 def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
     """(nums, d) with xs[k] = nums[k] / d, d the lcm of the denominators."""
     dens = {x.den for x in xs} - {ONE}
@@ -539,7 +567,7 @@ def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
 
 def over_denominator(nums: dict, den: Laurent) -> dict:
     """{key: num / den} over a dict of nonzero Laurent numerators: a
-    fraction-free kernel sums its numerators with `accumulate` and reduces
+    fraction-free kernel sums its numerators with `add_mul` and reduces
     each result once here."""
     if den.is_one():
         return {k: _rat(t, ONE) for k, t in nums.items()}
@@ -688,7 +716,8 @@ def clear_denominators(fractions) -> Laurent:
     d is the lcm of the integer contents of the denominators times, for each
     cyclotomic index k, the symmetrized Phi_k to the largest multiplicity it
     has in a denominator.  Raises ValueError on a denominator with a
-    non-cyclotomic factor.
+    non-cyclotomic factor, and when d fails its own checks: bar-symmetric,
+    clearing every fraction.
     """
     fractions = [Rat.of(f) for f in fractions]
     dens = {f.den for f in fractions} - {ONE}
@@ -705,9 +734,11 @@ def clear_denominators(fractions) -> Laurent:
     d = Laurent.const(int_lcm)
     for k in sorted(mult):
         d = d * _symmetrize_factor(cyclotomic(k)) ** mult[k]
-    assert is_symmetric(d)
+    if not is_symmetric(d):
+        raise ValueError(f"clearing factor {d} is not bar-symmetric")
     for f in fractions:
-        assert (Rat.of(d) * f).is_laurent(), "clearing factor failed"
+        if not (Rat.of(d) * f).is_laurent():
+            raise ValueError(f"clearing factor {d} leaves a denominator in {f}")
     return d
 
 

@@ -1,4 +1,5 @@
 import collections
+import copy
 import functools
 import itertools
 import os
@@ -98,6 +99,24 @@ class TestStraightening:
     def test_flavor_mismatch(self, sl2):
         with pytest.raises(FlavorError):
             sl2.multiply(sl2.e_gen(0), sl2.e_gen(0, "heis_plus"))
+
+    def test_sum_flavor_mismatch(self, sl2):
+        with pytest.raises(FlavorError):
+            sl2.e_gen(0) + sl2.e_gen(0, "heis_plus")
+
+    def test_cancellation_inside_one_sum(self, sl2):
+        # (E + F)(F - E) = F^2 - E^2 + (q^-1 - q)(K+ - K-): the F E key
+        # sums to 0 and is not stored
+        E, F = sl2.e_gen(0), sl2.f_gen(0)
+        got = sl2.multiply(E + F, F - E)
+        br = Rat.of(qangle(-1, 2))
+        one = k_one(1)
+        assert got.terms == {
+            (one, (0, 0), ()): RAT_ONE,
+            (one, (), (0, 0)): -RAT_ONE,
+            (kmono((0,), (1,)), (), ()): br,
+            (kmono((1,), (0,)), (), ()): -br,
+        }
 
     def test_associativity_random(self, a2):
         rng = random.Random(5)
@@ -531,6 +550,107 @@ class TestFractionalCoefficients:
                 coords = alg.tables.to_dcb(pair.scale(c))
                 assert_canonical(coords.values())
                 assert coords == {(K, lm, lp): c}
+
+
+def _pivot_word(ctx, w):
+    return w in ctx.word_coords(w)[0]
+
+
+class TestFusedKernels:
+    """The numerator kernels sum in coefficient dicts: no Laurent product per
+    straightened term, no write into a memo."""
+
+    def test_product_over_two_pivot_groups(self, monkeypatch):
+        # R3: (2,1,0,1) has pivot coordinates over v^4 + 1 and (1,2,0,1) is
+        # a pivot word, so the normal form of x y has two (d_f, d_e) groups
+        ctx = Algebra.get("R3").ctx
+        assert ctx.word_coords((2, 1, 0, 1))[1] == Laurent({4: 1, 0: 1})
+        assert _pivot_word(ctx, (1, 2, 0, 1))
+        K = kmono((1, 0, 0), (0, 0, 1))
+        c = Rat(Laurent({1: 1}), FRACTION_DENS[-1])
+        x = TriElem(ctx, "full", {(K, (2, 1), ()): c, (k_one(3), (1, 2), ()): RAT_ONE, (K, (2,), (1,)): -c})
+        y = TriElem(ctx, "full", {(k_one(3), (0, 1), ()): RAT_ONE, (K, (1, 0), (2,)): c.bar()})
+        sizes = []
+        pivot_numerators = DoubleContext._pivot_numerators
+
+        def spy(self, flavor, nums):
+            groups = pivot_numerators(self, flavor, nums)
+            sizes.append(len(groups))
+            return groups
+
+        monkeypatch.setattr(DoubleContext, "_pivot_numerators", spy)
+        got = ctx.multiply(x, y)
+        assert sizes[-1] == 2
+        assert got == reference_multiply(ctx, x, y)
+        assert_canonical(got.terms.values())
+
+    def test_products_per_term_pair(self, monkeypatch):
+        # multiply forms one Laurent product per input-term pair (plus the
+        # product of the two common denominators), bar none; each may add
+        # one per term that leaves the pivot words
+        ctx = DoubleContext(HalfAlgebra("A2"))
+        k1 = k_one(2)
+        x = TriElem(ctx, "full", {
+            (k1, (0, 1), (1,)): Rat.of(Laurent({1: 1, -1: 2})),
+            (kmono((0, 1), (1, 0)), (1,), (0, 1)): Rat.of(Laurent({0: -1})),
+            (k1, (0,), (1, 0)): Rat.of(Laurent({2: 3})),
+        })
+        y = TriElem(ctx, "full", {
+            (k1, (1, 0), (0,)): Rat.of(Laurent({0: 1, 2: -1})),
+            (kmono((1, 0), (0, 0)), (1,), (1, 1)): Rat.of(Laurent({-1: 2})),
+        })
+        cross = _CROSS["full"]
+
+        def expansions(pairs):
+            return sum(
+                not (_pivot_word(ctx, fa + f3) and _pivot_word(ctx, e3 + eb))
+                for fa, e, f, eb in pairs
+                for _, f3, e3 in ctx._straighten(e, f, cross)
+            )
+
+        mult_bound = len(x.terms) * len(y.terms) + 1 + expansions(
+            (f1, e1, f2, e2) for _, f1, e1 in x.terms for _, f2, e2 in y.terms
+        )
+        bar_bound = expansions(((), e[::-1], f[::-1], ()) for _, f, e in x.terms)
+        ctx.multiply(x, y), ctx.bar(x)  # fill the memos
+        calls = collections.Counter()
+        mul = Laurent.__mul__
+
+        def counting(self, other):
+            calls[op] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Laurent, "__mul__", counting)
+        op = "multiply"
+        ctx.multiply(x, y)
+        op = "bar"
+        ctx.bar(x)
+        assert calls["multiply"] <= mult_bound
+        assert calls["bar"] <= bar_bound
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "R3"])
+    def test_kernels_leave_memos_unchanged(self, preset):
+        alg = Algebra.get(preset)
+        ctx, tables = alg.ctx, alg.tables
+        rng = random.Random(89)
+        rank = ctx.datum.rank
+        gens = [g(i) for i in range(rank) for g in (ctx.e_gen, ctx.f_gen)]
+        elems = [oracle_tri(ctx, rng, "full") for _ in range(3)]
+        elems += [gens[k] + gens[-1 - k] for k in range(rank)]
+
+        def run():
+            for x, y in zip(elems, elems[1:]):
+                # a square sums two straightened terms into one key
+                for xy in (ctx.multiply(x, y), ctx.multiply(x, x)):
+                    for op in (ctx.bar, ctx.star, ctx.transpose, ctx.is_bar_fixed):
+                        op(xy)
+                tables.to_dcb(x)
+
+        run()
+        memos = (ctx._straight, ctx._word_coords, tables._w2d)
+        before = copy.deepcopy(memos)
+        run()
+        assert memos == before
 
 
 class TestIsBarFixed:

@@ -23,6 +23,8 @@ from qdouble.scalar import (
     qsq_binom,
     qround_binom,
     solve_bar_correction,
+    add_mul,
+    laurent_values,
     clear_denominators,
     cyclotomic,
     cyclotomic_factor,
@@ -315,6 +317,41 @@ class TestClearDenominators:
 
     def test_integer_content(self):
         assert clear_denominators([Rat(ONE, Laurent.const(2))]) == Laurent.const(2)
+
+    def test_asymmetric_multiplier_raises(self, monkeypatch):
+        # the factor v^2 + 1 itself clears 1/(v^2 + 1) but is not bar-fixed
+        monkeypatch.setattr(scalar, "_symmetrize_factor", lambda p: p)
+        with pytest.raises(ValueError, match="bar-symmetric"):
+            clear_denominators([Rat(ONE, Laurent({2: 1, 0: 1}))])
+
+    def test_insufficient_multiplier_raises(self, monkeypatch):
+        monkeypatch.setattr(scalar, "_symmetrize_factor", lambda p: ONE)
+        with pytest.raises(ValueError, match="leaves a denominator"):
+            clear_denominators([Rat(ONE, Laurent({2: 1, 0: 1}))])
+
+
+coeff_dicts = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4)
+
+
+class TestAddMul:
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_dicts, coeff_dicts, coeff_dicts, st.integers(-6, 6))
+    def test_matches_laurent_products(self, acc, a, b, shift):
+        want = Laurent(acc) + Laurent(a) * Laurent(b) * Laurent({shift: 1})
+        a0, b0 = dict(a), dict(b)
+        add_mul(acc, a, b, shift)
+        assert Laurent(acc) == want
+        assert (a, b) == (a0, b0)
+
+    def test_cancellation_stays_until_finished(self):
+        # (1 + v)(1 - v) v^2 = v^2 - v^4: the v^3 terms cancel inside one sum
+        acc = {}
+        add_mul(acc, {0: 1, 1: 1}, {0: 1, 1: -1}, 2)
+        assert acc == {2: 1, 3: 0, 4: -1}
+        sums = {"x": acc, "zero": {0: 0, 5: 0}, "empty": {}, "y": {1: 2}}
+        got = laurent_values(sums)
+        assert got == {"x": Laurent({2: 1, 4: -1}), "y": Laurent({1: 2})}
+        assert all(0 not in c.c.values() for c in got.values())
 
 
 class TestCyclotomicFactor:
