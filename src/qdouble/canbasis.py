@@ -3,6 +3,10 @@ algorithmic path does not reach), their duals under the twisted form (one
 Gram inverse in pivot coordinates per degree), the coordinates of words and
 of elements of the double over the dual canonical bases (`word_to_dcb`,
 `to_dcb`), and crystal-style shift operators on dual-canonical-basis labels.
+Coordinates are read from numerators over one denominator on any words of
+their degrees (`numerators_to_dcb`), so a product straight from
+`DoubleContext.product_numerators` needs no pivot-word normal form, and
+each coordinate is reduced once.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from .cartan import PRESETS
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .lusztig import bar_fix
 from .scalar import (
+    Laurent,
     Rat,
     RAT_ZERO,
     add_mul,
@@ -73,7 +78,8 @@ class CanonicalTables:
     # ----------------------------------------------------------------- fgfrm
     def fgfrm(self, x: HalfElem, y: HalfElem) -> Rat:
         """Twisted symmetric form on U_q^-: ((x,y)) = q^(-ulgamma(deg y)/2) <x^{*t}, y>."""
-        assert x.sign == MINUS and y.sign == MINUS
+        if x.sign != MINUS or y.sign != MINUS:
+            raise ValueError("fgfrm takes two minus elements")
         total = RAT_ZERO
         for gamma in set(x.degrees()) & set(y.degrees()):
             xc = self.half.flip(x.component(gamma))
@@ -370,24 +376,35 @@ class CanonicalTables:
     def to_dcb(self, x) -> dict:
         """Coordinates {(K, label_-, label_+): scalar} of an element x of the
         double over the products K b_- b_+ (`from_halves` with K, no diamond
-        twist).  A label fixes its degree, so the numerators of one degree
-        pair (gamma_-, gamma_+), each summed by `add_mul`, share the denominator
-        D_x d(gamma_-) d(gamma_+), d(gamma) the lcm of the denominators of
-        word_to_dcb(gamma)."""
-        rows = self._word_rows
+        twist): `numerators_to_dcb` of its coefficients over their common
+        denominator."""
         nums, dx = common_denominator(list(x.terms.values()))
+        return self.numerators_to_dcb({key: n.c for key, n in zip(x.terms, nums)}, dx)
+
+    def numerators_to_dcb(self, nums: dict, den: Laurent) -> dict:
+        """to_dcb of the element sum {(K, f, e): numerator / den}, numerators
+        coefficient dicts that are only read, each word on any word of its
+        degree: `_word_rows` has a row for every word and the pairing with the
+        duals is linear, so an element off its pivot words (a product from
+        `DoubleContext.product_numerators`) needs no normal form first.  A
+        label fixes its degree, so the numerators of one degree pair
+        (gamma_-, gamma_+), each summed by `add_mul`, share the denominator
+        den d(gamma_-) d(gamma_+), d(gamma) the lcm of the denominators of
+        word_to_dcb(gamma), and each coordinate is reduced once."""
+        rows = self._word_rows
         by_pair: dict = {}
-        for (K, f, e), n in zip(x.terms, nums):
+        for (K, f, e), n in nums.items():
             gm, gp = self.half.word_degree(f), self.half.word_degree(e)
             acc = by_pair.setdefault((gm, gp), {})
             row_p = rows(gp)[1][e]
             for lm, cm in rows(gm)[1][f].items():
-                nm = (n * cm).c
+                nm: dict = {}
+                add_mul(nm, n, cm.c)
                 for lp, cp in row_p.items():
                     add_mul(acc.setdefault((K, lm, lp), {}), nm, cp.c)
         out = {}
         for (gm, gp), acc in by_pair.items():
-            out.update(over_denominator(laurent_values(acc), dx * rows(gm)[2] * rows(gp)[2]))
+            out.update(over_denominator(laurent_values(acc), den * rows(gm)[2] * rows(gp)[2]))
         return out
 
     def _word_rows(self, gamma):

@@ -28,7 +28,11 @@ An involution has one numerator stage (`_involution_numerators`): the
 reversed words are straightened and expanded to pivot words, grouped by
 their pivot denominators.  `involution` reduces each group's numerators
 once; `is_bar_fixed` compares them with the element's coefficients by
-cross-multiplication and reduces nothing.
+cross-multiplication and reduces nothing.  A product has one too
+(`product_numerators`): the straightened numerators over one denominator,
+before the pivot-word normal form.  `multiply` brings them to the normal
+form; the engine's reverse products go from them straight to DCB
+coordinates (`CanonicalTables.numerators_to_dcb`), one reduction each.
 """
 from __future__ import annotations
 
@@ -321,6 +325,15 @@ class DoubleContext:
 
     # -- multiplication -------------------------------------------------------------
     def multiply(self, x: TriElem, y: TriElem) -> TriElem:
+        out = self._normalize_over(x.flavor, *self.product_numerators(x, y))
+        return TriElem(self, x.flavor, out, normalized=True)
+
+    def product_numerators(self, x: TriElem, y: TriElem) -> tuple[dict, Laurent]:
+        """The product x y before any reduction: (nums, den) with x y the sum
+        of {(K, f, e): numerator / den}, numerators as coefficient dicts
+        (zero coefficients possible), the words straightened but not yet on
+        pivot words, and the torus block a Heisenberg quotient drops still
+        present (the normal form drops it)."""
         if x.flavor != y.flavor:
             raise FlavorError(f"flavor mismatch: {x.flavor} vs {y.flavor}")
         cross = _CROSS[x.flavor]
@@ -339,7 +352,7 @@ class DoubleContext:
                 for (K3, f3, e3), c3 in self._straighten(e1, f2, cross).items():
                     key = (kprod(K12, K3), f1 + f3, e3 + e2)
                     add_mul(out.setdefault(key, {}), base, c3.c, shift + 2 * kdif(K3, deg_f1))
-        return TriElem(self, x.flavor, self._normalize_over(x.flavor, out, dx * dy), normalized=True)
+        return out, dx * dy
 
     # -- gradings ----------------------------------------------------------------------
     def coroot_of_term(self, i: int, key) -> int:

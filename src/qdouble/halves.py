@@ -50,8 +50,14 @@ class HalfElem:
         self.terms = terms
 
     # -- ring structure -----------------------------------------------------
+    def _check_operand(self, other: "HalfElem"):
+        if self.sign != other.sign:
+            raise ValueError("operands of opposite signs")
+        if self.alg is not other.alg:
+            raise ValueError("operands of different algebras")
+
     def __add__(self, other: "HalfElem") -> "HalfElem":
-        assert self.sign == other.sign and self.alg is other.alg
+        self._check_operand(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             accumulate(out, w, c)
@@ -69,7 +75,7 @@ class HalfElem:
         )
 
     def __mul__(self, other: "HalfElem") -> "HalfElem":
-        assert self.sign == other.sign and self.alg is other.alg
+        self._check_operand(other)
         out: dict[tuple, Rat] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -252,7 +258,8 @@ class HalfAlgebra:
 
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:
         """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees."""
-        assert x_plus.sign == PLUS and y_minus.sign == MINUS
+        if x_plus.sign != PLUS or y_minus.sign != MINUS:
+            raise ValueError("pair takes a plus element and a minus element")
         total = RAT_ZERO
         by_deg: dict[tuple, list] = {}
         for w, c in y_minus.terms.items():
@@ -478,7 +485,8 @@ def half_from_obj(alg: HalfAlgebra, obj) -> HalfElem:
         s, w = parse_word(alg, item["w"])
         if sign is None:
             sign = s
-        assert s == sign, "mixed-sign element"
+        elif s != sign:
+            raise ValueError("mixed-sign element")
         terms[w] = parse_scalar(item["c"])
     if sign is None:
         sign = PLUS

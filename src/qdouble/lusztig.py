@@ -4,7 +4,8 @@
 (`CanonicalTables._algorithmic_cb`), the circle product in the Heisenberg
 quotients and the bullet product in the full double all go through it.  The
 engine also owns the per-label-pair memos: the reverse products b_+ b_- in
-DCB coordinates (`reverse_dcb`) and the clearing multipliers
+DCB coordinates (`reverse_dcb`, from the straightened numerators of the
+product, one reduction per coordinate) and the clearing multipliers
 (`d_multiplier`).  Every solve ends with the exact bar-invariance check
 `DoubleContext.is_bar_fixed` of its result.  Also structure-constant
 extraction and basis enumeration, which computes each twisted row
@@ -109,15 +110,18 @@ class Engine:
     def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
         """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
         memoised per label pair: the commutator expansion d_multiplier
-        clears, and the terms bar rows are built from."""
+        clears, and the terms bar rows are built from.  The straightened
+        numerators of the product (`product_numerators`) go to DCB
+        coordinates with no pivot-word normal form between, so each
+        coordinate is reduced once."""
         key = (lab_minus, lab_plus)
         got = self._reverse.get(key)
         if got is None:
             ctx = self.ctx
             bm = self.tables.dcb_elem(MINUS, lab_minus)
             bp = self.tables.dcb_elem(PLUS, lab_plus)
-            prod = ctx.multiply(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
-            got = self._reverse[key] = self.tables.to_dcb(prod)
+            nums = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
+            got = self._reverse[key] = self.tables.numerators_to_dcb(*nums)
         return got
 
     def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:

@@ -568,10 +568,16 @@ def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
 def over_denominator(nums: dict, den: Laurent) -> dict:
     """{key: num / den} over a dict of nonzero Laurent numerators: a
     fraction-free kernel sums its numerators with `add_mul` and reduces
-    each result once here."""
+    each result once here.  Exact division comes first: a quotient q with no
+    remainder is the canonical q / 1, and only a true fraction pays for the
+    gcd of `Rat(num, den)`."""
     if den.is_one():
         return {k: _rat(t, ONE) for k, t in nums.items()}
-    return {k: Rat(t, den) for k, t in nums.items()}
+    out = {}
+    for k, t in nums.items():
+        q, r = t.divmod_poly(den)
+        out[k] = Rat(t, den) if r.c else _rat(q, ONE)
+    return out
 
 
 def nu_power(k: int) -> Rat:

@@ -103,6 +103,11 @@ class TestFgfrm:
         half = a2.half
         assert a2.fgfrm(half.word(MINUS, "1"), half.word(MINUS, "2")).is_zero()
 
+    def test_plus_operand_raises(self, a2):
+        half = a2.half
+        with pytest.raises(ValueError):
+            a2.fgfrm(half.word(PLUS, "1"), half.word(MINUS, "1"))
+
     def test_symmetry_random(self, a2):
         import random
 

@@ -14,6 +14,7 @@ import qdouble
 
 from qdouble.algebra import Algebra
 from qdouble.halves import HalfAlgebra, PLUS, MINUS
+from qdouble.lusztig import Engine
 from qdouble.double import (
     FLAVORS,
     _CROSS,
@@ -637,6 +638,8 @@ class TestFusedKernels:
         gens = [g(i) for i in range(rank) for g in (ctx.e_gen, ctx.f_gen)]
         elems = [oracle_tri(ctx, rng, "full") for _ in range(3)]
         elems += [gens[k] + gens[-1 - k] for k in range(rank)]
+        # labels of degree alpha_0, alpha_1 and alpha_0 + alpha_1
+        labels = [lab for g in ((1, 0), (0, 1), (1, 1)) for lab in tables.labels_of_degree(g + (0,) * (rank - 2))]
 
         def run():
             for x, y in zip(elems, elems[1:]):
@@ -645,6 +648,12 @@ class TestFusedKernels:
                     for op in (ctx.bar, ctx.star, ctx.transpose, ctx.is_bar_fixed):
                         op(xy)
                 tables.to_dcb(x)
+            for lm in labels:
+                bm = ctx.from_halves(minus=tables.dcb_elem(MINUS, lm))
+                for lp in labels:
+                    bp = ctx.from_halves(plus=tables.dcb_elem(PLUS, lp))
+                    tables.numerators_to_dcb(*ctx.product_numerators(bm, bp))
+                    Engine(alg).reverse_dcb(lm, lp)
 
         run()
         memos = (ctx._straight, ctx._word_coords, tables._w2d)

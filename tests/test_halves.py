@@ -424,7 +424,28 @@ class TestDerivations:
                 assert txy == (tx * ty).scale(nu_power(power))
 
 
+class TestOperandChecks:
+    """Operands from the wrong half or algebra raise ValueError, which
+    `python -O` keeps."""
+
+    @pytest.mark.parametrize("op", ["__add__", "__mul__"])
+    def test_ring_operations(self, a2, op):
+        x = a2.gen(PLUS, 0)
+        for other in (a2.gen(MINUS, 0), HalfAlgebra("A2").gen(PLUS, 0)):
+            with pytest.raises(ValueError):
+                getattr(x, op)(other)
+
+    def test_pair_signs(self, a2):
+        with pytest.raises(ValueError):
+            a2.pair(a2.gen(MINUS, 0), a2.gen(MINUS, 0))
+
+
 class TestSerialization:
+    def test_mixed_signs(self, a2):
+        obj = half_to_obj(a2.gen(PLUS, 0)) + half_to_obj(a2.gen(MINUS, 1))
+        with pytest.raises(ValueError, match="mixed-sign"):
+            half_from_obj(a2, obj)
+
     def test_roundtrip(self, a2):
         rng = random.Random(23)
         for _ in range(10):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qdouble import Algebra, lusztig
+from qdouble import Algebra, lusztig, scalar
 from qdouble.braid import BraidOps
 from qdouble.canbasis import TableConflict
 from qdouble.cli import _load_user_tables
@@ -255,6 +255,53 @@ class TestMultipliers:
         r3 = Algebra.get("R3")
         assert "F[1 2 3]" in r3.tables.labels_of_degree((1, 1, 1))
         assert r3.d_multiplier("F[1 2 3]", "F[1 2 3]") == qround(3, 2)
+
+
+class TestReverseProducts:
+    """Engine.reverse_dcb goes from the straightened numerators of b_+ b_-
+    (`product_numerators`, words not yet on pivot words) to DCB coordinates,
+    one reduction per coordinate; the reference is the product brought to
+    its normal form, then expanded."""
+
+    # per datum, the bound on each label's degree, as `basis --height`
+    CASES = [("A2", (2, 2)), ("B2", (2, 2)), ("G2", (2, 2)), ("A1affine", (1, 1)), ("R3", (1, 1, 0))]
+
+    @staticmethod
+    def pairs(alg, bound):
+        labels = [lab for g in alg.datum.degrees_up_to(bound) for lab in alg.tables.labels_of_degree(g)]
+        return [(lm, lp) for lm in labels for lp in labels]
+
+    @pytest.mark.parametrize("name,bound", CASES)
+    def test_matches_normal_form_route(self, name, bound):
+        alg = Algebra.get(name)
+        ctx, tables = alg.ctx, alg.tables
+        engine = lusztig.Engine(alg)
+        off_pivot = 0
+        for lm, lp in self.pairs(alg, bound):
+            bp = ctx.from_halves(plus=tables.dcb_elem(PLUS, lp))
+            bm = ctx.from_halves(minus=tables.dcb_elem(MINUS, lm))
+            want = tables.to_dcb(ctx.multiply(bp, bm))
+            assert engine.reverse_dcb(lm, lp) == want, (lm, lp)
+            off_pivot += any(
+                f not in ctx.word_coords(f)[0] or e not in ctx.word_coords(e)[0]
+                for _, f, e in ctx.product_numerators(bp, bm)[0]
+            )
+        if name == "A2":  # the words 1 0 0 of degree (2, 1) and 1 1 0 of (1, 2)
+            assert off_pivot
+
+    def test_no_full_reduction(self, monkeypatch):
+        # a pair whose normal form and coordinates take ten reductions
+        # Rat(num, den) on the normal-form route; every coordinate divides
+        # exactly, so the numerator route takes none
+        alg = Algebra.get("A2")
+        lm, lp = "b+(0,1,0,0)", "b+(0,1,1,0)"
+        lusztig.Engine(alg).reverse_dcb(lm, lp)  # fill the tables and memos
+        calls = []
+        real = scalar._canonicalize
+        monkeypatch.setattr(scalar, "_canonicalize", lambda n, d: calls.append(d) or real(n, d))
+        got = lusztig.Engine(alg).reverse_dcb(lm, lp)
+        assert calls == []
+        assert got and all(c.is_laurent() for c in got.values())
 
 
 class TestRank2Printed:

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qdouble import scalar
 from qdouble.scalar import (
@@ -463,6 +463,58 @@ class TestFactorizerOracle:
     def test_non_cyclotomic_denominator_raises(self):
         with pytest.raises(ValueError, match="non-cyclotomic"):
             clear_denominators([Rat(ONE, Laurent({2: 1, 1: 1, 0: -1}))])
+
+
+nonzero_laurents = laurents.filter(bool)
+
+denominators = st.one_of(
+    st.builds(Laurent.mono, st.sampled_from([1, -1]), st.integers(-4, 4)),  # units +-v^k
+    nonzero_laurents,
+    st.builds(  # leading coefficient other than +-1
+        lambda c, p: Laurent({**p.c, max(p.c, default=0) + 1: c}),
+        st.sampled_from([2, -2, 3, -6]),
+        laurents,
+    ),
+    cyclotomic_products(),
+)
+
+
+@st.composite
+def over_denominator_inputs(draw):
+    """(numerators, den): multiples of den (Laurent quotients), multiples
+    of a cyclotomic (den a product of cyclotomics or not), and any
+    numerator (mostly true fractions)."""
+    den = draw(denominators)
+    nums = {}
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["multiple", "cyclotomic", "any"]))
+        t = draw(nonzero_laurents)
+        if kind == "multiple":
+            t = t * den
+        elif kind == "cyclotomic":
+            t = t * cyclotomic(draw(st.integers(1, 12)))
+        nums[k, kind] = t
+    return nums, den
+
+
+class TestOverDenominator:
+    """over_denominator divides exactly first and reduces from scratch only
+    when a remainder is left; every value is the canonical Rat(num, den)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(over_denominator_inputs())
+    @example(({(0, "multiple"): L(v0=1, v1=2) * L(v0=-3, v1=1)}, L(v0=1, v1=2)))
+    @example(({(0, "any"): L(v0=1), (1, "multiple"): L(v0=6, v1=3)}, L(v0=2, v1=1)))
+    @example(({(0, "multiple"): L(v3=-5)}, L(vm2=-1)))
+    @example(({(0, "cyclotomic"): qangle(2) * NU}, cyclotomic(4) * cyclotomic(6)))
+    def test_matches_reference(self, case):
+        nums, den = case
+        got = scalar.over_denominator(nums, den)
+        assert got.keys() == nums.keys()
+        for key, t in nums.items():
+            _same_as_reference(got[key], t, den)
+            if key[1] == "multiple":
+                assert got[key].is_laurent()
 
 
 class TestSerialization:
