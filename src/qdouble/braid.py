@@ -171,7 +171,8 @@ class BraidOps:
         word = tuple(self.datum.index(i) for i in word)
         if not self.datum.is_reduced(word):
             raise ValueError(f"word {word} is not reduced")
-        assert len(word) == len(amounts)
+        if len(word) != len(amounts):
+            raise ValueError(f"{len(amounts)} PBW amounts for a word of length {len(word)}")
         half = self.ctx.half
         out = half.unit(PLUS)
         for r, a in enumerate(amounts, start=1):

@@ -4,7 +4,8 @@ Gram inverse in pivot coordinates per degree), the coordinates of words and
 of elements of the double over the dual canonical bases (`word_to_dcb`,
 `to_dcb`), and crystal-style shift operators on dual-canonical-basis labels.
 Coordinates are read from numerators over one denominator on any words of
-their degrees (`numerators_to_dcb`), so a product straight from
+their degrees (`numerators_to_dcb`) by the double's kernel
+`expand_numerators` over DCB rows, so a product straight from
 `DoubleContext.product_numerators` needs no pivot-word normal form, and
 each coordinate is reduced once.
 """
@@ -14,17 +15,15 @@ from functools import cached_property
 from itertools import permutations
 
 from .cartan import PRESETS
+from .double import expand_numerators, over_groups
 from .halves import HalfAlgebra, HalfElem, PLUS, MINUS
 from .lusztig import bar_fix
 from .scalar import (
     Laurent,
     Rat,
     RAT_ZERO,
-    add_mul,
     common_denominator,
-    laurent_values,
     nu_power,
-    over_denominator,
     qangle,
     qangle_factorial,
     qround_binom,
@@ -292,7 +291,8 @@ class CanonicalTables:
         """F_{i^s j i^r} by the printed two-index recursion; s + r <= -a_ij."""
         i, j = self.datum.index(i), self.datum.index(j)
         a = self.datum.A[i][j]
-        assert s + r <= -a, "two-letter family out of range"
+        if s + r > -a:
+            raise ValueError(f"two-letter family out of range: s + r = {s + r} > -a_ij = {-a}")
         half = self.half
         qi = self.datum.qi_exp(i)
         di = self.datum.d[i]
@@ -386,26 +386,15 @@ class CanonicalTables:
         coefficient dicts that are only read, each word on any word of its
         degree: `_word_rows` has a row for every word and the pairing with the
         duals is linear, so an element off its pivot words (a product from
-        `DoubleContext.product_numerators`) needs no normal form first.  A
-        label fixes its degree, so the numerators of one degree pair
-        (gamma_-, gamma_+), each summed by `add_mul`, share the denominator
-        den d(gamma_-) d(gamma_+), d(gamma) the lcm of the denominators of
-        word_to_dcb(gamma), and each coordinate is reduced once."""
-        rows = self._word_rows
-        by_pair: dict = {}
-        for (K, f, e), n in nums.items():
-            gm, gp = self.half.word_degree(f), self.half.word_degree(e)
-            acc = by_pair.setdefault((gm, gp), {})
-            row_p = rows(gp)[1][e]
-            for lm, cm in rows(gm)[1][f].items():
-                nm: dict = {}
-                add_mul(nm, n, cm.c)
-                for lp, cp in row_p.items():
-                    add_mul(acc.setdefault((K, lm, lp), {}), nm, cp.c)
-        out = {}
-        for (gm, gp), acc in by_pair.items():
-            out.update(over_denominator(laurent_values(acc), den * rows(gm)[2] * rows(gp)[2]))
-        return out
+        `DoubleContext.product_numerators`) needs no normal form first.  Each
+        coordinate is reduced once."""
+        return over_groups(expand_numerators(nums, self._dcb_row), den)
+
+    def _dcb_row(self, w):
+        """The DCB row (num, d) of one word: w is the sum of num[label] / d
+        b_label, d the lcm of the denominators of its degree's rows."""
+        _, rows, d = self._word_rows(self.half.word_degree(w))
+        return rows[w], d
 
     def _word_rows(self, gamma):
         gamma = tuple(gamma)

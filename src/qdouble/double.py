@@ -24,15 +24,15 @@ memoises the products of K-monomials (`k_product`).  Every term that
 straightening E-word times F-word produces has the weight of the input pair,
 so bar and star twist each input term once, before the straightened terms.
 
-An involution has one numerator stage (`_involution_numerators`): the
-reversed words are straightened and expanded to pivot words, grouped by
-their pivot denominators.  `involution` reduces each group's numerators
-once; `is_bar_fixed` compares them with the element's coefficients by
-cross-multiplication and reduces nothing.  A product has one too
-(`product_numerators`): the straightened numerators over one denominator,
-before the pivot-word normal form.  `multiply` brings them to the normal
-form; the engine's reverse products go from them straight to DCB
-coordinates (`CanonicalTables.numerators_to_dcb`), one reduction each.
+One kernel, `expand_numerators`, spreads numerators over word columns,
+grouped by the columns' denominators, and `over_groups` reduces each group
+once: over pivot words (`word_coords`) here, over DCB rows in
+`CanonicalTables.numerators_to_dcb`.  An involution (`_involution_numerators`)
+and a product (`product_numerators`) each have one numerator stage, the
+straightened numerators over one denominator.  `involution` and `multiply`
+spread them over pivot words; `is_bar_fixed` compares bar's groups with the
+element's coefficients by cross-multiplication and reduces nothing; the
+engine's reverse products go over DCB rows, one reduction per coordinate.
 """
 from __future__ import annotations
 
@@ -255,37 +255,7 @@ class DoubleContext:
     def _normalize_over(self, flavor: str, nums: dict, den: Laurent) -> dict:
         """Triangular normal form of {key: numerator over den}, numerators as
         coefficient dicts that the normal form consumes."""
-        return _over_groups(self._pivot_numerators(flavor, nums), den)
-
-    def _pivot_numerators(self, flavor: str, nums: dict) -> dict:
-        """{(d_f, d_e): {key: numerator}}: the words of {key: numerator} go
-        to their pivot forms, grouped by the pivot denominators (d_f, d_e) of
-        the F-word and the E-word, so that a group's numerators lie over
-        den d_f d_e for the common denominator den of the input.  Numerators
-        come in as coefficient dicts, summed into in place, and go out as Laurents."""
-        drop = _DROPPED_K.get(flavor)
-        groups: dict = {}
-        for key, n in nums.items():
-            K, f, e = key
-            if drop is not None and any(K[drop]):
-                continue
-            fc, df = self.word_coords(f)
-            ec, de = self.word_coords(e)
-            acc = groups.get((df, de))
-            if acc is None:
-                acc = groups[df, de] = {}
-            if f in fc and e in ec:  # both pivot words: the term stays as it is
-                if acc.setdefault(key, n) is not n:
-                    add_mul(acc[key], n, ONE.c)
-                continue
-            for wf, af in fc.items():
-                nf = n
-                if f not in fc:
-                    nf = {}
-                    add_mul(nf, n, af.c)
-                for we, ae in ec.items():
-                    add_mul(acc.setdefault((K, wf, we), {}), nf, ae.c)
-        return {g: laurent_values(acc) for g, acc in groups.items()}
+        return over_groups(expand_numerators(nums, self.word_coords, _DROPPED_K.get(flavor)), den)
 
     # -- straightening core ---------------------------------------------------------
     # Straightening coefficients are products of v-powers and <a>'s, so the
@@ -378,13 +348,13 @@ class DoubleContext:
 
     # -- involutions ----------------------------------------------------------------------
     def involution(self, x: TriElem, which: str) -> TriElem:
-        out = _over_groups(*self._involution_numerators(x, which))
+        out = over_groups(*self._involution_numerators(x, which))
         return TriElem(self, x.flavor, out, normalized=True)
 
     def _involution_numerators(self, x: TriElem, which: str):
         """The image of x before any reduction: (groups, den) with the image
         the sum over groups[(d_f, d_e)] of {key: numerator / (den d_f d_e)}
-        in pivot words (see _pivot_numerators)."""
+        in pivot words (see expand_numerators)."""
         if which not in ("bar", "star", "transpose"):
             raise ValueError(f"unknown involution {which!r}")
         if which == "star" and x.flavor in ("heis_plus", "heis_minus", "check"):
@@ -412,7 +382,7 @@ class DoubleContext:
                 tuple(reversed(e)), tuple(reversed(f)), cross
             ).items():
                 add_mul(acc.setdefault((self.k_product(K3, K2), f3, e3), {}), n.c, c3.c, shift)
-        return self._pivot_numerators(x.flavor, acc), den
+        return expand_numerators(acc, self.word_coords, _DROPPED_K.get(x.flavor)), den
 
     def is_bar_fixed(self, x: TriElem) -> bool:
         """bar(x) == x, decided on the numerators of bar(x): each key's
@@ -535,10 +505,42 @@ class DoubleContext:
         return out
 
 
-def _over_groups(groups: dict, den: Laurent) -> dict:
-    """The reduced coefficients of pivot-numerator groups over den: each
-    group's numerators are reduced once over den d_f d_e, then summed (a
-    single group needs no sum)."""
+def expand_numerators(nums: dict, column, drop=None) -> dict:
+    """{(d_f, d_e): {(K, a_f, a_e): numerator}}: the words of {(K, f, e):
+    numerator over den} spread over their columns, column(w) = (num, d) with
+    w the sum of num[a] / d a, and grouped by the denominators of the F-word
+    and the E-word, so a group lies over den d_f d_e.  Terms with a nonzero
+    torus block `drop` are left out.  Numerators come in as coefficient dicts,
+    only read unless both words are their own columns (pivot words), and go
+    out as Laurents."""
+    groups: dict = {}
+    for key, n in nums.items():
+        K, f, e = key
+        if drop is not None and any(K[drop]):
+            continue
+        fc, df = column(f)
+        ec, de = column(e)
+        acc = groups.get((df, de))
+        if acc is None:
+            acc = groups[df, de] = {}
+        if f in fc and e in ec:  # both identity columns: the term stays as it is
+            if acc.setdefault(key, n) is not n:
+                add_mul(acc[key], n, ONE.c)
+            continue
+        for wf, af in fc.items():
+            nf = n
+            if f not in fc:
+                nf = {}
+                add_mul(nf, n, af.c)
+            for we, ae in ec.items():
+                add_mul(acc.setdefault((K, wf, we), {}), nf, ae.c)
+    return {g: laurent_values(acc) for g, acc in groups.items()}
+
+
+def over_groups(groups: dict, den: Laurent) -> dict:
+    """The reduced coefficients of numerator groups over den
+    (`expand_numerators`): each group's numerators are reduced once over
+    den d_f d_e, then summed (a single group needs no sum)."""
     out: dict = {}
     for (df, de), acc in groups.items():
         part = over_denominator(acc, den if df.is_one() and de.is_one() else den * df * de)

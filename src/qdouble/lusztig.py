@@ -10,6 +10,8 @@ product, one reduction per coordinate) and the clearing multipliers
 `DoubleContext.is_bar_fixed` of its result.  Also structure-constant
 extraction and basis enumeration, which computes each twisted row
 K diamond bullet(b_-, b_+) once per engine.
+`product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
+by triple coproducts and pairings, no straightening: the two-path check.
 """
 from __future__ import annotations
 
@@ -409,16 +411,19 @@ class Engine:
 # the coproduct-pairing route to the product expansion (two-path check)
 # ---------------------------------------------------------------------------
 
-def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
-    """b_+ b_- computed through triple coproducts and pairings only.
+def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> dict:
+    """b_+ b_- in DCB coordinates {(K, l_-, l_+): c}, the form of
+    `Engine.reverse_dcb`, computed through triple coproducts and pairings
+    only: independent of the straightening path.
 
-    Independent of the straightening path; returns the triangular form
-    sum F K_(am,ap) b''_- b''_+ rebuilt as a TriElem.
+    A term K_-^|m3| (b''_- b''_+) K_+^|p3| is the coordinate
+    (K_-^|m3| K_+^|p3|, m2, p2) once K_+^|p3| has moved left past the
+    weight |m2| - |p2|: a factor v^(2 kdif_dot(K_+^|p3|, |m2| - |p2|)), that
+    is v^(2 |p3| . (|m2| - |p2|)).  The pairings are memoised per label pair.
     """
     half = algebra.half
     tables = algebra.tables
     datum = algebra.datum
-    ctx = algebra.ctx
 
     def triple_dcb(label, sign):
         elem = tables.dcb_elem(sign, label)
@@ -443,9 +448,23 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
                         accumulate(out, key, c * ca * cb * cc)
         return out
 
+    @functools.cache
+    def pair_antipode(p3, m1):
+        # <b'_-, S^-1(b'''_+)>
+        d3p = tables.degree_of(p3)
+        s_inv = half.star(tables.dcb_elem(PLUS, p3)).scale(
+            Rat.of((-1) ** sum(d3p)) * nu_power(-2 * datum.ulgamma(d3p))
+        )
+        return half.pair(s_inv, tables.dcb_elem(MINUS, m1))
+
+    @functools.cache
+    def pair_plain(p1, m3):
+        # <b'''_-, b'_+>
+        return half.pair(tables.dcb_elem(PLUS, p1), tables.dcb_elem(MINUS, m3))
+
     trip_p = triple_dcb(lp, PLUS)
     trip_m = triple_dcb(lm, MINUS)
-    total = ctx.zero("full")
+    total: dict = {}
     for (p1, p2, p3), cp in trip_p.items():
         d1p, d2p, d3p = (tables.degree_of(x) for x in (p1, p2, p3))
         for (m1, m2, m3), cm in trip_m.items():
@@ -453,28 +472,13 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> TriElem:
             # pairing supports
             if d1m != d3p or d3m != d1p:
                 continue
-            # <b'_-, S^-1(b'''_+)> and <b'''_-, b'_+>
-            e3p = tables.dcb_elem(PLUS, p3)
-            s_inv = half.star(e3p).scale(
-                Rat.of((-1) ** sum(d3p)) * nu_power(-2 * datum.ulgamma(d3p))
-            )
-            pair1 = half.pair(s_inv, tables.dcb_elem(MINUS, m1))
+            pair1 = pair_antipode(p3, m1)
             if pair1.is_zero():
                 continue
-            pair2 = half.pair(tables.dcb_elem(PLUS, p1), tables.dcb_elem(MINUS, m3))
+            pair2 = pair_plain(p1, m3)
             if pair2.is_zero():
                 continue
-            weight = nu_power(
-                -2 * (datum.dot(d2m, d1m) + datum.dot(d2m, d3m) + datum.dot(d3m, d1m))
-            )
-            coeff = cp * cm * weight * pair1 * pair2
-            term = ctx.from_halves(
-                minus=tables.dcb_elem(MINUS, m2),
-                plus=tables.dcb_elem(PLUS, p2),
-                flavor="full",
-            )
-            total = total + ctx.multiply(
-                ctx.multiply(ctx.k_elem(kmono(d3m, (0,) * datum.rank)), term),
-                ctx.k_elem(kmono((0,) * datum.rank, d3p)),
-            ).scale(coeff)
+            weight = 2 * datum.dot(d3p, _sub(d2m, d2p))
+            weight -= 2 * (datum.dot(d2m, d1m) + datum.dot(d2m, d3m) + datum.dot(d3m, d1m))
+            accumulate(total, (kmono(d3m, d3p), m2, p2), cp * cm * nu_power(weight) * pair1 * pair2)
     return total

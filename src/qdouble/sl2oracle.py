@@ -11,7 +11,8 @@ from .scalar import Rat, RAT_ONE, nu_power, qangle, qsq_binom
 class SL2Oracle:
     def __init__(self, ctx: DoubleContext | None = None):
         self.ctx = ctx if ctx is not None else DoubleContext(HalfAlgebra("A1"))
-        assert self.ctx.datum.rank == 1, "oracle is rank-one only"
+        if self.ctx.datum.rank != 1:
+            raise ValueError(f"the oracle is rank-one only, not rank {self.ctx.datum.rank}")
         self._cheb: dict[int, TriElem] = {}
 
     # -- building blocks ---------------------------------------------------
@@ -84,7 +85,8 @@ class SL2Oracle:
 
     def basis_elem(self, a_minus: int, a_plus: int, m_minus: int, m0: int, m_plus: int) -> TriElem:
         """K_-^(a_-) K_+^(a_+) diamond F^(m_-) C^(m_0) E^(m_+), min(m_-, m_+) = 0."""
-        assert min(m_minus, m_plus) == 0
+        if min(m_minus, m_plus):
+            raise ValueError(f"basis_elem needs min(m_-, m_+) = 0, not {min(m_minus, m_plus)}")
         ctx = self.ctx
         body = ctx.multiply(ctx.multiply(self.fpow(m_minus), self.chebyshev(m0)), self.epow(m_plus))
         return ctx.diamond(kmono((a_minus,), (a_plus,)), body)

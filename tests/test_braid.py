@@ -156,6 +156,11 @@ class TestSchubert:
         with pytest.raises(ValueError):
             a2.schubert_pbw((0, 0), (1, 1))
 
+    def test_rejects_amounts_of_another_length(self, a2):
+        # zip would drop the third amount without a word
+        with pytest.raises(ValueError, match="3 PBW amounts for a word of length 2"):
+            a2.schubert_pbw((0, 1), (1, 0, 1))
+
     def test_scaled_pairing_diagonal(self, a2):
         # <mu E_i^a', mu F_i^a> diagonal with Z[q, q^-1] entries, heights <= 3
         half = a2.ctx.half

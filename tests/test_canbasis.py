@@ -267,6 +267,11 @@ class TestTwoLetterFamilyG2:
                     expected = RAT_ONE if s2 == s else Rat.of(0)
                     assert g2.fgfrm(delta, cb) == expected
 
+    def test_rejects_out_of_range(self):
+        # a_01 = -3 in G2: s + r = 4 is past the family
+        with pytest.raises(ValueError, match="out of range"):
+            Algebra.get("G2").tables.two_letter_dcb(0, 1, 2, 2)
+
 
 class TestPrintedTables:
     """The Gram-dual tables equal the printed tables: labels and elements, in

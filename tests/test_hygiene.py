@@ -7,7 +7,9 @@ start-up).  Every public function, class and method of the package is named
 somewhere else in the package (a method as an attribute), except the
 KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
 other modules define.  No module calls `json.dump`/`json.dumps` with an
-`indent=` keyword: `cli._dumps` is the one indented JSON writer."""
+`indent=` keyword: `cli._dumps` is the one indented JSON writer.  No module
+holds an `assert` statement, which `python -O` strips, outside the
+ASSERT_ALLOWED internal invariants: an input check raises."""
 import ast
 from pathlib import Path
 
@@ -248,3 +250,47 @@ def test_scan_finds_indented_dumps():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_one_indented_json_writer(path):
     assert indented_dumps_calls(path.read_text()) == []
+
+
+# (module, enclosing function) of the `assert` statements that state internal
+# invariants, not input checks: the remainder degree of a pseudo-division
+ASSERT_ALLOWED = {("scalar", "laurent_gcd")}
+
+
+def assert_sites(source: str) -> list:
+    """(line, qualified name of the enclosing function or class, "" at module
+    level) of each `assert` statement."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                out.append((child.lineno, where))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_scan_finds_asserts():
+    src = (
+        "assert a\nclass C:\n    def m(self):\n        assert b, 'why'\n"
+        "        def inner():\n            if c:\n                assert d\n"
+        "def f():\n    return 1\n"
+    )
+    assert assert_sites(src) == [(1, ""), (4, "C.m"), (7, "C.m.inner")]
+    assert assert_sites("def f(x):\n    if not x:\n        raise ValueError(x)\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_outside_the_allowlist(path):
+    sites = assert_sites(path.read_text())
+    assert [(line, where) for line, where in sites if (path.stem, where) not in ASSERT_ALLOWED] == []
+
+
+def test_assert_allowlist_names_live_sites():
+    live = {(p.stem, where) for p in PACKAGE for _, where in assert_sites(p.read_text())}
+    assert ASSERT_ALLOWED <= live

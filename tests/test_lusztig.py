@@ -51,6 +51,27 @@ def sl2_label(alg, n):
     return alg.tables.labels_of_degree((n,))[0]
 
 
+def labels_to_height_two(alg):
+    degrees = alg.datum.degrees_up_to((2,) * alg.datum.rank)
+    return [lab for g in degrees if sum(g) <= 2 for lab in alg.tables.labels_of_degree(g)]
+
+
+def a2_with_user_table():
+    """A2 with its (1,1) block read from a --tables file: the same elements,
+    relabelled x and y, in reverse order."""
+    built = Algebra.get("A2").tables.dcb_table((1, 1)).minus
+    block = {
+        "degree": [1, 1],
+        "elements": [
+            {"label": lab, "element": half_to_obj(el)}
+            for lab, el in zip(["x", "y"], reversed(built))
+        ],
+    }
+    alg = Algebra("A2")
+    _load_user_tables(alg, json.dumps([block]).encode())
+    return alg
+
+
 class TestLLSolve:
     # Lusztig's lemma through bar_fix on small families, labels listed lower-first
 
@@ -129,11 +150,6 @@ class TestLinearBarRows:
     # linearity, equals the member barred in the double and expanded directly
 
     @staticmethod
-    def _labels(alg):
-        degrees = alg.datum.degrees_up_to((2,) * alg.datum.rank)
-        return [lab for g in degrees if sum(g) <= 2 for lab in alg.tables.labels_of_degree(g)]
-
-    @staticmethod
     def _compare(alg, labels):
         eng, ctx = alg.engine, alg.ctx
         n = 0
@@ -149,7 +165,7 @@ class TestLinearBarRows:
     @pytest.mark.parametrize("name", ["A2", "B2", "A1affine"])
     def test_height_two(self, name):
         alg = Algebra.get(name)
-        labels = self._labels(alg)
+        labels = labels_to_height_two(alg)
         assert len(labels) == 7
         assert self._compare(alg, labels) == 4 * 7 * 7
 
@@ -165,19 +181,8 @@ class TestLinearBarRows:
             assert alg.engine._member_bar("circ", lab1, lab1, variant) == direct
 
     def test_user_table(self):
-        # A2 with its (1,1) block read from a --tables file: the same
-        # elements, relabelled and in reverse order
-        built = Algebra.get("A2").tables.dcb_table((1, 1)).minus
-        block = {
-            "degree": [1, 1],
-            "elements": [
-                {"label": lab, "element": half_to_obj(el)}
-                for lab, el in zip(["x", "y"], reversed(built))
-            ],
-        }
-        alg = Algebra("A2")
-        _load_user_tables(alg, json.dumps([block]).encode())
-        labels = self._labels(alg)
+        alg = a2_with_user_table()
+        labels = labels_to_height_two(alg)
         assert {"x", "y"} <= set(labels)
         assert self._compare(alg, labels) == 4 * 7 * 7
 
@@ -548,25 +553,41 @@ class TestSpecialClosedForm:
 
 
 class TestTwoPathAgreement:
+    """product_expansion_via_coproduct (triple coproducts and pairings) and
+    Engine.reverse_dcb (straightening) give the same DCB coordinates of
+    b_+ b_-."""
+
+    @staticmethod
+    def agree(alg, minus_labels, plus_labels):
+        for lm in minus_labels:
+            for lp in plus_labels:
+                got = product_expansion_via_coproduct(alg, lm, lp)
+                assert got == alg.engine.reverse_dcb(lm, lp), (lm, lp)
+
     def test_rank2_products(self, a2):
         for lm_deg, lp_deg in [((1, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (1, 1))]:
-            for lm in a2.tables.labels_of_degree(lm_deg):
-                for lp in a2.tables.labels_of_degree(lp_deg):
-                    via_copr = product_expansion_via_coproduct(a2, lm, lp)
-                    direct = a2.ctx.multiply(
-                        a2.ctx.from_halves(plus=a2.dcb_elem(PLUS, lp), flavor="full"),
-                        a2.ctx.from_halves(minus=a2.dcb_elem(MINUS, lm), flavor="full"),
-                    )
-                    assert via_copr == direct, (lm, lp)
+            self.agree(a2, a2.tables.labels_of_degree(lm_deg), a2.tables.labels_of_degree(lp_deg))
 
     def test_sl2_products(self, sl2):
-        for mm in range(3):
-            for mp in range(3):
-                lm, lp = sl2_label(sl2, mm), sl2_label(sl2, mp)
-                assert product_expansion_via_coproduct(sl2, lm, lp) == sl2.ctx.multiply(
-                    sl2.ctx.from_halves(plus=sl2.dcb_elem(PLUS, lp), flavor="full"),
-                    sl2.ctx.from_halves(minus=sl2.dcb_elem(MINUS, lm), flavor="full"),
-                )
+        labels = [sl2_label(sl2, m) for m in range(3)]
+        self.agree(sl2, labels, labels)
+
+    # the number of pairs whose clearing multiplier is not 1: on A1affine,
+    # those of F[1 2] and F[2 1], each with d = (2)_q = v^2 + v^-2
+    @pytest.mark.parametrize("name,cleared", [("B2", 0), ("A1affine", 4)])
+    def test_height_two(self, name, cleared):
+        alg = Algebra.get(name)
+        labels = labels_to_height_two(alg)
+        assert len(labels) == 7
+        d = alg.engine.d_multiplier
+        assert sum(not d(lm, lp).is_one() for lm in labels for lp in labels) == cleared
+        self.agree(alg, labels, labels)
+
+    def test_user_table(self):
+        alg = a2_with_user_table()
+        labels = labels_to_height_two(alg)
+        assert {"x", "y"} <= set(labels)
+        self.agree(alg, labels, labels)
 
 
 class TestEnumerateBasis:

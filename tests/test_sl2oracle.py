@@ -1,6 +1,7 @@
 import pytest
 
-from qdouble.double import kmono
+from qdouble.double import DoubleContext, kmono
+from qdouble.halves import HalfAlgebra
 from qdouble.scalar import Rat, nu_power
 from qdouble.sl2oracle import SL2Oracle
 
@@ -90,6 +91,14 @@ class TestClosedForms:
         for mm in range(4):
             for mp in range(4):
                 assert orc.ctx.project_heis(orc.bullet_closed(mm, mp)) == orc.circ_closed(mm, mp)
+
+    def test_rejects_higher_rank(self):
+        with pytest.raises(ValueError, match="rank-one only"):
+            SL2Oracle(DoubleContext(HalfAlgebra("A2")))
+
+    def test_basis_elem_rejects_two_sided_words(self, orc):
+        with pytest.raises(ValueError, match="min"):
+            orc.basis_elem(0, 0, 1, 0, 1)
 
     def test_trivial_cases(self, orc):
         assert orc.bullet_closed(1, 1) == orc.chebyshev(1)
