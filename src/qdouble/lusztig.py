@@ -7,7 +7,10 @@ engine also owns the per-label-pair memos: the reverse products b_+ b_- in
 DCB coordinates (`reverse_dcb`, from the straightened numerators of the
 product, one reduction per coordinate) and the clearing multipliers
 (`d_multiplier`).  Every solve ends with the exact bar-invariance check
-`DoubleContext.is_bar_fixed` of its result.  Also structure-constant
+`DoubleContext.is_bar_fixed` of its result.  A solve works in DCB
+coordinates, through the one K-twist `_twist` and with no `to_dcb` readback;
+its element is built once from them, and one record per solve keeps the
+coordinates, the corrections and the element.  Also structure-constant
 extraction and basis enumeration, which computes each twisted row
 K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -91,21 +94,20 @@ class Engine:
 
     circ(b_-, b_+) is the bar-fixed element over K diamond (d b_- b_+) in a
     Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
-    K diamond iota(circ) in the full double; both come from `_solve`.
+    K diamond iota(circ) in the full double; both come from `_solve`, whose
+    record (coords, certificate, element) is the one memo of a solve.
     """
 
     def __init__(self, algebra):
         self.ctx = algebra.ctx
         self.datum = algebra.datum
         self.tables = algebra.tables
-        self._solved: dict = {}  # (kind, lm, lp, variant) -> TriElem
-        self._dcb: dict = {}  # (kind, lm, lp, variant; None for "pair") -> DCB coordinates
+        self._solved: dict = {}  # (kind, lm, lp, variant) -> (coords, certificate, element)
         self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
         self._half_bars: dict = {}  # label -> DCB coordinates of bar(b_label)
         self._pair_bars: dict = {}  # (lm, lp) -> DCB coordinates of bar(b_- b_+) in full
         self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
-        self._certificates: dict = {}
         self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
 
     # ====================================================== clearing multipliers
@@ -150,31 +152,26 @@ class Engine:
 
     # ================================================================ circ/bullet
     def circ(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
-        return self._solve("circ", lm, lp, variant)
+        return self._solve("circ", lm, lp, variant)[2]
 
     def bullet(self, lm: str, lp: str, variant: str = "plus") -> TriElem:
-        return self._solve("bullet", lm, lp, variant)
-
-    def _member(self, kind, lm, lp, variant) -> TriElem:
-        """The element of the kind's family at K = 1, in the kind's flavor."""
-        below, flavor = _KINDS[kind, variant][:2]
-        if below == "pair":
-            bm, bp = self.tables.dcb_elem(MINUS, lm), self.tables.dcb_elem(PLUS, lp)
-            pair = self.ctx.from_halves(minus=bm, plus=bp, flavor=flavor)
-            return pair.scale(self.d_multiplier(lm, lp))
-        return self._solve(below, lm, lp, variant).with_flavor(flavor)
+        return self._solve("bullet", lm, lp, variant)[2]
 
     def _family_dcb(self, kind, lm, lp, variant) -> dict:
-        """DCB coordinates of the kind's element at (lm, lp).  The pair's
-        coordinates do not depend on the variant, so it is stored once."""
-        key = (kind, lm, lp, None if kind == "pair" else variant)
-        if key not in self._dcb:
-            if kind == "pair":
-                coords = {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}
-            else:
-                coords = self.tables.to_dcb(self._solve(kind, lm, lp, variant))
-            self._dcb[key] = coords
-        return self._dcb[key]
+        """DCB coordinates of the kind's element at (lm, lp): the closed form
+        {(1, lm, lp): d} for "pair", the solve's record otherwise."""
+        if kind == "pair":
+            return {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}
+        return self._solve(kind, lm, lp, variant)[0]
+
+    def _twist(self, K, coords) -> dict:
+        """DCB coordinates of K diamond x from those of x: K2 b_m2 b_m3 goes
+        to K K2 b_m2 b_m3 times v^(-kdif_dot(K, deg m3 - deg m2))."""
+        out: dict = {}
+        for (K2, m2, m3), c in coords.items():
+            f = nu_power(-self.ctx.kdif_dot(K, _sub(self.tables.degree_of(m3), self.tables.degree_of(m2))))
+            accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c * f)
+        return out
 
     def _index_set(self, kind, lm, lp, variant) -> list:
         """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
@@ -268,13 +265,17 @@ class Engine:
             self._bar_rows[key] = row
         return row
 
-    def _solve(self, kind: str, lm: str, lp: str, variant: str) -> TriElem:
-        """The bar-fixed member(lm, lp) + sum p_s K_s diamond member(s) of the
-        kind's family (Lusztig's lemma through bar_fix)."""
+    def _solve(self, kind: str, lm: str, lp: str, variant: str) -> tuple:
+        """The record (coords, certificate, element) of the bar-fixed
+        member(lm, lp) + sum p_s K_s diamond member(s) of the kind's family
+        (Lusztig's lemma through bar_fix): its DCB coordinates, the
+        corrections s -> p_s, and the element sum c K b_l2 b_l3 in the kind's
+        flavor, built once from the coordinates and proved bar-fixed."""
         key = (kind, lm, lp, variant)
-        if key in self._solved:
-            return self._solved[key]
-        side = _KINDS[kind, variant][2]
+        got = self._solved.get(key)
+        if got is not None:
+            return got
+        below, flavor, side = _KINDS[kind, variant][:3]
         where = f"{kind}({lm},{lp})"
 
         @functools.cache
@@ -285,25 +286,24 @@ class Engine:
                 for ((bm, bp), m2, m3), c in self._bar_row(kind, l2, l3, variant).items()
             }
 
-        solved = bar_fix(
-            self._bar_row(kind, lm, lp, variant),
-            self._index_set(kind, lm, lp, variant),
-            row_of,
-            side,
-            where,
-        )
+        target, candidates = self._bar_row(kind, lm, lp, variant), self._index_set(kind, lm, lp, variant)
+        solved = bar_fix(target, candidates, row_of, side, where)
+        coords = dict(self._family_dcb(below, lm, lp, variant))
         for s, p in solved.items():
             _assert_q_poly(p, f"{where} correction at {s}")
-
-        result = self._member(kind, lm, lp, variant)
-        for ((am, ap), l2, l3), p in solved.items():
-            base = self._member(kind, l2, l3, variant)
-            result = result + self.ctx.diamond(kmono(am, ap), base).scale(p)
-        if not self.ctx.is_bar_fixed(result):
+            (am, ap), l2, l3 = s
+            for idx, c in self._twist(kmono(am, ap), self._family_dcb(below, l2, l3, variant)).items():
+                accumulate(coords, idx, p * c)
+        terms: dict = {}
+        for (K, l2, l3), c in coords.items():
+            pair = self.ctx.from_halves(self.tables.dcb_elem(MINUS, l2), self.tables.dcb_elem(PLUS, l3), K)
+            for t, x in pair.terms.items():
+                accumulate(terms, t, c * x)
+        element = TriElem(self.ctx, flavor, terms, normalized=True)
+        if not self.ctx.is_bar_fixed(element):
             raise TriangularityError(f"{where} failed bar-invariance")
-        self._certificates[key] = solved
-        self._solved[key] = result
-        return result
+        got = self._solved[key] = (coords, solved, element)
+        return got
 
     def expand_in_bullet_family(self, expansion: dict, variant: str = "plus") -> dict:
         """Plain DCB coordinates of a full element over K diamond bullet."""
@@ -323,15 +323,11 @@ class Engine:
             am, ap, tag = K
             if any(tag) or any(x < 0 for x in am) or any(x < 0 for x in ap):
                 raise TriangularityError(f"expansion outside the basis cone at {key}")
-            dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
-            lead = Rat.of(self.d_multiplier(l2, l3)) * nu_power(-self.ctx.kdif_dot(K, dif))
-            coeff = remaining[key] / lead
+            twisted = self._twist(K, self._family_dcb(kind, l2, l3, variant))
+            coeff = remaining[key] / twisted[key]
             out[((am, ap), l2, l3)] = coeff
-            for (K2, m2, m3), c in self._family_dcb(kind, l2, l3, variant).items():
-                dif2 = _sub(self.tables.degree_of(m3), self.tables.degree_of(m2))
-                shifted = (self.ctx.k_product(K, K2), m2, m3)
-                val = coeff * c * nu_power(-self.ctx.kdif_dot(K, dif2))
-                accumulate(remaining, shifted, -val)
+            for idx, c in twisted.items():
+                accumulate(remaining, idx, -coeff * c)
         return out
 
     # ======================================================== structure constants
@@ -403,8 +399,9 @@ class Engine:
             )
         return out
 
-    def certificate(self, kind: str, lm: str, lp: str, variant: str = "plus"):
-        return self._certificates.get((kind, lm, lp, variant), {})
+    def certificate(self, kind: str, lm: str, lp: str, variant: str = "plus") -> dict:
+        """The corrections s -> p_s of the solve, solving on demand."""
+        return self._solve(kind, lm, lp, variant)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,21 @@ class TestBasis:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "preset, height, digest, rows",
+        [
+            ("A3", "1", "91a66cb73b64e6f9a26876b06a7cfed712448c0b9746c340a3d00005eaa3dc3c", 357),
+            ("B2", "2", "6f75f5c1ac9c496490b39873e7b88c9f4e7d1bf6ed64902f6692d494f958edcb", 757),
+            ("G2", "2", "9c09c64cfeba01e933bfc66cca149a6405d23d5e04f2cb7bc59fb4d5ceb93c8f", 757),
+            ("A1affine", "2", "aa3bf3507cd7374045d5d39ff3ed6eb5e52e127118078479444d58cebca5173b", 896),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, preset, height, digest, rows):
+        code, out = run(capsys, "basis", "--preset", preset, "--height", height)
+        assert code == 0
+        assert len(json.loads(out)) == rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pinned_headline_bytes(self, capsys):
         code, out = run(capsys, "basis", "--preset", "A2", "--height", "2")
         assert code == 0

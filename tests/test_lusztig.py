@@ -145,6 +145,16 @@ class TestBarRowChecks:
         assert (len(labels), failed) == (5, 14)
 
 
+def family_member(alg, kind, lm, lp, variant):
+    """The element of the kind's family at K = 1, in the kind's flavor:
+    d b_- b_+ for circ, iota(circ) for bullet."""
+    below, flavor = lusztig._KINDS[kind, variant][:2]
+    if below == "pair":
+        bm, bp = alg.tables.dcb_elem(MINUS, lm), alg.tables.dcb_elem(PLUS, lp)
+        return alg.ctx.from_halves(minus=bm, plus=bp, flavor=flavor).scale(alg.engine.d_multiplier(lm, lp))
+    return alg.engine.circ(lm, lp, variant).with_flavor(flavor)
+
+
 class TestLinearBarRows:
     # the bar of every family member, read off the cached reverse products by
     # linearity, equals the member barred in the double and expanded directly
@@ -157,7 +167,7 @@ class TestLinearBarRows:
             for lp in labels:
                 for kind in ("circ", "bullet"):
                     for variant in ("plus", "minus"):
-                        direct = alg.tables.to_dcb(ctx.bar(eng._member(kind, lm, lp, variant)))
+                        direct = alg.tables.to_dcb(ctx.bar(family_member(alg, kind, lm, lp, variant)))
                         assert eng._member_bar(kind, lm, lp, variant) == direct, (kind, lm, lp, variant)
                         n += 1
         return n
@@ -176,7 +186,7 @@ class TestLinearBarRows:
         monkeypatch.setattr(alg.engine, "d_multiplier", lambda lm, lp: Laurent({1: 1}))
         lab1 = sl2_label(alg, 1)
         for variant in ("plus", "minus"):
-            member = alg.engine._member("circ", lab1, lab1, variant)
+            member = family_member(alg, "circ", lab1, lab1, variant)
             direct = alg.tables.to_dcb(alg.ctx.bar(member))
             assert alg.engine._member_bar("circ", lab1, lab1, variant) == direct
 
@@ -185,6 +195,57 @@ class TestLinearBarRows:
         labels = labels_to_height_two(alg)
         assert {"x", "y"} <= set(labels)
         assert self._compare(alg, labels) == 4 * 7 * 7
+
+
+class TestSolveRecord:
+    # a solve's record keeps its DCB coordinates, its corrections and its
+    # element; the coordinates are the readback of the element
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "A1affine", "user"])
+    def test_coordinates_are_the_readback(self, name):
+        alg = a2_with_user_table() if name == "user" else Algebra.get(name)
+        labels = labels_to_height_two(alg)
+        n = 0
+        for lm in labels:
+            for lp in labels:
+                for kind in ("circ", "bullet"):
+                    for variant in ("plus", "minus"):
+                        coords, _, element = alg.engine._solve(kind, lm, lp, variant)
+                        assert coords == alg.tables.to_dcb(element), (kind, lm, lp, variant)
+                        n += 1
+        assert n == 4 * 7 * 7
+
+    def test_certificate_solves_on_demand(self):
+        alg = Algebra("A2")
+        fresh, labels = alg.engine, labels_to_height_two(alg)
+        before = {(lm, lp): fresh.certificate("bullet", lm, lp) for lm in labels for lp in labels}
+        for lm, lp in before:
+            fresh.bullet(lm, lp)
+        assert before == {(lm, lp): fresh.certificate("bullet", lm, lp) for lm, lp in before}
+        assert (len(before), sum(map(bool, before.values()))) == (49, 20)
+        assert before["b+(0,0,0,1)", "b+(0,0,0,1)"]
+
+    def test_twist_without_its_power_of_v_fails(self, monkeypatch):
+        # labels of different degrees, so the twists carry powers of v
+        lm, lp = "b+(0,1,0,0)", "b+(0,2,0,0)"
+        eng = Algebra("A2").engine
+        assert eng.certificate("circ", lm, lp)
+
+        def untwisted(self, K, coords):
+            out = {}
+            for (K2, m2, m3), c in coords.items():
+                scalar.accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c)
+            return out
+
+        monkeypatch.setattr(lusztig.Engine, "_twist", untwisted)
+        # with the bar rows in place, the coordinates the solve assembles fail
+        # its bar-invariance proof
+        del eng._solved["circ", lm, lp, "plus"]
+        with pytest.raises(TriangularityError, match="failed bar-invariance"):
+            eng.circ(lm, lp)
+        # from scratch, the bar rows read back through the twist go wrong first
+        with pytest.raises(BarInconsistency):
+            Algebra("A2").circ(lm, lp)
 
 
 class TestCircSL2:
