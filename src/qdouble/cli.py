@@ -9,8 +9,10 @@ per degree, unique labels, F-side words of the block's degree, nonzero
 elements that form a basis of the degree, and, where the degree has a
 canonical basis (every finite-type degree, the two-letter degrees, A1affine
 (2,2) and R3 (1,1,1)), that the elements are the dual of the canonical basis
-in some order.  strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`,
---tables labels) or words (`F:...`, `E:...`).
+in some order; last, that bar fixes every element, as it fixes every dual
+canonical basis element (the engine reads bar(b_- b_+) as b_+ b_-).
+strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`, --tables
+labels) or words (`F:...`, `E:...`).
 Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form.  JSON output
 has a one-space indent, sorted keys, ASCII escapes and one trailing newline:
@@ -132,11 +134,16 @@ def _load_user_tables(alg: Algebra, data: bytes):
         try:
             cb = alg.tables.canonical_basis(gamma).elements
         except TableIncomplete:
-            continue
-        if {x.key() for x in alg.tables.dcb_table(gamma).duals} != {x.key() for x in cb}:
+            cb = None
+        if cb is not None and {x.key() for x in alg.tables.dcb_table(gamma).duals} != {x.key() for x in cb}:
             raise UsageError(
                 f"the elements of degree {list(gamma)} are not dual to the canonical basis"
             )
+        # bar fixes every dual canonical basis element, and the engine's bar
+        # rows rely on it, so a degree with no canonical basis needs it too
+        for label, elem in labeled:
+            if alg.half.bar(elem) != elem:
+                raise UsageError(f"element {label!r} of degree {list(gamma)} is not bar-invariant")
 
 
 def _resolve_label(alg: Algebra, token: str, sign: int) -> str:

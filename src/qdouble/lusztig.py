@@ -6,13 +6,14 @@ quotients and the bullet product in the full double all go through it.  The
 engine also owns the per-label-pair memos: the reverse products b_+ b_- in
 DCB coordinates (`reverse_dcb`, from the straightened numerators of the
 product, one reduction per coordinate) and the clearing multipliers
-(`d_multiplier`).  Every solve ends with the exact bar-invariance check
-`DoubleContext.is_bar_fixed` of its result.  A solve works in DCB
-coordinates, through the one K-twist `_twist` and with no `to_dcb` readback;
-its element is built once from them, and one record per solve keeps the
-coordinates, the corrections and the element.  Also structure-constant
-extraction and basis enumeration, which computes each twisted row
-K diamond bullet(b_-, b_+) once per engine.
+(`d_multiplier`).  Bar fixes every DCB element and reverses products, so the
+bar rows read bar(b_- b_+) = b_+ b_- from the same memo.  Every solve ends
+with the exact bar-invariance check `DoubleContext.is_bar_fixed` of its
+result.  A solve works in DCB coordinates, through the one K-twist `_twist`
+and with no `to_dcb` readback; its element is built once from them, and one
+record per solve keeps the coordinates, the corrections and the element.
+Also structure-constant extraction and basis enumeration, which computes each
+twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
 by triple coproducts and pairings, no straightening: the two-path check.
 """
@@ -23,6 +24,7 @@ import functools
 from .double import _DROPPED_K, TriElem, kmono, k_is_one, k_one
 from .halves import PLUS, MINUS
 from .scalar import (
+    BarInconsistency,
     Laurent,
     Rat,
     RAT_ONE,
@@ -59,7 +61,10 @@ def bar_fix(target_row, candidates, row, side: str, where: str) -> dict:
             continue
         if not f.is_laurent():
             raise TriangularityError(f"{where}: non-integral datum at {s}: {f}")
-        p[s] = Rat.of(solve_bar_correction(f.as_laurent(), side))
+        try:
+            p[s] = Rat.of(solve_bar_correction(f.as_laurent(), side))
+        except BarInconsistency as exc:
+            raise TriangularityError(f"{where}: inconsistent bar row at {s}: {exc}") from exc
     return p
 
 
@@ -95,7 +100,8 @@ class Engine:
     circ(b_-, b_+) is the bar-fixed element over K diamond (d b_- b_+) in a
     Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
     K diamond iota(circ) in the full double; both come from `_solve`, whose
-    record (coords, certificate, element) is the one memo of a solve.
+    record (coords, certificate, element) is the one memo of a solve.  Bar
+    rows read bar(b_- b_+) as the memoised reverse product b_+ b_-.
     """
 
     def __init__(self, algebra):
@@ -104,8 +110,6 @@ class Engine:
         self.tables = algebra.tables
         self._solved: dict = {}  # (kind, lm, lp, variant) -> (coords, certificate, element)
         self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
-        self._half_bars: dict = {}  # label -> DCB coordinates of bar(b_label)
-        self._pair_bars: dict = {}  # (lm, lp) -> DCB coordinates of bar(b_- b_+) in full
         self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
         self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
@@ -193,44 +197,17 @@ class Engine:
         out.sort(key=lambda idx: (sum(idx[0][slot]), sum(idx[0][1 - slot]), idx))
         return out
 
-    def _half_bar(self, label) -> dict:
-        """DCB coordinates of bar(b_label), memoised per label.  The halves
-        share their pivot words and word-to-label maps, and bar acts on the
-        words of either half alike, so one expansion serves b_- and b_+."""
-        got = self._half_bars.get(label)
-        if got is None:
-            got = self.tables.half_to_dcb(self.ctx.half.bar(self.tables.dcb_elem(MINUS, label)))
-            self._half_bars[label] = got
-        return got
-
-    def _pair_bar(self, lm, lp) -> dict:
-        """DCB coordinates of bar(b_- b_+) in `full`, memoised per pair.  Bar
-        is an antilinear anti-automorphism, so bar(b_- b_+) = bar(b_+) bar(b_-)
-        is the combination of the reverse products b'_+ b'_- (reverse_dcb)
-        with the coefficients of the two half bars."""
-        key = (lm, lp)
-        got = self._pair_bars.get(key)
-        if got is None:
-            got = {}
-            bar_p = self._half_bar(lp)
-            for am, cm in self._half_bar(lm).items():
-                for ap, cp in bar_p.items():
-                    c = cm * cp
-                    for idx, r in self.reverse_dcb(am, ap).items():
-                        accumulate(got, idx, c * r)
-            self._pair_bars[key] = got
-        return got
-
     def _member_bar(self, kind, lm, lp, variant) -> dict:
-        """DCB coordinates of bar of the K = 1 member, by linearity from
-        _pair_bar; no member is barred.
+        """DCB coordinates of bar of the K = 1 member, by linearity from the
+        reverse products; no member is barred.
 
         The member has coordinates c over K b_l2 b_l3 (for circ the one
         pair term {(1, lm, lp): d}, for bullet those of iota(circ)), which
         give bar(c) bar(b_l2 b_l3) K, and K moves to the left past the weight
-        deg l3 - deg l2.  A Heisenberg quotient then drops its zero torus
-        block (the quotient map from `full` is an algebra map and commutes
-        with bar).
+        deg l3 - deg l2.  Bar is an antilinear anti-automorphism that fixes
+        every DCB element, so bar(b_l2 b_l3) = b_l3 b_l2 = reverse_dcb(l2, l3).
+        A Heisenberg quotient then drops its zero torus block (the quotient
+        map from `full` is an algebra map and commutes with bar).
         """
         below, flavor = _KINDS[kind, variant][:2]
         drop = _DROPPED_K.get(flavor)
@@ -238,7 +215,7 @@ class Engine:
         for (K, l2, l3), c in self._family_dcb(below, lm, lp, variant).items():
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
             f = c.bar() * nu_power(-2 * self.ctx.kdif_dot(K, dif))
-            for (K2, m2, m3), r in self._pair_bar(l2, l3).items():
+            for (K2, m2, m3), r in self.reverse_dcb(l2, l3).items():
                 K3 = self.ctx.k_product(K, K2)
                 if drop is None or not any(K3[drop]):
                     accumulate(out, (K3, m2, m3), f * r)

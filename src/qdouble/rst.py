@@ -34,7 +34,7 @@ class LWModule:
     either side is killed by ad F_i and has ad K_i-weight 2 - a_ij > 0 in
     End V, so on a finite-dimensional module it would be a lowest-weight
     vector of positive weight, and acts as zero.  The Shapovalov pairing is
-    built from the lowest-weight vector (or taken from the input blocks).
+    built from the lowest-weight vector or taken from the input; both checked.
     """
 
     def __init__(self, algebra, name, mu, degrees, E, F, shapovalov=None):
@@ -83,36 +83,35 @@ class LWModule:
                                 raise ModuleError(f"[E_{i}, F_{i}] wrong at ({a},{b})")
 
     def _build_shapovalov(self):
-        if self._shap is not None:
-            self.shap = [Rat.of(c) for c in self._shap]
-            return
+        """The diagonal Shapovalov form, supplied or built from the lowest-weight
+        vector, checked nonsingular and adjoint: <E_i v_a|v_b> = <v_a|F_i v_b>."""
         n = self.dim
-        shap: list = [None] * n
-        # the lowest-weight vector is the unique degree-zero one
-        order = sorted(range(n), key=lambda j: sum(self.degrees[j]))
-        base = order[0]
-        if any(self.degrees[base]):
-            raise ModuleError("no lowest-weight vector of degree zero")
-        shap[base] = RAT_ONE
-        for j in order[1:]:
-            for i, w in product(range(self.datum.rank), range(n)):
-                if shap[w] is not None and not self.E[i][j][w].is_zero():
-                    break
-            else:
-                raise ModuleError(f"cannot reach vector {j} for the Shapovalov chain")
-            # <v_j|v_j> from <E_i w | v_j> = <w | F_i v_j>
-            shap[j] = self.F[i][w][j] * shap[w] / self.E[i][j][w]
+        if self._shap is not None:
+            shap = [Rat.of(c) for c in self._shap]
+            if len(shap) != n:
+                raise ModuleError(f"Shapovalov form has {len(shap)} entries, not {n}")
+        else:
+            shap = [None] * n
+            # the lowest-weight vector is the unique degree-zero one
+            order = sorted(range(n), key=lambda j: sum(self.degrees[j]))
+            base = order[0]
+            if any(self.degrees[base]):
+                raise ModuleError("no lowest-weight vector of degree zero")
+            shap[base] = RAT_ONE
+            for j in order[1:]:
+                for i, w in product(range(self.datum.rank), range(n)):
+                    if shap[w] is not None and not self.E[i][j][w].is_zero():
+                        break
+                else:
+                    raise ModuleError(f"cannot reach vector {j} for the Shapovalov chain")
+                # <v_j|v_j> from <E_i w | v_j> = <w | F_i v_j>
+                shap[j] = self.F[i][w][j] * shap[w] / self.E[i][j][w]
         if any(s.is_zero() for s in shap):
             raise ModuleError("Shapovalov block is singular")
         self.shap = shap
-        # adjointness spot-check
-        for i in range(self.datum.rank):
-            for a in range(n):
-                for b in range(n):
-                    lhs = self.E[i][b][a] * self.shap[b]
-                    rhs = self.F[i][a][b] * self.shap[a]
-                    if lhs != rhs:
-                        raise ModuleError("Shapovalov adjointness fails")
+        for i, a, b in product(range(self.datum.rank), range(n), range(n)):
+            if self.E[i][b][a] * shap[b] != self.F[i][a][b] * shap[a]:
+                raise ModuleError("Shapovalov adjointness fails")
 
     # -- actions -----------------------------------------------------------------
     def act_letter(self, sign: int, i: int, vec: dict) -> dict:

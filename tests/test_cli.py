@@ -24,6 +24,15 @@ VERIFY_ALL_SHA256 = "432c8068c757da3ba0824f0751573392b06ccbd79fc1c32348c4095d18e
 # a valid user table for degree (1,): F_1 under the label "x"
 USER_TABLE_A1 = [{"degree": [1], "elements": [{"label": "x", "element": [{"c": "1", "w": "F:1"}]}]}]
 
+# a bar-invariant basis of A1affine (1,3), a degree with no canonical basis,
+# and the stdout of `strconst x0 x1` over it
+A1AFFINE_13_BAR_INVARIANT = [
+    {"label": "x0", "element": [{"c": "1", "w": "F:1 2 2 2"}, {"c": "1", "w": "F:2 2 2 1"}]},
+    {"label": "x1", "element": [{"c": "1", "w": "F:2 1 2 2"}, {"c": "1", "w": "F:2 2 1 2"}]},
+    {"label": "x2", "element": [{"c": "1*v", "w": "F:1 2 2 2"}, {"c": "1*v^-1", "w": "F:2 2 2 1"}]},
+]
+A1AFFINE_13_X0_X1_SHA256 = "5bfdbfa0203ef03de355e35222ac30a6b953f60486205ea334ccf09f333ecf79"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -174,14 +183,26 @@ class TestBasis:
         assert message in captured.err
 
     def test_tables_without_canonical_source_load(self, capsys, tmp_path):
-        # A1affine (1,3) has no canonical basis to be dual to: three of its
-        # four words are a basis (the Serre relation ties all four), and load
-        words = ["1 2 2 2", "2 1 2 2", "2 2 1 2"]
-        elements = [{"label": f"x{k}", "element": [{"c": "1", "w": f"F:{w}"}]} for k, w in enumerate(words)]
+        # A1affine (1,3) has no canonical basis to be dual to: a bar-invariant
+        # basis of it loads, and its structure constants form
         tables = tmp_path / "tables.json"
-        tables.write_text(json.dumps([{"degree": [1, 3], "elements": elements}]))
+        tables.write_text(json.dumps([{"degree": [1, 3], "elements": A1AFFINE_13_BAR_INVARIANT}]))
         code, out = run(capsys, "basis", "--preset", "A1affine", "--height", "0", "--tables", str(tables))
         assert code == 0 and json.loads(out)[0]["b_minus"] == "1"
+        code, out = run(capsys, "strconst", "x0", "x1", "--preset", "A1affine", "--tables", str(tables))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == A1AFFINE_13_X0_X1_SHA256
+
+    def test_tables_not_bar_invariant(self, capsys, tmp_path):
+        # three of the four words of A1affine (1,3) are a basis (the Serre
+        # relation ties all four), but bar reverses the words
+        words = ["1 2 2 2", "2 1 2 2", "2 2 1 2"]
+        elements = [{"label": f"u{k}", "element": [{"c": "1", "w": f"F:{w}"}]} for k, w in enumerate(words)]
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps([{"degree": [1, 3], "elements": elements}]))
+        assert main(["strconst", "u0", "u1", "--preset", "A1affine", "--tables", str(tables)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "element 'u0' of degree [1, 3] is not bar-invariant" in captured.err
 
     def test_out_file(self, capsys, tmp_path):
         # --out writes the bytes that stdout carries
@@ -376,6 +397,13 @@ class TestStrconst:
         code, out = run(capsys, "strconst", "F:1", "E:1", "--preset", "A2")
         assert code == 0 and len(json.loads(out)["coefficients"]) > 1
         assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
+
+    def test_negative_coefficient_exits_zero(self, capsys):
+        # positivity is reported, not checked
+        code, out = run(capsys, "strconst", "F[2 2 1]", "F[1 2 2]", "--preset", "A1affine")
+        payload = json.loads(out)
+        assert code == 0 and payload["positive"] is False
+        assert payload["coefficients"]["K-[0, 2] K+[0, 0] | F[1^1] | F[1^1]"] == "-1*v^-4 + 1*v^-8"
 
     def test_user_label(self, capsys, tmp_path):
         tables = tmp_path / "tables.json"

@@ -9,8 +9,13 @@ KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
 other modules define.  No module calls `json.dump`/`json.dumps` with an
 `indent=` keyword: `cli._dumps` is the one indented JSON writer.  No module
 holds an `assert` statement, which `python -O` strips, outside the
-ASSERT_ALLOWED internal invariants: an input check raises."""
+ASSERT_ALLOWED internal invariants: an input check raises.  The CLI run
+under `python -O` gives the same answers."""
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,3 +299,22 @@ def test_no_assert_outside_the_allowlist(path):
 def test_assert_allowlist_names_live_sites():
     live = {(p.stem, where) for p in PACKAGE for _, where in assert_sites(p.read_text())}
     assert ASSERT_ALLOWED <= live
+
+
+def test_cli_under_optimize():
+    # the scan above reads the source; this runs it with asserts stripped
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QDOUBLE_CACHE_DIR")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "qdouble.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    verify = cli("verify", "sl2")
+    assert verify.returncode == 0 and verify.stdout.endswith("\n8/8 checks passed\n")
+    basis = cli("basis", "--preset", "A2", "--height", "1")
+    assert basis.returncode == 0
+    assert hashlib.sha256(basis.stdout.encode()).hexdigest() == (
+        "ff3633646a4932b9be34d05a96eacac70da1595e5caefd2cd12ddc6b63523271"
+    )

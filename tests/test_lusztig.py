@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from qdouble import Algebra, lusztig, scalar
+from qdouble import Algebra, canbasis, lusztig, scalar
 from qdouble.braid import BraidOps
-from qdouble.canbasis import TableConflict
+from qdouble.canbasis import TableConflict, TableIncomplete
 from qdouble.cli import _load_user_tables
 from qdouble.double import format_tri, k_one, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
@@ -94,10 +94,12 @@ class TestLLSolve:
             Algebra("A2").tables.canonical_basis((2, 2))
 
     def test_rejects_inconsistent(self):
-        # bar datum with nonzero constant term cannot be corrected
+        # bar datum with nonzero constant term cannot be corrected; the error
+        # names the solve and the label, over the solver's own
         rows = [{0: RAT_ONE}, {1: RAT_ONE, 0: RAT_ONE}]
-        with pytest.raises(BarInconsistency):
+        with pytest.raises(TriangularityError, match="E2: inconsistent bar row at 0") as info:
             bar_fix(rows[1], [0], rows.__getitem__, "positive", "E2")
+        assert isinstance(info.value.__cause__, BarInconsistency)
 
 
 class TestBarRowChecks:
@@ -143,6 +145,123 @@ class TestBarRowChecks:
                     assert "failed bar-invariance" in str(exc)
                     failed += 1
         assert (len(labels), failed) == (5, 14)
+
+
+class TestEngineChecksFail:
+    # each engine check against a named mutation that only it can see
+
+    def test_non_integral_datum(self, monkeypatch):
+        # mutation: every off-diagonal bar-row entry divided by 1 + v^3
+        rowed = lusztig.Engine._bar_row
+        den = Rat.of(Laurent({0: 1, 3: 1}))
+
+        def divided(self, kind, lm, lp, variant):
+            diag = (((0,), (0,)), lm, lp)
+            return {s: c if s == diag else c / den for s, c in rowed(self, kind, lm, lp, variant).items()}
+
+        monkeypatch.setattr(lusztig.Engine, "_bar_row", divided)
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match=r"circ\(F\[1\^1\],F\[1\^1\]\): non-integral datum"):
+            alg.circ(lab1, lab1)
+
+    def test_correction_not_in_q(self, monkeypatch):
+        # mutation: every correction from the solver times v
+        solve = lusztig.solve_bar_correction
+        monkeypatch.setattr(lusztig, "solve_bar_correction", lambda f, side: solve(f, side) * Laurent({1: 1}))
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match="is not a polynomial in q"):
+            alg.circ(lab1, lab1)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (Laurent({1: 1}), "multiplier Laurent\\(1\\*v\\) is not a polynomial in q"),
+            (Laurent({0: 1, 2: 1}), "not a monic product of admissible cyclotomics"),
+        ],
+        ids=["odd-power", "phi2"],
+    )
+    def test_multiplier_checks(self, monkeypatch, d, message):
+        # mutation: the cleared denominators replaced by v, or by 1 + q = Phi_2(q)
+        monkeypatch.setattr(lusztig, "clear_denominators", lambda fracs: d)
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(ValueError, match=message):
+            alg.engine.d_multiplier(lab1, lab1)
+
+    def test_expansion_outside_the_cone(self, monkeypatch):
+        # mutation: the pair family's K = 1 carries a nonzero torus tag
+        monkeypatch.setattr(lusztig, "k_one", lambda rank: ((0,) * rank, (0,) * rank, (1,) * rank))
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match="expansion outside the basis cone"):
+            alg.structure_constants(lab1, lab1)
+
+    def test_structure_constant_not_laurent(self, monkeypatch):
+        # mutation: the expansion over the bullet family divided by (2)_q
+        expand = lusztig.Engine.expand_in_bullet_family
+        two = Rat.of(qround(2, 2))
+        monkeypatch.setattr(
+            lusztig.Engine,
+            "expand_in_bullet_family",
+            lambda self, e, variant="plus": {k: c / two for k, c in expand(self, e, variant).items()},
+        )
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        with pytest.raises(TriangularityError, match="not Laurent"):
+            alg.structure_constants(lab1, lab1)
+
+    def test_canonical_element_not_sigma_fixed(self, monkeypatch):
+        # mutation: the canonical basis of a half built with no corrections
+        monkeypatch.setattr(canbasis, "bar_fix", lambda *args: {})
+        with pytest.raises(TableConflict, match="not sigma-fixed"):
+            Algebra("A2").tables.canonical_basis((2, 1))
+
+
+def bar_unfixed(alg, height):
+    """(number checked, labels of those half.bar does not fix) over the DCB
+    elements through the height; degrees with no table source are skipped."""
+    checked, unfixed = 0, []
+    for h in range(height + 1):
+        for gamma in alg.datum.degrees_of_height(h):
+            try:
+                table = alg.tables.dcb_table(gamma)
+            except TableIncomplete:
+                continue
+            for label, elem in zip(alg.tables.labels_of_degree(gamma), table.minus):
+                checked += 1
+                if alg.half.bar(elem) != elem:
+                    unfixed.append(label)
+    return checked, unfixed
+
+
+class TestTablesAreBarInvariant:
+    # the engine reads bar(b_- b_+) as the reverse product b_+ b_-, which
+    # holds because bar fixes every DCB element of every table
+
+    @pytest.mark.parametrize(
+        "name, height, checked",
+        [("A2", 4, 22), ("B2", 4, 25), ("A1affine", 4, 23), ("R3", 4, 25), ("A3", 3, 29), ("G2", 2, 7)],
+    )
+    def test_built_in_tables(self, name, height, checked):
+        assert bar_unfixed(Algebra.get(name), height) == (checked, [])
+
+    def test_user_table(self):
+        assert bar_unfixed(a2_with_user_table(), 4) == (22, [])
+
+    def test_scaled_element_is_seen(self):
+        # one A2 (1,1) element times v, loaded past the --tables checks: the
+        # check above sees it, and every solve it enters fails: in its bar
+        # row, or only in the final bar-invariance check
+        built = Algebra.get("A2").tables.dcb_table((1, 1)).minus
+        alg = Algebra("A2")
+        alg.tables.load_user_table((1, 1), [("x", built[0].scale(nu_power(1))), ("y", built[1])])
+        assert bar_unfixed(alg, 2) == (7, ["x"])
+        for lm, lp, message in [("x", "x", "inconsistent bar row"), ("x", "1", "failed bar-invariance")]:
+            with pytest.raises(TriangularityError, match=rf"circ\({lm},{lp}\):? {message}"):
+                alg.bullet(lm, lp)
+        assert alg.bullet("y", "y")
 
 
 def family_member(alg, kind, lm, lp, variant):
@@ -243,9 +362,12 @@ class TestSolveRecord:
         del eng._solved["circ", lm, lp, "plus"]
         with pytest.raises(TriangularityError, match="failed bar-invariance"):
             eng.circ(lm, lp)
-        # from scratch, the bar rows read back through the twist go wrong first
-        with pytest.raises(BarInconsistency):
+        # from scratch, the bar rows read back through the twist go wrong
+        # first, and the error names the circ pair
+        pair = r"circ\(b\+\([0-9,]+\),b\+\([0-9,]+\)\)"
+        with pytest.raises(TriangularityError, match=pair + ": inconsistent bar row") as info:
             Algebra("A2").circ(lm, lp)
+        assert isinstance(info.value.__cause__, BarInconsistency)
 
 
 class TestCircSL2:
@@ -478,6 +600,16 @@ class TestStructureConstants:
                 coeffs, report = a2.structure_constants(lm, lp)
                 for c in coeffs.values():
                     assert c.is_laurent()
+
+    def test_negative_coefficient_reported(self):
+        # A1affine has pairs whose expansion has a negative coefficient: the
+        # report names each one, and the expansion is still returned
+        aff = Algebra.get("A1affine")
+        coeffs, report = aff.structure_constants("F[2 2 1]", "F[1 2 2]")
+        idx = (((0, 2), (0, 0)), "F[1^1]", "F[1^1]")
+        violation = Laurent({-8: 1, -4: -1})
+        assert report == {"positive": False, "violations": [(idx, violation)]}
+        assert coeffs[idx] == Rat.of(violation) and len(coeffs) == 8
 
     def test_degree_zero(self, sl2):
         lab0 = sl2.tables.labels_of_degree((0,))[0]

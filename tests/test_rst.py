@@ -4,7 +4,7 @@ from qdouble import Algebra, linalg
 from qdouble.double import kmono
 from qdouble.halves import PLUS, MINUS
 from qdouble.rst import LWModule, ModuleError, RSTMap, module_from_obj, sl2_module, sp4_module, vector_module
-from qdouble.scalar import Rat, RAT_ONE, RAT_ZERO, nu_power, qround_binom
+from qdouble.scalar import Rat, RAT_ONE, RAT_ZERO, format_scalar, nu_power, qround_binom
 from qdouble.sl2oracle import SL2Oracle
 
 
@@ -164,20 +164,38 @@ class TestModuleConstruction:
         with pytest.raises(ModuleError, match=message):
             LWModule(sl2, "bad", (m,), degrees, {0: E}, {0: F})
 
-    def test_module_file_roundtrip(self, sl2):
-        V = sl2_module(sl2, 2)
-        from qdouble.scalar import format_scalar
-
-        obj = {
+    @staticmethod
+    def module_file(V, shap):
+        """The module file of V with the given Shapovalov entries."""
+        return {
             "name": V.name,
             "mu": list(V.mu),
             "vectors": [{"name": f"v{k}", "degree": list(d)} for k, d in enumerate(V.degrees)],
             "E": {0: [[format_scalar(c) for c in row] for row in V.E[0]]},
             "F": {0: [[format_scalar(c) for c in row] for row in V.F[0]]},
-            "shapovalov": [format_scalar(c) for c in V.shap],
+            "shapovalov": [format_scalar(c) for c in shap],
         }
-        W = module_from_obj(sl2, obj)
+
+    def test_module_file_roundtrip(self, sl2):
+        V = sl2_module(sl2, 2)
+        W = module_from_obj(sl2, self.module_file(V, V.shap))
         assert W.shap == V.shap
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # entry 1 times v^2: the form is no longer adjoint to the action,
+            # and the xi_invariant built on it is not central
+            (lambda shap: [shap[0], shap[1] * nu_power(2), shap[2]], "Shapovalov adjointness fails"),
+            (lambda shap: [shap[0], RAT_ZERO, shap[2]], "Shapovalov block is singular"),
+            (lambda shap: shap[:2], "Shapovalov form has 2 entries, not 3"),
+        ],
+        ids=["scaled", "zero", "short"],
+    )
+    def test_supplied_shapovalov_is_checked(self, sl2, edit, message):
+        V = sl2_module(sl2, 2)
+        with pytest.raises(ModuleError, match=message):
+            module_from_obj(sl2, self.module_file(V, edit(V.shap)))
 
 
 class TestCanonicalInvariant:
