@@ -43,6 +43,10 @@ class TableConflict(AssertionError):
     """A table is inconsistent with the computed basis."""
 
 
+class UserTableError(ValueError):
+    """A user table that cannot be the degree's dual canonical basis."""
+
+
 class CBTable:
     def __init__(self, gamma, labels, elements, dual_labels):
         self.gamma = gamma
@@ -475,14 +479,37 @@ class CanonicalTables:
 
     # ----------------------------------------------------------- file interface
     def load_user_table(self, gamma, labeled_elements):
-        """Register a user-supplied dual basis for one degree before first use;
-        raises as dual_basis does unless the elements are a basis."""
+        """Register a user-supplied dual basis for one degree before first use.
+        Raises UserTableError unless the elements are a basis of the degree;
+        where the degree has a canonical basis, their duals are that basis in
+        some order; and bar fixes every element, as it fixes every dual
+        canonical basis element (the engine reads bar(b_- b_+) as b_+ b_-)."""
         gamma = tuple(gamma)
         if gamma in self._dcb:
             raise ValueError(f"table for degree {gamma} already built")
         labels = [lab for lab, _ in labeled_elements]
         elems = [el for _, el in labeled_elements]
-        self.user_tables[gamma] = (labels, elems, self.dual_basis(gamma, elems))
+        try:
+            duals = self.dual_basis(gamma, elems)
+        except (TableConflict, linalg.SingularMatrix):
+            raise UserTableError(
+                f"the elements of degree {list(gamma)} are not a basis"
+                f" (dimension {self.half.dim(gamma)})"
+            ) from None
+        try:
+            cb = self.canonical_basis(gamma).elements
+        except TableIncomplete:
+            cb = None
+        if cb is not None and {x.key() for x in duals} != {x.key() for x in cb}:
+            raise UserTableError(
+                f"the elements of degree {list(gamma)} are not dual to the canonical basis"
+            )
+        for label, elem in labeled_elements:
+            if self.half.bar(elem) != elem:
+                raise UserTableError(
+                    f"element {label!r} of degree {list(gamma)} is not bar-invariant"
+                )
+        self.user_tables[gamma] = (labels, elems, duals)
 
 
 def _compositions(gamma, roots):

@@ -5,18 +5,23 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
 (bad arguments, unknown labels, unreadable or invalid --tables, a degree no
 table source covers), 3 internal error (any other exception; the traceback
 goes to stderr).  A --tables file is checked at load: JSON shape, one block
-per degree, unique labels, F-side words of the block's degree, nonzero
-elements that form a basis of the degree, and, where the degree has a
-canonical basis (every finite-type degree, the two-letter degrees, A1affine
-(2,2) and R3 (1,1,1)), that the elements are the dual of the canonical basis
-in some order; last, that bar fixes every element, as it fixes every dual
-canonical basis element (the engine reads bar(b_- b_+) as b_+ b_-).
+per degree, unique labels, F-side words of the block's degree and nonzero
+elements here; then CanonicalTables.load_user_table checks that they form a
+basis of the degree, and, where the degree has a canonical basis (every
+finite-type degree, the two-letter degrees, A1affine (2,2) and R3 (1,1,1)),
+that they are the dual of the canonical basis in some order; last, that bar
+fixes every element, as it fixes every dual canonical basis element (the
+engine reads bar(b_- b_+) as b_+ b_-).
 strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`, --tables
 labels) or words (`F:...`, `E:...`).
 Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form.  JSON output
 has a one-space indent, sorted keys, ASCII escapes and one trailing newline:
 its bytes are those of json.dumps(..., indent=1, sort_keys=True) plus "\n".
+basis streams its table: every solve finishes first, then each row is
+written to stdout or --out, and to the cache file, as soon as it is
+rendered, its element terms spliced from K blocks, word strings and
+coefficients that _dumps and _encode_str render once per emission.
 With QDOUBLE_CACHE_DIR set, basis tables are cached under a key covering the
 datum, the bytes of the --tables file and the package source.  The
 algorithmic canonical-basis path covers every finite-type datum, JSON data
@@ -25,6 +30,7 @@ included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -32,11 +38,10 @@ import sys
 from pathlib import Path
 
 from .algebra import Algebra
-from .canbasis import TableConflict, TableIncomplete, UnknownLabel
+from .canbasis import TableIncomplete, UnknownLabel, UserTableError
 from .cartan import PRESETS, CartanError, get_datum
 from .double import tri_to_obj
 from .halves import PLUS, MINUS, half_from_obj, parse_word
-from .linalg import SingularMatrix
 from .scalar import RAT_ONE, format_scalar
 
 
@@ -124,26 +129,8 @@ def _load_user_tables(alg: Algebra, data: bytes):
             labeled.append((label, elem))
         try:
             alg.tables.load_user_table(gamma, labeled)
-        except (TableConflict, SingularMatrix):
-            raise UsageError(
-                f"the elements of degree {list(gamma)} are not a basis"
-                f" (dimension {alg.half.dim(gamma)})"
-            ) from None
-        # where gamma has a canonical basis, the elements must be its dual in
-        # some order, that is their duals must be the canonical basis
-        try:
-            cb = alg.tables.canonical_basis(gamma).elements
-        except TableIncomplete:
-            cb = None
-        if cb is not None and {x.key() for x in alg.tables.dcb_table(gamma).duals} != {x.key() for x in cb}:
-            raise UsageError(
-                f"the elements of degree {list(gamma)} are not dual to the canonical basis"
-            )
-        # bar fixes every dual canonical basis element, and the engine's bar
-        # rows rely on it, so a degree with no canonical basis needs it too
-        for label, elem in labeled:
-            if alg.half.bar(elem) != elem:
-                raise UsageError(f"element {label!r} of degree {list(gamma)} is not bar-invariant")
+        except UserTableError as exc:
+            raise UsageError(exc.args[0]) from None
 
 
 def _resolve_label(alg: Algebra, token: str, sign: int) -> str:
@@ -184,18 +171,25 @@ def cmd_basis(args) -> int:
         cache_file = os.path.join(cache_dir, f"basis-{key}.json")
         text = _read_cache(cache_file)
         if text is not None:
-            _emit(args, text)
+            with _output(args) as out:
+                out.write(text + "\n")
             return 0
     rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
-    payload = [{**row, "element": tri_to_obj(row["element"])} for row in rows]
-    text = _dumps(payload)
-    if cache_file:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{cache_file}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if not cache_file:
+        with _output(args) as out:
+            _write_table(rows, out.write)
+            out.write("\n")
+        return 0
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = f"{cache_file}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as cache, _output(args) as out:
+            _write_table(rows, out.write, cache.write)
+            out.write("\n")
         os.replace(tmp, cache_file)
-    _emit(args, text)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return 0
 
 
@@ -247,13 +241,65 @@ def _dumps(o, nl: str = "\n") -> str:
     return json.dumps(o)
 
 
-def _emit(args, text: str):
-    """Print the text, or write the same bytes to the --out file."""
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _output(args):
+    """The sink of a table: the --out file, or stdout left open."""
+    if args.out:
+        return open(args.out, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _write_table(rows, *writes):
+    """Write the table's JSON text to every sink one row at a time: the
+    bytes of _dumps([{**row, "element": tri_to_obj(row["element"])} for row
+    in rows]).  rows is never empty: it holds the row of 1 and 1."""
+    frags = ({}, {}, {})
+    sep = "[\n "
+    for row in rows:
+        chunk = sep + _row_text(row, frags)
+        for write in writes:
+            write(chunk)
+        sep = ",\n "
+    for write in writes:
+        write("\n]")
+
+
+def _row_text(row: dict, frags: tuple) -> str:
+    """The text that _dumps([{**row, "element": tri_to_obj(row["element"])}])
+    gives for one row of Engine.enumerate_basis, without the list brackets.
+    frags = (K blocks, word strings, coefficient strings) holds the
+    fragments rendered so far, each rendered once."""
+    items = []
+    for key in sorted(row):
+        if key == "element":
+            text = _element_text(row[key], *frags)
+        else:
+            text = _dumps(row[key], "\n  ")
+        items.append(_encode_str(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(items) + "\n }"
+
+
+def _element_text(x, k_blocks: dict, words: dict, coeffs: dict) -> str:
+    """_dumps(tri_to_obj(x), "\n  ") for a nonzero x, spliced term by term."""
+    labels = x.ctx.datum.labels
+    terms = []
+    for key in sorted(x.terms):
+        K, f, e = key
+        k_text = k_blocks.get(K)
+        if k_text is None:
+            k_obj = {"minus": list(K[0]), "plus": list(K[1]), "tag": list(K[2])}
+            k_text = k_blocks[K] = _dumps(k_obj, "\n    ")
+        for w in (f, e):
+            if w not in words:
+                words[w] = _encode_str(" ".join(labels[i] for i in w))
+        c = x.terms[key]
+        c_text = coeffs.get(c)
+        if c_text is None:
+            c_text = coeffs[c] = _encode_str(format_scalar(c))
+        terms.append(
+            '{\n    "E": ' + words[e] + ',\n    "F": ' + words[f] + ',\n    "K": ' + k_text
+            + ',\n    "c": ' + c_text + "\n   }"
+        )
+    return "[\n   " + ",\n   ".join(terms) + "\n  ]"
 
 
 def cmd_verify(args) -> int:

@@ -460,14 +460,18 @@ class TestDualBasis:
         self._rebuilds_every_word(Algebra.get(preset), gamma, nonpivot)
 
     def test_word_to_dcb_user_table(self):
-        # A1affine (1,3) has no canonical-basis source: a user table of scaled
-        # pivot words is a basis, and its words expand over it
+        # A1affine (1,3) has no canonical-basis source: a bar-invariant user
+        # table is a basis, and its words expand over it
         alg = Algebra("A1affine")
         gamma = (1, 3)
-        pivots = alg.half.degree_basis(gamma).pivots
+        w1222, w2122, w2212, w2221 = alg.half.words_of_degree(gamma)
+        fixed = [
+            {w1222: RAT_ONE, w2221: RAT_ONE},
+            {w2122: RAT_ONE, w2212: RAT_ONE},
+            {w1222: nu_power(1), w2221: nu_power(-1)},
+        ]
         alg.tables.load_user_table(
-            gamma,
-            [(f"u{k}", alg.half.element(MINUS, {p: nu_power(k)})) for k, p in enumerate(pivots)],
+            gamma, [(f"x{k}", alg.half.element(MINUS, t)) for k, t in enumerate(fixed)]
         )
         self._rebuilds_every_word(alg, gamma, True)
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -12,7 +13,10 @@ from hypothesis import example, given, settings, strategies as st, target
 import qdouble
 import qdouble.algebra
 import qdouble.cartan
-from qdouble.cli import _dumps, main
+from qdouble.cli import _dumps, _load_user_tables, _row_text, _write_table, main
+from qdouble.double import tri_to_obj
+from qdouble.halves import half_to_obj
+from qdouble.lusztig import Engine
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
 A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
@@ -343,6 +347,131 @@ class TestBasis:
         assert outs[0] == outs[1]
         assert hashlib.sha256(outs[0]).hexdigest() == A1_H1_SHA256
         assert len(list(cache.glob("basis-*.json"))) == 2
+
+def payload_text(rows) -> str:
+    """The reference bytes of a basis table: its rows with tri_to_obj
+    elements, through _dumps."""
+    return _dumps([{**row, "element": tri_to_obj(row["element"])} for row in rows])
+
+
+class TestRowRenderer:
+    # each row as _row_text renders it, and the table as _write_table
+    # streams it, against the payload that _dumps renders whole; swapping
+    # the "E" and "F" fragments of a term fails every case
+
+    @staticmethod
+    def _compare(rows):
+        frags = ({}, {}, {})
+        for row in rows:
+            assert _row_text(row, frags) == payload_text([row])[3:-2]
+        buf = io.StringIO()
+        _write_table(rows, buf.write)
+        assert buf.getvalue() == payload_text(rows)
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
+    def test_height_two(self, preset):
+        alg = qdouble.algebra.Algebra.get(preset)
+        self._compare(alg.engine.enumerate_basis((2,) * alg.datum.rank))
+
+    @pytest.mark.parametrize(
+        "j_minus, j_plus", [("1", "2"), ("", "1,2"), ("2", "")], ids=["1|2", "none|both", "2|none"]
+    )
+    def test_filters(self, capsys, j_minus, j_plus):
+        alg = qdouble.algebra.Algebra.get("A2")
+        rows = alg.engine.enumerate_basis(
+            (2, 2),
+            j_minus={alg.datum.index(t) for t in j_minus.split(",") if t},
+            j_plus={alg.datum.index(t) for t in j_plus.split(",") if t},
+        )
+        self._compare(rows)
+        argv = ("basis", "--preset", "A2", "--height", "2", "--j-minus", j_minus, "--j-plus", j_plus)
+        assert run(capsys, *argv) == (0, payload_text(rows) + "\n")
+
+    def test_escaped_labels(self, capsys, tmp_path):
+        # an A2 (1,1) block whose labels need JSON escapes: a quote and a
+        # non-ASCII letter
+        built = qdouble.algebra.Algebra.get("A2").tables.dcb_table((1, 1)).minus
+        labels = ['x"\u00e9', "y\u2202"]
+        block = [
+            {"degree": [1, 1], "elements": [{"label": lab, "element": half_to_obj(el)} for lab, el in zip(labels, built)]}
+        ]
+        data = json.dumps(block).encode()
+        alg = qdouble.algebra.Algebra("A2")
+        _load_user_tables(alg, data)
+        rows = alg.engine.enumerate_basis((2, 2))
+        assert {row["b_minus"] for row in rows} >= set(labels)
+        self._compare(rows)
+        tables = tmp_path / "tables.json"
+        tables.write_bytes(data)
+        code, out = run(capsys, "basis", "--preset", "A2", "--height", "1", "--tables", str(tables))
+        assert code == 0 and '"x\\"\\u00e9"' in out
+        assert out == payload_text(alg.engine.enumerate_basis((1, 1))) + "\n"
+
+
+class TestBasisSinks:
+    # stdout, --out and the cache file each get the rows one at a time
+
+    ARGV = ("basis", "--preset", "A1", "--height", "2")
+
+    def test_failing_solve_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # a --tables run has a private instance, so every row is solved
+        # afresh; the solve of the last row raises
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps(USER_TABLE_A1))
+        argv = [*self.ARGV, "--tables", str(tables)]
+        real, calls = Engine.bullet, []
+
+        def counting(self, lm, lp, *rest):
+            calls.append((lm, lp))
+            return real(self, lm, lp, *rest)
+
+        monkeypatch.setattr(Engine, "bullet", counting)
+        assert run(capsys, *argv)[0] == 0
+        last, calls[:] = len(calls), []
+
+        def failing(self, lm, lp, *rest):
+            calls.append((lm, lp))
+            if len(calls) == last:
+                raise RuntimeError("late row")
+            return real(self, lm, lp, *rest)
+
+        monkeypatch.setattr(Engine, "bullet", failing)
+        cache, target = tmp_path / "cache", tmp_path / "table.json"
+        monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
+        for extra in ([], ["--out", str(target)]):
+            calls[:] = []
+            code = main([*argv, *extra])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "internal error: RuntimeError: late row" in captured.err
+            assert len(calls) == last
+        assert not target.exists()
+        assert not cache.exists() or not list(cache.iterdir())
+
+    def test_unwritable_out_leaves_no_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
+        code = main([*self.ARGV, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+        assert not list(cache.iterdir())
+
+    def test_sinks_carry_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("QDOUBLE_CACHE_DIR", raising=False)
+        code, plain = run(capsys, *self.ARGV)
+        assert code == 0 and plain.endswith("]\n")
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
+        assert run(capsys, *self.ARGV) == (0, plain)
+        [entry] = cache.glob("basis-*.json")
+        assert entry.read_text() + "\n" == plain
+        # with enumerate_basis gone, only the cache can serve the table
+        monkeypatch.delattr(Engine, "enumerate_basis")
+        target = tmp_path / "table.json"
+        assert run(capsys, *self.ARGV, "--out", str(target)) == (0, "")
+        assert target.read_text() == run(capsys, *self.ARGV)[1] == plain
+        assert not list(cache.glob("*.tmp"))
+
 
 class TestBraidCmd:
     def test_t1_on_e2(self, capsys):

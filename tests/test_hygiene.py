@@ -7,7 +7,8 @@ start-up).  Every public function, class and method of the package is named
 somewhere else in the package (a method as an attribute), except the
 KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
 other modules define.  No module calls `json.dump`/`json.dumps` with an
-`indent=` keyword: `cli._dumps` is the one indented JSON writer.  No module
+`indent=` keyword: indented JSON comes from `cli._dumps`, whole or, for the
+rows of `basis`, as fragments spliced into each row.  No module
 holds an `assert` statement, which `python -O` strips, outside the
 ASSERT_ALLOWED internal invariants: an input check raises.  The CLI run
 under `python -O` gives the same answers."""

@@ -5,7 +5,7 @@ import pytest
 
 from qdouble import Algebra, canbasis, lusztig, scalar
 from qdouble.braid import BraidOps
-from qdouble.canbasis import TableConflict, TableIncomplete
+from qdouble.canbasis import TableConflict, TableIncomplete, UserTableError
 from qdouble.cli import _load_user_tables
 from qdouble.double import format_tri, k_one, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
@@ -251,17 +251,34 @@ class TestTablesAreBarInvariant:
         assert bar_unfixed(a2_with_user_table(), 4) == (22, [])
 
     def test_scaled_element_is_seen(self):
-        # one A2 (1,1) element times v, loaded past the --tables checks: the
-        # check above sees it, and every solve it enters fails: in its bar
-        # row, or only in the final bar-invariance check
+        # one A2 (1,1) element times v is no dual canonical basis element:
+        # the load refuses it, and the built table stays in use
         built = Algebra.get("A2").tables.dcb_table((1, 1)).minus
         alg = Algebra("A2")
-        alg.tables.load_user_table((1, 1), [("x", built[0].scale(nu_power(1))), ("y", built[1])])
-        assert bar_unfixed(alg, 2) == (7, ["x"])
-        for lm, lp, message in [("x", "x", "inconsistent bar row"), ("x", "1", "failed bar-invariance")]:
-            with pytest.raises(TriangularityError, match=rf"circ\({lm},{lp}\):? {message}"):
-                alg.bullet(lm, lp)
-        assert alg.bullet("y", "y")
+        with pytest.raises(UserTableError, match=r"degree \[1, 1\] are not dual to the canonical basis"):
+            alg.tables.load_user_table((1, 1), [("x", built[0].scale(nu_power(1))), ("y", built[1])])
+        assert not alg.tables.user_tables
+        assert bar_unfixed(alg, 2) == (7, [])
+
+    def test_load_checks_bar_without_canonical_basis(self):
+        # A1affine (1,3) has no canonical basis, so bar is the one rule there:
+        # three plain words are a basis that bar does not fix, and a
+        # bar-invariant basis of the same words loads
+        alg = Algebra("A1affine")
+        w1222, w2122, w2212, w2221 = (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)
+        plain = [(f"u{k}", alg.half.element(MINUS, {w: RAT_ONE})) for k, w in enumerate([w1222, w2122, w2212])]
+        with pytest.raises(UserTableError, match=r"element 'u0' of degree \[1, 3\] is not bar-invariant"):
+            alg.tables.load_user_table((1, 3), plain)
+        with pytest.raises(UserTableError, match=r"degree \[1, 3\] are not a basis \(dimension 3\)"):
+            alg.tables.load_user_table((1, 3), plain[:2])
+        assert not alg.tables.user_tables
+        fixed = [
+            {w1222: RAT_ONE, w2221: RAT_ONE},
+            {w2122: RAT_ONE, w2212: RAT_ONE},
+            {w1222: nu_power(1), w2221: nu_power(-1)},
+        ]
+        alg.tables.load_user_table((1, 3), [(f"x{k}", alg.half.element(MINUS, t)) for k, t in enumerate(fixed)])
+        assert alg.tables.labels_of_degree((1, 3)) == ["x0", "x1", "x2"]
 
 
 def family_member(alg, kind, lm, lp, variant):
