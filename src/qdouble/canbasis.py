@@ -76,7 +76,6 @@ class CanonicalTables:
         self._by_elem: dict = {}
         self._label_info: dict = {}
         self._ell: dict = {}
-        self.user_tables: dict = {}
 
     # ----------------------------------------------------------------- fgfrm
     def fgfrm(self, x: HalfElem, y: HalfElem) -> Rat:
@@ -251,21 +250,20 @@ class CanonicalTables:
     # ------------------------------------------------------------ dual bases
     def dcb_table(self, gamma) -> DCBTable:
         gamma = tuple(gamma)
-        if gamma in self._dcb:
-            return self._dcb[gamma]
-        table = self._build_dcb(gamma)
-        self._dcb[gamma] = table
-        for k, lab in enumerate(table.labels):
-            minus = table.minus[k]
-            self._label_info[lab] = (gamma, k)
-            self._by_elem[minus.key()] = lab
+        table = self._dcb.get(gamma)
+        if table is None:
+            cb = self.canonical_basis(gamma)
+            duals = self.dual_basis(gamma, cb.elements)
+            table = self._register(DCBTable(gamma, cb.dual_labels, duals, cb.elements))
         return table
 
-    def _build_dcb(self, gamma) -> DCBTable:
-        if gamma in self.user_tables:
-            return DCBTable(gamma, *self.user_tables[gamma])
-        cb = self.canonical_basis(gamma)
-        return DCBTable(gamma, cb.dual_labels, self.dual_basis(gamma, cb.elements), cb.elements)
+    def _register(self, table: DCBTable) -> DCBTable:
+        """File a table under its degree, its labels and its elements."""
+        self._dcb[table.gamma] = table
+        for k, (lab, minus) in enumerate(zip(table.labels, table.minus)):
+            self._label_info[lab] = (table.gamma, k)
+            self._by_elem[minus.key()] = lab
+        return table
 
     def dual_basis(self, gamma, elems) -> list:
         """The basis dual to elems under ((,)), element for element.  Over the
@@ -327,10 +325,10 @@ class CanonicalTables:
 
     def _label_info_get(self, label):
         if label not in self._label_info:
-            # build the user degrees and the degree the label encodes, then look again
-            for gamma in [*self.user_tables, self._label_degree(label)]:
-                if gamma is not None:
-                    self.dcb_table(gamma)
+            # build the degree the label encodes, then look again
+            gamma = self._label_degree(label)
+            if gamma is not None:
+                self.dcb_table(gamma)
         if label not in self._label_info:
             raise UnknownLabel(f"unknown dual-canonical-basis label {label!r}")
         return self._label_info[label]
@@ -479,37 +477,52 @@ class CanonicalTables:
 
     # ----------------------------------------------------------- file interface
     def load_user_table(self, gamma, labeled_elements):
-        """Register a user-supplied dual basis for one degree before first use.
-        Raises UserTableError unless the elements are a basis of the degree;
-        where the degree has a canonical basis, their duals are that basis in
-        some order; and bar fixes every element, as it fixes every dual
-        canonical basis element (the engine reads bar(b_- b_+) as b_+ b_-)."""
+        """Register a user-supplied dual basis for one degree, in place of the
+        table the degree would build.  Raises UserTableError, and registers
+        nothing, unless the degree has no table yet; each element is nonzero,
+        F-side and of the degree; each label is free; the elements are a basis
+        of the degree; where the degree has a canonical basis, their duals
+        are that basis in some order; and bar fixes every element, as it fixes
+        every dual canonical basis element (the engine reads bar(b_- b_+) as
+        b_+ b_-).  A label is free unless it is registered, or `_label_degree`
+        reads it as a built-in label of another degree: the labels of all
+        tables share one namespace, and a block replaces its degree's table,
+        built-in labels included."""
         gamma = tuple(gamma)
+        where = f"of degree {list(gamma)}"
         if gamma in self._dcb:
-            raise ValueError(f"table for degree {gamma} already built")
-        labels = [lab for lab, _ in labeled_elements]
+            raise UserTableError(f"the table {where} is already registered")
+        labels = []
+        for label, elem in labeled_elements:
+            if elem.is_zero():
+                raise UserTableError(f"element {label!r} is zero")
+            if elem.sign != MINUS:
+                raise UserTableError(f"element {label!r} is E-side; tables hold F-side elements")
+            if elem.degrees() != [gamma]:
+                raise UserTableError(f"element {label!r} has a word not {where}")
+            owner = self._label_info[label][0] if label in self._label_info else self._label_degree(label)
+            if label in labels or owner not in (None, gamma):
+                raise UserTableError(
+                    f"label {label!r} {where} is taken by degree {list(owner or gamma)}"
+                )
+            labels.append(label)
         elems = [el for _, el in labeled_elements]
         try:
             duals = self.dual_basis(gamma, elems)
         except (TableConflict, linalg.SingularMatrix):
             raise UserTableError(
-                f"the elements of degree {list(gamma)} are not a basis"
-                f" (dimension {self.half.dim(gamma)})"
+                f"the elements {where} are not a basis (dimension {self.half.dim(gamma)})"
             ) from None
         try:
             cb = self.canonical_basis(gamma).elements
         except TableIncomplete:
             cb = None
         if cb is not None and {x.key() for x in duals} != {x.key() for x in cb}:
-            raise UserTableError(
-                f"the elements of degree {list(gamma)} are not dual to the canonical basis"
-            )
+            raise UserTableError(f"the elements {where} are not dual to the canonical basis")
         for label, elem in labeled_elements:
             if self.half.bar(elem) != elem:
-                raise UserTableError(
-                    f"element {label!r} of degree {list(gamma)} is not bar-invariant"
-                )
-        self.user_tables[gamma] = (labels, elems, duals)
+                raise UserTableError(f"element {label!r} {where} is not bar-invariant")
+        self._register(DCBTable(gamma, labels, elems, duals))
 
 
 def _compositions(gamma, roots):

@@ -396,8 +396,6 @@ class DoubleContext:
                 got = sums.get(key)
                 if got is None:
                     sums[key] = (n, d)
-                elif got[1] == d:
-                    sums[key] = (got[0] + n, d)
                 else:
                     sums[key] = (got[0] * d + n * got[1], got[1] * d)
         if not sums.keys() >= x.terms.keys():

@@ -458,10 +458,13 @@ def format_word(alg: HalfAlgebra, sign: int, w: tuple) -> str:
 
 
 def parse_word(alg: HalfAlgebra, text: str):
+    """The side and letters of a word 'E:...' or 'F:...'.  Raises ValueError
+    on anything else (a CartanError for an unknown letter)."""
+    if not isinstance(text, str) or text.partition(":")[0].strip() not in ("E", "F"):
+        raise ValueError(f"word {text!r} must read 'E:...' or 'F:...'")
     tag, _, rest = text.partition(":")
-    sign = {"E": PLUS, "F": MINUS}[tag.strip()]
     letters = tuple(alg.datum.index(tok) for tok in rest.split())
-    return sign, letters
+    return PLUS if tag.strip() == "E" else MINUS, letters
 
 
 def format_half(x: HalfElem) -> str:
@@ -479,15 +482,19 @@ def half_to_obj(x: HalfElem):
 
 
 def half_from_obj(alg: HalfAlgebra, obj) -> HalfElem:
+    """The sum of obj's terms {"c": scalar, "w": word}, as half_to_obj writes
+    them; ValueError on a malformed term or on words of both sides."""
     sign = None
     terms = {}
     for item in obj:
-        s, w = parse_word(alg, item["w"])
+        if not isinstance(item, dict) or not isinstance(item.get("c"), str):
+            raise ValueError(f'term {item!r} must be {{"c": str, "w": str}}')
+        s, w = parse_word(alg, item.get("w"))
         if sign is None:
             sign = s
         elif s != sign:
-            raise ValueError("mixed-sign element")
-        terms[w] = parse_scalar(item["c"])
+            raise ValueError("mixed-sign element: it mixes E-side and F-side words")
+        accumulate(terms, w, parse_scalar(item["c"]))
     if sign is None:
         sign = PLUS
     return HalfElem(alg, sign, terms)

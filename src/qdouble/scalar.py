@@ -1,8 +1,9 @@
 """Exact arithmetic in Z[v,v^-1] and Q(v), where v = q^(1/2).
 
 Everything downstream computes over these scalars.  Laurent polynomials are
-dicts {exponent: int}; rational functions are canonical num/den pairs so that
-equality is structural.  The bar involution is v -> v^-1.
+dicts {exponent: int}; rational functions are canonical num/den pairs, so
+equality is structural, and by type: no Laurent equals a Rat or an int, as
+their hashes differ.  The bar involution is v -> v^-1.
 
 `Rat` keeps the canonical form without reducing from scratch: it cancels
 only where two factors can meet.  A product with a single term m v^k over 1
@@ -225,12 +226,8 @@ class Laurent:
 
     # -- comparisons ----------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.c == ({0: other} if other else {})
         if isinstance(other, Laurent):
             return self.c == other.c
-        if isinstance(other, Rat):
-            return Rat.of(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -441,8 +438,6 @@ class Rat:
         return _unit_normal(self.num.bar(), self.den.bar())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = Rat.of(other)
         if not isinstance(other, Rat):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -833,8 +828,11 @@ def parse_laurent(s: str) -> Laurent:
 
 
 def parse_scalar(s: str) -> Rat:
+    """The scalar format_scalar writes as s; ValueError on any other text."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        numer, denom = s[1:-1].split(")/(")
-        return Rat(parse_laurent(numer), parse_laurent(denom))
+        numer, denom = map(parse_laurent, s[1:-1].split(")/("))
+        if denom.is_zero():
+            raise ValueError(f"zero denominator in {s!r}")
+        return Rat(numer, denom)
     return Rat.of(parse_laurent(s))

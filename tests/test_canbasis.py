@@ -1,10 +1,11 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
 
 from qdouble import Algebra
-from qdouble.canbasis import TableIncomplete
+from qdouble.canbasis import TableIncomplete, UnknownLabel, UserTableError
 from qdouble.cartan import PRESETS
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.scalar import Laurent, Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qround
@@ -492,6 +493,65 @@ class TestLabelsByName:
         tables = Algebra(preset).tables
         assert tables.degree_of(label) == gamma
         assert label in tables.labels_of_degree(gamma)
+
+
+class TestLoadUserTable:
+    # load_user_table is the one rule book of a user block; a refused block
+    # leaves its degree to the built table
+
+    @staticmethod
+    def _refused(alg, gamma, labeled, message):
+        with pytest.raises(UserTableError, match=re.escape(message)):
+            alg.tables.load_user_table(gamma, labeled)
+        assert alg.tables.labels_of_degree(gamma) == Algebra.get("A2").tables.labels_of_degree(gamma)
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (lambda h: h.gen(PLUS, 0), "element 'x' is E-side; tables hold F-side elements"),
+            (lambda h: h.gen(MINUS, 0).scale(0), "element 'x' is zero"),
+            (lambda h: h.gen(MINUS, 1), "element 'x' has a word not of degree [1, 0]"),
+        ],
+        ids=["E-side", "zero", "wrong-degree"],
+    )
+    def test_element_refused(self, element, message):
+        alg = Algebra("A2")
+        self._refused(alg, (1, 0), [("x", element(alg.half))], message)
+        with pytest.raises(UnknownLabel):
+            alg.tables.degree_of("x")
+
+    @pytest.mark.parametrize(
+        "label, owner",
+        [("1", (0, 0)), ("b+(0,0,1,0)", (1, 1)), ("y", (0, 1))],
+        ids=["unit", "built-in-other-degree", "registered"],
+    )
+    def test_taken_label_refused(self, label, owner):
+        # a label names one element of one degree: the built-in labels of
+        # other degrees and the labels of registered tables are taken
+        alg = Algebra("A2")
+        alg.tables.load_user_table((0, 1), [("y", alg.half.gen(MINUS, 1))])
+        message = f"label {label!r} of degree [1, 0] is taken by degree {list(owner)}"
+        self._refused(alg, (1, 0), [(label, alg.half.gen(MINUS, 0))], message)
+        assert alg.tables.degree_of(label) == owner
+
+    def test_label_twice_in_a_block_refused(self):
+        elems = Algebra.get("A2").tables.dcb_table((1, 1)).minus
+        message = "label 'x' of degree [1, 1] is taken by degree [1, 1]"
+        self._refused(Algebra("A2"), (1, 1), [("x", elems[0]), ("x", elems[1])], message)
+
+    def test_own_built_in_label_and_one_table_per_degree(self):
+        # the block replaces its degree's table, built-in labels included;
+        # a degree takes one table, loaded or built
+        alg = Algebra("A2")
+        alg.tables.load_user_table((1, 0), [("b+(1,0,0,0)", alg.half.gen(MINUS, 0))])
+        assert alg.tables.degree_of("b+(1,0,0,0)") == (1, 0)
+        alg.tables.labels_of_degree((0, 1))
+        for gamma, i in [((1, 0), 0), ((0, 1), 1)]:
+            message = f"the table of degree {list(gamma)} is already registered"
+            with pytest.raises(UserTableError, match=re.escape(message)):
+                alg.tables.load_user_table(gamma, [("z", alg.half.gen(MINUS, i))])
+        with pytest.raises(UnknownLabel):
+            alg.tables.degree_of("z")
 
 
 class TestCrystal:

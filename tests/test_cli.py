@@ -164,6 +164,22 @@ class TestBasis:
         assert code == 2 and captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("command", ["basis", "strconst"])
+    @pytest.mark.parametrize(
+        "label, owner", [("1", "[0, 0]"), ("b+(0,1,0,0)", "[0, 1]")], ids=["unit", "b+"]
+    )
+    def test_label_of_another_degree(self, capsys, tmp_path, command, label, owner):
+        # an A2 (1,0) block may not take a built-in label of another degree:
+        # the run stops at the load, before any table is written
+        tables = tmp_path / "tables.json"
+        element = {"label": label, "element": [{"c": "1", "w": "F:1"}]}
+        tables.write_text(json.dumps([{"degree": [1, 0], "elements": [element]}]))
+        argv = ["basis", "--height", "1"] if command == "basis" else ["strconst", label, label]
+        code = main([*argv, "--preset", "A2", "--tables", str(tables)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"label {label!r} of degree [1, 0] is taken by degree {owner}" in captured.err
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -557,6 +573,13 @@ class TestStrconst:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "the elements of degree [1, 3] are not a basis (dimension 3)" in err
+
+    def test_element_not_in_table(self, capsys):
+        # F_1 F_2 is no dual canonical basis element of A2 (1,1)
+        code = main(["strconst", "F:1 2", "E:1", "--preset", "A2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "element of degree (1, 1) is not in the table" in captured.err
 
     def test_unknown_labels(self, capsys):
         code = main(["strconst", "nosuch", "alsono", "--preset", "A2"])

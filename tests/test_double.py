@@ -14,6 +14,7 @@ import qdouble
 
 from qdouble import double
 from qdouble.algebra import Algebra
+from qdouble.canbasis import DCBTable
 from qdouble.halves import HalfAlgebra, PLUS, MINUS
 from qdouble.lusztig import Engine
 from qdouble.double import (
@@ -256,6 +257,26 @@ class TestInvolutions:
             y = rand_tri(a2, rng, height=2, nterms=2)
             assert a2.transpose(a2.multiply(x, y)) == a2.multiply(a2.transpose(y), a2.transpose(x))
             assert a2.transpose(a2.transpose(x)) == x
+
+
+class TestKFlavors:
+    # each branch of DoubleContext._check_k refuses its K in its flavors, and
+    # the same K is accepted by a flavor that has it
+    @pytest.mark.parametrize(
+        "K, flavor, message, accepting",
+        [
+            (kmono((-1,), (0,)), "full", "negative K exponent needs localized flavor", "localized"),
+            (kmono((0,), (0,), (1,)), "full", "weight tags need check flavor", "check"),
+            (kmono((1,), (0,)), "heis_plus", "K_- is zero in heis_plus", "heis_minus"),
+            (kmono((0,), (1,)), "heis_minus", "K_\\+ is zero in heis_minus", "heis_plus"),
+            (kmono((0,), (0,), (1,)), "localized", "weight tags need check flavor", "check"),
+        ],
+        ids=["negative", "tag-full", "kminus-heis-plus", "kplus-heis-minus", "tag-localized"],
+    )
+    def test_check_k_refuses(self, sl2, K, flavor, message, accepting):
+        with pytest.raises(FlavorError, match=message):
+            sl2.k_elem(K, flavor)
+        assert list(sl2.k_elem(K, accepting).terms) == [(K, (), ())]
 
 
 class TestQuotients:
@@ -831,9 +852,8 @@ class TestWordDenominators:
         # to_dcb reads any basis, so the table is registered past
         # load_user_table, whose bar check refuses scaled words
         elems = [alg.half.element(MINUS, {p: phi4}) for p in pivots]
-        alg.tables.user_tables[gamma] = (
-            [f"u{k}" for k in range(len(elems))], elems, alg.tables.dual_basis(gamma, elems)
-        )
+        labels = [f"u{k}" for k in range(len(elems))]
+        alg.tables._register(DCBTable(gamma, labels, elems, alg.tables.dual_basis(gamma, elems)))
         rows = alg.tables.word_to_dcb(gamma).values()
         assert common_denominator([c for row in rows for c in row.values()])[1] == FRACTION_DENS[1]
         # the denominator to_dcb stores and uses is that lcm, not a multiple

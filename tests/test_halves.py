@@ -446,6 +446,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="mixed-sign"):
             half_from_obj(a2, obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [{"c": 1, "w": "F:1"}],
+            [{"c": "1", "w": 1}],
+            [{"c": "1"}],
+            [{"c": "1", "w": "G:1"}],
+            ["F:1"],
+            [{"c": "(1)/(0)", "w": "F:1"}],
+        ],
+        ids=["c-not-str", "w-not-str", "w-missing", "side-tag", "term-not-dict", "zero-denominator"],
+    )
+    def test_malformed_term(self, a2, obj):
+        with pytest.raises(ValueError):
+            half_from_obj(a2, obj)
+
+    def test_repeated_word_sums(self, a2):
+        obj = [{"c": "1", "w": "F:1 2"}, {"c": "1*v", "w": "F:1 2"}]
+        assert half_from_obj(a2, obj) == a2.word(MINUS, "12").scale(Rat.of(Laurent({0: 1, 1: 1})))
+
     def test_roundtrip(self, a2):
         rng = random.Random(23)
         for _ in range(10):

@@ -257,7 +257,7 @@ class TestTablesAreBarInvariant:
         alg = Algebra("A2")
         with pytest.raises(UserTableError, match=r"degree \[1, 1\] are not dual to the canonical basis"):
             alg.tables.load_user_table((1, 1), [("x", built[0].scale(nu_power(1))), ("y", built[1])])
-        assert not alg.tables.user_tables
+        assert alg.tables.labels_of_degree((1, 1)) == Algebra.get("A2").tables.labels_of_degree((1, 1))
         assert bar_unfixed(alg, 2) == (7, [])
 
     def test_load_checks_bar_without_canonical_basis(self):
@@ -271,7 +271,8 @@ class TestTablesAreBarInvariant:
             alg.tables.load_user_table((1, 3), plain)
         with pytest.raises(UserTableError, match=r"degree \[1, 3\] are not a basis \(dimension 3\)"):
             alg.tables.load_user_table((1, 3), plain[:2])
-        assert not alg.tables.user_tables
+        with pytest.raises(TableIncomplete):
+            alg.tables.labels_of_degree((1, 3))
         fixed = [
             {w1222: RAT_ONE, w2221: RAT_ONE},
             {w2122: RAT_ONE, w2212: RAT_ONE},

@@ -109,6 +109,15 @@ class TestRat:
         assert (x * y) * y.inv() == x
         assert (x + y) - y == x
 
+    def test_equal_scalars_hash_equal(self):
+        # equality is by type: a Laurent and a Rat of the same value are not
+        # equal, as their hashes differ; so are an int and either
+        laurents = [ZERO, ONE, -ONE, NU, Laurent({0: 2}), Laurent({1: 1, -1: -1})]
+        samples = [0, 1, -1, 2, *laurents, *map(Rat.of, laurents), Rat(ONE, NU + ONE)]
+        for a, b in itertools.product(samples, repeat=2):
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
     def test_numeric_agreement(self):
         x = Rat(Laurent({3: 2, 0: -1}), Laurent({2: 1, 0: 3}))
         t = Fraction(7, 3)
