@@ -7,7 +7,9 @@ Coordinates are read from numerators over one denominator on any words of
 their degrees (`numerators_to_dcb`) by the double's kernel
 `expand_numerators` over DCB rows, so a product straight from
 `DoubleContext.product_numerators` needs no pivot-word normal form, and
-each coordinate is reduced once.
+each coordinate is reduced once.  Each registered table keeps its elements'
+numerators over one denominator (`dcb_column`), the columns over which the
+engine builds a solve's element from its coordinates.
 """
 from __future__ import annotations
 
@@ -61,6 +63,9 @@ class DCBTable:
         self.labels = list(labels)
         self.minus = list(minus_elems)
         self.duals = list(duals)  # the basis dual to minus under ((,))
+        # the numerators of each element over den, set by `_register`
+        self.numerators: list = []
+        self.den = None
 
 
 class CanonicalTables:
@@ -258,7 +263,11 @@ class CanonicalTables:
         return table
 
     def _register(self, table: DCBTable) -> DCBTable:
-        """File a table under its degree, its labels and its elements."""
+        """File a table under its degree, its labels and its elements, and
+        put its elements over one denominator (`dcb_column`)."""
+        nums, table.den = common_denominator([c for x in table.minus for c in x.terms.values()])
+        it = iter(nums)
+        table.numerators = [{w: next(it) for w in x.terms} for x in table.minus]
         self._dcb[table.gamma] = table
         for k, (lab, minus) in enumerate(zip(table.labels, table.minus)):
             self._label_info[lab] = (table.gamma, k)
@@ -361,6 +370,15 @@ class CanonicalTables:
         if key not in self._by_elem:
             raise UnknownLabel(f"element of degree {gamma} is not in the table")
         return self._by_elem[key]
+
+    def dcb_column(self, label: str):
+        """The column (num, d) of a label: its DCB element is the sum of
+        num[w] / d w over its pivot words, d the denominator of its degree's
+        table.  The F-side and E-side elements share it, as flip keeps the
+        words."""
+        gamma, k = self._label_info_get(label)
+        table = self._dcb[gamma]
+        return table.numerators[k], table.den
 
     def labels_of_degree(self, gamma) -> list:
         return list(self.dcb_table(tuple(gamma)).labels)

@@ -27,7 +27,10 @@ so bar and star twist each input term once, before the straightened terms.
 One kernel, `expand_numerators`, spreads numerators over word columns,
 grouped by the columns' denominators, and `over_groups` reduces each group
 once: over pivot words (`word_coords`) here, over DCB rows in
-`CanonicalTables.numerators_to_dcb`.  An involution (`_involution_numerators`)
+`CanonicalTables.numerators_to_dcb`, and, keyed by labels in place of
+words, the DCB coordinates of a solve over the labels' elements
+(`CanonicalTables.dcb_column`) in the engine.  The diamond action twists by
+`Rat.shift`, no product.  An involution (`_involution_numerators`)
 and a product (`product_numerators`) each have one numerator stage, the
 straightened numerators over one denominator.  `involution` and `multiply`
 spread them over pivot words; `is_bar_fixed` compares bar's groups with the
@@ -341,9 +344,8 @@ class DoubleContext:
                 a - b
                 for a, b in zip(self.half.word_degree(e), self.half.word_degree(f))
             )
-            coeff = c * nu_power(-self.kdif_dot(K, dif))
             key = (self.k_product(K, K1), f, e)
-            accumulate(out, key, coeff)
+            accumulate(out, key, c.shift(-self.kdif_dot(K, dif)))
         return TriElem(self, x.flavor, out, normalized=True)
 
     # -- involutions ----------------------------------------------------------------------
@@ -510,7 +512,8 @@ def expand_numerators(nums: dict, column, drop=None) -> dict:
     and the E-word, so a group lies over den d_f d_e.  Terms with a nonzero
     torus block `drop` are left out.  Numerators come in as coefficient dicts,
     only read unless both words are their own columns (pivot words), and go
-    out as Laurents."""
+    out as Laurents.  f and e may be labels in place of words, each with the
+    column of its DCB element over pivot words (`Engine._solve`)."""
     groups: dict = {}
     for key, n in nums.items():
         K, f, e = key

@@ -10,8 +10,11 @@ product, one reduction per coordinate) and the clearing multipliers
 bar rows read bar(b_- b_+) = b_+ b_- from the same memo.  Every solve ends
 with the exact bar-invariance check `DoubleContext.is_bar_fixed` of its
 result.  A solve works in DCB coordinates, through the one K-twist `_twist`
-and with no `to_dcb` readback; its element is built once from them, and one
-record per solve keeps the coordinates, the corrections and the element.
+and with no `to_dcb` readback; a power of v twists by `Rat.shift`, no
+product.  Its element is built once from them by the double's kernel
+`expand_numerators`, over the labels' DCB columns with one reduction per
+coefficient, and one record per solve keeps the coordinates, the
+corrections and the element.
 Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .double import _DROPPED_K, TriElem, kmono, k_is_one, k_one
+from .double import _DROPPED_K, TriElem, expand_numerators, kmono, k_is_one, k_one, over_groups
 from .halves import PLUS, MINUS
 from .scalar import (
     BarInconsistency,
@@ -31,6 +34,7 @@ from .scalar import (
     RAT_ZERO,
     accumulate,
     clear_denominators,
+    common_denominator,
     cyclotomic_factor,
     nu_power,
     solve_bar_correction,
@@ -84,6 +88,12 @@ _KINDS = {
     ("bullet", "plus"): ("circ", "full", "negative", 0, True),
     ("bullet", "minus"): ("circ", "full", "positive", 1, True),
 }
+
+
+def _moves(kind, variant, K) -> bool:
+    """The slot rule of the kind's corrections for K = (am, ap)."""
+    slot, free = _KINDS[kind, variant][3:]
+    return any(K[slot]) and (free or not any(K[1 - slot]))
 
 
 def _add(a, b):
@@ -173,14 +183,14 @@ class Engine:
         to K K2 b_m2 b_m3 times v^(-kdif_dot(K, deg m3 - deg m2))."""
         out: dict = {}
         for (K2, m2, m3), c in coords.items():
-            f = nu_power(-self.ctx.kdif_dot(K, _sub(self.tables.degree_of(m3), self.tables.degree_of(m2))))
-            accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c * f)
+            k = -self.ctx.kdif_dot(K, _sub(self.tables.degree_of(m3), self.tables.degree_of(m2)))
+            accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c.shift(k))
         return out
 
     def _index_set(self, kind, lm, lp, variant) -> list:
         """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
         height of the moved slot, then of the other slot."""
-        slot, free = _KINDS[kind, variant][3:]
+        slot = _KINDS[kind, variant][3]
         gm = self.tables.degree_of(lm)
         gp = self.tables.degree_of(lp)
         mins = tuple(min(a, b) for a, b in zip(gm, gp))
@@ -188,7 +198,7 @@ class Engine:
         for am in self.datum.degrees_up_to(mins):
             for ap in self.datum.degrees_up_to(_sub(mins, am)):
                 K = (am, ap)
-                if not any(K[slot]) or (any(K[1 - slot]) and not free):
+                if not _moves(kind, variant, K):
                     continue
                 alpha = _add(am, ap)
                 for l2 in self.tables.labels_of_degree(_sub(gm, alpha)):
@@ -214,7 +224,7 @@ class Engine:
         out: dict = {}
         for (K, l2, l3), c in self._family_dcb(below, lm, lp, variant).items():
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
-            f = c.bar() * nu_power(-2 * self.ctx.kdif_dot(K, dif))
+            f = c.bar().shift(-2 * self.ctx.kdif_dot(K, dif))
             for (K2, m2, m3), r in self.reverse_dcb(l2, l3).items():
                 K3 = self.ctx.k_product(K, K2)
                 if drop is None or not any(K3[drop]):
@@ -224,8 +234,10 @@ class Engine:
     def _bar_row(self, kind, lm, lp, variant) -> dict:
         """bar of the K = 1 member over the kind's family, expanded from
         _member_bar; every entry but the diagonal must be a correction label
-        of the pair.  The bar-invariance check at the end of _solve is the
-        independent proof that these rows are right."""
+        of the pair, a member of `_index_set` by the slot rule, nonnegative
+        exponents and the degrees of its labels.  The bar-invariance check
+        at the end of _solve is the independent proof that these rows are
+        right."""
         key = (kind, lm, lp, variant)
         row = self._bar_rows.get(key)
         if row is None:
@@ -235,9 +247,18 @@ class Engine:
             diag = ((zero, zero), lm, lp)
             if row.get(diag) != RAT_ONE:
                 raise TriangularityError(f"bar of {kind}({lm},{lp}) has diagonal {row.get(diag)}, not 1")
-            allowed = set(self._index_set(kind, lm, lp, variant))
+            gm, gp = self.tables.degree_of(lm), self.tables.degree_of(lp)
             for s in row:
-                if s != diag and s not in allowed:
+                if s == diag:
+                    continue
+                (am, ap), l2, l3 = s
+                alpha = _add(am, ap)
+                if not (
+                    _moves(kind, variant, (am, ap))
+                    and min(*am, *ap) >= 0
+                    and self.tables.degree_of(l2) == _sub(gm, alpha)
+                    and self.tables.degree_of(l3) == _sub(gp, alpha)
+                ):
                     raise TriangularityError(f"bar of {kind}({lm},{lp}) leaves the family at {s}")
             self._bar_rows[key] = row
         return row
@@ -247,7 +268,10 @@ class Engine:
         member(lm, lp) + sum p_s K_s diamond member(s) of the kind's family
         (Lusztig's lemma through bar_fix): its DCB coordinates, the
         corrections s -> p_s, and the element sum c K b_l2 b_l3 in the kind's
-        flavor, built once from the coordinates and proved bar-fixed."""
+        flavor, proved bar-fixed.  The element is built once from the
+        coordinates over one denominator, spread by `expand_numerators` over
+        the labels' DCB columns (`CanonicalTables.dcb_column`), each
+        coefficient reduced once."""
         key = (kind, lm, lp, variant)
         got = self._solved.get(key)
         if got is not None:
@@ -271,12 +295,9 @@ class Engine:
             (am, ap), l2, l3 = s
             for idx, c in self._twist(kmono(am, ap), self._family_dcb(below, l2, l3, variant)).items():
                 accumulate(coords, idx, p * c)
-        terms: dict = {}
-        for (K, l2, l3), c in coords.items():
-            pair = self.ctx.from_halves(self.tables.dcb_elem(MINUS, l2), self.tables.dcb_elem(PLUS, l3), K)
-            for t, x in pair.terms.items():
-                accumulate(terms, t, c * x)
-        element = TriElem(self.ctx, flavor, terms, normalized=True)
+        nums, den = common_denominator(list(coords.values()))
+        groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
+        element = TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
         if not self.ctx.is_bar_fixed(element):
             raise TriangularityError(f"{where} failed bar-invariance")
         got = self._solved[key] = (coords, solved, element)

@@ -7,9 +7,9 @@ their hashes differ.  The bar involution is v -> v^-1.
 
 `Rat` keeps the canonical form without reducing from scratch: it cancels
 only where two factors can meet.  A product with a single term m v^k over 1
-(every v-power twist, sign and integer scale) is the other numerator shifted
-and scaled over its own denominator, with only the integer
-gcd(m, content(den)) to divide out.
+(a sign or an integer scale) is the other numerator shifted and scaled over
+its own denominator, with only the integer gcd(m, content(den)) to divide
+out, and none for m = +-1.  A v-power twist is `Rat.shift`, no product.
 """
 from __future__ import annotations
 
@@ -437,6 +437,11 @@ class Rat:
     def bar(self) -> "Rat":
         return _unit_normal(self.num.bar(), self.den.bar())
 
+    def shift(self, k: int) -> "Rat":
+        """Multiply by v^k: the numerator shifted over the same denominator,
+        canonical as it is, since v is a unit."""
+        return _rat(self.num.shift(k), self.den)
+
     def __eq__(self, other):
         if not isinstance(other, Rat):
             return NotImplemented
@@ -488,10 +493,11 @@ def _times_term(num: Laurent, den: Laurent, term: Laurent) -> Rat:
     num shifted and scaled over den as it is, unless m shares an integer
     factor g with the content of den, which then divides out of both."""
     ((k, m),) = term.c.items()
-    g = _int_gcd(m, den.content())
-    if g != 1:
-        m //= g
-        den = den.intdiv(g)
+    if m not in (1, -1) and not den.is_one():
+        g = _int_gcd(m, den.content())
+        if g != 1:
+            m //= g
+            den = den.intdiv(g)
     r = Laurent.__new__(Laurent)
     r.c = {e + k: x * m for e, x in num.c.items()}
     r._hash = None
@@ -831,7 +837,10 @@ def parse_scalar(s: str) -> Rat:
     """The scalar format_scalar writes as s; ValueError on any other text."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        numer, denom = map(parse_laurent, s[1:-1].split(")/("))
+        parts = s[1:-1].split(")/(")
+        if len(parts) != 2:
+            raise ValueError(f"cannot parse scalar {s!r}: expected (num)/(den)")
+        numer, denom = map(parse_laurent, parts)
         if denom.is_zero():
             raise ValueError(f"zero denominator in {s!r}")
         return Rat(numer, denom)

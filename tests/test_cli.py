@@ -141,6 +141,11 @@ class TestBasis:
             ([1], [{"c": "1*u", "w": "F:1"}], "element 'x': cannot parse Laurent term '1*u'"),
             ([1], [{"c": "0", "w": "F:1"}], "element 'x' is zero"),
             ([1], [{"c": "1", "w": "1"}], "word '1' must read 'E:...' or 'F:...'"),
+            (
+                [1],
+                [{"c": "(1)/(1)/(2)", "w": "F:1"}],
+                "element 'x': cannot parse scalar '(1)/(1)/(2)': expected (num)/(den)",
+            ),
         ],
         ids=[
             "scaled",
@@ -152,6 +157,7 @@ class TestBasis:
             "bad-coefficient",
             "zero-element",
             "no-prefix",
+            "three-part-fraction",
         ],
     )
     def test_invalid_user_tables(self, capsys, tmp_path, degree, element, message):

@@ -114,6 +114,29 @@ class TestBarRowChecks:
         with pytest.raises(TriangularityError, match="leaves the family"):
             alg.circ(lab1, lab1)
 
+    @pytest.mark.parametrize("entry", ["wrong-degree", "other-slot-moved"])
+    def test_injected_entry_leaves_the_family(self, monkeypatch, entry):
+        # circ(F, F) of A1 moves K_+ by at most 1 over labels of degree 0: an
+        # entry over a label of degree 1, or one that moves K_- as well, is
+        # outside the family
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        bad = {
+            "wrong-degree": (((0,), (1,)), lab1, "1"),
+            "other-slot-moved": (((1,), (1,)), "1", "1"),
+        }[entry]
+        real = lusztig.Engine._greedy_expand
+
+        def injecting(self, expansion, kind, variant):
+            out = real(self, expansion, kind, variant)
+            if kind == "pair":
+                out[bad] = RAT_ONE
+            return out
+
+        monkeypatch.setattr(lusztig.Engine, "_greedy_expand", injecting)
+        with pytest.raises(TriangularityError, match="leaves the family"):
+            alg.circ(lab1, lab1)
+
     def test_diagonal_not_one_raises(self, monkeypatch):
         # with the multiplier replaced by v, bar(v F E) = v^-1 bar(F E) has
         # v^-2 on the diagonal over the family v K diamond (F E)
@@ -351,6 +374,17 @@ class TestSolveRecord:
                         assert coords == alg.tables.to_dcb(element), (kind, lm, lp, variant)
                         n += 1
         assert n == 4 * 7 * 7
+
+    def test_element_build_work(self, monkeypatch):
+        # the element of a solve comes from its coordinates through the
+        # numerator kernel and every twist is a shift, so a cold A2 table to
+        # (1, 1) takes 432 Rat products; built by Rat products per word term
+        # and twisted by products with powers of v, it took 983
+        calls = []
+        real = Rat.__mul__
+        monkeypatch.setattr(Rat, "__mul__", lambda x, y: calls.append(1) or real(x, y))
+        rows = Algebra("A2").engine.enumerate_basis((1, 1))
+        assert len(rows) == 45 and len(calls) <= 500
 
     def test_certificate_solves_on_demand(self):
         alg = Algebra("A2")

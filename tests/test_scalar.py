@@ -222,6 +222,40 @@ class TestSingleTermProducts:
                 _same_as_reference(got, x.num * t, x.den)
             calls.clear()
 
+    @pytest.mark.parametrize("m", [1, -1, 2, -2])
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (Laurent({1: 1, 0: 3}), ONE),
+            (Laurent({2: 1, 0: 1}), Laurent({1: 1, 0: 1})),  # content 1
+            (Laurent({2: 1, 0: 1}), Laurent({2: 2, 0: 2})),  # content 2
+            (Laurent({3: 3}), Laurent({1: 4, 0: 2})),  # content 2
+        ],
+        ids=["den-one", "content-1", "content-2", "content-2-single-term"],
+    )
+    def test_times_term(self, m, num, den):
+        # m = +-1 and den = 1 skip the content of den; m = +-2 meets content 2
+        x = Rat(num, den)
+        for k in (-2, 0, 3):
+            term = Laurent.mono(m, k)
+            got = scalar._times_term(x.num, x.den, term)
+            _same_as_reference(got, x.num * term, x.den)
+
+
+class TestShift:
+    """A v-power twist is a shift of the numerator over the same denominator."""
+
+    @pytest.mark.parametrize("x", TestRatReference.pool, ids=range(len(SHARED)))
+    def test_shift_is_the_twist(self, x):
+        for k in range(-3, 4):
+            got = x.shift(k)
+            assert got == x * scalar.nu_power(k)
+            _same_as_reference(got, x.num.shift(k), x.den)
+
+    def test_zero_stays_canonical(self):
+        z = Rat(ZERO, ONE).shift(5)
+        assert (z.num.c, z.den.c) == ({}, {0: 1})
+
 
 class TestQNumbers:
     def test_round_3(self):
@@ -534,6 +568,10 @@ class TestSerialization:
             return
         x = Rat(a, b)
         assert parse_scalar(format_scalar(x)) == x
+
+    def test_three_part_fraction_refused(self):
+        with pytest.raises(ValueError, match=r"'\(1\)/\(1\)/\(2\)': expected \(num\)/\(den\)"):
+            parse_scalar("(1)/(1)/(2)")
 
     def test_format_shape(self):
         assert format_scalar(Rat.of(Laurent({2: 1, 0: -3}))) == "1*v^2 - 3"
