@@ -9,7 +9,9 @@ their degrees (`numerators_to_dcb`) by the double's kernel
 `DoubleContext.product_numerators` needs no pivot-word normal form, and
 each coordinate is reduced once.  Each registered table keeps its elements'
 numerators over one denominator (`dcb_column`), the columns over which the
-engine builds a solve's element from its coordinates.
+engine builds a solve's element from its coordinates.  `reversed_label`
+names the word reversal of a label's element, for the engine's transpose
+partners.
 """
 from __future__ import annotations
 
@@ -81,6 +83,7 @@ class CanonicalTables:
         self._by_elem: dict = {}
         self._label_info: dict = {}
         self._ell: dict = {}
+        self._reversed: dict = {}  # label -> reversed label, or None
 
     # ----------------------------------------------------------------- fgfrm
     def fgfrm(self, x: HalfElem, y: HalfElem) -> Rat:
@@ -370,6 +373,19 @@ class CanonicalTables:
         if key not in self._by_elem:
             raise UnknownLabel(f"element of degree {gamma} is not in the table")
         return self._by_elem[key]
+
+    def reversed_label(self, label: str):
+        """The label *l of the word reversal (star) of a label's DCB element,
+        or None when that is no element of the table, as in a --tables block
+        that reversal does not keep; memoised per label.  The engine reads it
+        for a pair's transpose partner, and no table build calls it."""
+        if label not in self._reversed:
+            try:
+                got = self.label_of(MINUS, self.half.star(self.dcb_elem(MINUS, label)))
+            except UnknownLabel:
+                got = None
+            self._reversed[label] = got
+        return self._reversed[label]
 
     def dcb_column(self, label: str):
         """The column (num, d) of a label: its DCB element is the sum of

@@ -15,6 +15,15 @@ product.  Its element is built once from them by the double's kernel
 `expand_numerators`, over the labels' DCB columns with one reduction per
 coefficient, and one record per solve keeps the coordinates, the
 corrections and the element.
+Transpose t, the anti-involution swapping E_i and F_i, sends
+b_lm bullet b_lp to b_*lp bullet b_*lm (and circ likewise), *l the label of
+the word reversal (`CanonicalTables.reversed_label`).  So one pair of each
+transpose orbit is solved and the other relabeled from its record by one
+coordinate rule (`Engine._transpose`); reverse products are relabeled the
+same way.  A relabeled record skips its pair's bar row and `bar_fix`, not
+its proof: its greedy expansion over the family must be unitriangular, with
+corrections on the kind's side that are polynomials in q, and its element
+must pass `is_bar_fixed`; by Lusztig's lemma it is then the unique solve.
 Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -111,7 +120,12 @@ class Engine:
     Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
     K diamond iota(circ) in the full double; both come from `_solve`, whose
     record (coords, certificate, element) is the one memo of a solve.  Bar
-    rows read bar(b_- b_+) as the memoised reverse product b_+ b_-.
+    rows read bar(b_- b_+) as the memoised reverse product b_+ b_-.  A pair
+    whose transpose partner (*lp, *lm) already has a record, or a reverse
+    product, is relabeled from it (`_transpose`) instead of solved or
+    straightened; a relabeled record is proved unitriangular (`_certify`)
+    and bar-fixed.  Pairs with a label that has no reversed label, and
+    pairs that are their own partner, are always solved.
     """
 
     def __init__(self, algebra):
@@ -131,15 +145,22 @@ class Engine:
         clears, and the terms bar rows are built from.  The straightened
         numerators of the product (`product_numerators`) go to DCB
         coordinates with no pivot-word normal form between, so each
-        coordinate is reduced once."""
+        coordinate is reduced once.  Transpose sends b_+ b_- to the reverse
+        product of the partner pair (*lp, *lm), so once that is known the
+        coordinates are relabeled from it (`_transpose`)."""
         key = (lab_minus, lab_plus)
         got = self._reverse.get(key)
         if got is None:
-            ctx = self.ctx
-            bm = self.tables.dcb_elem(MINUS, lab_minus)
-            bp = self.tables.dcb_elem(PLUS, lab_plus)
-            nums = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
-            got = self._reverse[key] = self.tables.numerators_to_dcb(*nums)
+            partner = self._partner(lab_minus, lab_plus)
+            if partner in self._reverse:
+                got = self._transpose(self._reverse[partner])
+            if got is None:
+                ctx = self.ctx
+                bm = self.tables.dcb_elem(MINUS, lab_minus)
+                bp = self.tables.dcb_elem(PLUS, lab_plus)
+                nums = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
+                got = self.tables.numerators_to_dcb(*nums)
+            self._reverse[key] = got
         return got
 
     def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
@@ -185,6 +206,30 @@ class Engine:
         for (K2, m2, m3), c in coords.items():
             k = -self.ctx.kdif_dot(K, _sub(self.tables.degree_of(m3), self.tables.degree_of(m2)))
             accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c.shift(k))
+        return out
+
+    def _partner(self, lm, lp):
+        """The transpose partner (*lp, *lm) of a label pair, or None when a
+        label has no reversed label or the pair is its own partner."""
+        rev = self.tables.reversed_label
+        partner = (rev(lp), rev(lm))
+        if None in partner or partner == (lm, lp):
+            return None
+        return partner
+
+    def _transpose(self, coords):
+        """DCB coordinates of t(x) from those of x, t the transpose
+        (`DoubleContext.transpose`, which sends K F_f E_e to
+        v^(2 kdif_dot(K, deg e - deg f)) K F_(rev e) E_(rev f)): K b_l2 b_l3
+        goes to v^(2 kdif_dot(K, deg l3 - deg l2)) K b_*l3 b_*l2.  None when
+        a label has no reversed label."""
+        rev, deg = self.tables.reversed_label, self.tables.degree_of
+        out = {}
+        for (K, l2, l3), c in coords.items():
+            m2, m3 = rev(l3), rev(l2)
+            if m2 is None or m3 is None:
+                return None
+            out[K, m2, m3] = c.shift(2 * self.ctx.kdif_dot(K, _sub(deg(l3), deg(l2))))
         return out
 
     def _index_set(self, kind, lm, lp, variant) -> list:
@@ -234,10 +279,8 @@ class Engine:
     def _bar_row(self, kind, lm, lp, variant) -> dict:
         """bar of the K = 1 member over the kind's family, expanded from
         _member_bar; every entry but the diagonal must be a correction label
-        of the pair, a member of `_index_set` by the slot rule, nonnegative
-        exponents and the degrees of its labels.  The bar-invariance check
-        at the end of _solve is the independent proof that these rows are
-        right."""
+        of the pair (`_in_family`).  The bar-invariance check at the end of
+        _solve is the independent proof that these rows are right."""
         key = (kind, lm, lp, variant)
         row = self._bar_rows.get(key)
         if row is None:
@@ -247,28 +290,36 @@ class Engine:
             diag = ((zero, zero), lm, lp)
             if row.get(diag) != RAT_ONE:
                 raise TriangularityError(f"bar of {kind}({lm},{lp}) has diagonal {row.get(diag)}, not 1")
-            gm, gp = self.tables.degree_of(lm), self.tables.degree_of(lp)
             for s in row:
-                if s == diag:
-                    continue
-                (am, ap), l2, l3 = s
-                alpha = _add(am, ap)
-                if not (
-                    _moves(kind, variant, (am, ap))
-                    and min(*am, *ap) >= 0
-                    and self.tables.degree_of(l2) == _sub(gm, alpha)
-                    and self.tables.degree_of(l3) == _sub(gp, alpha)
-                ):
+                if s != diag and not self._in_family(kind, lm, lp, variant, s):
                     raise TriangularityError(f"bar of {kind}({lm},{lp}) leaves the family at {s}")
             self._bar_rows[key] = row
         return row
+
+    def _in_family(self, kind, lm, lp, variant, s) -> bool:
+        """Whether s = ((am, ap), l2, l3) is a correction label of the pair,
+        a member of `_index_set`: the slot rule, nonnegative exponents, and
+        deg l2 = deg lm - alpha, deg l3 = deg lp - alpha for alpha = am + ap."""
+        (am, ap), l2, l3 = s
+        alpha = _add(am, ap)
+        deg = self.tables.degree_of
+        return (
+            _moves(kind, variant, (am, ap))
+            and min(*am, *ap) >= 0
+            and deg(l2) == _sub(deg(lm), alpha)
+            and deg(l3) == _sub(deg(lp), alpha)
+        )
 
     def _solve(self, kind: str, lm: str, lp: str, variant: str) -> tuple:
         """The record (coords, certificate, element) of the bar-fixed
         member(lm, lp) + sum p_s K_s diamond member(s) of the kind's family
         (Lusztig's lemma through bar_fix): its DCB coordinates, the
         corrections s -> p_s, and the element sum c K b_l2 b_l3 in the kind's
-        flavor, proved bar-fixed.  The element is built once from the
+        flavor, proved bar-fixed.  Transpose maps the kind's element at
+        (lm, lp) to the one at the partner (*lp, *lm), so once the partner's
+        record exists the coordinates are relabeled from it (`_transpose`)
+        and proved unitriangular (`_certify`) in place of a solve; otherwise
+        `_corrections` solves.  The element is built once from the
         coordinates over one denominator, spread by `expand_numerators` over
         the labels' DCB columns (`CanonicalTables.dcb_column`), each
         coefficient reduced once."""
@@ -276,7 +327,28 @@ class Engine:
         got = self._solved.get(key)
         if got is not None:
             return got
-        below, flavor, side = _KINDS[kind, variant][:3]
+        flavor = _KINDS[kind, variant][1]
+        where = f"{kind}({lm},{lp})"
+        partner = self._partner(lm, lp)
+        record = self._solved.get((kind, *partner, variant)) if partner else None
+        coords = self._transpose(record[0]) if record else None
+        if coords is not None:
+            solved = self._certify(kind, lm, lp, variant, coords)
+        else:
+            solved, coords = self._corrections(kind, lm, lp, variant)
+        nums, den = common_denominator(list(coords.values()))
+        groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
+        element = TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
+        if not self.ctx.is_bar_fixed(element):
+            raise TriangularityError(f"{where} failed bar-invariance")
+        got = self._solved[key] = (coords, solved, element)
+        return got
+
+    def _corrections(self, kind, lm, lp, variant) -> tuple:
+        """Lusztig's lemma for the pair through bar_fix: the corrections
+        s -> p_s and the DCB coordinates of member + sum p_s K_s diamond
+        member(s)."""
+        below, _, side = _KINDS[kind, variant][:3]
         where = f"{kind}({lm},{lp})"
 
         @functools.cache
@@ -295,13 +367,30 @@ class Engine:
             (am, ap), l2, l3 = s
             for idx, c in self._twist(kmono(am, ap), self._family_dcb(below, l2, l3, variant)).items():
                 accumulate(coords, idx, p * c)
-        nums, den = common_denominator(list(coords.values()))
-        groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
-        element = TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
-        if not self.ctx.is_bar_fixed(element):
-            raise TriangularityError(f"{where} failed bar-invariance")
-        got = self._solved[key] = (coords, solved, element)
-        return got
+        return solved, coords
+
+    def _certify(self, kind, lm, lp, variant, coords) -> dict:
+        """The corrections of transported coordinates, read off by the greedy
+        expansion over the kind's family, which must be unitriangular: 1 at
+        the pair itself, and every other entry a correction label of the pair
+        (`_in_family`) whose coefficient is a Laurent polynomial in q,
+        strictly on the kind's side in v.  With the bar-invariance check that
+        follows, Lusztig's lemma makes the record the unique solve."""
+        below, _, side = _KINDS[kind, variant][:3]
+        where = f"{kind}({lm},{lp})"
+        cert = self._greedy_expand(coords, below, variant)
+        zero = (0,) * self.datum.rank
+        diag = cert.pop(((zero, zero), lm, lp), None)
+        if diag != RAT_ONE:
+            raise TriangularityError(f"{where} is not unitriangular: diagonal {diag}, not 1")
+        positive = side == "positive"
+        for s, p in cert.items():
+            if not self._in_family(kind, lm, lp, variant, s):
+                raise TriangularityError(f"{where} leaves the family at {s}")
+            if not (p.is_laurent() and all(k > 0 if positive else k < 0 for k in p.num.c)):
+                raise TriangularityError(f"{where} correction at {s}: {p} is not strictly {side} in v")
+            _assert_q_poly(p, f"{where} correction at {s}")
+        return cert
 
     def expand_in_bullet_family(self, expansion: dict, variant: str = "plus") -> dict:
         """Plain DCB coordinates of a full element over K diamond bullet."""

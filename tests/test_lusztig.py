@@ -7,7 +7,7 @@ from qdouble import Algebra, canbasis, lusztig, scalar
 from qdouble.braid import BraidOps
 from qdouble.canbasis import TableConflict, TableIncomplete, UserTableError
 from qdouble.cli import _load_user_tables
-from qdouble.double import format_tri, k_one, kmono
+from qdouble.double import DoubleContext, format_tri, k_one, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
 from qdouble.scalar import (
@@ -386,6 +386,27 @@ class TestSolveRecord:
         rows = Algebra("A2").engine.enumerate_basis((1, 1))
         assert len(rows) == 45 and len(calls) <= 500
 
+    def test_transport_work(self, monkeypatch):
+        # a fresh A2 table to (2, 2) solves one pair of each transpose orbit
+        # and relabels the other: 210 bar_fix calls, where solving every
+        # pair took 392; all 392 records are still proved bar-fixed
+        calls = {"bar_fix": 0, "is_bar_fixed": 0}
+        fix, fixed = lusztig.bar_fix, DoubleContext.is_bar_fixed
+
+        def counting_fix(*args):
+            calls["bar_fix"] += 1
+            return fix(*args)
+
+        def counting_fixed(self, x):
+            calls["is_bar_fixed"] += 1
+            return fixed(self, x)
+
+        monkeypatch.setattr(lusztig, "bar_fix", counting_fix)
+        monkeypatch.setattr(DoubleContext, "is_bar_fixed", counting_fixed)
+        rows = Algebra("A2").engine.enumerate_basis((2, 2))
+        assert len(rows) == 663
+        assert calls["bar_fix"] <= 210 and calls["is_bar_fixed"] == 392
+
     def test_certificate_solves_on_demand(self):
         alg = Algebra("A2")
         fresh, labels = alg.engine, labels_to_height_two(alg)
@@ -420,6 +441,109 @@ class TestSolveRecord:
         with pytest.raises(TriangularityError, match=pair + ": inconsistent bar row") as info:
             Algebra("A2").circ(lm, lp)
         assert isinstance(info.value.__cause__, BarInconsistency)
+
+
+class TestTransportChecks:
+    # circ(F_2, F_2^(2)) of A2 relabeled from its solved partner
+    # circ(F_2^(2), F_2) by a mutated coordinate rule: each mutation is
+    # seen by its own check of the transported record
+    LM, LP = "b+(0,1,0,0)", "b+(0,2,0,0)"
+    WHERE = r"circ\(b\+\(0,1,0,0\),b\+\(0,2,0,0\)\)"
+    DIAG = (kmono((0, 0), (0, 0)), LM, LP)
+    CORRECTION = (kmono((0, 0), (0, 1)), "1", LM)  # the coordinate of its one correction, -v^4 at K_+2
+
+    def transport(self, monkeypatch, rule):
+        """circ(LM, LP) relabeled from circ(LP, LM) by rule(engine, coords)
+        in place of Engine._transpose."""
+        eng = Algebra("A2").engine
+        eng.circ(self.LP, self.LM)
+        eng.circ(self.LM, self.LP)  # relabeled: its record is in place
+        correction = (((0, 0), (0, 1)), "1", self.LM)
+        assert eng.certificate("circ", self.LM, self.LP) == {correction: -Rat.of(nu_power(4))}
+        del eng._solved["circ", self.LM, self.LP, "plus"]
+        monkeypatch.setattr(lusztig.Engine, "_transpose", rule)
+        return eng.circ(self.LM, self.LP)
+
+    def mutated(self, monkeypatch, mutate):
+        """transport with the coordinates of the rule passed through mutate."""
+        real = lusztig.Engine._transpose
+        return self.transport(monkeypatch, lambda eng, coords: mutate(real(eng, coords)))
+
+    def test_unmutated_rule_passes(self, monkeypatch):
+        assert self.mutated(monkeypatch, dict) == Algebra.get("A2").circ(self.LM, self.LP)
+
+    def test_rule_without_its_power_of_v(self, monkeypatch):
+        def unshifted(eng, coords):
+            rev = eng.tables.reversed_label
+            return {(K, rev(l3), rev(l2)): c for (K, l2, l3), c in coords.items()}
+
+        with pytest.raises(TriangularityError, match=self.WHERE + " failed bar-invariance"):
+            self.transport(monkeypatch, unshifted)
+
+    def test_diagonal_times_v(self, monkeypatch):
+        def scaled(coords):
+            coords[self.DIAG] = coords[self.DIAG].shift(1)
+            return coords
+
+        message = self.WHERE + r" is not unitriangular: diagonal Rat\(1\*v\)"
+        with pytest.raises(TriangularityError, match=message):
+            self.mutated(monkeypatch, scaled)
+
+    def test_correction_in_the_other_slot(self, monkeypatch):
+        def moved(coords):
+            coords[kmono((0, 1), (0, 0)), "1", self.LM] = coords.pop(self.CORRECTION)
+            return coords
+
+        with pytest.raises(TriangularityError, match=self.WHERE + " leaves the family"):
+            self.mutated(monkeypatch, moved)
+
+    def test_correction_on_the_other_side(self, monkeypatch):
+        # the correction -v^4 becomes -v^-4, still a polynomial in q
+        def flipped(coords):
+            coords[self.CORRECTION] = coords[self.CORRECTION].shift(-8)
+            return coords
+
+        message = self.WHERE + " correction at .*: .* is not strictly positive in v"
+        with pytest.raises(TriangularityError, match=message):
+            self.mutated(monkeypatch, flipped)
+
+
+class TestTransportOrder:
+    # a record relabeled from its transpose partner is the record a solve
+    # gives: two fresh engines meet every pair of each orbit in the two
+    # orders, lower total height first, circ before bullet, both variants
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "user"])
+    def test_either_order(self, monkeypatch, name):
+        make = a2_with_user_table if name == "user" else (lambda: Algebra(name))
+        algebras = [make(), make()]
+        engines = [alg.engine for alg in algebras]
+        relabeled = {id(eng): set() for eng in engines}
+        certify = lusztig.Engine._certify
+
+        def recording(self, kind, lm, lp, variant, coords):
+            relabeled[id(self)].add((kind, lm, lp, variant))
+            return certify(self, kind, lm, lp, variant, coords)
+
+        monkeypatch.setattr(lusztig.Engine, "_certify", recording)
+        labels = labels_to_height_two(algebras[0])
+        partner = engines[0]._partner
+        orbits = {tuple(sorted({(lm, lp), partner(lm, lp) or (lm, lp)})) for lm in labels for lp in labels}
+        degree = algebras[0].tables.degree_of
+        orbits = sorted(orbits, key=lambda orbit: (sum(map(sum, map(degree, orbit[0]))), orbit))
+        for eng, order in zip(engines, (1, -1)):
+            for orbit in orbits:
+                for lm, lp in orbit[::order]:
+                    for variant in ("plus", "minus"):
+                        for kind in ("circ", "bullet"):
+                            eng._solve(kind, lm, lp, variant)
+        first, second = (eng._solved for eng in engines)
+        assert len(first) == len(second) == 4 * 49
+        for key, record in first.items():
+            assert record == second[key], key
+        once = {key for key in first if partner(*key[1:3])}
+        a, b = (relabeled[id(eng)] for eng in engines)
+        assert not a & b and a | b == once and len(a) == len(b)
 
 
 class TestCircSL2:
@@ -723,18 +847,23 @@ class TestStructureConstants:
 
 
 class TestSymmetries:
-    def test_transpose_symmetry(self, a2):
-        # (K diamond (b- bullet b+))^t = K diamond (b+^t bullet b-^t)
-        for gm, gp in [((1, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (1, 1))]:
-            for lm in a2.tables.labels_of_degree(gm):
-                for lp in a2.tables.labels_of_degree(gp):
-                    lhs = a2.ctx.transpose(a2.bullet(lm, lp))
-                    lm2 = transpose_label(a2.tables, PLUS, lp)
-                    lp2 = transpose_label(a2.tables, MINUS, lm)
-                    assert lhs == a2.bullet(lm2, lp2), (lm, lp)
-                    K = kmono((1, 0), (0, 1))
-                    lhs2 = a2.ctx.transpose(a2.ctx.diamond(K, a2.bullet(lm, lp)))
-                    assert lhs2 == a2.ctx.diamond(K, a2.bullet(lm2, lp2))
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1affine"])
+    def test_transpose_symmetry(self, name):
+        # (K diamond (b- bullet b+))^t = K diamond (b+^t bullet b-^t) on every
+        # label pair through height 2, at K = 1 and K = K_-1 K_+2; a fresh
+        # engine relabels one pair of each transpose orbit from the other
+        # (Engine._transpose), and the word-level transpose checks that
+        alg = Algebra(name)
+        ctx, K = alg.ctx, kmono((1, 0), (0, 1))
+        labels = labels_to_height_two(alg)
+        assert len(labels) == 7
+        for lm in labels:
+            for lp in labels:
+                lm2 = transpose_label(alg.tables, PLUS, lp)
+                lp2 = transpose_label(alg.tables, MINUS, lm)
+                assert ctx.transpose(alg.bullet(lm, lp)) == alg.bullet(lm2, lp2), (lm, lp)
+                lhs = ctx.transpose(ctx.diamond(K, alg.bullet(lm, lp)))
+                assert lhs == ctx.diamond(K, alg.bullet(lm2, lp2)), (lm, lp)
 
     @staticmethod
     def star_mismatches(alg, height):
