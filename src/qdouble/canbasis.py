@@ -288,8 +288,8 @@ class CanonicalTables:
             raise TableConflict(
                 f"table at {gamma} has {len(elems)} elements, dimension is {len(pivots)}"
             )
-        M, at = half.pairing_matrix(gamma), half.word_index(gamma)
-        P = [[Rat.of(M[at[p]][at[q]]) for q in pivots] for p in pivots]
+        rows, at = half.pairing_rows(gamma), half.word_index(gamma)
+        P = [[Rat.of(rows[p][at[q]]) for q in pivots] for p in pivots]
         Ct = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in pivots]
         scale = nu_power(self.datum.ulgamma(gamma))
         return [
@@ -439,9 +439,10 @@ class CanonicalTables:
             return got
         table = self.dcb_table(gamma)
         basis = self.half.degree_basis(gamma)
-        # the coefficient of w on table element k is ((w, duals[k]))
-        M, at = self.half.pairing_matrix(gamma), self.half.word_index(gamma)
-        Mw = [[Rat.of(row[at[p]]) for p in basis.pivots] for row in M]
+        # the coefficient of w on table element k is ((w, duals[k])), and
+        # <w, p> is read from the row of the pivot word p by symmetry
+        rows = self.half.pairing_rows(gamma)
+        Mw = [[Rat.of(x) for x in col] for col in zip(*(rows[p] for p in basis.pivots))]
         Dt = [[d.terms.get(p, RAT_ZERO) for d in table.duals] for p in basis.pivots]
         scale = nu_power(-self.datum.ulgamma(gamma))
         out = {

@@ -2,13 +2,14 @@
 evaluate element-level utilities.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
-(bad arguments, unknown labels, unreadable or invalid --tables, a degree no
-table source covers), 3 internal error (any other exception; the traceback
-goes to stderr).  A --tables file is checked at load: its JSON framing, one
-block per degree and unique labels here, each element's terms by
-halves.half_from_obj, and every rule of a block (F-side nonzero elements of
-its degree, free labels, a basis dual to the canonical basis where there is
-one, bar-fixed) by CanonicalTables.load_user_table.
+(bad arguments, unknown labels, unreadable or invalid --tables, --tables
+blocks over which Lusztig's lemma fails, a degree no table source covers),
+3 internal error (any other exception; the traceback goes to stderr).  A
+--tables file is checked at load: its JSON framing, one block per degree and
+unique labels here, each element's terms by halves.half_from_obj, and every
+rule of a block (F-side nonzero elements of its degree, free labels, a basis
+dual to the canonical basis where there is one, bar-fixed) by
+CanonicalTables.load_user_table.
 strconst takes labels (`1`, `F[...]`, `b(...).k`, `b+(...)`, --tables
 labels) or words (`F:...`, `E:...`).
 Output is deterministic: fixed evaluation order, so the bytes are the same
@@ -39,6 +40,7 @@ from .canbasis import TableIncomplete, UnknownLabel, UserTableError
 from .cartan import PRESETS, CartanError, get_datum
 from .double import tri_to_obj
 from .halves import PLUS, MINUS, half_from_obj, parse_word
+from .lusztig import TriangularityError
 from .scalar import RAT_ONE, format_scalar
 
 
@@ -404,6 +406,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if isinstance(exc, TriangularityError) and getattr(args, "tables", None):
+            # blocks that pass every check at load, bar-invariance included,
+            # but are not the dual canonical basis
+            print(f"error: Lusztig's lemma fails over the blocks of --tables {args.tables}: {exc}", file=sys.stderr)
+            return 2
         import traceback  # only on this path: it costs memory at start-up
 
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

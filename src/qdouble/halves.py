@@ -2,9 +2,13 @@
 
 Words are stored freely; the quantum Serre quotient is imposed through the
 radical of the bilinear pairing between the two halves, so elements carry a
-canonical per-degree coordinate form over pivot words.  The braided coproduct,
-the pairing, the bar/star/transpose involutions and the quasi-derivations
-live here.
+canonical per-degree coordinate form over pivot words.  The pairing is
+symmetric and its radical is a two-sided ideal (Lusztig, Introduction to
+Quantum Groups, 1.2.3-1.2.4), so every pivot word of a degree gamma is j q,
+q a pivot word of gamma - alpha_j: each degree pairs and eliminates only
+those candidate words, whose rows come from the pivot rows one degree down.
+The braided coproduct, the pairing, the bar/star/transpose involutions and
+the quasi-derivations live here.
 """
 from __future__ import annotations
 
@@ -124,8 +128,8 @@ class HalfElem:
 
 
 class HalfAlgebra:
-    """Per-datum cache for words, pairing matrices and pivot bases; each
-    entry is computed once."""
+    """Per-datum cache for words, pairing rows and pivot bases; each entry
+    is computed once."""
 
     def __init__(self, datum):
         self.datum: CartanDatum = get_datum(datum)
@@ -210,70 +214,86 @@ class HalfAlgebra:
         return out
 
     # -- pairing -----------------------------------------------------------------
-    def pairing_matrix(self, gamma) -> list:
-        """M[a][b] = <words[a], words[b]> in Z[v, v^-1] over the words of the
-        degree, by the recursion on the first letter j of words[b]:
-        <e, j f> = <1>_{q_j} sum over the letters j of e of v^s <e without it, f>,
-        s the chi-exponent of the letters before it against j."""
+    def pairing_rows(self, gamma) -> dict:
+        """{w: [<w, f> for f in words_of_degree(gamma)]} over the candidate
+        words w = j q of the degree, q a pivot word of gamma - alpha_j, in word
+        order, entries in Z[v, v^-1]; every pivot word of gamma is a candidate
+        (see DegreeBasis).  The row of j q is its column, by symmetry, and the
+        recursion on the first letter j gives that column,
+        <e, j q> = <1>_{q_j} sum over the letters j of e of v^s <e without it, q>,
+        s the chi-exponent of the letters before it against j, reading
+        <e without it, q> = <q, e without it> from the row of q one degree
+        down."""
         gamma = tuple(gamma)
-        M = self._pairing.get(gamma)
-        if M is not None:
-            return M
+        rows = self._pairing.get(gamma)
+        if rows is not None:
+            return rows
+        if not any(gamma):
+            rows = self._pairing[gamma] = {(): [ONE]}
+            return rows
         datum = self.datum
         words = self.words_of_degree(gamma)
-        if not any(gamma):
-            M = self._pairing[gamma] = [[ONE]]
-            return M
-        M = [[ZERO] * len(words) for _ in words]
+        rows = {}
         for j in range(datum.rank):
             if not gamma[j]:
                 continue
             sub_gamma = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
-            sub = self.pairing_matrix(sub_gamma)
+            sub = self.pairing_rows(sub_gamma)
             at = self.word_index(sub_gamma)
             chi = [self.chi_exp(datum.alpha(i), datum.alpha(j)) for i in range(datum.rank)]
-            # for every word e: (row of e with one j deleted, its v-shift)
+            # for every word e: (position of e with one j deleted, its v-shift)
             deleted = []
             for e in words:
                 out, shift = [], 0
                 for p, letter in enumerate(e):
                     if letter == j:
-                        out.append((sub[at[e[:p] + e[p + 1 :]]], shift))
+                        out.append((at[e[:p] + e[p + 1 :]], shift))
                     shift += chi[letter]
                 deleted.append(out)
             bracket = qangle(1, datum.qi_exp(j))
-            for b, f in enumerate(words):
-                if f[0] != j:
-                    continue
-                r = at[f[1:]]
-                for a, terms in enumerate(deleted):
+            for q in self.degree_basis(sub_gamma).pivots:
+                row_q = sub[q]
+                row = []
+                for terms in deleted:
                     total = ZERO
-                    for row, shift in terms:
-                        if row[r]:
-                            total = total + row[r].shift(shift)
-                    if total:
-                        M[a][b] = total * bracket
-        self._pairing[gamma] = M
-        return M
+                    for r, shift in terms:
+                        if row_q[r]:
+                            total = total + row_q[r].shift(shift)
+                    row.append(total * bracket if total else ZERO)
+                rows[(j,) + q] = row
+        self._pairing[gamma] = rows
+        return rows
 
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:
-        """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees."""
+        """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees.
+        A degree component of x_plus with a word that is not a candidate of
+        pairing_rows is first rewritten over the pivot words, which pairs
+        alike since the radical pairs to zero."""
         if x_plus.sign != PLUS or y_minus.sign != MINUS:
             raise ValueError("pair takes a plus element and a minus element")
         total = RAT_ZERO
-        by_deg: dict[tuple, list] = {}
+        x_by_deg: dict[tuple, dict] = {}
+        for w, c in x_plus.terms.items():
+            x_by_deg.setdefault(self.word_degree(w), {})[w] = c
+        y_by_deg: dict[tuple, list] = {}
         for w, c in y_minus.terms.items():
-            by_deg.setdefault(self.word_degree(w), []).append((w, c))
-        for w1, c1 in x_plus.terms.items():
-            gamma = self.word_degree(w1)
-            if gamma not in by_deg:
+            y_by_deg.setdefault(self.word_degree(w), []).append((w, c))
+        for gamma, component in x_by_deg.items():
+            if gamma not in y_by_deg:
                 continue
+            rows = self.pairing_rows(gamma)
+            if any(w not in rows for w in component):
+                basis = self.degree_basis(gamma)
+                component = {
+                    p: c for p, c in zip(basis.pivots, basis.coords(component)) if not c.is_zero()
+                }
             at = self.word_index(gamma)
-            row = self.pairing_matrix(gamma)[at[w1]]
-            for w2, c2 in by_deg[gamma]:
-                val = row[at[w2]]
-                if val:
-                    total = total + c1 * c2 * val
+            for w1, c1 in component.items():
+                row = rows[w1]
+                for w2, c2 in y_by_deg[gamma]:
+                    val = row[at[w2]]
+                    if val:
+                        total = total + c1 * c2 * val
         return total
 
     # -- canonical coordinates ------------------------------------------------------
@@ -407,23 +427,35 @@ class HalfAlgebra:
 
 class DegreeBasis:
     """Pivot data of one degree component: the pivot words are the
-    lexicographically-first independent rows of the word-pairing matrix M.
-    M is symmetric for a symmetrizable datum (Lusztig 1.2.3), so one pivot
-    set and one coordinate map serve both halves, and by M = M[:, pivots] E,
-    E = R / d the reduced row echelon form of M, word w has pivot coordinates
-    E[:, w] = M[w, pivots] P^-1, P = M[pivots, pivots].  The whole layer is
-    over Z[v, v^-1]: M has Laurent entries, and `linalg.row_reduce` returns
-    R and d as Laurent polynomials."""
+    lexicographically-first words whose rows of the word-pairing matrix M
+    are independent.  M is symmetric for a symmetrizable datum (Lusztig
+    1.2.3), so one pivot set and one coordinate map serve both halves, and by
+    M = M[:, pivots] E, E = R / d the reduced row echelon form of M, word w
+    has pivot coordinates E[:, w] = M[w, pivots] P^-1, P = M[pivots, pivots].
+
+    Only the candidate rows of `HalfAlgebra.pairing_rows` are eliminated.
+    The radical of the pairing is a two-sided ideal (Lusztig 1.2.4), so if
+    a word w is, modulo the radical, a combination of lexicographically
+    smaller words, so is j w.  Every pivot word of gamma is therefore j q, q
+    a pivot word of gamma - alpha_j.  A row outside the pivots is dependent
+    on the rows before it and leaves the kept rows of the elimination as
+    they are, so the candidate rows give the pivots, R and d that all of M
+    gives.  The whole layer is over Z[v, v^-1]: the rows have Laurent
+    entries, and `linalg.row_reduce` returns R and d as Laurent
+    polynomials.  Symmetry is checked on the candidate block: the entry at
+    (a, b) comes from the recursion on the first letter of a, the entry at
+    (b, a) from the one on the first letter of b."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
-        words = alg.words_of_degree(gamma)
-        M = alg.pairing_matrix(gamma)
-        if any(M[a][b] != M[b][a] for a in range(len(words)) for b in range(a)):
-            raise ValueError(f"pairing matrix of degree {gamma} is not symmetric")
+        rows = alg.pairing_rows(gamma)
+        at = alg.word_index(gamma)
+        cands = list(rows)
+        if any(rows[a][at[b]] != rows[b][at[a]] for k, a in enumerate(cands) for b in cands[:k]):
+            raise ValueError(f"pairing of degree {gamma} is not symmetric on its candidate words")
         # by symmetry the pivot columns are the kept rows
-        _, cols, R, self._d = linalg.row_reduce(M)
-        self.words = words
+        _, cols, R, self._d = linalg.row_reduce(list(rows.values()))
+        words = self.words = alg.words_of_degree(gamma)
         self.pivots = [words[k] for k in cols]
         self._rest = {w: [r[j] for r in R] for j, w in enumerate(words) if j not in cols}
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qdouble import checks, linalg
 from qdouble.halves import (
     HalfAlgebra,
     HalfElem,
@@ -11,8 +12,10 @@ from qdouble.halves import (
     half_from_obj,
     half_to_obj,
 )
+from qdouble.linalg import row_reduce
 from qdouble.scalar import (
     ONE,
+    ZERO,
     Laurent,
     Rat,
     accumulate,
@@ -98,6 +101,14 @@ def reference_pairing(alg, gamma, memo):
     return M
 
 
+def reference_matrix(alg, gamma, memo):
+    """The full word-pairing matrix of the degree over Z[v, v^-1], by the
+    Rat recursion of reference_pairing."""
+    ref = reference_pairing(alg, gamma, memo)
+    words = alg.words_of_degree(gamma)
+    return [[ref[e][f].as_laurent() if f in ref[e] else ZERO for f in words] for e in words]
+
+
 class TestCoproduct:
     def test_primitive_generator(self, a2):
         out = a2.coproduct_word((0,))
@@ -160,26 +171,57 @@ class TestPairing:
 
     @pytest.mark.parametrize(
         "preset, height",
-        [("A2", 5), ("B2", 5), ("G2", 5), ("A1affine", 5), ("A3", 4), ("R3", 4)],
+        [("A2", 5), ("B2", 5), ("G2", 5), ("A1affine", 5), ("A3", 5), ("R3", 4), ("R2a3", 5)],
     )
     def test_matrix_matches_reference(self, preset, height):
-        # one Laurent matrix per degree, entry for entry the Rat recursion's,
-        # with the same zero pattern
-        alg = HalfAlgebra(preset)
+        # per degree: the candidate words are the words j q, q a pivot word
+        # one degree down, and their rows are, entry for entry, the rows of
+        # the Rat recursion's matrix, with the same zero pattern; the pivot
+        # words, R and d are those of a full elimination of that matrix
+        alg = HalfAlgebra(checks.r2a3().datum if preset == "R2a3" else preset)
         memo = {}
         for h in range(height + 1):
             for gamma in alg.datum.degrees_of_height(h):
                 ref = reference_pairing(alg, gamma, memo)
                 words = alg.words_of_degree(gamma)
-                M = alg.pairing_matrix(gamma)
-                assert len(M) == len(words)
-                for e, row in zip(words, M):
+                rows = alg.pairing_rows(gamma)
+                cands = [()] if not h else sorted(
+                    (j,) + q
+                    for j in range(alg.datum.rank) if gamma[j]
+                    for q in alg.degree_basis(gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]).pivots
+                )
+                assert list(rows) == cands, gamma
+                for e, row in rows.items():
                     assert len(row) == len(words)
                     for f, x in zip(words, row):
                         assert isinstance(x, Laurent)
                         want = ref[e].get(f)
                         assert (want is None) == x.is_zero(), (gamma, e, f)
                         assert want is None or Rat.of(x) == want, (gamma, e, f)
+                _, cols, R, d = row_reduce(reference_matrix(alg, gamma, memo))
+                basis = alg.degree_basis(gamma)
+                assert basis.pivots == [words[k] for k in cols], gamma
+                assert basis._d == d, gamma
+                assert basis._rest == {
+                    w: [r[k] for r in R] for k, w in enumerate(words) if k not in cols
+                }, gamma
+
+    def test_pair_matches_reference_off_the_pivots(self):
+        # words on both sides as they are, uncompressed: pivot words,
+        # non-pivot candidates and (B2 (2, 2)) a word that is no candidate
+        for preset, gamma, non_candidates in [
+            ("A2", (2, 1), []), ("B2", (2, 2), [(0, 1, 1, 0)]),
+        ]:
+            alg = HalfAlgebra(preset)
+            ref = reference_pairing(alg, gamma, {})
+            words = alg.words_of_degree(gamma)
+            assert [w for w in words if w not in alg.pairing_rows(gamma)] == non_candidates
+            assert len(alg.degree_basis(gamma).pivots) < len(words)
+            for e in words:
+                x = HalfElem(alg, PLUS, {e: Rat.of(1)}, compressed=True)
+                for f in words:
+                    y = HalfElem(alg, MINUS, {f: Rat.of(1)}, compressed=True)
+                    assert alg.pair(x, y) == ref[e].get(f, Rat.of(0)), (preset, e, f)
 
     def test_a2_fij_calibration(self, a2):
         # mandatory orientation calibration: the rank-2 dual-pair value.
@@ -229,7 +271,7 @@ class TestNormalForm:
             alg = HalfAlgebra(preset)
             words = alg.words_of_degree(gamma)
             pivots = alg.degree_basis(gamma).pivots
-            M, at = alg.pairing_matrix(gamma), alg.word_index(gamma)
+            ref = reference_pairing(alg, gamma, {})
             for trial in range(8):
                 pool = pivots if trial % 2 else words
                 raw = {
@@ -241,9 +283,9 @@ class TestNormalForm:
                     if trial % 2:
                         assert x.terms == raw
                     for u in words:
-                        row = M[at[u]]
-                        want = sum((c * row[at[w]] for w, c in raw.items()), Rat.of(0))
-                        got = sum((c * row[at[w]] for w, c in x.terms.items()), Rat.of(0))
+                        row = ref[u]
+                        want = sum((c * row[w] for w, c in raw.items() if w in row), Rat.of(0))
+                        got = sum((c * row[w] for w, c in x.terms.items() if w in row), Rat.of(0))
                         assert got == want, (preset, gamma, sign, u)
 
     def test_pivot_sets_pinned(self):
@@ -267,16 +309,28 @@ class TestNormalForm:
             assert a2.flip(x).terms == x.terms
             assert a2.element(MINUS, x.terms).terms == x.terms
 
-    def test_non_symmetric_pairing_raises(self, monkeypatch):
+    def test_non_symmetric_pairing_raises(self):
+        # one entry of the cached row of E2, the pivot word of degree (0, 1),
+        # is corrupted: in degree (1, 1) the row of E1 E2 is built from it and
+        # the row of E2 E1 is not, so their candidate block is not symmetric
         alg = HalfAlgebra("A2")
-        gamma = (1, 1)
-        at = alg.word_index(gamma)
-        M = [list(row) for row in alg.pairing_matrix(gamma)]
-        M[at[(0, 1)]][at[(1, 0)]] = M[at[(0, 1)]][at[(1, 0)]] + ONE
-        real = alg.pairing_matrix
-        monkeypatch.setattr(alg, "pairing_matrix", lambda g: M if tuple(g) == gamma else real(g))
+        row = alg.pairing_rows((0, 1))[(1,)]
+        row[0] = row[0] + ONE
         with pytest.raises(ValueError, match="not symmetric"):
-            alg.degree_basis(gamma)
+            alg.degree_basis((1, 1))
+
+    def test_elimination_reads_candidate_rows_only(self, monkeypatch):
+        # B2 (4, 4) has 70 words and 14 candidate words: row_reduce gets the
+        # 14 rows of 70 entries, never the 70 x 70 pairing matrix, and no
+        # lower degree gets more rows
+        alg = HalfAlgebra("B2")
+        fed = []
+        real = linalg.row_reduce
+        monkeypatch.setattr(linalg, "row_reduce", lambda A: fed.append((len(A), len(A[0]))) or real(A))
+        assert alg.degree_basis((4, 4)).rank == 9
+        assert fed[-1] == (14, 70)
+        assert max(n for n, _ in fed) <= 14
+        assert len(alg.pairing_rows((4, 4))) == 14
 
 
 class TestInvolutions:

@@ -18,6 +18,7 @@ from qdouble.scalar import (
     nu_power,
     qround,
 )
+from test_halves import reference_matrix
 
 
 def identity(n, one=RAT_ONE, zero=RAT_ZERO):
@@ -97,11 +98,11 @@ class TestMulSub:
 class TestRowReduce:
     @pytest.mark.parametrize("preset, gamma", [("B2", (2, 2)), ("A1affine", (2, 2)), ("A2", (3, 2))])
     def test_pivot_block_inverse(self, preset, gamma):
-        # N / d = P^-1 on the Laurent pivot block of a pairing matrix:
+        # N / d = P^-1 on the Laurent pivot block of the reference pairing matrix:
         # P N == d I exactly, entries in Z[v, v^-1]
         alg = HalfAlgebra(preset)
         basis = alg.degree_basis(gamma)
-        M, at = alg.pairing_matrix(gamma), alg.word_index(gamma)
+        M, at = reference_matrix(alg, gamma, {}), alg.word_index(gamma)
         P = [[M[at[e]][at[f]] for f in basis.pivots] for e in basis.pivots]
         r = len(P)
         kept, cols, R, d = row_reduce([row + ident for row, ident in zip(P, identity(r, ONE, ZERO))])
@@ -129,7 +130,8 @@ class TestRowReduce:
         ],
     )
     def test_matches_reference_on_pairing(self, preset, gamma):
-        M = HalfAlgebra(preset).pairing_matrix(gamma)
+        # the full word-pairing matrix of the degree, by the Rat recursion
+        M = reference_matrix(HalfAlgebra(preset), gamma, {})
         assert echelon(row_reduce(M)) == echelon(reference_row_reduce(M))
 
     def test_matches_reference_on_rank_deficient(self):
