@@ -39,11 +39,7 @@ class BraidOps:
                 x_r, x_s = half.gen_divided(sign, i, r), half.gen_divided(sign, i, s)
                 coeff = Rat.of((-1) ** r) * nu_power(datum.qi_exp(i) * s + datum.d[i] * a)
                 acc = acc + (x_r * half.gen(sign, j) * x_s).scale(coeff)
-            out = ctx.from_halves(
-                minus=acc if sign == MINUS else None,
-                plus=acc if sign == PLUS else None,
-                flavor="localized",
-            )
+            out = ctx.from_half(acc, "localized")
         self._letters[key] = out
         return out
 
@@ -85,13 +81,7 @@ class BraidOps:
 
     def T_half(self, i, x: HalfElem) -> HalfElem:
         """T_i of a half element whose image stays in the same half."""
-        tri = self.ctx.from_halves(
-            minus=x if x.sign == MINUS else None,
-            plus=x if x.sign == PLUS else None,
-            flavor="localized",
-        )
-        out = self.T(i, tri)
-        return self._extract_half(out, x.sign)
+        return self._extract_half(self.T(i, self.ctx.from_half(x, "localized")), x.sign)
 
     def _extract_half(self, tri: TriElem, sign: int) -> HalfElem:
         terms = {}
@@ -167,12 +157,14 @@ class BraidOps:
         return out
 
     def schubert_pbw(self, word, amounts) -> HalfElem:
-        """PBW monomial E_i^a attached to a reduced word."""
+        """PBW monomial E_i^a attached to a reduced word, amounts a >= 0."""
         word = tuple(self.datum.index(i) for i in word)
         if not self.datum.is_reduced(word):
             raise ValueError(f"word {word} is not reduced")
         if len(word) != len(amounts):
             raise ValueError(f"{len(amounts)} PBW amounts for a word of length {len(word)}")
+        if min(amounts, default=0) < 0:
+            raise ValueError(f"negative PBW amount in {tuple(amounts)}")
         half = self.ctx.half
         out = half.unit(PLUS)
         for r, a in enumerate(amounts, start=1):
@@ -181,18 +173,12 @@ class BraidOps:
         return out
 
     def mu_exponent(self, word, amounts) -> int:
-        """nu-exponent of the rescaling mu_i(a) for the PBW lattice."""
-        word = tuple(self.datum.index(i) for i in word)
-        total = 0
-        for r, a in enumerate(amounts, start=1):
-            if not a:
-                continue
-            prefix = word[: r - 1]
-            inv_sum = [0] * self.datum.rank
-            for beta in self.datum.inversions(tuple(reversed(prefix))):
-                inv_sum = [x + y for x, y in zip(inv_sum, beta)]
-            total += a * self.datum.dot(tuple(inv_sum), self.datum.alpha(word[r - 1]))
-        return -total
+        """nu-exponent mu(a) = sum over s < r of a_r (beta_s . beta_r) of the
+        rescaling for the PBW lattice, beta the roots of the word
+        (`CartanDatum.word_roots`)."""
+        datum = self.datum
+        roots = datum.word_roots(tuple(datum.index(i) for i in word))
+        return sum(a * datum.dot(roots[s], roots[r]) for r, a in enumerate(amounts) for s in range(r))
 
 
 def tame_apply(algebra, i, lab_plus: str):
@@ -214,9 +200,7 @@ def tame_apply(algebra, i, lab_plus: str):
     f_lab = algebra.label_of(MINUS, half.word(MINUS, [i] * ell))
     K = kmono((0,) * rank, tuple(-ell if k == i else 0 for k in range(rank)))
     rhs = algebra.ctx.diamond(K, algebra.bullet(f_lab, t_top_lab)).with_flavor("localized")
-    lhs = algebra.braid.T(
-        i, algebra.ctx.from_halves(plus=b, flavor="localized")
-    )
+    lhs = algebra.braid.T(i, algebra.ctx.from_half(b, "localized"))
     if lhs != rhs:
         raise AssertionError(f"tameness identity fails for {lab_plus} at index {i}")
     return K, f_lab, t_top_lab

@@ -87,16 +87,28 @@ class CanonicalTables:
 
     # ----------------------------------------------------------------- fgfrm
     def fgfrm(self, x: HalfElem, y: HalfElem) -> Rat:
-        """Twisted symmetric form on U_q^-: ((x,y)) = q^(-ulgamma(deg y)/2) <x^{*t}, y>."""
+        """Twisted symmetric form on U_q^-: ((x,y)) = q^(-ulgamma(deg y)/2) <x^{*t}, y>,
+        per degree the coefficients of x summed against `_form_block`."""
         if x.sign != MINUS or y.sign != MINUS:
             raise ValueError("fgfrm takes two minus elements")
         total = RAT_ZERO
         for gamma in set(x.degrees()) & set(y.degrees()):
-            xc = self.half.flip(x.component(gamma))
-            total = total + nu_power(-self.datum.ulgamma(gamma)) * self.half.pair(
-                xc, y.component(gamma)
-            )
+            xc = x.component(gamma).terms
+            for c, (f,) in zip(xc.values(), self._form_block(gamma, list(xc), [y])):
+                total = total + c * f
         return total
+
+    def _form_block(self, gamma, words, elems) -> list:
+        """The twisted form ((w, x)) = v^-ul M[w, pivots] x^T of degree
+        gamma, ul = ulgamma(gamma) and M the word-pairing matrix, as a
+        matrix with a row per word w and a column per element x, each x
+        over the pivot words.  M[w, p] = <p, w> is read from the pivot rows
+        (`DegreeBasis.rows`) by symmetry."""
+        basis, at = self.half.degree_basis(gamma), self.half.word_index(gamma)
+        ul = self.datum.ulgamma(gamma)
+        Mw = [[Rat.of(basis.rows[p][at[w]].shift(-ul)) for p in basis.pivots] for w in words]
+        Xt = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in basis.pivots]
+        return linalg.mat_mul(Mw, Xt)
 
     # --------------------------------------------------------- canonical bases
     def canonical_basis(self, gamma) -> CBTable:
@@ -129,8 +141,8 @@ class CanonicalTables:
                 [half.gen_divided(MINUS, i, n)],
                 [f"F[{self.datum.labels[i]}^{n}]"],
             )
-        if self._two_letter_cb_applicable(gamma):
-            return self._two_letter_cb(gamma)
+        if (table := self._two_letter_cb(gamma)) is not None:
+            return table
         if gamma == (2, 2) and self._is_preset("A1affine"):
             return self._affine22_cb()
         if gamma == (1, 1, 1) and self._is_preset("R3"):
@@ -146,25 +158,19 @@ class CanonicalTables:
         preset = PRESETS[name]
         return (self.datum.A, self.datum.d) == (preset.A, preset.d)
 
-    def _two_letter_cb_applicable(self, gamma) -> bool:
-        support = [i for i, g in enumerate(gamma) if g]
-        if len(support) != 2:
-            return False
-        i, j = support
-        if gamma[j] == 1 and gamma[i] <= -self.datum.A[i][j]:
-            return True
-        if gamma[i] == 1 and gamma[j] <= -self.datum.A[j][i]:
-            return True
-        return False
-
-    def _two_letter_cb(self, gamma) -> CBTable:
-        """Degree n alpha_i + alpha_j, n <= -a_ij: divided-power sandwiches."""
+    def _two_letter_cb(self, gamma):
+        """Degree n alpha_i + alpha_j, n <= -a_ij: the divided-power
+        sandwiches F_i^<s> F_j F_i^<n-s>; None for any other degree."""
         half = self.half
         support = [k for k, g in enumerate(gamma) if g]
+        if len(support) != 2:
+            return None
         i, j = support
-        if gamma[i] == 1 and gamma[j] != 1:
+        if gamma[j] != 1:
             i, j = j, i
         n = gamma[i]
+        if gamma[j] != 1 or n > -self.datum.A[i][j]:
+            return None
         labels, elems, duals = [], [], []
         for s in range(n + 1):
             labels.append(f"can[{i}^{s} {j} {i}^{n - s}]")
@@ -211,9 +217,8 @@ class CanonicalTables:
     @cached_property
     def _pbw_roots(self):
         """A reduced longest word and its positive roots, in PBW order."""
-        datum = self.datum
-        word = datum.longest_word()
-        return word, [datum.weyl_act(word[:r], datum.alpha(i)) for r, i in enumerate(word)]
+        word = self.datum.longest_word()
+        return word, self.datum.word_roots(word)
 
     def _algorithmic_cb(self, gamma) -> CBTable:
         half = self.half
@@ -278,23 +283,19 @@ class CanonicalTables:
         return table
 
     def dual_basis(self, gamma, elems) -> list:
-        """The basis dual to elems under ((,)), element for element.  Over the
-        pivot words, ((x, y)) = v^-ul x P y^T with P = M[pivots, pivots], and
-        elems are the rows of C, so the duals are the rows of v^ul (P C^T)^-1.
-        Raises TableConflict on a wrong count, SingularMatrix on dependent elems."""
+        """The basis dual to elems under ((,)), element for element: the
+        rows, over the pivot words, of the inverse of the pivot block
+        `_form_block(gamma, pivots, elems)`.  Raises TableConflict on a
+        wrong count, SingularMatrix on dependent elems."""
         half = self.half
         pivots = half.degree_basis(gamma).pivots
         if len(elems) != len(pivots):
             raise TableConflict(
                 f"table at {gamma} has {len(elems)} elements, dimension is {len(pivots)}"
             )
-        rows, at = half.pairing_rows(gamma), half.word_index(gamma)
-        P = [[Rat.of(rows[p][at[q]]) for q in pivots] for p in pivots]
-        Ct = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in pivots]
-        scale = nu_power(self.datum.ulgamma(gamma))
         return [
-            HalfElem(half, MINUS, {p: c * scale for p, c in zip(pivots, row) if c}, compressed=True)
-            for row in linalg.invert(linalg.mat_mul(P, Ct))
+            HalfElem(half, MINUS, {p: c for p, c in zip(pivots, row) if c}, compressed=True)
+            for row in linalg.invert(self._form_block(gamma, pivots, elems))
         ]
 
     def _two_letter_label(self, i, j, s, r) -> str:
@@ -437,17 +438,12 @@ class CanonicalTables:
         got = self._w2d.get(gamma)
         if got is not None:
             return got
+        # the coefficient of w on table element k is ((w, duals[k]))
         table = self.dcb_table(gamma)
-        basis = self.half.degree_basis(gamma)
-        # the coefficient of w on table element k is ((w, duals[k])), and
-        # <w, p> is read from the row of the pivot word p by symmetry
-        rows = self.half.pairing_rows(gamma)
-        Mw = [[Rat.of(x) for x in col] for col in zip(*(rows[p] for p in basis.pivots))]
-        Dt = [[d.terms.get(p, RAT_ZERO) for d in table.duals] for p in basis.pivots]
-        scale = nu_power(-self.datum.ulgamma(gamma))
+        words = self.half.words_of_degree(gamma)
         out = {
-            w: {table.labels[k]: c * scale for k, c in enumerate(row) if not c.is_zero()}
-            for w, row in zip(basis.words, linalg.mat_mul(Mw, Dt))
+            w: {table.labels[k]: c for k, c in enumerate(row) if not c.is_zero()}
+            for w, row in zip(words, self._form_block(gamma, words, table.duals))
         }
         nums, d = common_denominator([c for row in out.values() for c in row.values()])
         it = iter(nums)
@@ -458,10 +454,8 @@ class CanonicalTables:
     def half_to_dcb(self, x: HalfElem) -> dict:
         """Expand a half element over dual-canonical labels: the label slot of
         its side in the to_dcb coordinates of x as an element of the double."""
-        ctx = self.alg.ctx
-        if x.sign == MINUS:
-            return {lm: c for (_, lm, _), c in self.to_dcb(ctx.from_halves(minus=x)).items()}
-        return {lp: c for (_, _, lp), c in self.to_dcb(ctx.from_halves(plus=x)).items()}
+        slot = 1 if x.sign == MINUS else 2
+        return {idx[slot]: c for idx, c in self.to_dcb(self.alg.ctx.from_half(x)).items()}
 
     # ------------------------------------------------------------ crystal layer
     def ell(self, label: str, i) -> int:

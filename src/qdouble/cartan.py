@@ -146,16 +146,14 @@ class CartanDatum:
             out = self.simple_reflection(i, out)
         return out
 
-    def length(self, word) -> int:
-        """Length of the Weyl element given by the word (finite type)."""
-        inv = 0
-        for beta in self.positive_roots():
-            if any(c < 0 for c in self.weyl_act(word, beta)):
-                inv += 1
-        return inv
+    def word_roots(self, word) -> list[tuple[int, ...]]:
+        """The roots beta_r = s_{i_1} ... s_{i_{r-1}}(alpha_{i_r}) of a word,
+        one per letter: the word is reduced iff every one is positive
+        (Humphreys, Reflection Groups and Coxeter Groups, 5.6)."""
+        return [self.weyl_act(word[:r], self.alpha(i)) for r, i in enumerate(word)]
 
     def is_reduced(self, word) -> bool:
-        return self.length(word) == len(word)
+        return all(min(beta) >= 0 for beta in self.word_roots(word))
 
     def braid_order(self, i: int, j: int) -> int:
         """Order of s_i s_j: 2, 3, 4, 6 or 0 (infinite)."""
@@ -163,22 +161,13 @@ class CartanDatum:
         return {0: 2, 1: 3, 2: 4, 3: 6}.get(m, 0)
 
     def longest_word(self) -> tuple[int, ...]:
-        """A reduced word of the longest element (greedy descent on -rho)."""
+        """A reduced word of the longest element: greedily append the first i
+        with w(alpha_i) > 0, which every element but the longest has."""
         n_pos = len(self.positive_roots())
         word: tuple[int, ...] = ()
-        # greedy: append the first i that raises the length; every element
-        # but the longest has one
         while len(word) < n_pos:
-            word += (next(i for i in range(self.rank) if self.length(word + (i,)) > len(word)),)
+            word += (next(i for i in range(self.rank) if min(self.weyl_act(word, self.alpha(i))) >= 0),)
         return word
-
-    def inversions(self, word) -> list[tuple[int, ...]]:
-        """Positive roots sent negative by the inverse of the word's element."""
-        out = []
-        for beta in self.positive_roots():
-            if any(c < 0 for c in self.weyl_act(tuple(reversed(word)), beta)):
-                out.append(beta)
-        return out
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> str:

@@ -326,11 +326,7 @@ def cmd_braid(args) -> int:
         else:
             ops.append((alg.datum.index(token), False))
     sign, letters = _parse_word(alg, args.element)
-    x = alg.ctx.from_halves(
-        minus=alg.half.element(MINUS, {letters: RAT_ONE}) if sign == MINUS else None,
-        plus=alg.half.element(PLUS, {letters: RAT_ONE}) if sign == PLUS else None,
-        flavor="localized",
-    )
+    x = alg.ctx.from_half(alg.half.element(sign, {letters: RAT_ONE}), "localized")
     for i, inv in reversed(ops):
         x = alg.braid.T(i, x, inverse=inv)
     print(_dumps(tri_to_obj(x)))

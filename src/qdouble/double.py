@@ -224,6 +224,13 @@ class DoubleContext:
                 terms[(K, wf, we)] = cf * ce
         return TriElem(self, flavor, terms, normalized=True)
 
+    def from_half(self, x: HalfElem, flavor="full") -> TriElem:
+        """A half element in the double: the minus block or the plus block,
+        by its sign."""
+        if x.sign == MINUS:
+            return self.from_halves(minus=x, flavor=flavor)
+        return self.from_halves(plus=x, flavor=flavor)
+
     def _check_k(self, K, flavor):
         minus, plus, tag = K
         if flavor in ("full", "heis_plus", "heis_minus"):

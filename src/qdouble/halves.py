@@ -88,6 +88,8 @@ class HalfElem:
         return HalfElem(self.alg, self.sign, out)
 
     def __pow__(self, n: int) -> "HalfElem":
+        if n < 0:
+            raise ValueError("negative power of a half element")
         out = self.alg.unit(self.sign)
         for _ in range(n):
             out = out * self
@@ -128,14 +130,13 @@ class HalfElem:
 
 
 class HalfAlgebra:
-    """Per-datum cache for words, pairing rows and pivot bases; each entry
-    is computed once."""
+    """Per-datum cache for words and pivot bases (which hold the pivot
+    rows of the pairing); each entry is computed once."""
 
     def __init__(self, datum):
         self.datum: CartanDatum = get_datum(datum)
         self._words: dict[tuple, list] = {}
         self._index: dict[tuple, dict] = {}
-        self._pairing: dict[tuple, list] = {}
         self._basis: dict[tuple, "DegreeBasis"] = {}
 
     # -- constructors ---------------------------------------------------------
@@ -222,15 +223,12 @@ class HalfAlgebra:
         recursion on the first letter j gives that column,
         <e, j q> = <1>_{q_j} sum over the letters j of e of v^s <e without it, q>,
         s the chi-exponent of the letters before it against j, reading
-        <e without it, q> = <q, e without it> from the row of q one degree
-        down."""
+        <e without it, q> = <q, e without it> from the pivot row of q one
+        degree down (`DegreeBasis.rows`).  Not memoised: the DegreeBasis of
+        gamma calls it once and keeps the pivot rows only."""
         gamma = tuple(gamma)
-        rows = self._pairing.get(gamma)
-        if rows is not None:
-            return rows
         if not any(gamma):
-            rows = self._pairing[gamma] = {(): [ONE]}
-            return rows
+            return {(): [ONE]}
         datum = self.datum
         words = self.words_of_degree(gamma)
         rows = {}
@@ -238,7 +236,6 @@ class HalfAlgebra:
             if not gamma[j]:
                 continue
             sub_gamma = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
-            sub = self.pairing_rows(sub_gamma)
             at = self.word_index(sub_gamma)
             chi = [self.chi_exp(datum.alpha(i), datum.alpha(j)) for i in range(datum.rank)]
             # for every word e: (position of e with one j deleted, its v-shift)
@@ -251,8 +248,7 @@ class HalfAlgebra:
                     shift += chi[letter]
                 deleted.append(out)
             bracket = qangle(1, datum.qi_exp(j))
-            for q in self.degree_basis(sub_gamma).pivots:
-                row_q = sub[q]
+            for q, row_q in self.degree_basis(sub_gamma).rows.items():
                 row = []
                 for terms in deleted:
                     total = ZERO
@@ -261,14 +257,14 @@ class HalfAlgebra:
                             total = total + row_q[r].shift(shift)
                     row.append(total * bracket if total else ZERO)
                 rows[(j,) + q] = row
-        self._pairing[gamma] = rows
         return rows
 
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:
         """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees.
-        A degree component of x_plus with a word that is not a candidate of
-        pairing_rows is first rewritten over the pivot words, which pairs
-        alike since the radical pairs to zero."""
+        Each degree component of x_plus is read on the pivot rows of its
+        DegreeBasis; one with a word that is no pivot word is first rewritten
+        over the pivot words, which pairs alike since the radical pairs to
+        zero."""
         if x_plus.sign != PLUS or y_minus.sign != MINUS:
             raise ValueError("pair takes a plus element and a minus element")
         total = RAT_ZERO
@@ -281,9 +277,9 @@ class HalfAlgebra:
         for gamma, component in x_by_deg.items():
             if gamma not in y_by_deg:
                 continue
-            rows = self.pairing_rows(gamma)
+            basis = self.degree_basis(gamma)
+            rows = basis.rows
             if any(w not in rows for w in component):
-                basis = self.degree_basis(gamma)
                 component = {
                     p: c for p, c in zip(basis.pivots, basis.coords(component)) if not c.is_zero()
                 }
@@ -444,7 +440,10 @@ class DegreeBasis:
     entries, and `linalg.row_reduce` returns R and d as Laurent
     polynomials.  Symmetry is checked on the candidate block: the entry at
     (a, b) comes from the recursion on the first letter of a, the entry at
-    (b, a) from the one on the first letter of b."""
+    (b, a) from the one on the first letter of b.  Of the candidate rows,
+    only the pivot rows are kept, `rows = {p: [<p, f> for f in words]}`:
+    `HalfAlgebra.pair` reads them, and so do the candidate rows one degree
+    up."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
@@ -457,6 +456,7 @@ class DegreeBasis:
         _, cols, R, self._d = linalg.row_reduce(list(rows.values()))
         words = self.words = alg.words_of_degree(gamma)
         self.pivots = [words[k] for k in cols]
+        self.rows = {p: rows[p] for p in self.pivots}
         self._rest = {w: [r[j] for r in R] for j, w in enumerate(words) if j not in cols}
 
     @property

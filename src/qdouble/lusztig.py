@@ -277,24 +277,33 @@ class Engine:
         return out
 
     def _bar_row(self, kind, lm, lp, variant) -> dict:
-        """bar of the K = 1 member over the kind's family, expanded from
-        _member_bar; every entry but the diagonal must be a correction label
-        of the pair (`_in_family`).  The bar-invariance check at the end of
-        _solve is the independent proof that these rows are right."""
+        """The off-diagonal entries of bar of the K = 1 member over the
+        kind's family, expanded from _member_bar, which must be
+        unitriangular (`_unitriangular`).  The bar-invariance check at the
+        end of _solve is the independent proof that these rows are right."""
         key = (kind, lm, lp, variant)
         row = self._bar_rows.get(key)
         if row is None:
-            below = _KINDS[kind, variant][0]
-            row = self._greedy_expand(self._member_bar(kind, lm, lp, variant), below, variant)
-            zero = (0,) * self.datum.rank
-            diag = ((zero, zero), lm, lp)
-            if row.get(diag) != RAT_ONE:
-                raise TriangularityError(f"bar of {kind}({lm},{lp}) has diagonal {row.get(diag)}, not 1")
-            for s in row:
-                if s != diag and not self._in_family(kind, lm, lp, variant, s):
-                    raise TriangularityError(f"bar of {kind}({lm},{lp}) leaves the family at {s}")
-            self._bar_rows[key] = row
+            member_bar = self._member_bar(kind, lm, lp, variant)
+            row = self._bar_rows[key] = self._unitriangular(
+                kind, lm, lp, variant, member_bar, f"bar of {kind}({lm},{lp})"
+            )
         return row
+
+    def _unitriangular(self, kind, lm, lp, variant, coords, what) -> dict:
+        """The greedy expansion of coords over the kind's family, which must
+        be unitriangular: 1 at the pair itself, and every other entry a
+        correction label of the pair (`_in_family`).  Returns the other
+        entries."""
+        out = self._greedy_expand(coords, _KINDS[kind, variant][0], variant)
+        zero = (0,) * self.datum.rank
+        diag = out.pop(((zero, zero), lm, lp), None)
+        if diag != RAT_ONE:
+            raise TriangularityError(f"{what} is not unitriangular: diagonal {diag}, not 1")
+        for s in out:
+            if not self._in_family(kind, lm, lp, variant, s):
+                raise TriangularityError(f"{what} leaves the family at {s}")
+        return out
 
     def _in_family(self, kind, lm, lp, variant, s) -> bool:
         """Whether s = ((am, ap), l2, l3) is a correction label of the pair,
@@ -370,23 +379,16 @@ class Engine:
         return solved, coords
 
     def _certify(self, kind, lm, lp, variant, coords) -> dict:
-        """The corrections of transported coordinates, read off by the greedy
-        expansion over the kind's family, which must be unitriangular: 1 at
-        the pair itself, and every other entry a correction label of the pair
-        (`_in_family`) whose coefficient is a Laurent polynomial in q,
-        strictly on the kind's side in v.  With the bar-invariance check that
-        follows, Lusztig's lemma makes the record the unique solve."""
-        below, _, side = _KINDS[kind, variant][:3]
+        """The corrections of transported coordinates, which must be
+        unitriangular over the kind's family (`_unitriangular`), each a
+        Laurent polynomial in q strictly on the kind's side in v.  With the
+        bar-invariance check that follows, Lusztig's lemma makes the record
+        the unique solve."""
+        side = _KINDS[kind, variant][2]
         where = f"{kind}({lm},{lp})"
-        cert = self._greedy_expand(coords, below, variant)
-        zero = (0,) * self.datum.rank
-        diag = cert.pop(((zero, zero), lm, lp), None)
-        if diag != RAT_ONE:
-            raise TriangularityError(f"{where} is not unitriangular: diagonal {diag}, not 1")
+        cert = self._unitriangular(kind, lm, lp, variant, coords, where)
         positive = side == "positive"
         for s, p in cert.items():
-            if not self._in_family(kind, lm, lp, variant, s):
-                raise TriangularityError(f"{where} leaves the family at {s}")
             if not (p.is_laurent() and all(k > 0 if positive else k < 0 for k in p.num.c)):
                 raise TriangularityError(f"{where} correction at {s}: {p} is not strictly {side} in v")
             _assert_q_poly(p, f"{where} correction at {s}")

@@ -13,6 +13,29 @@ def schubert_pbw_scaled(ops, word, amounts):
     return ops.schubert_pbw(word, amounts).scale(nu_power(ops.mu_exponent(word, amounts)))
 
 
+def mu_by_inversions(datum, word, amounts):
+    """mu(a) = -sum_r a_r (sum of the inversion set of s_{i_1} ... s_{i_{r-1}})
+    . alpha_{i_r}, the inversion sets counted root by root (finite type): the
+    formula that the sum over the word's roots replaces."""
+    total = 0
+    for r, a in enumerate(amounts):
+        inversions = [beta for beta in datum.positive_roots() if min(datum.weyl_act(word[:r], beta)) < 0]
+        inv_sum = tuple(map(sum, zip(*inversions))) if inversions else (0,) * datum.rank
+        total += a * datum.dot(inv_sum, datum.alpha(word[r]))
+    return -total
+
+
+def amount_vectors(heights, bound):
+    """Every amount vector over roots of the given heights whose degree has
+    height <= bound."""
+    if not heights:
+        yield ()
+        return
+    for a in range(bound // heights[0] + 1):
+        for rest in amount_vectors(heights[1:], bound - a * heights[0]):
+            yield (a,) + rest
+
+
 def ops(preset):
     return BraidOps(DoubleContext(HalfAlgebra(preset)))
 
@@ -160,6 +183,23 @@ class TestSchubert:
         # zip would drop the third amount without a word
         with pytest.raises(ValueError, match="3 PBW amounts for a word of length 2"):
             a2.schubert_pbw((0, 1), (1, 0, 1))
+
+    def test_rejects_negative_amounts(self, a2):
+        # E_12^-2 must not be read as the unit, which left E_2
+        with pytest.raises(ValueError, match="negative PBW amount"):
+            a2.schubert_pbw((0, 1, 0), (0, -2, 1))
+
+    @pytest.mark.parametrize("preset", ["A1", "A1xA1", "A2", "B2", "G2", "A3"])
+    def test_mu_against_the_inversion_sets(self, preset):
+        # every amount vector of height <= 6, on the longest word and its
+        # reversal, both reduced words of the longest element
+        braid = ops(preset)
+        datum = braid.datum
+        longest = datum.longest_word()
+        for word in (longest, longest[::-1]):
+            heights = [sum(datum.weyl_act(word[:r], datum.alpha(i))) for r, i in enumerate(word)]
+            for a in amount_vectors(heights, 6):
+                assert braid.mu_exponent(word, a) == mu_by_inversions(datum, word, a), (word, a)
 
     def test_scaled_pairing_diagonal(self, a2):
         # <mu E_i^a', mu F_i^a> diagonal with Z[q, q^-1] entries, heights <= 3

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qdouble.cartan import CartanDatum, CartanError, PRESETS, get_datum
@@ -8,6 +10,13 @@ from qdouble.halves import HalfAlgebra
 A2 = PRESETS["A2"]
 B2 = PRESETS["B2"]
 G2 = PRESETS["G2"]
+
+
+def length_by_count(datum, word):
+    """The length of the word's element as the number of positive roots it
+    sends negative (finite type): the count that reducedness by roots
+    replaces."""
+    return sum(1 for beta in datum.positive_roots() if min(datum.weyl_act(word, beta)) < 0)
 
 
 class TestDot:
@@ -155,6 +164,28 @@ class TestWeyl:
     def test_reducedness(self):
         assert A2.is_reduced((0, 1, 0))
         assert not A2.is_reduced((0, 0))
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+    def test_reducedness_against_the_length_count(self, name):
+        # every word of length <= |positive roots|, reduced or not: reduced
+        # iff its element's length, counted root by root, is its length
+        datum = PRESETS[name]
+        seen = set()
+        for m in range(len(datum.positive_roots()) + 1):
+            for word in product(range(datum.rank), repeat=m):
+                reduced = datum.is_reduced(word)
+                assert reduced == (length_by_count(datum, word) == m), word
+                seen.add(reduced)
+        assert seen == {True, False}
+
+    def test_reducedness_on_kac_moody_data(self):
+        # A1affine has infinitely many positive roots: every alternating word
+        # is reduced, and a repeated letter is not
+        aff = PRESETS["A1affine"]
+        for m in range(1, 9):
+            for first in (0, 1):
+                assert aff.is_reduced(tuple((first + k) % 2 for k in range(m)))
+        assert not aff.is_reduced((0, 1, 1))
 
     def test_braid_orders(self):
         assert A2.braid_order(0, 1) == 3

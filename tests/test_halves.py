@@ -309,11 +309,11 @@ class TestNormalForm:
             assert a2.element(MINUS, x.terms).terms == x.terms
 
     def test_non_symmetric_pairing_raises(self):
-        # one entry of the cached row of E2, the pivot word of degree (0, 1),
+        # one entry of the pivot row of E2, the pivot word of degree (0, 1),
         # is corrupted: in degree (1, 1) the row of E1 E2 is built from it and
         # the row of E2 E1 is not, so their candidate block is not symmetric
         alg = HalfAlgebra("A2")
-        row = alg.pairing_rows((0, 1))[(1,)]
+        row = alg.degree_basis((0, 1)).rows[(1,)]
         row[0] = row[0] + ONE
         with pytest.raises(ValueError, match="not symmetric"):
             alg.degree_basis((1, 1))
@@ -330,6 +330,24 @@ class TestNormalForm:
         assert fed[-1] == (14, 70)
         assert max(n for n, _ in fed) <= 14
         assert len(alg.pairing_rows((4, 4))) == 14
+
+    def test_basis_keeps_the_pivot_rows_only(self):
+        # of the 14 candidate rows of B2 (4, 4), the basis keeps the rows of
+        # its 9 pivot words, each the row of the Rat recursion
+        alg = HalfAlgebra("B2")
+        basis = alg.degree_basis((4, 4))
+        ref = reference_matrix(alg, (4, 4), {})
+        at = alg.word_index((4, 4))
+        assert list(basis.rows) == basis.pivots and len(basis.pivots) == 9
+        for p, row in basis.rows.items():
+            assert row == ref[at[p]], p
+
+    def test_negative_power_raises(self, a2):
+        # E_1 ** -1 must not be read as the unit
+        e1 = a2.gen(PLUS, 0)
+        with pytest.raises(ValueError, match="negative power"):
+            e1 ** -1
+        assert e1 ** 0 == a2.unit(PLUS) and e1 ** 2 == a2.word(PLUS, "11")
 
 
 class TestInvolutions:

@@ -10,7 +10,9 @@ other modules define.  No module calls `json.dump`/`json.dumps` with an
 `indent=` keyword: indented JSON comes from `cli._dumps`, whole or, for the
 rows of `basis`, as fragments spliced into each row.  No module
 holds an `assert` statement, which `python -O` strips, outside the
-ASSERT_ALLOWED internal invariants: an input check raises.  The CLI run
+ASSERT_ALLOWED internal invariants: an input check raises.  No module but
+`halves` calls `pairing_rows`: the candidate rows stay behind the pivot
+layer, and other modules read the pivot rows of a `DegreeBasis`.  The CLI run
 under `python -O` gives the same answers."""
 import ast
 import hashlib
@@ -256,6 +258,27 @@ def test_scan_finds_indented_dumps():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_one_indented_json_writer(path):
     assert indented_dumps_calls(path.read_text()) == []
+
+
+def pairing_rows_callers(sources: dict) -> list:
+    """(module, line) of each call `pairing_rows(...)`, plain or as an
+    attribute, in a module of `sources` ({module: text}) other than halves."""
+    return sorted(
+        (module, node.lineno)
+        for module, text in sources.items()
+        if module != "halves"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pairing_rows"
+    )
+
+
+def test_scan_finds_pairing_rows_callers():
+    src = "rows = alg.pairing_rows(g)\nbasis.rows[p]\npairing_rows(g)\nf(alg.pairing_rows)\n"
+    assert pairing_rows_callers({"halves": src, "canbasis": src}) == [("canbasis", 1), ("canbasis", 3)]
+
+
+def test_pairing_rows_called_in_halves_only():
+    assert pairing_rows_callers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 # (module, enclosing function) of the `assert` statements that state internal
