@@ -442,8 +442,8 @@ class DegreeBasis:
     (a, b) comes from the recursion on the first letter of a, the entry at
     (b, a) from the one on the first letter of b.  Of the candidate rows,
     only the pivot rows are kept, `rows = {p: [<p, f> for f in words]}`:
-    `HalfAlgebra.pair` reads them, and so do the candidate rows one degree
-    up."""
+    `HalfAlgebra.pair`, the twisted form of the tables and the candidate
+    rows one degree up read them."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma
