@@ -4,7 +4,8 @@ evaluate element-level utilities.
 Exit codes: 0 pass, 1 verification failure, 2 usage or configuration error
 (bad arguments, unknown labels, unreadable or invalid --tables, --tables
 blocks over which Lusztig's lemma fails, a degree no table source covers),
-3 internal error (any other exception; the traceback goes to stderr).  A
+3 internal error (any other exception; the traceback goes to stderr), 141
+stdout closed by its reader (128 + SIGPIPE; nothing is printed).  A
 --tables file is checked at load: its JSON framing, one block per degree and
 unique labels here, each element's terms by halves.half_from_obj, and every
 rule of a block (F-side nonzero elements of its degree, free labels, a basis
@@ -397,7 +398,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "height", 0) < 0:
             raise UsageError("height bound must be nonnegative")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout now goes to os.devnull, so that the interpreter's final
+        # flush of what is left in its buffer does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, UserTableError, CartanError, TableIncomplete, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -428,10 +428,12 @@ class DoubleContext:
         return self.involution(x, "transpose")
 
     # -- quotients and inclusions ---------------------------------------------------------
-    def project_heis(self, x: TriElem) -> TriElem:
-        """The quotient map onto heis_plus, where K_- is zero."""
-        terms = {(K, f, e): c for (K, f, e), c in x.terms.items() if not any(K[0])}
-        return TriElem(self, "heis_plus", terms, normalized=True)
+    def project_heis(self, x: TriElem, flavor: str = "heis_plus") -> TriElem:
+        """The quotient map onto a Heisenberg quotient: heis_plus, where K_-
+        is zero, or heis_minus, where K_+ is zero."""
+        drop = _DROPPED_K[flavor]
+        terms = {(K, f, e): c for (K, f, e), c in x.terms.items() if not any(K[drop])}
+        return TriElem(self, flavor, terms, normalized=True)
 
     @cached_property
     def _cartan_inverse(self):

@@ -7,14 +7,19 @@ engine also owns the per-label-pair memos: the reverse products b_+ b_- in
 DCB coordinates (`reverse_dcb`, from the straightened numerators of the
 product, one reduction per coordinate) and the clearing multipliers
 (`d_multiplier`).  Bar fixes every DCB element and reverses products, so the
-bar rows read bar(b_- b_+) = b_+ b_- from the same memo.  Every solve ends
-with the exact bar-invariance check `DoubleContext.is_bar_fixed` of its
-result.  A solve works in DCB coordinates, through the one K-twist `_twist`
-and with no `to_dcb` readback; a power of v twists by `Rat.shift`, no
-product.  Its element is built once from them by the double's kernel
-`expand_numerators`, over the labels' DCB columns with one reduction per
-coefficient, and one record per solve keeps the coordinates, the
-corrections and the element.
+bar rows read bar(b_- b_+) = b_+ b_- from the same memo.  Every record is
+proved bar-fixed by an exact check.  A bullet, and a circ met on its own,
+ends with `DoubleContext.is_bar_fixed`.  A circ met first through the bullet
+of its own pair is proved by that bullet: the quotient map onto the circ's
+Heisenberg quotient is an algebra map that commutes with bar and kills the
+torus slot every bullet correction moves, so once the bullet is bar-fixed,
+the exact equality of its projection and the circ proves the circ
+(`Engine._through_bullet`).  A solve works in DCB coordinates, through the
+one K-twist `_twist` and with no `to_dcb` readback; a power of v twists by
+`Rat.shift`, no product.  Its element is built once from them by the
+double's kernel `expand_numerators`, over the labels' DCB columns with one
+reduction per coefficient, and one record per solve keeps the coordinates,
+the corrections and the element.
 Transpose t, the anti-involution swapping E_i and F_i, sends
 b_lm bullet b_lp to b_*lp bullet b_*lm (and circ likewise), *l the label of
 the word reversal (`CanonicalTables.reversed_label`).  So one pair of each
@@ -23,7 +28,8 @@ coordinate rule (`Engine._transpose`); reverse products are relabeled the
 same way.  A relabeled record skips its pair's bar row and `bar_fix`, not
 its proof: its greedy expansion over the family must be unitriangular, with
 corrections on the kind's side that are polynomials in q, and its element
-must pass `is_bar_fixed`; by Lusztig's lemma it is then the unique solve.
+must be proved bar-fixed as above; by Lusztig's lemma it is then the unique
+solve.
 Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -125,7 +131,11 @@ class Engine:
     product, is relabeled from it (`_transpose`) instead of solved or
     straightened; a relabeled record is proved unitriangular (`_certify`)
     and bar-fixed.  Pairs with a label that has no reversed label, and
-    pairs that are their own partner, are always solved.
+    pairs that are their own partner, are always solved.  A bullet is
+    proved bar-fixed by `is_bar_fixed`, and proves the circ record of its
+    own pair when that record is first met through it (`_through_bullet`);
+    any other circ record is proved by its own `is_bar_fixed`.  No record
+    that is not proved stays in the memo.
     """
 
     def __init__(self, algebra):
@@ -324,20 +334,55 @@ class Engine:
         member(lm, lp) + sum p_s K_s diamond member(s) of the kind's family
         (Lusztig's lemma through bar_fix): its DCB coordinates, the
         corrections s -> p_s, and the element sum c K b_l2 b_l3 in the kind's
-        flavor, proved bar-fixed.  Transpose maps the kind's element at
-        (lm, lp) to the one at the partner (*lp, *lm), so once the partner's
-        record exists the coordinates are relabeled from it (`_transpose`)
-        and proved unitriangular (`_certify`) in place of a solve; otherwise
-        `_corrections` solves.  The element is built once from the
-        coordinates over one denominator, spread by `expand_numerators` over
-        the labels' DCB columns (`CanonicalTables.dcb_column`), each
-        coefficient reduced once."""
+        flavor, proved bar-fixed.  A bullet whose own circ record is missing
+        comes from `_through_bullet`, which proves that circ record by the
+        bullet's proof; every other record is proved by `is_bar_fixed`."""
         key = (kind, lm, lp, variant)
         got = self._solved.get(key)
-        if got is not None:
-            return got
-        flavor = _KINDS[kind, variant][1]
-        where = f"{kind}({lm},{lp})"
+        if got is None:
+            if kind == "bullet" and ("circ", lm, lp, variant) not in self._solved:
+                return self._through_bullet(lm, lp, variant)
+            got = self._record(kind, lm, lp, variant)
+            if not self.ctx.is_bar_fixed(got[2]):
+                raise TriangularityError(f"{kind}({lm},{lp}) failed bar-invariance")
+            self._solved[key] = got
+        return got
+
+    def _through_bullet(self, lm, lp, variant) -> tuple:
+        """The bullet record of the pair, solved over its own circ record,
+        which is recorded unchecked and proved by the bullet: the quotient
+        map pi onto the circ's Heisenberg quotient kills the torus slot every
+        bullet correction moves, so pi(bullet) = circ, and pi is an algebra
+        map that commutes with bar.  Once `is_bar_fixed` proves the bullet,
+        the exact equality of pi(bullet) and the circ element term for term
+        proves the circ.  On any failure no record of the pair built on the
+        unproved circ stays cached; a TriangularityError first runs the
+        circ's own check, so a wrong circ fails as it would alone."""
+        own, bullet = ("circ", lm, lp, variant), ("bullet", lm, lp, variant)
+        circ = self._solved[own] = self._record("circ", lm, lp, variant)
+        flavor = _KINDS["circ", variant][1]
+        try:
+            got = self._solve(*bullet)
+            if self.ctx.project_heis(got[2], flavor) != circ[2]:
+                raise TriangularityError(f"bullet({lm},{lp}) does not project onto circ({lm},{lp}) in {flavor}")
+        except BaseException as exc:
+            del self._solved[own]
+            self._solved.pop(bullet, None)
+            self._bar_rows.pop(bullet, None)
+            if isinstance(exc, TriangularityError) and not self.ctx.is_bar_fixed(circ[2]):
+                raise TriangularityError(f"circ({lm},{lp}) failed bar-invariance") from exc
+            raise
+        return got
+
+    def _record(self, kind, lm, lp, variant) -> tuple:
+        """The record of the pair, not yet proved bar-fixed.  Transpose maps
+        the kind's element at (lm, lp) to the one at the partner (*lp, *lm),
+        so once the partner's record exists the coordinates are relabeled
+        from it (`_transpose`) and proved unitriangular (`_certify`) in place
+        of a solve; otherwise `_corrections` solves.  The element is built
+        once from the coordinates over one denominator, spread by
+        `expand_numerators` over the labels' DCB columns
+        (`CanonicalTables.dcb_column`), each coefficient reduced once."""
         partner = self._partner(lm, lp)
         record = self._solved.get((kind, *partner, variant)) if partner else None
         coords = self._transpose(record[0]) if record else None
@@ -347,11 +392,8 @@ class Engine:
             solved, coords = self._corrections(kind, lm, lp, variant)
         nums, den = common_denominator(list(coords.values()))
         groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
-        element = TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
-        if not self.ctx.is_bar_fixed(element):
-            raise TriangularityError(f"{where} failed bar-invariance")
-        got = self._solved[key] = (coords, solved, element)
-        return got
+        flavor = _KINDS[kind, variant][1]
+        return coords, solved, TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
 
     def _corrections(self, kind, lm, lp, variant) -> tuple:
         """Lusztig's lemma for the pair through bar_fix: the corrections
@@ -444,7 +486,10 @@ class Engine:
     # ================================================================ enumeration
     def enumerate_basis(self, bound, j_minus=None, j_plus=None):
         """All K diamond (b_- bullet b_+) within the componentwise bound,
-        with the biparabolic support filter."""
+        with the biparabolic support filter.  The bullets are solved first,
+        lower total height first, so each circ record is first met through
+        its own pair's bullet (`_through_bullet`), and every lower member is
+        already proved."""
         bound = tuple(bound)
         rank = self.datum.rank
         entries = []
@@ -467,6 +512,10 @@ class Engine:
                             for lpp in self.tables.labels_of_degree(gp):
                                 entries.append((am, ap, lmm, lpp))
         entries.sort()
+        degree = self.tables.degree_of
+        pairs = sorted({(lmm, lpp) for _, _, lmm, lpp in entries})
+        for lmm, lpp in sorted(pairs, key=lambda pair: sum(degree(pair[0]) + degree(pair[1]))):
+            self.bullet(lmm, lpp)
         out = []
         for am, ap, lmm, lpp in entries:
             elem = self._twisted.get((am, ap, lmm, lpp))

@@ -397,6 +397,27 @@ class TestBasis:
         assert hashlib.sha256(outs[0]).hexdigest() == A1_H1_SHA256
         assert len(list(cache.glob("basis-*.json"))) == 2
 
+    def test_closed_stdout(self, tmp_path):
+        # the reader of stdout is gone before the child writes: exit 141
+        # (128 + SIGPIPE), nothing on stderr, and no cache entry
+        src = str(Path(qdouble.__file__).resolve().parents[1])
+        cache = tmp_path / "cache"
+        env = {**os.environ, "QDOUBLE_CACHE_DIR": str(cache), "PYTHONPATH": src}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdouble.cli", "basis", "--preset", "A2", "--height", "1"],
+                env=env,
+                stdout=write,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+        assert list(cache.iterdir()) == []
+
+
 def payload_text(rows) -> str:
     """The reference bytes of a basis table: its rows with tri_to_obj
     elements, through _dumps."""

@@ -289,6 +289,22 @@ class TestQuotients:
             rhs = sl2.multiply(sl2.project_heis(x), sl2.project_heis(y))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("flavor", ["heis_plus", "heis_minus"])
+    @pytest.mark.parametrize("preset", ["A2", "B2", "A1affine"])
+    def test_projection_commutes_with_bar(self, preset, flavor):
+        # pi(bar x) = bar(pi x): the engine proves a circ record by the
+        # bar-invariance of its bullet in full and one projection
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(59)
+        dropped = 0
+        for _ in range(10):
+            x = rand_tri(ctx, rng, height=3, nterms=4)
+            px = ctx.project_heis(x, flavor)
+            assert px.flavor == flavor
+            dropped += len(x.terms) - len(px.terms)
+            assert ctx.project_heis(ctx.bar(x), flavor) == ctx.bar(px)
+        assert dropped
+
     def test_iota_section(self, sl2):
         rng = random.Random(43)
         x = rand_tri(sl2, rng, flavor="heis_plus", height=2, nterms=3)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from qdouble import Algebra, canbasis, lusztig, scalar
 from qdouble.braid import BraidOps
 from qdouble.canbasis import TableConflict, TableIncomplete, UserTableError
 from qdouble.cli import _load_user_tables
-from qdouble.double import DoubleContext, format_tri, k_one, kmono
+from qdouble.double import DoubleContext, TriElem, format_tri, k_one, kmono
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
 from qdouble.scalar import (
@@ -235,6 +236,43 @@ class TestEngineChecksFail:
         with pytest.raises(TriangularityError, match="not Laurent"):
             alg.structure_constants(lab1, lab1)
 
+    @pytest.mark.parametrize("scaled", ["one-coefficient", "whole-element"])
+    def test_circ_off_its_bullet(self, monkeypatch, scaled):
+        # mutation: circ(F, F) of A1, recorded unchecked under its bullet,
+        # has one coefficient (or all) doubled after its solve; only the
+        # projection of the proved bullet onto heis_plus sees it.  Doubling
+        # one coefficient also breaks bar-invariance, which the fallback
+        # check then names; the doubled element is bar-fixed
+        alg = Algebra("A1")
+        lab1 = sl2_label(alg, 1)
+        record = lusztig.Engine._record
+
+        def perturbed(self, kind, lm, lp, variant):
+            coords, cert, elem = record(self, kind, lm, lp, variant)
+            if (kind, lm, lp) == ("circ", lab1, lab1):
+                terms = dict(elem.terms)
+                for key in list(terms)[: 1 if scaled == "one-coefficient" else None]:
+                    terms[key] = terms[key] * Rat.of(2)
+                elem = TriElem(elem.ctx, elem.flavor, terms, normalized=True)
+            return coords, cert, elem
+
+        monkeypatch.setattr(lusztig.Engine, "_record", perturbed)
+        projection = r"bullet\(F\[1\^1\],F\[1\^1\]\) does not project onto circ\(F\[1\^1\],F\[1\^1\]\) in heis_plus"
+        if scaled == "one-coefficient":
+            with pytest.raises(TriangularityError, match=r"circ\(F\[1\^1\],F\[1\^1\]\) failed bar-invariance") as info:
+                alg.bullet(lab1, lab1)
+            assert isinstance(info.value.__cause__, TriangularityError)
+            assert re.fullmatch(projection, str(info.value.__cause__))
+        else:
+            with pytest.raises(TriangularityError, match=projection):
+                alg.bullet(lab1, lab1)
+        # no record or bar row built on the unproved circ stays cached
+        eng = alg.engine
+        assert not {("circ", lab1, lab1, "plus"), ("bullet", lab1, lab1, "plus")} & eng._solved.keys()
+        assert ("bullet", lab1, lab1, "plus") not in eng._bar_rows
+        monkeypatch.undo()
+        assert alg.bullet(lab1, lab1) == Algebra.get("A1").bullet(lab1, lab1)
+
     def test_canonical_element_not_sigma_fixed(self, monkeypatch):
         # mutation: the canonical basis of a half built with no corrections
         monkeypatch.setattr(canbasis, "bar_fix", lambda *args: {})
@@ -389,23 +427,31 @@ class TestSolveRecord:
     def test_transport_work(self, monkeypatch):
         # a fresh A2 table to (2, 2) solves one pair of each transpose orbit
         # and relabels the other: 210 bar_fix calls, where solving every
-        # pair took 392; all 392 records are still proved bar-fixed
-        calls = {"bar_fix": 0, "is_bar_fixed": 0}
-        fix, fixed = lusztig.bar_fix, DoubleContext.is_bar_fixed
+        # pair took 392.  Each of the 196 bullets is proved by is_bar_fixed in
+        # full, and each circ record by its bullet's proof and one projection
+        # onto heis_plus, so no check runs in a Heisenberg quotient
+        calls = {"bar_fix": 0, "is_bar_fixed": [], "project_heis": 0}
+        fix, fixed, project = lusztig.bar_fix, DoubleContext.is_bar_fixed, DoubleContext.project_heis
 
         def counting_fix(*args):
             calls["bar_fix"] += 1
             return fix(*args)
 
         def counting_fixed(self, x):
-            calls["is_bar_fixed"] += 1
+            calls["is_bar_fixed"].append(x.flavor)
             return fixed(self, x)
+
+        def counting_project(self, x, flavor="heis_plus"):
+            calls["project_heis"] += 1
+            return project(self, x, flavor)
 
         monkeypatch.setattr(lusztig, "bar_fix", counting_fix)
         monkeypatch.setattr(DoubleContext, "is_bar_fixed", counting_fixed)
+        monkeypatch.setattr(DoubleContext, "project_heis", counting_project)
         rows = Algebra("A2").engine.enumerate_basis((2, 2))
         assert len(rows) == 663
-        assert calls["bar_fix"] <= 210 and calls["is_bar_fixed"] == 392
+        assert calls["bar_fix"] <= 210
+        assert calls["is_bar_fixed"] == ["full"] * 196 and calls["project_heis"] == 196
 
     def test_certificate_solves_on_demand(self):
         alg = Algebra("A2")
