@@ -350,14 +350,12 @@ class Engine:
 
     def _through_bullet(self, lm, lp, variant) -> tuple:
         """The bullet record of the pair, solved over its own circ record,
-        which is recorded unchecked and proved by the bullet: the quotient
-        map pi onto the circ's Heisenberg quotient kills the torus slot every
-        bullet correction moves, so pi(bullet) = circ, and pi is an algebra
-        map that commutes with bar.  Once `is_bar_fixed` proves the bullet,
-        the exact equality of pi(bullet) and the circ element term for term
-        proves the circ.  On any failure no record of the pair built on the
-        unproved circ stays cached; a TriangularityError first runs the
-        circ's own check, so a wrong circ fails as it would alone."""
+        which is recorded unchecked and proved by the bullet (see the module
+        docstring): once `is_bar_fixed` proves the bullet, its projection
+        onto the circ's quotient must equal the circ element term for term.
+        On any failure no record of the pair built on the unproved circ
+        stays cached, and a TriangularityError first runs the circ's own
+        check, so a wrong circ fails as it would alone."""
         own, bullet = ("circ", lm, lp, variant), ("bullet", lm, lp, variant)
         circ = self._solved[own] = self._record("circ", lm, lp, variant)
         flavor = _KINDS["circ", variant][1]
