@@ -2,7 +2,7 @@
 verification, Schubert-cell PBW monomials and tameness checks."""
 from __future__ import annotations
 
-from .double import DoubleContext, TriElem, FlavorError, _unit_vec, kmono
+from .double import DoubleContext, TriElem, FlavorError, kmono, unit_vec
 from .halves import HalfElem, PLUS, MINUS
 from .scalar import Rat, nu_power
 
@@ -26,7 +26,7 @@ class BraidOps:
         datum = self.datum
         if i == j:
             # T_i(E_i) = q_i^-1 K_+i^-1 F_i and T_i(F_i) = q_i^-1 K_-i^-1 E_i
-            K = kmono(*_unit_vec(datum.rank, i, -1, sign))
+            K = kmono(*unit_vec(datum.rank, i, -1, sign))
             term = (K, (i,), ()) if sign == PLUS else (K, (), (i,))
             out = TriElem(ctx, "localized", {term: nu_power(-datum.qi_exp(i))})
         else:
@@ -107,7 +107,7 @@ class BraidOps:
             gens.append(ctx.e_gen(k, "localized"))
             gens.append(ctx.f_gen(k, "localized"))
             for side in (MINUS, PLUS):
-                gens.append(ctx.k_elem(kmono(*_unit_vec(rank, k, 1, side)), "localized"))
+                gens.append(ctx.k_elem(kmono(*unit_vec(rank, k, 1, side)), "localized"))
         return gens
 
     def braid_relation_check(self, i, j) -> bool:

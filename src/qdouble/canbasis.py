@@ -87,28 +87,21 @@ class CanonicalTables:
 
     # ----------------------------------------------------------------- fgfrm
     def fgfrm(self, x: HalfElem, y: HalfElem) -> Rat:
-        """Twisted symmetric form on U_q^-: ((x,y)) = q^(-ulgamma(deg y)/2) <x^{*t}, y>,
-        per degree the coefficients of x summed against `_form_block`."""
+        """Twisted symmetric form on U_q^-: ((x,y)) = sum over the degrees
+        gamma of x of v^-ulgamma(gamma) <x_gamma^{*t}, y>."""
         if x.sign != MINUS or y.sign != MINUS:
             raise ValueError("fgfrm takes two minus elements")
-        total = RAT_ZERO
-        for gamma in set(x.degrees()) & set(y.degrees()):
-            xc = x.component(gamma).terms
-            for c, (f,) in zip(xc.values(), self._form_block(gamma, list(xc), [y])):
-                total = total + c * f
+        half, total = self.half, RAT_ZERO
+        for gamma in x.degrees():
+            total = total + half.pair(half.flip(x.component(gamma)), y).shift(-self.datum.ulgamma(gamma))
         return total
 
     def _form_block(self, gamma, words, elems) -> list:
-        """The twisted form ((w, x)) = v^-ul M[w, pivots] x^T of degree
-        gamma, ul = ulgamma(gamma) and M the word-pairing matrix, as a
-        matrix with a row per word w and a column per element x, each x
-        over the pivot words.  M[w, p] = <p, w> is read from the pivot rows
-        (`DegreeBasis.rows`) by symmetry."""
-        basis, at = self.half.degree_basis(gamma), self.half.word_index(gamma)
+        """The twisted form ((w, x)) = v^-ul <w, x> of degree gamma, ul =
+        ulgamma(gamma): `HalfAlgebra.pairing_block`, a row per word w and a
+        column per element x, twisted by v^-ul."""
         ul = self.datum.ulgamma(gamma)
-        Mw = [[Rat.of(basis.rows[p][at[w]].shift(-ul)) for p in basis.pivots] for w in words]
-        Xt = [[x.terms.get(p, RAT_ZERO) for x in elems] for p in basis.pivots]
-        return linalg.mat_mul(Mw, Xt)
+        return [[c.shift(-ul) for c in row] for row in self.half.pairing_block(gamma, words, elems)]
 
     # --------------------------------------------------------- canonical bases
     def canonical_basis(self, gamma) -> CBTable:

@@ -17,12 +17,27 @@ class CartanError(ValueError):
 
 @dataclass(frozen=True)
 class CartanDatum:
+    """A symmetrizable Cartan datum.  labels, A and d may come as lists or
+    tuples and are kept as tuples; the labels are distinct nonempty strings
+    without whitespace (the letters of the words on output), and A and d
+    hold plain ints, not bools or floats.  CartanError otherwise."""
+
     labels: tuple[str, ...]
     A: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     name: str = ""
 
     def __post_init__(self):
+        labels, A, d = self.labels, self.A, self.d
+        if not _list_of(labels, str) or any(s.split() != [s] for s in labels):
+            raise CartanError("labels must be a list of nonempty strings without whitespace")
+        if len(set(labels)) != len(labels):
+            raise CartanError(f"labels {list(labels)} are not distinct")
+        if not (isinstance(A, (list, tuple)) and all(_list_of(row, int) for row in A) and _list_of(d, int)):
+            raise CartanError("Cartan matrix and symmetrizers must hold integers")
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "A", tuple(map(tuple, A)))
+        object.__setattr__(self, "d", tuple(d))
         n = len(self.labels)
         if len(self.A) != n or any(len(row) != n for row in self.A):
             raise CartanError("Cartan matrix shape does not match labels")
@@ -177,34 +192,31 @@ class CartanDatum:
     def from_json(text: str) -> "CartanDatum":
         try:
             obj = json.loads(text)
-            return CartanDatum(
-                tuple(obj["labels"]),
-                tuple(tuple(r) for r in obj["A"]),
-                tuple(obj["d"]),
-                name=obj.get("name", ""),
-            )
-        except CartanError:
-            raise
+            return CartanDatum(obj["labels"], obj["A"], obj["d"], name=obj.get("name", ""))
+        except CartanError as exc:
+            raise CartanError(f"bad Cartan datum JSON: {exc}") from None
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise CartanError(f"bad Cartan datum JSON: {exc!r}") from None
 
 
-def _datum(name, labels, A, d):
-    return CartanDatum(tuple(labels), tuple(tuple(r) for r in A), tuple(d), name=name)
+def _list_of(xs, kind) -> bool:
+    """Whether xs is a list or tuple of entries of exactly the type kind:
+    a bool is no int."""
+    return isinstance(xs, (list, tuple)) and all(type(x) is kind for x in xs)
 
 
 PRESETS: dict[str, CartanDatum] = {
-    "A1": _datum("A1", ["1"], [[2]], [1]),
-    "A1xA1": _datum("A1xA1", ["1", "2"], [[2, 0], [0, 2]], [1, 1]),
-    "A2": _datum("A2", ["1", "2"], [[2, -1], [-1, 2]], [1, 1]),
+    "A1": CartanDatum(["1"], [[2]], [1], "A1"),
+    "A1xA1": CartanDatum(["1", "2"], [[2, 0], [0, 2]], [1, 1], "A1xA1"),
+    "A2": CartanDatum(["1", "2"], [[2, -1], [-1, 2]], [1, 1], "A2"),
     # index 1 short (d=1), index 2 long (d=2): sp4 orientation
-    "B2": _datum("B2", ["1", "2"], [[2, -2], [-1, 2]], [1, 2]),
-    "G2": _datum("G2", ["1", "2"], [[2, -3], [-1, 2]], [1, 3]),
-    "A3": _datum("A3", ["1", "2", "3"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1]),
+    "B2": CartanDatum(["1", "2"], [[2, -2], [-1, 2]], [1, 2], "B2"),
+    "G2": CartanDatum(["1", "2"], [[2, -3], [-1, 2]], [1, 3], "G2"),
+    "A3": CartanDatum(["1", "2", "3"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1], "A3"),
     # affine A1: a12 = a21 = -2
-    "A1affine": _datum("A1affine", ["1", "2"], [[2, -2], [-2, 2]], [1, 1]),
+    "A1affine": CartanDatum(["1", "2"], [[2, -2], [-2, 2]], [1, 1], "A1affine"),
     # rank 3 with all off-diagonal entries -1 (affine sl3 shape)
-    "R3": _datum("R3", ["1", "2", "3"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1]),
+    "R3": CartanDatum(["1", "2", "3"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1], "R3"),
 }
 
 def get_datum(spec) -> CartanDatum:

@@ -91,7 +91,7 @@ def _load_user_tables(alg: Algebra, data: bytes):
         if (
             not isinstance(degree, list)
             or len(degree) != alg.datum.rank
-            or not all(isinstance(g, int) and g >= 0 for g in degree)
+            or not all(type(g) is int and g >= 0 for g in degree)
         ):
             raise UsageError(f"degree {degree!r} is not a list of {alg.datum.rank} naturals")
         gamma = tuple(degree)

@@ -29,13 +29,20 @@ grouped by the columns' denominators, and `over_groups` reduces each group
 once: over pivot words (`word_coords`) here, over DCB rows in
 `CanonicalTables.numerators_to_dcb`, and, keyed by labels in place of
 words, the DCB coordinates of a solve over the labels' elements
-(`CanonicalTables.dcb_column`) in the engine.  The diamond action twists by
-`Rat.shift`, no product.  An involution (`_involution_numerators`)
-and a product (`product_numerators`) each have one numerator stage, the
-straightened numerators over one denominator.  `involution` and `multiply`
-spread them over pivot words; `is_bar_fixed` compares bar's groups with the
-element's coefficients by cross-multiplication and reduces nothing; the
-engine's reverse products go over DCB rows, one reduction per coordinate.
+(`CanonicalTables.dcb_column`) in the engine.  An involution
+(`_involution_numerators`) and a product (`product_numerators`) each have
+one numerator stage, the straightened numerators over one denominator.
+`involution` and `multiply` spread them over pivot words; `is_bar_fixed`
+compares bar's groups with the element's coefficients by
+cross-multiplication and reduces nothing; the engine's reverse products go
+over DCB rows, one reduction per coordinate.
+
+Two term kernels act on terms {(K, a, b): c} over any homogeneous keys a, b
+with their degrees, F-word and E-word or the labels of DCB elements b_a b_b:
+`twist_terms`, K diamond, and `transpose_terms`, the transpose t.  `diamond`
+and the transpose in `_involution_numerators` call them on words, and the
+engine on the DCB coordinates of its solves; each twists by `Rat.shift`,
+no product.
 """
 from __future__ import annotations
 
@@ -64,10 +71,10 @@ from .scalar import (
 FLAVORS = ("full", "heis_plus", "heis_minus", "localized", "check")
 
 # the K-monomial block that is zero in a Heisenberg quotient
-_DROPPED_K = {"heis_plus": 0, "heis_minus": 1}
+DROPPED_K = {"heis_plus": 0, "heis_minus": 1}
 
 # which of K_+ and K_- the commutator [E_i, F_i] keeps, per flavor
-_CROSS = {fl: (_DROPPED_K.get(fl) != 1, _DROPPED_K.get(fl) != 0) for fl in FLAVORS}
+_CROSS = {fl: (DROPPED_K.get(fl) != 1, DROPPED_K.get(fl) != 0) for fl in FLAVORS}
 
 
 class FlavorError(ValueError):
@@ -265,7 +272,7 @@ class DoubleContext:
     def _normalize_over(self, flavor: str, nums: dict, den: Laurent) -> dict:
         """Triangular normal form of {key: numerator over den}, numerators as
         coefficient dicts that the normal form consumes."""
-        return over_groups(expand_numerators(nums, self.word_coords, _DROPPED_K.get(flavor)), den)
+        return over_groups(expand_numerators(nums, self.word_coords, DROPPED_K.get(flavor)), den)
 
     # -- straightening core ---------------------------------------------------------
     # Straightening coefficients are products of v-powers and <a>'s, so the
@@ -290,7 +297,7 @@ class DoubleContext:
                 br = qangle(-1, self.datum.qi_exp(i)).c
                 for side, sign, kept in ((PLUS, 1, cross[0]), (MINUS, -1, cross[1])):
                     if kept:
-                        K = kmono(*_unit_vec(rank, i, 1, side))
+                        K = kmono(*unit_vec(rank, i, 1, side))
                         add_mul(sums.setdefault((K, frest, ()), {}), br, {0: sign})
         else:
             i, e_head = e[-1], e[:-1]
@@ -345,15 +352,34 @@ class DoubleContext:
         """K diamond x: q-power-twisted left multiplication by a torus monomial."""
         if not isinstance(K, tuple):
             raise TypeError("diamond expects a K-monomial triple")
+        return TriElem(self, x.flavor, self.twist_terms(K, x.terms, self.half.word_degree), normalized=True)
+
+    def twist_terms(self, K, terms: dict, degree) -> dict:
+        """K diamond on terms {(K1, a, b): c}, a and b homogeneous keys of
+        degrees degree(a) and degree(b): F-word and E-word, or the labels of
+        DCB elements b_a b_b (`CanonicalTables.degree_of`).  K1 a b goes to
+        K K1 a b times v^(-kdif_dot(K, deg b - deg a))."""
+        out: dict = {}
+        for (K1, a, b), c in terms.items():
+            dif = tuple(map(sub, degree(b), degree(a)))
+            accumulate(out, (self.k_product(K, K1), a, b), c.shift(-self.kdif_dot(K, dif)))
+        return out
+
+    def transpose_terms(self, terms: dict, reverse, degree):
+        """The transpose t, the anti-involution swapping E_i and F_i, on
+        terms {(K, a, b): c} over homogeneous keys as in `twist_terms`, with
+        reverse(a) the key of the word reversal of a (for labels,
+        `CanonicalTables.reversed_label`): K a b goes to
+        v^(2 kdif_dot(K, deg b - deg a)) K reverse(b) reverse(a).  The
+        values are anything with a v-shift (Rat, Laurent).  None when
+        reverse gives None for a key."""
         out = {}
-        for (K1, f, e), c in x.terms.items():
-            dif = tuple(
-                a - b
-                for a, b in zip(self.half.word_degree(e), self.half.word_degree(f))
-            )
-            key = (self.k_product(K, K1), f, e)
-            accumulate(out, key, c.shift(-self.kdif_dot(K, dif)))
-        return TriElem(self, x.flavor, out, normalized=True)
+        for (K, a, b), c in terms.items():
+            ra, rb = reverse(b), reverse(a)
+            if ra is None or rb is None:
+                return None
+            out[K, ra, rb] = c.shift(2 * self.kdif_dot(K, tuple(map(sub, degree(b), degree(a)))))
+        return out
 
     # -- involutions ----------------------------------------------------------------------
     def involution(self, x: TriElem, which: str) -> TriElem:
@@ -368,30 +394,27 @@ class DoubleContext:
             raise ValueError(f"unknown involution {which!r}")
         if which == "star" and x.flavor in ("heis_plus", "heis_minus", "check"):
             raise FlavorError(f"star is unavailable in flavor {x.flavor}")
-        cross = _CROSS[x.flavor]
-        half = self.half
+        half, drop = self.half, DROPPED_K.get(x.flavor)
         nums, den = common_denominator(list(x.terms.values()))
+        if which == "transpose":
+            image = self.transpose_terms(dict(zip(x.terms, nums)), lambda w: w[::-1], half.word_degree)
+            return expand_numerators({key: n.c for key, n in image.items()}, self.word_coords, drop), den
         if which == "bar":
             # bar(n / d) = bar(n) / bar(d)
             nums, den = [n.bar() for n in nums], den.bar()
+        cross = _CROSS[x.flavor]
         acc: dict = {}
         for (K, f, e), n in zip(x.terms, nums):
             deg_f = half.word_degree(f)
             deg_e = half.word_degree(e)
-            if which == "transpose":
-                dif = tuple(a - b for a, b in zip(deg_e, deg_f))
-                acc[K, tuple(reversed(e)), tuple(reversed(f))] = n.shift(2 * self.kdif_dot(K, dif)).c
-                continue
             K2 = K if which == "bar" else (K[1], K[0], K[2])
             # anti-image is (reversed e)(reversed f)(K2); restraighten.  Every
             # straightened term has weight deg f - deg e, so K2 moves left
             # past all of them with one twist.
             shift = 2 * self.kdif_dot(K2, tuple(map(sub, deg_f, deg_e)))
-            for (K3, f3, e3), c3 in self._straighten(
-                tuple(reversed(e)), tuple(reversed(f)), cross
-            ).items():
+            for (K3, f3, e3), c3 in self._straighten(e[::-1], f[::-1], cross).items():
                 add_mul(acc.setdefault((self.k_product(K3, K2), f3, e3), {}), n.c, c3.c, shift)
-        return expand_numerators(acc, self.word_coords, _DROPPED_K.get(x.flavor)), den
+        return expand_numerators(acc, self.word_coords, drop), den
 
     def is_bar_fixed(self, x: TriElem) -> bool:
         """bar(x) == x, decided on the numerators of bar(x): each key's
@@ -431,7 +454,7 @@ class DoubleContext:
     def project_heis(self, x: TriElem, flavor: str = "heis_plus") -> TriElem:
         """The quotient map onto a Heisenberg quotient: heis_plus, where K_-
         is zero, or heis_minus, where K_+ is zero."""
-        drop = _DROPPED_K[flavor]
+        drop = DROPPED_K[flavor]
         terms = {(K, f, e): c for (K, f, e), c in x.terms.items() if not any(K[drop])}
         return TriElem(self, flavor, terms, normalized=True)
 
@@ -478,15 +501,15 @@ class DoubleContext:
         i = self.datum.index(i)
         E = self.e_gen(i, x.flavor)
         F = self.f_gen(i, x.flavor)
-        Kp_inv = self.k_elem(kmono(*_unit_vec(self.datum.rank, i, -1, PLUS)), x.flavor)
-        Km = self.k_elem(kmono(*_unit_vec(self.datum.rank, i, 1, MINUS)), x.flavor)
-        Km_inv = self.k_elem(kmono(*_unit_vec(self.datum.rank, i, -1, MINUS)), x.flavor)
+        Kp_inv = self.k_elem(kmono(*unit_vec(self.datum.rank, i, -1, PLUS)), x.flavor)
+        Km = self.k_elem(kmono(*unit_vec(self.datum.rank, i, 1, MINUS)), x.flavor)
+        Km_inv = self.k_elem(kmono(*unit_vec(self.datum.rank, i, -1, MINUS)), x.flavor)
         if kind == "F":
             return self.multiply(F, x) - self.multiply(self.multiply(Km, x), self.multiply(Km_inv, F))
         if kind == "E":
             return self.multiply(self.multiply(E, x) - self.multiply(x, E), Kp_inv)
         if kind == "K":
-            Kp = self.k_elem(kmono(*_unit_vec(self.datum.rank, i, 1, PLUS)), x.flavor)
+            Kp = self.k_elem(kmono(*unit_vec(self.datum.rank, i, 1, PLUS)), x.flavor)
             return self.multiply(self.multiply(Kp, x), Kp_inv)
         raise ValueError(f"unknown adjoint generator {kind!r}")
 
@@ -508,7 +531,7 @@ class DoubleContext:
                 inner = self.multiply(E, term).scale(nu_power(-di * lam_i)) - self.multiply(
                     term, E
                 ).scale(nu_power(di * lam_i))
-                out = out + self.diamond(kmono(*_unit_vec(self.datum.rank, i, -1, PLUS)), inner)
+                out = out + self.diamond(kmono(*unit_vec(self.datum.rank, i, -1, PLUS)), inner)
             else:
                 raise ValueError(f"unknown twisted generator {kind!r}")
         return out
@@ -561,7 +584,8 @@ def over_groups(groups: dict, den: Laurent) -> dict:
     return out
 
 
-def _unit_vec(rank: int, i: int, power: int, side: int):
+def unit_vec(rank: int, i: int, power: int, side: int):
+    """The (minus, plus, tag) exponents of K_(side)i^power."""
     vec = [0] * rank
     vec[i] = power
     zero = (0,) * rank

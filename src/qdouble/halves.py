@@ -259,37 +259,30 @@ class HalfAlgebra:
                 rows[(j,) + q] = row
         return rows
 
+    def pairing_block(self, gamma, words, elems) -> list:
+        """The pairing <w, x> of degree gamma, M[w, pivots] x^T, as a matrix
+        with a row per word w and a column per element x: w any word of
+        gamma, x an element of degree gamma on any words, read over the pivot
+        words (`DegreeBasis.coords`), and M the word-pairing matrix, whose
+        entry M[w, p] = <p, w> comes from the pivot row of p
+        (`DegreeBasis.rows`) by symmetry.  `pair` and the twisted form of the
+        tables read the pivot rows only through it."""
+        basis, at = self.degree_basis(gamma), self.word_index(gamma)
+        Mw = [[Rat.of(basis.rows[p][at[w]]) for p in basis.pivots] for w in words]
+        return linalg.mat_mul(Mw, list(zip(*(basis.coords(x.terms) for x in elems))))
+
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:
         """Bilinear pairing U_q^+ x U_q^- -> Q(v); zero across distinct degrees.
-        Each degree component of x_plus is read on the pivot rows of its
-        DegreeBasis; one with a word that is no pivot word is first rewritten
-        over the pivot words, which pairs alike since the radical pairs to
-        zero."""
+        Each degree component of x_plus, on any words, is summed against the
+        column of y_minus in `pairing_block`, which reads y_minus over the
+        pivot words; that pairs alike, since the radical pairs to zero."""
         if x_plus.sign != PLUS or y_minus.sign != MINUS:
             raise ValueError("pair takes a plus element and a minus element")
         total = RAT_ZERO
-        x_by_deg: dict[tuple, dict] = {}
-        for w, c in x_plus.terms.items():
-            x_by_deg.setdefault(self.word_degree(w), {})[w] = c
-        y_by_deg: dict[tuple, list] = {}
-        for w, c in y_minus.terms.items():
-            y_by_deg.setdefault(self.word_degree(w), []).append((w, c))
-        for gamma, component in x_by_deg.items():
-            if gamma not in y_by_deg:
-                continue
-            basis = self.degree_basis(gamma)
-            rows = basis.rows
-            if any(w not in rows for w in component):
-                component = {
-                    p: c for p, c in zip(basis.pivots, basis.coords(component)) if not c.is_zero()
-                }
-            at = self.word_index(gamma)
-            for w1, c1 in component.items():
-                row = rows[w1]
-                for w2, c2 in y_by_deg[gamma]:
-                    val = row[at[w2]]
-                    if val:
-                        total = total + c1 * c2 * val
+        for gamma in set(x_plus.degrees()) & set(y_minus.degrees()):
+            xc = x_plus.component(gamma).terms
+            for c, (f,) in zip(xc.values(), self.pairing_block(gamma, list(xc), [y_minus.component(gamma)])):
+                total = total + c * f
         return total
 
     # -- canonical coordinates ------------------------------------------------------
@@ -442,8 +435,8 @@ class DegreeBasis:
     (a, b) comes from the recursion on the first letter of a, the entry at
     (b, a) from the one on the first letter of b.  Of the candidate rows,
     only the pivot rows are kept, `rows = {p: [<p, f> for f in words]}`:
-    `HalfAlgebra.pair`, the twisted form of the tables and the candidate
-    rows one degree up read them."""
+    `HalfAlgebra.pairing_block`, through which `pair` and the twisted form
+    of the tables pair, and the candidate rows one degree up read them."""
 
     def __init__(self, alg: HalfAlgebra, gamma: tuple):
         self.gamma = gamma

@@ -15,21 +15,23 @@ Heisenberg quotient is an algebra map that commutes with bar and kills the
 torus slot every bullet correction moves, so once the bullet is bar-fixed,
 the exact equality of its projection and the circ proves the circ
 (`Engine._through_bullet`).  A solve works in DCB coordinates, through the
-one K-twist `_twist` and with no `to_dcb` readback; a power of v twists by
-`Rat.shift`, no product.  Its element is built once from them by the
-double's kernel `expand_numerators`, over the labels' DCB columns with one
-reduction per coefficient, and one record per solve keeps the coordinates,
-the corrections and the element.
+double's one K-twist `DoubleContext.twist_terms` read over labels, and with
+no `to_dcb` readback; a power of v twists by `Rat.shift`, no product.  Its
+element is built once from them by the double's kernel
+`expand_numerators`, over the labels' DCB columns with one reduction per
+coefficient, and one record per solve keeps the coordinates, the
+corrections and the element.
 Transpose t, the anti-involution swapping E_i and F_i, sends
 b_lm bullet b_lp to b_*lp bullet b_*lm (and circ likewise), *l the label of
 the word reversal (`CanonicalTables.reversed_label`).  So one pair of each
 transpose orbit is solved and the other relabeled from its record by one
-coordinate rule (`Engine._transpose`); reverse products are relabeled the
-same way.  A relabeled record skips its pair's bar row and `bar_fix`, not
-its proof: its greedy expansion over the family must be unitriangular, with
-corrections on the kind's side that are polynomials in q, and its element
-must be proved bar-fixed as above; by Lusztig's lemma it is then the unique
-solve.
+coordinate rule (`Engine._transpose`, the double's
+`DoubleContext.transpose_terms` read over labels); reverse products are
+relabeled the same way.  A relabeled record skips its pair's bar row and
+`bar_fix`, not its proof: its greedy expansion over the family must be
+unitriangular, with corrections on the kind's side that are polynomials in
+q, and its element must be proved bar-fixed as above; by Lusztig's lemma it
+is then the unique solve.
 Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 
-from .double import _DROPPED_K, TriElem, expand_numerators, kmono, k_is_one, k_one, over_groups
+from .double import DROPPED_K, TriElem, expand_numerators, kmono, k_is_one, k_one, over_groups
 from .halves import PLUS, MINUS
 from .scalar import (
     BarInconsistency,
@@ -209,15 +211,6 @@ class Engine:
             return {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}
         return self._solve(kind, lm, lp, variant)[0]
 
-    def _twist(self, K, coords) -> dict:
-        """DCB coordinates of K diamond x from those of x: K2 b_m2 b_m3 goes
-        to K K2 b_m2 b_m3 times v^(-kdif_dot(K, deg m3 - deg m2))."""
-        out: dict = {}
-        for (K2, m2, m3), c in coords.items():
-            k = -self.ctx.kdif_dot(K, _sub(self.tables.degree_of(m3), self.tables.degree_of(m2)))
-            accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c.shift(k))
-        return out
-
     def _partner(self, lm, lp):
         """The transpose partner (*lp, *lm) of a label pair, or None when a
         label has no reversed label or the pair is its own partner."""
@@ -229,18 +222,10 @@ class Engine:
 
     def _transpose(self, coords):
         """DCB coordinates of t(x) from those of x, t the transpose
-        (`DoubleContext.transpose`, which sends K F_f E_e to
-        v^(2 kdif_dot(K, deg e - deg f)) K F_(rev e) E_(rev f)): K b_l2 b_l3
-        goes to v^(2 kdif_dot(K, deg l3 - deg l2)) K b_*l3 b_*l2.  None when
-        a label has no reversed label."""
-        rev, deg = self.tables.reversed_label, self.tables.degree_of
-        out = {}
-        for (K, l2, l3), c in coords.items():
-            m2, m3 = rev(l3), rev(l2)
-            if m2 is None or m3 is None:
-                return None
-            out[K, m2, m3] = c.shift(2 * self.ctx.kdif_dot(K, _sub(deg(l3), deg(l2))))
-        return out
+        (`DoubleContext.transpose_terms` over labels): K b_l2 b_l3 goes to
+        v^(2 kdif_dot(K, deg l3 - deg l2)) K b_*l3 b_*l2.  None when a label
+        has no reversed label."""
+        return self.ctx.transpose_terms(coords, self.tables.reversed_label, self.tables.degree_of)
 
     def _index_set(self, kind, lm, lp, variant) -> list:
         """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
@@ -275,7 +260,7 @@ class Engine:
         map from `full` is an algebra map and commutes with bar).
         """
         below, flavor = _KINDS[kind, variant][:2]
-        drop = _DROPPED_K.get(flavor)
+        drop = DROPPED_K.get(flavor)
         out: dict = {}
         for (K, l2, l3), c in self._family_dcb(below, lm, lp, variant).items():
             dif = _sub(self.tables.degree_of(l3), self.tables.degree_of(l2))
@@ -414,7 +399,8 @@ class Engine:
         for s, p in solved.items():
             _assert_q_poly(p, f"{where} correction at {s}")
             (am, ap), l2, l3 = s
-            for idx, c in self._twist(kmono(am, ap), self._family_dcb(below, l2, l3, variant)).items():
+            member = self._family_dcb(below, l2, l3, variant)
+            for idx, c in self.ctx.twist_terms(kmono(am, ap), member, self.tables.degree_of).items():
                 accumulate(coords, idx, p * c)
         return solved, coords
 
@@ -452,7 +438,7 @@ class Engine:
             am, ap, tag = K
             if any(tag) or any(x < 0 for x in am) or any(x < 0 for x in ap):
                 raise TriangularityError(f"expansion outside the basis cone at {key}")
-            twisted = self._twist(K, self._family_dcb(kind, l2, l3, variant))
+            twisted = self.ctx.twist_terms(K, self._family_dcb(kind, l2, l3, variant), self.tables.degree_of)
             coeff = remaining[key] / twisted[key]
             out[((am, ap), l2, l3)] = coeff
             for idx, c in twisted.items():

@@ -145,6 +145,7 @@ class TestBasis:
             ([2], [{"c": "1", "w": "F:1 1"}, {"c": "1", "w": "E:1 1"}], "mixes E-side and F-side"),
             ([2], [{"c": "1", "w": "F:1"}], "not of degree [2]"),
             ([-1], [{"c": "1", "w": "F:1"}], "degree [-1] is not a list of 1 naturals"),
+            ([True], [{"c": "1", "w": "F:1"}], "degree [True] is not a list of 1 naturals"),
             ([1], [{"c": "1", "w": "E:1"}], "element 'x' is E-side; tables hold F-side elements"),
             ([1], [{"c": "1*u", "w": "F:1"}], "element 'x': cannot parse Laurent term '1*u'"),
             ([1], [{"c": "0", "w": "F:1"}], "element 'x' is zero"),
@@ -161,6 +162,7 @@ class TestBasis:
             "mixed-signs",
             "wrong-degree",
             "negative-degree",
+            "bool-degree",
             "all-E",
             "bad-coefficient",
             "zero-element",
@@ -327,7 +329,23 @@ class TestBasis:
     def test_unknown_preset(self, capsys):
         assert main(["basis", "--preset", "Z9", "--height", "1"]) == 2
 
-    @pytest.mark.parametrize("preset", ["{bad", '{"labels": ["1"]}', '{"labels": 1, "A": 2, "d": 3}'])
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            "{bad",
+            '{"labels": ["1"]}',
+            '{"labels": 1, "A": 2, "d": 3}',
+            # ambiguous letters, words that do not parse back, a string split
+            # into letters, and entries that are no plain ints
+            '{"labels": ["1", "1"], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
+            '{"labels": ["a b", "2"], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
+            '{"labels": "12", "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
+            '{"labels": ["1", "2"], "A": [[2, -1], [-1, 2]], "d": [true, true]}',
+            '{"labels": [1, 2], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
+            '{"labels": ["1", "2"], "A": [[2, -1], [-1, 2]], "d": [1.5, 1.5]}',
+            '{"labels": ["1", "2"], "A": [[2, -1.0], [-1, 2]], "d": [1, 1]}',
+        ],
+    )
     def test_bad_json_datum(self, capsys, preset):
         assert main(["basis", "--preset", preset, "--height", "1"]) == 2
         assert "bad Cartan datum JSON" in capsys.readouterr().err

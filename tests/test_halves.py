@@ -69,6 +69,27 @@ def reference_op(alg, i, x, power):
     return x
 
 
+def reference_pair(alg, x_plus, y_minus):
+    """<x_plus, y_minus> by its own loop over the pivot rows: each degree
+    component of x_plus, rewritten over the pivot words when a word is no
+    pivot word, against every word of y_minus as it is."""
+    total = Rat.of(0)
+    y_by_deg = {}
+    for w, c in y_minus.terms.items():
+        y_by_deg.setdefault(alg.word_degree(w), []).append((w, c))
+    for gamma in x_plus.degrees():
+        component = x_plus.component(gamma).terms
+        basis, at = alg.degree_basis(gamma), alg.word_index(gamma)
+        if any(w not in basis.rows for w in component):
+            component = {p: c for p, c in zip(basis.pivots, basis.coords(component)) if not c.is_zero()}
+        for w1, c1 in component.items():
+            for w2, c2 in y_by_deg.get(gamma, []):
+                val = basis.rows[w1][at[w2]]
+                if val:
+                    total = total + c1 * c2 * val
+    return total
+
+
 def reference_pairing(alg, gamma, memo):
     """{e: {f: <e, f>}} by the Rat recursion on the first letter j of f,
     one word pair and one position at a time, zero entries left out:
@@ -221,6 +242,27 @@ class TestPairing:
                 for f in words:
                     y = HalfElem(alg, MINUS, {f: Rat.of(1)}, compressed=True)
                     assert alg.pair(x, y) == ref[e].get(f, Rat.of(0)), (preset, e, f)
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "A1affine"])
+    def test_pair_matches_the_pivot_row_loop(self, preset):
+        # seeded elements of two degrees each, on words as they are: the
+        # pairing read through pairing_block is the loop that read the
+        # pivot rows itself
+        alg, rng = HalfAlgebra(preset), random.Random(36)
+        degrees = [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+        off = 0
+        for _ in range(12):
+            x, y = (
+                HalfElem(alg, sign, {
+                    w: Rat.of(Laurent({rng.randrange(-3, 4): rng.randrange(1, 4)}))
+                    for gamma in rng.sample(degrees, 2)
+                    for w in rng.sample(alg.words_of_degree(gamma), 3)
+                }, compressed=True)
+                for sign in (PLUS, MINUS)
+            )
+            off += sum(w not in alg.degree_basis(alg.word_degree(w)).rows for z in (x, y) for w in z.terms)
+            assert alg.pair(x, y) == reference_pair(alg, x, y)
+        assert off > 12
 
     def test_a2_fij_calibration(self, a2):
         # mandatory orientation calibration: the rank-2 dual-pair value.

@@ -5,15 +5,17 @@ way: each module imports only from modules before it in LAYER_ORDER, and
 at module level (cli alone defers its `checks` import, to keep it out of
 start-up).  Every public function, class and method of the package is named
 somewhere else in the package (a method as an attribute), except the
-KEPT_PUBLIC names.  No module reads a private attribute `x._name` that only
-other modules define.  No module calls `json.dump`/`json.dumps` with an
-`indent=` keyword: indented JSON comes from `cli._dumps`, whole or, for the
-rows of `basis`, as fragments spliced into each row.  No module
+KEPT_PUBLIC names.  No module reads a private attribute `x._name`, or
+imports a private name `_name`, that only other modules define.  No module
+calls `json.dump`/`json.dumps` with an `indent=` keyword: indented JSON comes
+from `cli._dumps`, whole or, for the rows of `basis`, as fragments spliced
+into each row.  No module
 holds an `assert` statement, which `python -O` strips, outside the
 ASSERT_ALLOWED internal invariants: an input check raises.  No module but
-`halves` calls `pairing_rows`: the candidate rows stay behind the pivot
-layer, and other modules read the pivot rows of a `DegreeBasis`.  The CLI run
-under `python -O` gives the same answers."""
+`halves` calls `pairing_rows` or reads the pivot rows `DegreeBasis.rows`:
+the rows stay behind the pivot layer, and other modules pair through
+`HalfAlgebra.pair` and `pairing_block`.  The CLI run under `python -O` gives
+the same answers."""
 import ast
 import hashlib
 import os
@@ -190,10 +192,10 @@ def _private(name: str) -> bool:
 
 
 def foreign_private_reads(sources: dict) -> list:
-    """(module, line, name) for each read of an attribute `x._name` in
-    `sources` ({module: text}) whose `_name` the reading module does not
-    define but another one does: as a function, method or class, or as an
-    assigned name or attribute."""
+    """(module, line, name) for each read of an attribute `x._name`, or
+    import `from .mod import _name`, in `sources` ({module: text}) whose
+    `_name` the reading module does not define but another one does: as a
+    function, method or class, or as an assigned name or attribute."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = {}
     for module, tree in trees.items():
@@ -210,12 +212,13 @@ def foreign_private_reads(sources: dict) -> list:
     for module, tree in trees.items():
         elsewhere = set().union(*(names for other, names in defined.items() if other != module))
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and node.attr in elsewhere - defined[module]
-            ):
-                out.append((module, node.lineno, node.attr))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                read = [alias.name for alias in node.names]
+            else:
+                continue
+            out += [(module, node.lineno, name) for name in read if name in elsewhere - defined[module]]
     return sorted(out)
 
 
@@ -227,6 +230,13 @@ def test_scan_finds_foreign_private_reads():
     b = "def f(a, o):\n    return a._m(), a._x, o._other, a.__init__\n"
     assert foreign_private_reads({"a": a, "b": b}) == [("b", 2, "_m"), ("b", 2, "_x")]
     assert foreign_private_reads({"a": a, "b": b + "def _m():\n    pass\n"}) == [("b", 2, "_x")]
+
+
+def test_scan_finds_foreign_private_imports():
+    a = "def _f():\n    pass\n_K = {}\ndef g():\n    pass\n"
+    b = "from .a import _K, g\nfrom math import gcd as _gcd\nfrom .a import _f as f\n"
+    assert foreign_private_reads({"a": a, "b": b}) == [("b", 1, "_K"), ("b", 3, "_f")]
+    assert foreign_private_reads({"a": a, "b": b + "_K = 1\n"}) == [("b", 3, "_f")]
 
 
 def test_no_foreign_private_reads():
@@ -279,6 +289,29 @@ def test_scan_finds_pairing_rows_callers():
 
 def test_pairing_rows_called_in_halves_only():
     assert pairing_rows_callers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def pivot_rows_readers(sources: dict) -> list:
+    """(module, line) of each read of an attribute `rows` (the pivot rows
+    `DegreeBasis.rows`) in a module of `sources` ({module: text}) other
+    than halves."""
+    return sorted(
+        (module, node.lineno)
+        for module, text in sources.items()
+        if module != "halves"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "rows"
+    )
+
+
+def test_scan_finds_pivot_rows_readers():
+    src = "basis.rows[p]\nrows = alg.pairing_rows(g)\nf(alg.degree_basis(g).rows)\nbasis.rows = {}\n"
+    assert pivot_rows_readers({"halves": src, "canbasis": src}) == [("canbasis", 1), ("canbasis", 3)]
+
+
+def test_pivot_rows_read_in_halves_only():
+    # pair and the twisted form read them through HalfAlgebra.pairing_block
+    assert pivot_rows_readers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 # (module, enclosing function) of the `assert` statements that state internal

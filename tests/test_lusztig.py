@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -469,13 +470,14 @@ class TestSolveRecord:
         eng = Algebra("A2").engine
         assert eng.certificate("circ", lm, lp)
 
-        def untwisted(self, K, coords):
+        def untwisted(self, K, terms, degree):
             out = {}
-            for (K2, m2, m3), c in coords.items():
-                scalar.accumulate(out, (self.ctx.k_product(K, K2), m2, m3), c)
+            for (K2, m2, m3), c in terms.items():
+                scalar.accumulate(out, (self.k_product(K, K2), m2, m3), c)
             return out
 
-        monkeypatch.setattr(lusztig.Engine, "_twist", untwisted)
+        # the one K-twist kernel, which the solve reads over labels
+        monkeypatch.setattr(DoubleContext, "twist_terms", untwisted)
         # with the bar rows in place, the coordinates the solve assembles fail
         # its bar-invariance proof
         del eng._solved["circ", lm, lp, "plus"]
@@ -1099,3 +1101,76 @@ class TestMinusVariantPinned:
                     nonempty += bool(alg.engine.certificate(kind, lm, lp, "minus"))
         assert (n, nonempty) == (count, corrected)
         assert h.hexdigest() == digest
+
+
+# -- the double's term kernels against the engine's coordinate rules --------
+
+def reference_twist(ctx, K, coords, degree):
+    """The engine's K-twist of DCB coordinates by its own loop: K2 b_m2 b_m3
+    goes to K K2 b_m2 b_m3 times v^(-kdif_dot(K, deg m3 - deg m2))."""
+    out = {}
+    for (K2, m2, m3), c in coords.items():
+        k = -ctx.kdif_dot(K, tuple(a - b for a, b in zip(degree(m3), degree(m2))))
+        scalar.accumulate(out, (ctx.k_product(K, K2), m2, m3), c.shift(k))
+    return out
+
+
+def reference_transpose(ctx, coords, rev, deg):
+    """The engine's transpose of DCB coordinates by its own loop: K b_l2 b_l3
+    goes to v^(2 kdif_dot(K, deg l3 - deg l2)) K b_*l3 b_*l2; None when a
+    label has no reversed label."""
+    out = {}
+    for (K, l2, l3), c in coords.items():
+        m2, m3 = rev(l3), rev(l2)
+        if m2 is None or m3 is None:
+            return None
+        out[K, m2, m3] = c.shift(2 * ctx.kdif_dot(K, tuple(a - b for a, b in zip(deg(l3), deg(l2)))))
+    return out
+
+
+class TestTermKernels:
+    # DoubleContext.twist_terms and transpose_terms read words and labels
+    # alike: on the recorded coordinates of solves and reverse products,
+    # and on the word terms of seeded elements, they give what the rules
+    # written for each gave
+    TWISTS = [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 2)), ((1, 1), (2, 0))]
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1affine"])
+    def test_on_solve_coordinates(self, name):
+        alg = Algebra(name)
+        eng, tables = alg.engine, alg.tables
+        eng.enumerate_basis((1, 1))
+        records = [rec[0] for rec in eng._solved.values()] + list(eng._reverse.values())
+        assert len(records) > 20 and any(len(r) > 1 for r in records)
+        one = tables.labels_of_degree((1, 0))[0]
+        no_reversal = lambda lab: None if lab == one else tables.reversed_label(lab)  # noqa: E731
+        nones = 0
+        for coords in records:
+            for am, ap in self.TWISTS:
+                K = kmono(am, ap)
+                got = alg.ctx.twist_terms(K, coords, tables.degree_of)
+                assert got == reference_twist(alg.ctx, K, coords, tables.degree_of)
+            for rev in (tables.reversed_label, no_reversal):
+                got = alg.ctx.transpose_terms(coords, rev, tables.degree_of)
+                assert got == reference_transpose(alg.ctx, coords, rev, tables.degree_of)
+                nones += got is None
+        assert 0 < nones < len(records)
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1affine"])
+    def test_on_word_terms(self, name):
+        ctx, rng = Algebra(name).ctx, random.Random(36)
+        word_degree, rank = ctx.half.word_degree, ctx.datum.rank
+        for _ in range(20):
+            terms = {}
+            for _ in range(4):
+                f, e = (tuple(rng.randrange(rank) for _ in range(rng.randrange(4))) for _ in "fe")
+                K = kmono(*(tuple(rng.randrange(2) for _ in range(rank)) for _ in "mp"))
+                terms[K, f, e] = Rat.of(Laurent({rng.randrange(-3, 4): rng.randrange(1, 4)}))
+            x = TriElem(ctx, "full", terms)
+            for am, ap in self.TWISTS:
+                K = kmono(am, ap)
+                want = reference_twist(ctx, K, x.terms, word_degree)
+                assert ctx.twist_terms(K, x.terms, word_degree) == want == ctx.diamond(K, x).terms
+            want = reference_transpose(ctx, x.terms, lambda w: w[::-1], word_degree)
+            assert ctx.transpose_terms(x.terms, lambda w: w[::-1], word_degree) == want
+            assert ctx.transpose(x) == TriElem(ctx, "full", want)
