@@ -19,8 +19,9 @@ class CartanError(ValueError):
 class CartanDatum:
     """A symmetrizable Cartan datum.  labels, A and d may come as lists or
     tuples and are kept as tuples; the labels are distinct nonempty strings
-    without whitespace (the letters of the words on output), and A and d
-    hold plain ints, not bools or floats.  CartanError otherwise."""
+    without whitespace or the label grammar's `^`, `[` and `]` (the letters
+    of the words on output, read back from tokens like `F[1^2]`), and A and
+    d hold plain ints, not bools or floats.  CartanError otherwise."""
 
     labels: tuple[str, ...]
     A: tuple[tuple[int, ...], ...]
@@ -29,8 +30,8 @@ class CartanDatum:
 
     def __post_init__(self):
         labels, A, d = self.labels, self.A, self.d
-        if not _list_of(labels, str) or any(s.split() != [s] for s in labels):
-            raise CartanError("labels must be a list of nonempty strings without whitespace")
+        if not _list_of(labels, str) or any(s.split() != [s] or set(s) & set("^[]") for s in labels):
+            raise CartanError("labels must be a list of nonempty strings without whitespace, '^', '[' or ']'")
         if len(set(labels)) != len(labels):
             raise CartanError(f"labels {list(labels)} are not distinct")
         if not (isinstance(A, (list, tuple)) and all(_list_of(row, int) for row in A) and _list_of(d, int)):

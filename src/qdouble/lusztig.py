@@ -2,12 +2,19 @@
 
 `bar_fix` is the one bar-correction solver: the canonical bases of the halves
 (`CanonicalTables._algorithmic_cb`), the circle product in the Heisenberg
-quotients and the bullet product in the full double all go through it.  The
-engine also owns the per-label-pair memos: the reverse products b_+ b_- in
-DCB coordinates (`reverse_dcb`, from the straightened numerators of the
-product, one reduction per coordinate) and the clearing multipliers
-(`d_multiplier`).  Bar fixes every DCB element and reverses products, so the
-bar rows read bar(b_- b_+) = b_+ b_- from the same memo.  Every record is
+quotients and the bullet product in the full double all go through it.  A
+circ or bullet record is solved over the lower records of its own kind,
+each already proved bar-fixed: bar(m) - m of the pair's K = 1 member m
+expands over them (`Engine._greedy_expand`, which checks each key into the
+pair's family before it reads, and so solves, that key's record), and
+bar_fix reads the expansion with every lower bar row zero.  The record's
+certificate, its corrections over the members, composes each correction
+with the certificate of its lower record.  The engine also owns the
+per-label-pair memos: the reverse products b_+ b_- in DCB coordinates
+(`reverse_dcb`, from the straightened numerators of the product, one
+reduction per coordinate) and the clearing multipliers (`d_multiplier`).
+Bar fixes every DCB element and reverses products, so the bar of a member
+reads bar(b_- b_+) = b_+ b_- from the same memo.  Every record is
 proved bar-fixed by an exact check.  A bullet, and a circ met on its own,
 ends with `DoubleContext.is_bar_fixed`.  A circ met first through the bullet
 of its own pair is proved by that bullet: the quotient map onto the circ's
@@ -27,8 +34,8 @@ the word reversal (`CanonicalTables.reversed_label`).  So one pair of each
 transpose orbit is solved and the other relabeled from its record by one
 coordinate rule (`Engine._transpose`, the double's
 `DoubleContext.transpose_terms` read over labels); reverse products are
-relabeled the same way.  A relabeled record skips its pair's bar row and
-`bar_fix`, not its proof: its greedy expansion over the family must be
+relabeled the same way.  A relabeled record skips its member's bar and
+`bar_fix`, not its proof: its greedy expansion over the members must be
 unitriangular, with corrections on the kind's side that are polynomials in
 q, and its element must be proved bar-fixed as above; by Lusztig's lemma it
 is then the unique solve.
@@ -127,8 +134,11 @@ class Engine:
     circ(b_-, b_+) is the bar-fixed element over K diamond (d b_- b_+) in a
     Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
     K diamond iota(circ) in the full double; both come from `_solve`, whose
-    record (coords, certificate, element) is the one memo of a solve.  Bar
-    rows read bar(b_- b_+) as the memoised reverse product b_+ b_-.  A pair
+    record (coords, certificate, element) is the one memo of a solve, and
+    which solves over the proved lower records of the kind.  The bar of a
+    member reads bar(b_- b_+) as the memoised reverse product b_+ b_-.  The
+    engine holds four memos: the records, the reverse products, the
+    clearing multipliers and the twisted rows of `enumerate_basis`.  A pair
     whose transpose partner (*lp, *lm) already has a record, or a reverse
     product, is relabeled from it (`_transpose`) instead of solved or
     straightened; a relabeled record is proved unitriangular (`_certify`)
@@ -145,7 +155,6 @@ class Engine:
         self.datum = algebra.datum
         self.tables = algebra.tables
         self._solved: dict = {}  # (kind, lm, lp, variant) -> (coords, certificate, element)
-        self._bar_rows: dict = {}  # (kind, lm, lp, variant) -> family coordinates
         self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
         self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
@@ -154,9 +163,9 @@ class Engine:
     def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
         """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
         memoised per label pair: the commutator expansion d_multiplier
-        clears, and the terms bar rows are built from.  The straightened
-        numerators of the product (`product_numerators`) go to DCB
-        coordinates with no pivot-word normal form between, so each
+        clears, and the terms the bar of a member is built from.  The
+        straightened numerators of the product (`product_numerators`) go to
+        DCB coordinates with no pivot-word normal form between, so each
         coordinate is reduced once.  Transpose sends b_+ b_- to the reverse
         product of the partner pair (*lp, *lm), so once that is known the
         coordinates are relabeled from it (`_transpose`)."""
@@ -227,26 +236,6 @@ class Engine:
         has no reversed label."""
         return self.ctx.transpose_terms(coords, self.tables.reversed_label, self.tables.degree_of)
 
-    def _index_set(self, kind, lm, lp, variant) -> list:
-        """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
-        height of the moved slot, then of the other slot."""
-        slot = _KINDS[kind, variant][3]
-        gm = self.tables.degree_of(lm)
-        gp = self.tables.degree_of(lp)
-        mins = tuple(min(a, b) for a, b in zip(gm, gp))
-        out = []
-        for am in self.datum.degrees_up_to(mins):
-            for ap in self.datum.degrees_up_to(_sub(mins, am)):
-                K = (am, ap)
-                if not _moves(kind, variant, K):
-                    continue
-                alpha = _add(am, ap)
-                for l2 in self.tables.labels_of_degree(_sub(gm, alpha)):
-                    for l3 in self.tables.labels_of_degree(_sub(gp, alpha)):
-                        out.append((K, l2, l3))
-        out.sort(key=lambda idx: (sum(idx[0][slot]), sum(idx[0][1 - slot]), idx))
-        return out
-
     def _member_bar(self, kind, lm, lp, variant) -> dict:
         """DCB coordinates of bar of the K = 1 member, by linearity from the
         reverse products; no member is barred.
@@ -271,57 +260,45 @@ class Engine:
                     accumulate(out, (K3, m2, m3), f * r)
         return out
 
-    def _bar_row(self, kind, lm, lp, variant) -> dict:
-        """The off-diagonal entries of bar of the K = 1 member over the
-        kind's family, expanded from _member_bar, which must be
-        unitriangular (`_unitriangular`).  The bar-invariance check at the
-        end of _solve is the independent proof that these rows are right."""
-        key = (kind, lm, lp, variant)
-        row = self._bar_rows.get(key)
-        if row is None:
-            member_bar = self._member_bar(kind, lm, lp, variant)
-            row = self._bar_rows[key] = self._unitriangular(
-                kind, lm, lp, variant, member_bar, f"bar of {kind}({lm},{lp})"
-            )
-        return row
-
-    def _unitriangular(self, kind, lm, lp, variant, coords, what) -> dict:
-        """The greedy expansion of coords over the kind's family, which must
-        be unitriangular: 1 at the pair itself, and every other entry a
-        correction label of the pair (`_in_family`).  Returns the other
-        entries."""
-        out = self._greedy_expand(coords, _KINDS[kind, variant][0], variant)
-        zero = (0,) * self.datum.rank
-        diag = out.pop(((zero, zero), lm, lp), None)
+    def _off_member(self, kind, lm, lp, variant, coords, family, what) -> dict:
+        """The greedy expansion of coords minus the pair's K = 1 member over
+        the family (`_greedy_expand`, each key checked to be a correction
+        label of the pair).  coords must hold the member once: its
+        coefficient at (1, lm, lp) over the member's is the diagonal, which
+        must be 1."""
+        member = self._family_dcb(_KINDS[kind, variant][0], lm, lp, variant)
+        rest = dict(coords)
+        for idx, c in member.items():
+            accumulate(rest, idx, -c)
+        one = (k_one(self.datum.rank), lm, lp)
+        diag = RAT_ONE + rest.pop(one, RAT_ZERO) / member[one]
         if diag != RAT_ONE:
             raise TriangularityError(f"{what} is not unitriangular: diagonal {diag}, not 1")
-        for s in out:
-            if not self._in_family(kind, lm, lp, variant, s):
-                raise TriangularityError(f"{what} leaves the family at {s}")
-        return out
+        return self._greedy_expand(rest, family, variant, (kind, lm, lp), what)
 
     def _in_family(self, kind, lm, lp, variant, s) -> bool:
-        """Whether s = ((am, ap), l2, l3) is a correction label of the pair,
-        a member of `_index_set`: the slot rule, nonnegative exponents, and
+        """Whether s = ((am, ap), l2, l3), its exponents already checked
+        nonnegative, is a correction label of the pair: the slot rule, and
         deg l2 = deg lm - alpha, deg l3 = deg lp - alpha for alpha = am + ap."""
         (am, ap), l2, l3 = s
         alpha = _add(am, ap)
         deg = self.tables.degree_of
         return (
             _moves(kind, variant, (am, ap))
-            and min(*am, *ap) >= 0
             and deg(l2) == _sub(deg(lm), alpha)
             and deg(l3) == _sub(deg(lp), alpha)
         )
 
     def _solve(self, kind: str, lm: str, lp: str, variant: str) -> tuple:
         """The record (coords, certificate, element) of the bar-fixed
-        member(lm, lp) + sum p_s K_s diamond member(s) of the kind's family
-        (Lusztig's lemma through bar_fix): its DCB coordinates, the
-        corrections s -> p_s, and the element sum c K b_l2 b_l3 in the kind's
-        flavor, proved bar-fixed.  A bullet whose own circ record is missing
-        comes from `_through_bullet`, which proves that circ record by the
-        bullet's proof; every other record is proved by `is_bar_fixed`."""
+        element member(lm, lp) + sum p_s K_s diamond x_s over the proved
+        lower records x_s of the kind (Lusztig's lemma through bar_fix,
+        `_corrections`): its DCB coordinates, its corrections over the
+        members K_s diamond member(s) (the certificate), and the element
+        sum c K b_l2 b_l3 in the kind's flavor, proved bar-fixed.  A bullet
+        whose own circ record is missing comes from `_through_bullet`, which
+        proves that circ record by the bullet's proof; every other record is
+        proved by `is_bar_fixed`."""
         key = (kind, lm, lp, variant)
         got = self._solved.get(key)
         if got is None:
@@ -351,7 +328,6 @@ class Engine:
         except BaseException as exc:
             del self._solved[own]
             self._solved.pop(bullet, None)
-            self._bar_rows.pop(bullet, None)
             if isinstance(exc, TriangularityError) and not self.ctx.is_bar_fixed(circ[2]):
                 raise TriangularityError(f"circ({lm},{lp}) failed bar-invariance") from exc
             raise
@@ -379,40 +355,38 @@ class Engine:
         return coords, solved, TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
 
     def _corrections(self, kind, lm, lp, variant) -> tuple:
-        """Lusztig's lemma for the pair through bar_fix: the corrections
-        s -> p_s and the DCB coordinates of member + sum p_s K_s diamond
-        member(s)."""
+        """Lusztig's lemma for the pair over the lower records of its own
+        kind, each already proved bar-fixed.  bar(m) - m of the member m
+        expands over them as sum a_s K_s diamond x_s (`_off_member`), so
+        m + sum p_s K_s diamond x_s is bar-fixed when p_s - bar(p_s) = a_s:
+        bar_fix with every lower bar row zero.  Returns the certificate,
+        the corrections over the members (p_s, plus p_s times each entry of
+        x_s's certificate moved by K_s, as K diamond K' diamond y =
+        KK' diamond y), and the DCB coordinates of the record."""
         below, _, side = _KINDS[kind, variant][:3]
         where = f"{kind}({lm},{lp})"
-
-        @functools.cache
-        def row_of(idx):
-            (am, ap), l2, l3 = idx
-            return {
-                ((_add(am, bm), _add(ap, bp)), m2, m3): c
-                for ((bm, bp), m2, m3), c in self._bar_row(kind, l2, l3, variant).items()
-            }
-
-        target, candidates = self._bar_row(kind, lm, lp, variant), self._index_set(kind, lm, lp, variant)
-        solved = bar_fix(target, candidates, row_of, side, where)
-        coords = dict(self._family_dcb(below, lm, lp, variant))
-        for s, p in solved.items():
-            _assert_q_poly(p, f"{where} correction at {s}")
+        found = self._off_member(kind, lm, lp, variant, self._member_bar(kind, lm, lp, variant), kind, f"bar of {where}")
+        coords, cert = dict(self._family_dcb(below, lm, lp, variant)), {}
+        for s, p in bar_fix(found, list(found), lambda _: {}, side, where).items():
             (am, ap), l2, l3 = s
-            member = self._family_dcb(below, l2, l3, variant)
-            for idx, c in self.ctx.twist_terms(kmono(am, ap), member, self.tables.degree_of).items():
+            lower, lower_cert = self._solve(kind, l2, l3, variant)[:2]
+            accumulate(cert, s, p)
+            for ((bm, bp), m2, m3), c in lower_cert.items():
+                accumulate(cert, ((_add(am, bm), _add(ap, bp)), m2, m3), p * c)
+            for idx, c in self.ctx.twist_terms(kmono(am, ap), lower, self.tables.degree_of).items():
                 accumulate(coords, idx, p * c)
-        return solved, coords
+        for s, p in cert.items():
+            _assert_q_poly(p, f"{where} correction at {s}")
+        return cert, coords
 
     def _certify(self, kind, lm, lp, variant, coords) -> dict:
-        """The corrections of transported coordinates, which must be
-        unitriangular over the kind's family (`_unitriangular`), each a
-        Laurent polynomial in q strictly on the kind's side in v.  With the
-        bar-invariance check that follows, Lusztig's lemma makes the record
-        the unique solve."""
-        side = _KINDS[kind, variant][2]
+        """The corrections of transported coordinates: their expansion over
+        the kind's members (`_off_member`), each a Laurent polynomial in q
+        strictly on the kind's side in v.  With the bar-invariance check
+        that follows, Lusztig's lemma makes the record the unique solve."""
+        below, _, side = _KINDS[kind, variant][:3]
         where = f"{kind}({lm},{lp})"
-        cert = self._unitriangular(kind, lm, lp, variant, coords, where)
+        cert = self._off_member(kind, lm, lp, variant, coords, below, where)
         positive = side == "positive"
         for s, p in cert.items():
             if not (p.is_laurent() and all(k > 0 if positive else k < 0 for k in p.num.c)):
@@ -424,9 +398,13 @@ class Engine:
         """Plain DCB coordinates of a full element over K diamond bullet."""
         return self._greedy_expand(expansion, "bullet", variant)
 
-    def _greedy_expand(self, expansion: dict, kind: str, variant: str) -> dict:
+    def _greedy_expand(self, expansion: dict, kind: str, variant: str, owner=None, what="") -> dict:
         """Coordinates over the family K diamond (kind element); greedy along
-        growing torus height."""
+        growing torus height.  Given owner = (kind2, lm, lp), each key must
+        be a correction label of kind2 at the pair (`_in_family`), checked
+        before the key's family element is read, and so solved: an
+        expansion that leaves the family raises instead of reaching for a
+        record at or above the pair."""
         remaining = dict(expansion)
         out = {}
         while remaining:
@@ -438,9 +416,12 @@ class Engine:
             am, ap, tag = K
             if any(tag) or any(x < 0 for x in am) or any(x < 0 for x in ap):
                 raise TriangularityError(f"expansion outside the basis cone at {key}")
+            s = ((am, ap), l2, l3)
+            if owner and not self._in_family(*owner, variant, s):
+                raise TriangularityError(f"{what} leaves the family at {s}")
             twisted = self.ctx.twist_terms(K, self._family_dcb(kind, l2, l3, variant), self.tables.degree_of)
             coeff = remaining[key] / twisted[key]
-            out[((am, ap), l2, l3)] = coeff
+            out[s] = coeff
             for idx, c in twisted.items():
                 accumulate(remaining, idx, -coeff * c)
         return out

@@ -344,6 +344,11 @@ class TestBasis:
             '{"labels": [1, 2], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
             '{"labels": ["1", "2"], "A": [[2, -1], [-1, 2]], "d": [1.5, 1.5]}',
             '{"labels": ["1", "2"], "A": [[2, -1.0], [-1, 2]], "d": [1, 1]}',
+            # letters holding the label grammar's own characters, which
+            # print as labels like F[a^^1] that do not read back
+            '{"labels": ["a^", "b"], "A": [[2, -2], [-1, 2]], "d": [1, 2]}',
+            '{"labels": ["[a", "b"], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
+            '{"labels": ["a", "b]"], "A": [[2, -1], [-1, 2]], "d": [1, 1]}',
         ],
     )
     def test_bad_json_datum(self, capsys, preset):

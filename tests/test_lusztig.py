@@ -105,7 +105,8 @@ class TestLLSolve:
 
 
 class TestBarRowChecks:
-    # every bar row must be unitriangular over the kind's correction labels
+    # the bar of every member must be unitriangular over the kind's
+    # correction labels
 
     def test_row_leaving_the_family_raises(self, monkeypatch):
         # corrections of circ in heis_plus move K_+; a table claiming K_- makes
@@ -118,26 +119,35 @@ class TestBarRowChecks:
 
     @pytest.mark.parametrize("entry", ["wrong-degree", "other-slot-moved"])
     def test_injected_entry_leaves_the_family(self, monkeypatch, entry):
-        # circ(F, F) of A1 moves K_+ by at most 1 over labels of degree 0: an
-        # entry over a label of degree 1, or one that moves K_- as well, is
-        # outside the family
-        alg = Algebra("A1")
-        lab1 = sl2_label(alg, 1)
-        bad = {
-            "wrong-degree": (((0,), (1,)), lab1, "1"),
-            "other-slot-moved": (((1,), (1,)), "1", "1"),
-        }[entry]
-        real = lusztig.Engine._greedy_expand
+        # an entry injected into the bar of every circ member, on A1 and A2:
+        # wrong-degree puts K = 1 on the pair swapped, of the same total
+        # degree, whose member's bar then holds this pair, so reading its
+        # record first would recurse; other-slot-moved moves K_- beside the
+        # K_+ of circ.  The expansion must raise before it reads the record
+        real = lusztig.Engine._member_bar
+        for name, degrees in [("A1", [(1,), (2,)]), ("A2", [(1, 0), (0, 1)])]:
+            alg = Algebra(name)
+            zero = (0,) * alg.datum.rank
+            lm, lp = (alg.tables.labels_of_degree(g)[0] for g in degrees)
+            if entry == "wrong-degree":
+                bad = lambda l2, l3: (kmono(zero, zero), l3, l2)  # noqa: E731
+                lab = (zero, zero), lp, lm
+            else:
+                lm = lp = alg.tables.labels_of_degree(tuple(2 * x for x in degrees[0]))[0]
+                lab = (degrees[0], degrees[0]), "1", "1"
+                bad = lambda l2, l3: (kmono(*lab[0]), "1", "1") if (l2, l3) == (lm, lp) else None  # noqa: E731
 
-        def injecting(self, expansion, kind, variant):
-            out = real(self, expansion, kind, variant)
-            if kind == "pair":
-                out[bad] = RAT_ONE
-            return out
+            def injecting(self, kind, l2, l3, variant):
+                out = real(self, kind, l2, l3, variant)
+                if kind == "circ" and bad(l2, l3):
+                    out[bad(l2, l3)] = RAT_ONE
+                return out
 
-        monkeypatch.setattr(lusztig.Engine, "_greedy_expand", injecting)
-        with pytest.raises(TriangularityError, match="leaves the family"):
-            alg.circ(lab1, lab1)
+            monkeypatch.setattr(lusztig.Engine, "_member_bar", injecting)
+            message = f"bar of circ({lm},{lp}) leaves the family at {lab}"
+            with pytest.raises(TriangularityError, match=re.escape(message)):
+                alg.circ(lm, lp)
+            monkeypatch.undo()
 
     def test_diagonal_not_one_raises(self, monkeypatch):
         # with the multiplier replaced by v, bar(v F E) = v^-1 bar(F E) has
@@ -177,14 +187,15 @@ class TestEngineChecksFail:
     # each engine check against a named mutation that only it can see
 
     def test_non_integral_datum(self, monkeypatch):
-        # mutation: every bar-row entry (none is on the diagonal) divided by 1 + v^3
-        rowed = lusztig.Engine._bar_row
+        # mutation: every entry of each greedy expansion, among them the bar
+        # of the member over the lower records, divided by 1 + v^3
+        expand = lusztig.Engine._greedy_expand
         den = Rat.of(Laurent({0: 1, 3: 1}))
 
-        def divided(self, kind, lm, lp, variant):
-            return {s: c / den for s, c in rowed(self, kind, lm, lp, variant).items()}
+        def divided(self, *args):
+            return {s: c / den for s, c in expand(self, *args).items()}
 
-        monkeypatch.setattr(lusztig.Engine, "_bar_row", divided)
+        monkeypatch.setattr(lusztig.Engine, "_greedy_expand", divided)
         alg = Algebra("A1")
         lab1 = sl2_label(alg, 1)
         with pytest.raises(TriangularityError, match=r"circ\(F\[1\^1\],F\[1\^1\]\): non-integral datum"):
@@ -267,10 +278,9 @@ class TestEngineChecksFail:
         else:
             with pytest.raises(TriangularityError, match=re.escape(projection)):
                 alg.bullet(lab1, lab1)
-        # no record or bar row built on the unproved circ stays cached
+        # no record built on the unproved circ stays cached
         eng = alg.engine
         assert not {("circ", lab1, lab1, "plus"), ("bullet", lab1, lab1, "plus")} & eng._solved.keys()
-        assert ("bullet", lab1, lab1, "plus") not in eng._bar_rows
         monkeypatch.undo()
         assert alg.bullet(lab1, lab1) == Algebra.get("A1").bullet(lab1, lab1)
 
@@ -428,11 +438,18 @@ class TestSolveRecord:
     def test_transport_work(self, monkeypatch):
         # a fresh A2 table to (2, 2) solves one pair of each transpose orbit
         # and relabels the other: 210 bar_fix calls, where solving every
-        # pair took 392.  Each of the 196 bullets is proved by is_bar_fixed in
-        # full, and each circ record by its bullet's proof and one projection
-        # onto heis_plus, so no check runs in a Heisenberg quotient
-        calls = {"bar_fix": 0, "is_bar_fixed": [], "project_heis": 0}
+        # pair took 392.  Each solve bars its own member once and no other:
+        # 210 member bars, where bar rows of the unsolved lower members took
+        # 258.  Each of the 196 bullets is proved by is_bar_fixed in full,
+        # and each circ record by its bullet's proof and one projection onto
+        # heis_plus, so no check runs in a Heisenberg quotient
+        calls = {"bar_fix": 0, "is_bar_fixed": [], "project_heis": 0, "member_bar": 0}
         fix, fixed, project = lusztig.bar_fix, DoubleContext.is_bar_fixed, DoubleContext.project_heis
+        member_bar = lusztig.Engine._member_bar
+
+        def counting_member_bar(self, *args):
+            calls["member_bar"] += 1
+            return member_bar(self, *args)
 
         def counting_fix(*args):
             calls["bar_fix"] += 1
@@ -449,9 +466,10 @@ class TestSolveRecord:
         monkeypatch.setattr(lusztig, "bar_fix", counting_fix)
         monkeypatch.setattr(DoubleContext, "is_bar_fixed", counting_fixed)
         monkeypatch.setattr(DoubleContext, "project_heis", counting_project)
+        monkeypatch.setattr(lusztig.Engine, "_member_bar", counting_member_bar)
         rows = Algebra("A2").engine.enumerate_basis((2, 2))
         assert len(rows) == 663
-        assert calls["bar_fix"] <= 210
+        assert calls["bar_fix"] <= 210 and calls["member_bar"] == 210
         assert calls["is_bar_fixed"] == ["full"] * 196 and calls["project_heis"] == 196
 
     def test_certificate_solves_on_demand(self):
@@ -478,17 +496,91 @@ class TestSolveRecord:
 
         # the one K-twist kernel, which the solve reads over labels
         monkeypatch.setattr(DoubleContext, "twist_terms", untwisted)
-        # with the bar rows in place, the coordinates the solve assembles fail
-        # its bar-invariance proof
+        # with the lower records in place, and from scratch, the bar of the
+        # member expanded over them through the twist goes wrong before
+        # any coordinates are assembled, and the error names the circ pair
         del eng._solved["circ", lm, lp, "plus"]
-        with pytest.raises(TriangularityError, match="failed bar-invariance"):
-            eng.circ(lm, lp)
-        # from scratch, the bar rows read back through the twist go wrong
-        # first, and the error names the circ pair
         pair = r"circ\(b\+\([0-9,]+\),b\+\([0-9,]+\)\)"
-        with pytest.raises(TriangularityError, match=pair + ": inconsistent bar row") as info:
-            Algebra("A2").circ(lm, lp)
-        assert isinstance(info.value.__cause__, BarInconsistency)
+        for engine in (eng, Algebra("A2").engine):
+            with pytest.raises(TriangularityError, match=pair + ": inconsistent bar row") as info:
+                engine.circ(lm, lp)
+            assert isinstance(info.value.__cause__, BarInconsistency)
+
+
+# -- the bar-row solve the engine replaced ----------------------------------
+
+def reference_index_set(eng, kind, lm, lp, variant):
+    """The correction labels ((am, ap), l2, l3) of a solve, ordered by the
+    height of the moved slot, then of the other slot."""
+    slot, free = lusztig._KINDS[kind, variant][3:]
+    deg, datum = eng.tables.degree_of, eng.datum
+    sub = lambda a, b: tuple(x - y for x, y in zip(a, b))  # noqa: E731
+    gm, gp = deg(lm), deg(lp)
+    mins = tuple(map(min, gm, gp))
+    out = []
+    for am in datum.degrees_up_to(mins):
+        for ap in datum.degrees_up_to(sub(mins, am)):
+            K = (am, ap)
+            if not any(K[slot]) or (not free and any(K[1 - slot])):
+                continue
+            alpha = tuple(map(sum, zip(am, ap)))
+            for l2 in eng.tables.labels_of_degree(sub(gm, alpha)):
+                for l3 in eng.tables.labels_of_degree(sub(gp, alpha)):
+                    out.append((K, l2, l3))
+    return sorted(out, key=lambda idx: (sum(idx[0][slot]), sum(idx[0][1 - slot]), idx))
+
+
+def reference_bar_row(eng, kind, lm, lp, variant):
+    """The bar of the unsolved K = 1 member over the members K diamond
+    member(s) of the kind's family, with its diagonal 1 taken off."""
+    row = eng._greedy_expand(eng._member_bar(kind, lm, lp, variant), lusztig._KINDS[kind, variant][0], variant)
+    zero = (0,) * eng.datum.rank
+    assert row.pop(((zero, zero), lm, lp)) == RAT_ONE
+    return row
+
+
+def reference_solve(eng, kind, lm, lp, variant):
+    """(coords, certificate) of a record by Lusztig's lemma over the
+    unsolved members: the bar row of each candidate of the index set,
+    moved by its K, read by bar_fix; the coordinates are the member's plus
+    each correction times its twisted member."""
+    below, _, side = lusztig._KINDS[kind, variant][:3]
+
+    def row(idx):
+        (am, ap), l2, l3 = idx
+        add = lambda a, b: tuple(map(sum, zip(a, b)))  # noqa: E731
+        return {((add(am, bm), add(ap, bp)), m2, m3): c for ((bm, bp), m2, m3), c in rows(l2, l3).items()}
+
+    rows = lambda l2, l3: reference_bar_row(eng, kind, l2, l3, variant)  # noqa: E731
+    candidates = reference_index_set(eng, kind, lm, lp, variant)
+    cert = bar_fix(rows(lm, lp), candidates, row, side, "reference")
+    coords = dict(eng._family_dcb(below, lm, lp, variant))
+    for ((am, ap), l2, l3), p in cert.items():
+        member = eng._family_dcb(below, l2, l3, variant)
+        for idx, c in eng.ctx.twist_terms(kmono(am, ap), member, eng.tables.degree_of).items():
+            scalar.accumulate(coords, idx, p * c)
+    return coords, cert
+
+
+class TestReferenceSolve:
+    # every record, solved over the proved lower records or relabeled from
+    # its partner, has the coordinates and corrections of the solve by the
+    # bar rows of the unsolved members over the whole index set
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1affine"])
+    def test_height_two(self, name):
+        alg = Algebra(name)
+        labels = labels_to_height_two(alg)
+        corrected = 0
+        for lm in labels:
+            for lp in labels:
+                for kind in ("circ", "bullet"):
+                    for variant in ("plus", "minus"):
+                        coords, cert, _ = alg.engine._solve(kind, lm, lp, variant)
+                        assert reference_solve(alg.engine, kind, lm, lp, variant) == (coords, cert)
+                        corrected += bool(cert)
+        # 80 of the 196 records carry corrections in each of the four types
+        assert (len(labels), corrected) == (7, 80)
 
 
 class TestTransportChecks:
