@@ -109,8 +109,8 @@ class TestBarRowChecks:
     # correction labels
 
     def test_row_leaving_the_family_raises(self, monkeypatch):
-        # corrections of circ in heis_plus move K_+; a table claiming K_- makes
-        # every off-diagonal entry of the bar row fall outside the index set
+        # corrections of circ in heis_plus move K_+; a table claiming K_- puts
+        # every key of the member's bar outside the correction labels
         monkeypatch.setitem(lusztig._KINDS, ("circ", "plus"), ("pair", "heis_plus", "positive", 0, False))
         alg = Algebra("A1")
         lab1 = sl2_label(alg, 1)
@@ -545,15 +545,15 @@ def reference_solve(eng, kind, lm, lp, variant):
     moved by its K, read by bar_fix; the coordinates are the member's plus
     each correction times its twisted member."""
     below, _, side = lusztig._KINDS[kind, variant][:3]
+    add = lambda a, b: tuple(map(sum, zip(a, b)))  # noqa: E731
 
     def row(idx):
         (am, ap), l2, l3 = idx
-        add = lambda a, b: tuple(map(sum, zip(a, b)))  # noqa: E731
-        return {((add(am, bm), add(ap, bp)), m2, m3): c for ((bm, bp), m2, m3), c in rows(l2, l3).items()}
+        lower = reference_bar_row(eng, kind, l2, l3, variant)
+        return {((add(am, bm), add(ap, bp)), m2, m3): c for ((bm, bp), m2, m3), c in lower.items()}
 
-    rows = lambda l2, l3: reference_bar_row(eng, kind, l2, l3, variant)  # noqa: E731
     candidates = reference_index_set(eng, kind, lm, lp, variant)
-    cert = bar_fix(rows(lm, lp), candidates, row, side, "reference")
+    cert = bar_fix(reference_bar_row(eng, kind, lm, lp, variant), candidates, row, side, "reference")
     coords = dict(eng._family_dcb(below, lm, lp, variant))
     for ((am, ap), l2, l3), p in cert.items():
         member = eng._family_dcb(below, l2, l3, variant)
