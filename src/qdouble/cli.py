@@ -22,7 +22,9 @@ written to stdout or --out, and to the cache file, as soon as it is
 rendered, its element terms spliced from K blocks, word strings and
 coefficients that _dumps and _encode_str render once per emission.
 With QDOUBLE_CACHE_DIR set, basis tables are cached under a key covering the
-datum, the bytes of the --tables file and the package source.  The
+datum, the bytes of the --tables file and the package source; an entry's
+file name carries the sha256 of its bytes, and an entry whose bytes do not
+match it is a miss that rebuilds the entry.  The
 algorithmic canonical-basis path covers every finite-type datum, JSON data
 included.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -143,7 +146,6 @@ def cmd_basis(args) -> int:
     j_minus = parse_filter(args.j_minus)
     j_plus = parse_filter(args.j_plus)
     cache_dir = os.environ.get("QDOUBLE_CACHE_DIR")
-    cache_file = None
     if cache_dir:
         key_parts = [
             _source_digest(),
@@ -154,25 +156,31 @@ def cmd_basis(args) -> int:
             args.j_plus,
         ]
         key = hashlib.sha256(json.dumps(key_parts).encode()).hexdigest()[:16]
-        cache_file = os.path.join(cache_dir, f"basis-{key}.json")
-        text = _read_cache(cache_file)
+        prefix = os.path.join(cache_dir, f"basis-{key}.")
+        text = _read_cache(prefix)
         if text is not None:
             with _output(args) as out:
                 out.write(text + "\n")
             return 0
     rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
-    if not cache_file:
+    if not cache_dir:
         with _output(args) as out:
             _write_table(rows, out.write)
             out.write("\n")
         return 0
     os.makedirs(cache_dir, exist_ok=True)
-    tmp = f"{cache_file}.{os.getpid()}.tmp"
+    tmp = f"{prefix}{os.getpid()}.tmp"
+    digest = hashlib.sha256()
+
+    def cache_write(chunk):
+        cache.write(chunk)
+        digest.update(chunk.encode())
+
     try:
         with open(tmp, "w", encoding="utf-8") as cache, _output(args) as out:
-            _write_table(rows, out.write, cache.write)
+            _write_table(rows, out.write, cache_write)
             out.write("\n")
-        os.replace(tmp, cache_file)
+        os.replace(tmp, f"{prefix}{digest.hexdigest()}.json")
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -190,16 +198,19 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _read_cache(path: str) -> str | None:
-    """A cached table, or None when the entry is missing, unreadable or not
-    valid JSON."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        json.loads(text)
-    except (OSError, ValueError):
-        return None
-    return text
+def _read_cache(prefix: str) -> str | None:
+    """The cached table of an entry {prefix}{sha256}.json whose bytes have
+    the sha256 its name carries, or None: a missing, unreadable, truncated
+    or changed entry is a miss."""
+    for path in glob.glob(glob.escape(prefix) + "*.json"):
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            continue
+        if hashlib.sha256(data).hexdigest() == path[len(prefix) : -len(".json")]:
+            return data.decode("utf-8")
+    return None
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -33,9 +33,10 @@ words, the DCB coordinates of a solve over the labels' elements
 (`_involution_numerators`) and a product (`product_numerators`) each have
 one numerator stage, the straightened numerators over one denominator.
 `involution` and `multiply` spread them over pivot words; `is_bar_fixed`
-compares bar's groups with the element's coefficients by
-cross-multiplication and reduces nothing; the engine's reverse products go
-over DCB rows, one reduction per coordinate.
+and `is_transpose` compare the groups of bar(x), or of t(x), with an
+element's coefficients by cross-multiplication (`_matches`) and reduce
+nothing; the engine's reverse products go over DCB rows, one reduction per
+coordinate.
 
 Two term kernels act on terms {(K, a, b): c} over any homogeneous keys a, b
 with their degrees, F-word and E-word or the labels of DCB elements b_a b_b:
@@ -417,10 +418,21 @@ class DoubleContext:
         return expand_numerators(acc, self.word_coords, drop), den
 
     def is_bar_fixed(self, x: TriElem) -> bool:
-        """bar(x) == x, decided on the numerators of bar(x): each key's
-        fractions sum by cross-multiplication and compare with x's
-        coefficient the same way, so no coefficient of bar(x) is reduced."""
-        groups, den = self._involution_numerators(x, "bar")
+        """bar(x) == x, decided on the numerators of bar(x) (`_matches`), so
+        no coefficient of bar(x) is reduced."""
+        return self._matches(*self._involution_numerators(x, "bar"), x)
+
+    def is_transpose(self, y: TriElem, x: TriElem) -> bool:
+        """t(x) == y for the transpose t, decided on the numerators of t(x)
+        (`_matches`): word reversal and the pivot-word expansion, no
+        straightening, and no coefficient of t(x) reduced."""
+        return y.flavor == x.flavor and self._matches(*self._involution_numerators(x, "transpose"), y)
+
+    @staticmethod
+    def _matches(groups, den, y: TriElem) -> bool:
+        """Whether numerator groups over den (`expand_numerators`) sum to y:
+        each key's fractions sum by cross-multiplication and compare with
+        y's coefficient the same way, with nothing reduced."""
         sums: dict = {}  # key -> (numerator, denominator), not reduced
         for (df, de), acc in groups.items():
             d = den * df * de
@@ -430,10 +442,10 @@ class DoubleContext:
                     sums[key] = (n, d)
                 else:
                     sums[key] = (got[0] * d + n * got[1], got[1] * d)
-        if not sums.keys() >= x.terms.keys():
+        if not sums.keys() >= y.terms.keys():
             return False
         for key, (n, d) in sums.items():
-            c = x.terms.get(key)
+            c = y.terms.get(key)
             if c is None:
                 if n:
                     return False
@@ -545,7 +557,7 @@ def expand_numerators(nums: dict, column, drop=None) -> dict:
     torus block `drop` are left out.  Numerators come in as coefficient dicts,
     only read unless both words are their own columns (pivot words), and go
     out as Laurents.  f and e may be labels in place of words, each with the
-    column of its DCB element over pivot words (`Engine._solve`)."""
+    column of its DCB element over pivot words (`Engine._element`)."""
     groups: dict = {}
     for key, n in nums.items():
         K, f, e = key

@@ -14,20 +14,13 @@ per-label-pair memos: the reverse products b_+ b_- in DCB coordinates
 (`reverse_dcb`, from the straightened numerators of the product, one
 reduction per coordinate) and the clearing multipliers (`d_multiplier`).
 Bar fixes every DCB element and reverses products, so the bar of a member
-reads bar(b_- b_+) = b_+ b_- from the same memo.  Every record is
-proved bar-fixed by an exact check.  A bullet, and a circ met on its own,
-ends with `DoubleContext.is_bar_fixed`.  A circ met first through the bullet
-of its own pair is proved by that bullet: the quotient map onto the circ's
-Heisenberg quotient is an algebra map that commutes with bar and kills the
-torus slot every bullet correction moves, so once the bullet is bar-fixed,
-the exact equality of its projection and the circ proves the circ
-(`Engine._through_bullet`).  A solve works in DCB coordinates, through the
-double's one K-twist `DoubleContext.twist_terms` read over labels, and with
-no `to_dcb` readback; a power of v twists by `Rat.shift`, no product.  Its
-element is built once from them by the double's kernel
-`expand_numerators`, over the labels' DCB columns with one reduction per
-coefficient, and one record per solve keeps the coordinates, the
-corrections and the element.
+reads bar(b_- b_+) = b_+ b_- from the same memo.  A solve works in DCB
+coordinates, through the double's one K-twist `DoubleContext.twist_terms`
+read over labels, and with no `to_dcb` readback; a power of v twists by
+`Rat.shift`, no product.  An element is built from coordinates by the
+double's kernel `expand_numerators`, over the labels' DCB columns with one
+reduction per coefficient, and only where something reads it: every
+bullet, and a circ when `Engine.circ` asks or its own proof needs it.
 Transpose t, the anti-involution swapping E_i and F_i, sends
 b_lm bullet b_lp to b_*lp bullet b_*lm (and circ likewise), *l the label of
 the word reversal (`CanonicalTables.reversed_label`).  So one pair of each
@@ -37,8 +30,18 @@ coordinate rule (`Engine._transpose`, the double's
 relabeled the same way.  A relabeled record skips its member's bar and
 `bar_fix`, not its proof: its greedy expansion over the members must be
 unitriangular, with corrections on the kind's side that are polynomials in
-q, and its element must be proved bar-fixed as above; by Lusztig's lemma it
-is then the unique solve.
+q (`Engine._certify`), and its element bar-fixed; by Lusztig's lemma it is
+then the unique solve.
+Every record is proved bar-fixed by one exact word-level check that reads
+neither the bar of its member nor bar_fix (`Engine._prove`).  A solved
+record, and a pair that is its own partner or has none, ends in
+`DoubleContext.is_bar_fixed`.  A relabeled record ends in
+`DoubleContext.is_transpose`: its element is t of its partner's, which is
+proved, and bar commutes with t.  A circ met first through the bullet of
+its own pair is proved by that bullet's proof alone (`Engine._through_bullet`):
+the quotient map onto the circ's Heisenberg quotient is an algebra map that
+commutes with bar and sends the bullet to the circ, since every bullet
+correction moves the torus slot it kills.
 Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
@@ -133,21 +136,22 @@ class Engine:
 
     circ(b_-, b_+) is the bar-fixed element over K diamond (d b_- b_+) in a
     Heisenberg quotient, bullet(b_-, b_+) the bar-fixed element over
-    K diamond iota(circ) in the full double; both come from `_solve`, whose
-    record (coords, certificate, element) is the one memo of a solve, and
-    which solves over the proved lower records of the kind.  The bar of a
-    member reads bar(b_- b_+) as the memoised reverse product b_+ b_-.  The
-    engine holds four memos: the records, the reverse products, the
-    clearing multipliers and the twisted rows of `enumerate_basis`.  A pair
-    whose transpose partner (*lp, *lm) already has a record, or a reverse
-    product, is relabeled from it (`_transpose`) instead of solved or
-    straightened; a relabeled record is proved unitriangular (`_certify`)
-    and bar-fixed.  Pairs with a label that has no reversed label, and
-    pairs that are their own partner, are always solved.  A bullet is
-    proved bar-fixed by `is_bar_fixed`, and proves the circ record of its
-    own pair when that record is first met through it (`_through_bullet`);
-    any other circ record is proved by its own `is_bar_fixed`.  No record
-    that is not proved stays in the memo.
+    K diamond iota(circ) in the full double.  A record (coords, certificate,
+    element) is the one memo of a solve, solved over the proved lower
+    records of the kind (`_corrections`) or, when the transpose partner
+    (*lp, *lm) already has a record, relabeled from it (`_transpose`) and
+    proved unitriangular (`_certify`).  The bar of a member reads
+    bar(b_- b_+) as the memoised reverse product b_+ b_-, itself relabeled
+    from the partner's where that exists.  The engine holds four memos:
+    the records, the reverse products, the clearing multipliers and the
+    twisted rows of `enumerate_basis`.  Pairs with a label that has no
+    reversed label, and pairs that are their own partner, are always
+    solved.  Each record is proved bar-fixed once (`_prove`): a solve by
+    `is_bar_fixed`, a relabeled record by `is_transpose` against its proved
+    partner, and a circ record first met through its own pair's bullet by
+    that bullet's proof (`_through_bullet`); such a circ record holds no
+    element until `circ`, or a proof that reads it, builds it (`_solve`).
+    No record that is not proved stays in the memo.
     """
 
     def __init__(self, algebra):
@@ -218,7 +222,7 @@ class Engine:
         {(1, lm, lp): d} for "pair", the solve's record otherwise."""
         if kind == "pair":
             return {(k_one(self.datum.rank), lm, lp): Rat.of(self.d_multiplier(lm, lp))}
-        return self._solve(kind, lm, lp, variant)[0]
+        return self._proved(kind, lm, lp, variant)[0]
 
     def _partner(self, lm, lp):
         """The transpose partner (*lp, *lm) of a label pair, or None when a
@@ -290,69 +294,98 @@ class Engine:
         )
 
     def _solve(self, kind: str, lm: str, lp: str, variant: str) -> tuple:
-        """The record (coords, certificate, element) of the bar-fixed
-        element member(lm, lp) + sum p_s K_s diamond x_s over the proved
-        lower records x_s of the kind (Lusztig's lemma through bar_fix,
-        `_corrections`): its DCB coordinates, its corrections over the
-        members K_s diamond member(s) (the certificate), and the element
-        sum c K b_l2 b_l3 in the kind's flavor, proved bar-fixed.  A bullet
-        whose own circ record is missing comes from `_through_bullet`, which
-        proves that circ record by the bullet's proof; every other record is
-        proved by `is_bar_fixed`."""
+        """The proved record (coords, certificate, element) of the pair, the
+        element built now if the record has none (a circ record proved
+        through its bullet)."""
+        key = (kind, lm, lp, variant)
+        got = self._proved(*key)
+        if got[2] is None:
+            got = self._solved[key] = (*got[:2], self._element(kind, variant, got[0]))
+        return got
+
+    def _proved(self, kind, lm, lp, variant) -> tuple:
+        """The record (coords, certificate, element or None) of the
+        bar-fixed element member(lm, lp) + sum p_s K_s diamond x_s over the
+        proved lower records x_s of the kind (Lusztig's lemma through
+        bar_fix, `_corrections`, or the transpose of the partner's record,
+        `_certify`): its DCB coordinates, its corrections over the members
+        K_s diamond member(s) (the certificate), and the element sum c K
+        b_l2 b_l3 in the kind's flavor.  A bullet whose own circ record is
+        missing comes from `_through_bullet`, whose circ record gets no
+        element; every other record gets its element and one exact proof
+        (`_prove`) before it is kept."""
         key = (kind, lm, lp, variant)
         got = self._solved.get(key)
         if got is None:
             if kind == "bullet" and ("circ", lm, lp, variant) not in self._solved:
                 return self._through_bullet(lm, lp, variant)
-            got = self._record(kind, lm, lp, variant)
-            if not self.ctx.is_bar_fixed(got[2]):
-                raise TriangularityError(f"{kind}({lm},{lp}) failed bar-invariance")
+            coords, cert, partner = self._record(*key)
+            got = coords, cert, self._element(kind, variant, coords)
+            self._prove(key, got[2], partner)
             self._solved[key] = got
         return got
 
+    def _prove(self, key, element, partner):
+        """Prove a record's element bar-fixed by one exact word-level check:
+        for a record relabeled from its partner's, that the element is t of
+        the partner's element, which is proved bar-fixed, and bar commutes
+        with t (both composites are antilinear automorphisms that agree on
+        E_i, F_i and K); for a solve, `is_bar_fixed`."""
+        kind, lm, lp, variant = key
+        where = f"{kind}({lm},{lp}) failed bar-invariance"
+        if partner is None:
+            if not self.ctx.is_bar_fixed(element):
+                raise TriangularityError(where)
+        elif not self.ctx.is_transpose(element, self._solve(kind, *partner, variant)[2]):
+            raise TriangularityError(f"{where}: it is not the transpose of {kind}({partner[0]},{partner[1]})")
+
     def _through_bullet(self, lm, lp, variant) -> tuple:
         """The bullet record of the pair, solved over its own circ record,
-        which is recorded unchecked and proved by the bullet (see the module
-        docstring): once `is_bar_fixed` proves the bullet, its projection
-        onto the circ's quotient must equal the circ element term for term.
-        On any failure no record of the pair built on the unproved circ
+        which is recorded with no element and proved by the bullet's proof
+        alone.  The bullet's coordinates are the circ's plus corrections
+        whose K_- slot (K_+ for "minus") is nonzero, as the slot rule
+        (`_in_family`) checks on every solve and `_certify`, so the quotient
+        map onto the circ's Heisenberg quotient sends the bullet to the
+        circ; it is an algebra map that commutes with bar, so the circ is
+        bar-fixed once the bullet is.  On any failure no record of the pair
         stays cached, and a TriangularityError first runs the circ's own
-        check, so a wrong circ fails as it would alone."""
+        `is_bar_fixed` on its element, so a wrong circ fails as it would
+        alone."""
         own, bullet = ("circ", lm, lp, variant), ("bullet", lm, lp, variant)
-        circ = self._solved[own] = self._record("circ", lm, lp, variant)
-        flavor = _KINDS["circ", variant][1]
+        coords, cert, _ = self._record(*own)
+        self._solved[own] = coords, cert, None
         try:
-            got = self._solve(*bullet)
-            if self.ctx.project_heis(got[2], flavor) != circ[2]:
-                raise TriangularityError(f"bullet({lm},{lp}) does not project onto circ({lm},{lp}) in {flavor}")
+            return self._proved(*bullet)
         except BaseException as exc:
             del self._solved[own]
             self._solved.pop(bullet, None)
-            if isinstance(exc, TriangularityError) and not self.ctx.is_bar_fixed(circ[2]):
+            if isinstance(exc, TriangularityError) and not self.ctx.is_bar_fixed(self._element("circ", variant, coords)):
                 raise TriangularityError(f"circ({lm},{lp}) failed bar-invariance") from exc
             raise
-        return got
 
     def _record(self, kind, lm, lp, variant) -> tuple:
-        """The record of the pair, not yet proved bar-fixed.  Transpose maps
-        the kind's element at (lm, lp) to the one at the partner (*lp, *lm),
-        so once the partner's record exists the coordinates are relabeled
-        from it (`_transpose`) and proved unitriangular (`_certify`) in place
-        of a solve; otherwise `_corrections` solves.  The element is built
-        once from the coordinates over one denominator, spread by
-        `expand_numerators` over the labels' DCB columns
-        (`CanonicalTables.dcb_column`), each coefficient reduced once."""
+        """(coords, certificate, partner) of the pair, not yet proved
+        bar-fixed.  Transpose maps the kind's element at (lm, lp) to the one
+        at the partner (*lp, *lm), so once the partner's record exists the
+        coordinates are relabeled from it (`_transpose`), proved
+        unitriangular (`_certify`) in place of a solve, and partner names
+        it; otherwise `_corrections` solves and partner is None."""
         partner = self._partner(lm, lp)
         record = self._solved.get((kind, *partner, variant)) if partner else None
         coords = self._transpose(record[0]) if record else None
         if coords is not None:
-            solved = self._certify(kind, lm, lp, variant, coords)
-        else:
-            solved, coords = self._corrections(kind, lm, lp, variant)
+            return coords, self._certify(kind, lm, lp, variant, coords), partner
+        cert, coords = self._corrections(kind, lm, lp, variant)
+        return coords, cert, None
+
+    def _element(self, kind, variant, coords) -> TriElem:
+        """The element of DCB coordinates in the kind's flavor, built over
+        one denominator and spread by `expand_numerators` over the labels'
+        DCB columns (`CanonicalTables.dcb_column`), each coefficient reduced
+        once."""
         nums, den = common_denominator(list(coords.values()))
         groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
-        flavor = _KINDS[kind, variant][1]
-        return coords, solved, TriElem(self.ctx, flavor, over_groups(groups, den), normalized=True)
+        return TriElem(self.ctx, _KINDS[kind, variant][1], over_groups(groups, den), normalized=True)
 
     def _corrections(self, kind, lm, lp, variant) -> tuple:
         """Lusztig's lemma for the pair over the lower records of its own
@@ -369,7 +402,7 @@ class Engine:
         coords, cert = dict(self._family_dcb(below, lm, lp, variant)), {}
         for s, p in bar_fix(found, list(found), lambda _: {}, side, where).items():
             (am, ap), l2, l3 = s
-            lower, lower_cert = self._solve(kind, l2, l3, variant)[:2]
+            lower, lower_cert = self._proved(kind, l2, l3, variant)[:2]
             accumulate(cert, s, p)
             for ((bm, bp), m2, m3), c in lower_cert.items():
                 accumulate(cert, ((_add(am, bm), _add(ap, bp)), m2, m3), p * c)
@@ -504,7 +537,7 @@ class Engine:
 
     def certificate(self, kind: str, lm: str, lp: str, variant: str = "plus") -> dict:
         """The corrections s -> p_s of the solve, solving on demand."""
-        return self._solve(kind, lm, lp, variant)[1]
+        return self._proved(kind, lm, lp, variant)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,51 @@ class TestBasisSinks:
         assert not list(cache.glob("*.tmp"))
 
 
+class TestCacheEntries:
+    # a cache entry's file name carries the sha256 of its bytes: a hit
+    # serves the entry unparsed, and an entry whose bytes no longer match
+    # is a miss that rebuilds it, with the same bytes on stdout
+
+    ARGV = ("basis", "--preset", "A1", "--height", "2")
+
+    @pytest.fixture
+    def cached(self, capsys, tmp_path, monkeypatch):
+        """(uncached stdout, the one cache entry after a cached run)."""
+        monkeypatch.delenv("QDOUBLE_CACHE_DIR", raising=False)
+        _, plain = run(capsys, *self.ARGV)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
+        assert run(capsys, *self.ARGV) == (0, plain)
+        [entry] = cache.glob("basis-*.json")
+        assert entry.name.endswith(f".{hashlib.sha256(entry.read_bytes()).hexdigest()}.json")
+        return plain, entry
+
+    def test_hit_serves_the_entry_unparsed(self, capsys, monkeypatch, cached):
+        plain, entry = cached
+        monkeypatch.delattr(Engine, "enumerate_basis")
+        monkeypatch.setattr(json, "loads", None)
+        assert run(capsys, *self.ARGV) == (0, plain)
+
+    @pytest.mark.parametrize("damage", ["truncated", "one-byte-in-a-string"])
+    def test_damaged_entry_is_a_miss(self, capsys, monkeypatch, cached, damage):
+        plain, entry = cached
+        data = entry.read_bytes()
+        if damage == "truncated":
+            bad = data[: len(data) // 2]
+        else:
+            # a label inside a string value: still valid JSON, one byte apart
+            at = data.index(b'"b_minus": "F[1^1]"') + len('"b_minus": "F[1^')
+            bad = data[:at] + b"7" + data[at + 1 :]
+            assert json.loads(bad) != json.loads(data)
+        entry.write_bytes(bad)
+        builds, real = [], Engine.enumerate_basis
+        monkeypatch.setattr(Engine, "enumerate_basis", lambda self, *a, **k: builds.append(1) or real(self, *a, **k))
+        assert run(capsys, *self.ARGV) == (0, plain)
+        assert builds == [1]
+        assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+        assert entry.read_bytes() == data
+
+
 class TestBraidCmd:
     def test_t1_on_e2(self, capsys):
         code, out = run(capsys, "braid", "--preset", "A2", "--word", "1", "--element", "E:2")

@@ -477,6 +477,17 @@ class TestTorusKernels:
             for which in involutions:
                 assert ctx.involution(x, which) == reference_involution(ctx, x, which)
 
+    @pytest.mark.parametrize("flavor", ["full", "heis_plus", "heis_minus", "localized"])
+    def test_bar_commutes_with_transpose(self, preset, flavor):
+        # bar t and t bar are antilinear automorphisms (bar an antilinear,
+        # t a linear anti-automorphism) that agree on E_i, F_i and K; the
+        # engine proves a relabeled record bar-fixed by this
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(97 + FLAVORS.index(flavor))
+        for _ in range(10):
+            x = oracle_tri(ctx, rng, flavor)
+            assert ctx.bar(ctx.transpose(x)) == ctx.transpose(ctx.bar(x))
+
 
 @pytest.mark.parametrize("preset", ["A2", "B2", "G2"])
 def test_straightened_terms_keep_the_weight(preset):
@@ -758,6 +769,22 @@ class TestIsBarFixed:
             self.assert_agrees(ctx, x, True)
             moved.append(self.assert_agrees(ctx, self.moved(ctx, x, rng)))
         assert not all(moved)
+
+    @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_transpose_check_agrees(self, preset, flavor):
+        # is_transpose(y, x) decides t(x) == y on the same unreduced
+        # comparison: true on t(x), false with one coefficient moved, false
+        # in another flavor
+        ctx = Algebra.get(preset).ctx
+        rng = random.Random(83 + FLAVORS.index(flavor))
+        for _ in range(3):
+            x = oracle_tri(ctx, rng, flavor)
+            y = ctx.transpose(x)
+            assert ctx.is_transpose(y, x)
+            assert not ctx.is_transpose(self.moved(ctx, y, rng), x)
+            other = "localized" if flavor != "localized" else "check"
+            assert not ctx.is_transpose(y.with_flavor(other), x)
 
     def test_image_inside_the_support(self):
         # x = bar(F E) = F E + (q^-1 - q)(K_+ - K_-) has bar(x) = F E: bar(x)

@@ -248,41 +248,61 @@ class TestEngineChecksFail:
         with pytest.raises(TriangularityError, match="not Laurent"):
             alg.structure_constants(lab1, lab1)
 
-    @pytest.mark.parametrize("scaled", ["one-coefficient", "whole-element"])
-    def test_circ_off_its_bullet(self, monkeypatch, scaled):
-        # mutation: circ(F, F) of A1, recorded unchecked under its bullet,
-        # has one coefficient (or every one) doubled after its solve; only
-        # the projection of the proved bullet onto heis_plus sees it.  With
-        # one coefficient doubled the circ is no longer bar-fixed, so the
-        # fallback's own check names it; doubled whole, it still is
+    def test_circ_off_its_bullet(self, monkeypatch):
+        # mutation: circ(F, F) of A1, recorded with no element under its
+        # bullet, has its one correction coordinate (-v^2 at K_+) doubled
+        # before the bullet reads it.  The bar of the bullet's member then
+        # leaves the bullet family, and the fallback's own check of the
+        # circ element names the circ
         alg = Algebra("A1")
         lab1 = sl2_label(alg, 1)
         record = lusztig.Engine._record
+        correction = (kmono((0,), (1,)), "1", "1")
 
         def perturbed(self, kind, lm, lp, variant):
-            coords, cert, elem = record(self, kind, lm, lp, variant)
+            coords, cert, partner = record(self, kind, lm, lp, variant)
             if (kind, lm, lp) == ("circ", lab1, lab1):
-                terms = dict(elem.terms)
-                for key in list(terms)[: 1 if scaled == "one-coefficient" else None]:
-                    terms[key] = terms[key] * Rat.of(2)
-                elem = TriElem(elem.ctx, elem.flavor, terms, normalized=True)
-            return coords, cert, elem
+                assert coords[correction] == -Rat.of(nu_power(2))
+                coords = {**coords, correction: coords[correction] * Rat.of(2)}
+            return coords, cert, partner
 
         monkeypatch.setattr(lusztig.Engine, "_record", perturbed)
-        projection = f"bullet({lab1},{lab1}) does not project onto circ({lab1},{lab1}) in heis_plus"
-        if scaled == "one-coefficient":
-            with pytest.raises(TriangularityError, match=re.escape(f"circ({lab1},{lab1}) failed bar-invariance")) as info:
-                alg.bullet(lab1, lab1)
-            assert isinstance(info.value.__cause__, TriangularityError)
-            assert str(info.value.__cause__) == projection
-        else:
-            with pytest.raises(TriangularityError, match=re.escape(projection)):
-                alg.bullet(lab1, lab1)
-        # no record built on the unproved circ stays cached
+        with pytest.raises(TriangularityError, match=re.escape(f"circ({lab1},{lab1}) failed bar-invariance")) as info:
+            alg.bullet(lab1, lab1)
+        assert isinstance(info.value.__cause__, TriangularityError)
+        assert str(info.value.__cause__).startswith(f"bar of bullet({lab1},{lab1}) leaves the family at ")
+        # no record of the pair built on the unproved circ stays cached
         eng = alg.engine
         assert not {("circ", lab1, lab1, "plus"), ("bullet", lab1, lab1, "plus")} & eng._solved.keys()
         monkeypatch.undo()
         assert alg.bullet(lab1, lab1) == Algebra.get("A1").bullet(lab1, lab1)
+
+    def test_relabeled_bullet_off_its_partner(self, monkeypatch):
+        # mutation: one coefficient of the element of a bullet relabeled
+        # from its partner's record is doubled; only the word-level
+        # transpose check of the relabeled record can see it
+        lm, lp = "b+(0,1,0,0)", "b+(0,2,0,0)"
+        alg = Algebra("A2")
+        eng = alg.engine
+        eng.bullet(lp, lm)
+        element = lusztig.Engine._element
+
+        def perturbed(self, kind, variant, coords):
+            elem = element(self, kind, variant, coords)
+            if kind == "bullet" and (kmono((0, 0), (0, 0)), lm, lp) in coords:
+                first = min(elem.terms)
+                elem = TriElem(elem.ctx, elem.flavor, {**elem.terms, first: elem.terms[first] * Rat.of(2)}, normalized=True)
+            return elem
+
+        monkeypatch.setattr(lusztig.Engine, "_element", perturbed)
+        message = f"bullet({lm},{lp}) failed bar-invariance: it is not the transpose of bullet({lp},{lm})"
+        with pytest.raises(TriangularityError, match=re.escape(message)):
+            eng.bullet(lm, lp)
+        # the partner's record is proved and kept; no record of the pair is
+        assert ("bullet", lp, lm, "plus") in eng._solved
+        assert not {(kind, lm, lp, "plus") for kind in ("circ", "bullet")} & eng._solved.keys()
+        monkeypatch.undo()
+        assert eng.bullet(lm, lp) == Algebra.get("A2").bullet(lm, lp)
 
     def test_canonical_element_not_sigma_fixed(self, monkeypatch):
         # mutation: the canonical basis of a half built with no corrections
@@ -440,12 +460,15 @@ class TestSolveRecord:
         # and relabels the other: 210 bar_fix calls, where solving every
         # pair took 392.  Each solve bars its own member once and no other:
         # 210 member bars, where bar rows of the unsolved lower members took
-        # 258.  Each of the 196 bullets is proved by is_bar_fixed in full,
-        # and each circ record by its bullet's proof and one projection onto
-        # heis_plus, so no check runs in a Heisenberg quotient
-        calls = {"bar_fix": 0, "is_bar_fixed": [], "project_heis": 0, "member_bar": 0}
-        fix, fixed, project = lusztig.bar_fix, DoubleContext.is_bar_fixed, DoubleContext.project_heis
-        member_bar = lusztig.Engine._member_bar
+        # 258.  Of the 196 bullets, the 105 solved (or their own partner)
+        # are proved by is_bar_fixed in full and the 91 relabeled by one
+        # transpose check against their proved partner, where all 196 took
+        # is_bar_fixed.  Each circ record is proved by its bullet's proof
+        # alone, so no check runs in a Heisenberg quotient and no circ
+        # element is built
+        calls = {"bar_fix": 0, "is_bar_fixed": [], "is_transpose": 0, "member_bar": 0, "element": []}
+        fix, fixed, transposed = lusztig.bar_fix, DoubleContext.is_bar_fixed, DoubleContext.is_transpose
+        member_bar, element = lusztig.Engine._member_bar, lusztig.Engine._element
 
         def counting_member_bar(self, *args):
             calls["member_bar"] += 1
@@ -459,18 +482,24 @@ class TestSolveRecord:
             calls["is_bar_fixed"].append(x.flavor)
             return fixed(self, x)
 
-        def counting_project(self, x, flavor="heis_plus"):
-            calls["project_heis"] += 1
-            return project(self, x, flavor)
+        def counting_transposed(self, y, x):
+            calls["is_transpose"] += 1
+            return transposed(self, y, x)
+
+        def counting_element(self, kind, *args):
+            calls["element"].append(kind)
+            return element(self, kind, *args)
 
         monkeypatch.setattr(lusztig, "bar_fix", counting_fix)
         monkeypatch.setattr(DoubleContext, "is_bar_fixed", counting_fixed)
-        monkeypatch.setattr(DoubleContext, "project_heis", counting_project)
+        monkeypatch.setattr(DoubleContext, "is_transpose", counting_transposed)
         monkeypatch.setattr(lusztig.Engine, "_member_bar", counting_member_bar)
+        monkeypatch.setattr(lusztig.Engine, "_element", counting_element)
         rows = Algebra("A2").engine.enumerate_basis((2, 2))
         assert len(rows) == 663
         assert calls["bar_fix"] <= 210 and calls["member_bar"] == 210
-        assert calls["is_bar_fixed"] == ["full"] * 196 and calls["project_heis"] == 196
+        assert calls["is_bar_fixed"] == ["full"] * 105 and calls["is_transpose"] == 91
+        assert calls["element"] == ["bullet"] * 196
 
     def test_certificate_solves_on_demand(self):
         alg = Algebra("A2")
@@ -617,7 +646,8 @@ class TestTransportChecks:
             rev = eng.tables.reversed_label
             return {(K, rev(l3), rev(l2)): c for (K, l2, l3), c in coords.items()}
 
-        with pytest.raises(TriangularityError, match=self.WHERE + " failed bar-invariance"):
+        message = self.WHERE + r" failed bar-invariance: it is not the transpose of circ\(b\+\(0,2,0,0\),b\+\(0,1,0,0\)\)"
+        with pytest.raises(TriangularityError, match=message):
             self.transport(monkeypatch, unshifted)
 
     def test_diagonal_times_v(self, monkeypatch):
@@ -646,6 +676,48 @@ class TestTransportChecks:
         message = self.WHERE + " correction at .*: .* is not strictly positive in v"
         with pytest.raises(TriangularityError, match=message):
             self.mutated(monkeypatch, flipped)
+
+
+def circ_route_mismatches(alg):
+    """The pairs through height 2, per variant, whose bullet does not
+    project onto the circ at word level.  The bullets are solved first,
+    lower total height first, so each circ record is met through its
+    bullet with no element, and its element is built on demand."""
+    eng, degree = alg.engine, alg.tables.degree_of
+    labels = labels_to_height_two(alg)
+    pairs = sorted(((lm, lp) for lm in labels for lp in labels), key=lambda pair: sum(degree(pair[0]) + degree(pair[1])))
+    bad = []
+    for variant, flavor in (("plus", "heis_plus"), ("minus", "heis_minus")):
+        for lm, lp in pairs:
+            eng.bullet(lm, lp, variant)
+        assert all(eng._solved["circ", lm, lp, variant][2] is None for lm, lp in pairs)
+        for lm, lp in pairs:
+            if alg.ctx.project_heis(eng.bullet(lm, lp, variant), flavor) != eng.circ(lm, lp, variant):
+                bad.append((lm, lp, variant))
+    return len(pairs), bad
+
+
+class TestCircRoute:
+    # a circ record met through its bullet is proved by the bullet alone and
+    # gets its element only on demand; at word level the bullet projects
+    # onto that element in the circ's Heisenberg quotient
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1affine"])
+    def test_bullet_projects_onto_circ(self, name):
+        assert circ_route_mismatches(Algebra(name)) == (49, [])
+
+    def test_circ_built_without_corrections(self, monkeypatch):
+        # mutation: the circ element built from its K = 1 coordinates only
+        element = lusztig.Engine._element
+
+        def member_only(self, kind, variant, coords):
+            if kind == "circ":
+                coords = {idx: c for idx, c in coords.items() if not any(map(any, idx[0]))}
+            return element(self, kind, variant, coords)
+
+        monkeypatch.setattr(lusztig.Engine, "_element", member_only)
+        pairs, bad = circ_route_mismatches(Algebra("A2"))
+        assert (pairs, len(bad)) == (49, 40)
 
 
 class TestTransportOrder:
