@@ -34,9 +34,11 @@ words, the DCB coordinates of a solve over the labels' elements
 one numerator stage, the straightened numerators over one denominator.
 `involution` and `multiply` spread them over pivot words; `is_bar_fixed`
 and `is_transpose` compare the groups of bar(x), or of t(x), with an
-element's coefficients by cross-multiplication (`_matches`) and reduce
-nothing; the engine's reverse products go over DCB rows, one reduction per
-coordinate.
+element's coefficients by cross-multiplication (`matches`) and reduce
+nothing.  `fold_groups` puts the groups of a product over pivot words on
+one denominator by exact division, still unreduced: the engine's memoised
+reverse products, which its proofs read and which go over DCB rows, one
+reduction per coordinate.
 
 Two term kernels act on terms {(K, a, b): c} over any homogeneous keys a, b
 with their degrees, F-word and E-word or the labels of DCB elements b_a b_b:
@@ -61,6 +63,7 @@ from .scalar import (
     accumulate,
     add_mul,
     common_denominator,
+    laurent_lcm,
     laurent_values,
     format_scalar,
     nu_power,
@@ -418,18 +421,18 @@ class DoubleContext:
         return expand_numerators(acc, self.word_coords, drop), den
 
     def is_bar_fixed(self, x: TriElem) -> bool:
-        """bar(x) == x, decided on the numerators of bar(x) (`_matches`), so
+        """bar(x) == x, decided on the numerators of bar(x) (`matches`), so
         no coefficient of bar(x) is reduced."""
-        return self._matches(*self._involution_numerators(x, "bar"), x)
+        return self.matches(*self._involution_numerators(x, "bar"), x)
 
     def is_transpose(self, y: TriElem, x: TriElem) -> bool:
         """t(x) == y for the transpose t, decided on the numerators of t(x)
-        (`_matches`): word reversal and the pivot-word expansion, no
+        (`matches`): word reversal and the pivot-word expansion, no
         straightening, and no coefficient of t(x) reduced."""
-        return y.flavor == x.flavor and self._matches(*self._involution_numerators(x, "transpose"), y)
+        return y.flavor == x.flavor and self.matches(*self._involution_numerators(x, "transpose"), y)
 
     @staticmethod
-    def _matches(groups, den, y: TriElem) -> bool:
+    def matches(groups, den, y: TriElem) -> bool:
         """Whether numerator groups over den (`expand_numerators`) sum to y:
         each key's fractions sum by cross-multiplication and compare with
         y's coefficient the same way, with nothing reduced."""
@@ -594,6 +597,24 @@ def over_groups(groups: dict, den: Laurent) -> dict:
         for key, c in part.items():
             accumulate(out, key, c)
     return out
+
+
+def fold_groups(groups: dict, den: Laurent) -> tuple[dict, Laurent]:
+    """Numerator groups over den (`expand_numerators`) on one denominator:
+    (nums, den L), L the lcm of the groups' d_f d_e, each group's
+    numerators times its cofactor L / (d_f d_e), an exact division of
+    Laurent polynomials; nothing is reduced."""
+    dens = {g: g[0] * g[1] for g in groups}
+    if len(groups) == 1:
+        ((g, acc),) = groups.items()
+        return acc, den * dens[g]
+    lcm = laurent_lcm(set(dens.values()))
+    out: dict = {}
+    for g, acc in groups.items():
+        cofactor = lcm.exact_div(dens[g]).c
+        for key, n in acc.items():
+            add_mul(out.setdefault(key, {}), n.c, cofactor)
+    return laurent_values(out), den * lcm
 
 
 def unit_vec(rank: int, i: int, power: int, side: int):

@@ -10,8 +10,9 @@ pair's family before it reads, and so solves, that key's record), and
 bar_fix reads the expansion with every lower bar row zero.  The record's
 certificate, its corrections over the members, composes each correction
 with the certificate of its lower record.  The engine also owns the
-per-label-pair memos: the reverse products b_+ b_- in DCB coordinates
-(`reverse_dcb`, from the straightened numerators of the product, one
+per-label-pair memos: the reverse products b_+ b_- on pivot words over one
+denominator (`_reverse_words`, straightened once per transpose orbit), the
+same products in DCB coordinates (`reverse_dcb`, read from them, one
 reduction per coordinate) and the clearing multipliers (`d_multiplier`).
 Bar fixes every DCB element and reverses products, so the bar of a member
 reads bar(b_- b_+) = b_+ b_- from the same memo.  A solve works in DCB
@@ -34,8 +35,12 @@ q (`Engine._certify`), and its element bar-fixed; by Lusztig's lemma it is
 then the unique solve.
 Every record is proved bar-fixed by one exact word-level check that reads
 neither the bar of its member nor bar_fix (`Engine._prove`).  A solved
-record, and a pair that is its own partner or has none, ends in
-`DoubleContext.is_bar_fixed`.  A relabeled record ends in
+record, and a pair that is its own partner or has none, is proved over the
+memoised reverse products (`Engine._bar_fixed`): bar of its element is the
+sum over its coordinates c K b_l2 b_l3 of bar(c), a power of v and K times
+b_l3 b_l2 on pivot words, compared with the element by
+cross-multiplication (`DoubleContext.matches`); each label's DCB element
+is checked bar-fixed once.  A relabeled record ends in
 `DoubleContext.is_transpose`: its element is t of its partner's, which is
 proved, and bar commutes with t.  A circ met first through the bullet of
 its own pair is proved by that bullet's proof alone (`Engine._through_bullet`):
@@ -46,23 +51,28 @@ Also structure-constant extraction and basis enumeration, which computes each
 twisted row K diamond bullet(b_-, b_+) once per engine.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
 by triple coproducts and pairings, no straightening: the two-path check.
+Its triple coproducts are memoised per label and sign in the engine.
 """
 from __future__ import annotations
 
 import functools
 
-from .double import DROPPED_K, TriElem, expand_numerators, kmono, k_is_one, k_one, over_groups
+from .double import DROPPED_K, TriElem, expand_numerators, fold_groups, kmono, k_is_one, k_one, over_groups
 from .halves import PLUS, MINUS
 from .scalar import (
+    ONE,
     BarInconsistency,
     Laurent,
     Rat,
     RAT_ONE,
     RAT_ZERO,
     accumulate,
+    add_mul,
     clear_denominators,
     common_denominator,
     cyclotomic_factor,
+    laurent_lcm,
+    laurent_values,
     nu_power,
     solve_bar_correction,
 )
@@ -142,16 +152,20 @@ class Engine:
     (*lp, *lm) already has a record, relabeled from it (`_transpose`) and
     proved unitriangular (`_certify`).  The bar of a member reads
     bar(b_- b_+) as the memoised reverse product b_+ b_-, itself relabeled
-    from the partner's where that exists.  The engine holds four memos:
-    the records, the reverse products, the clearing multipliers and the
-    twisted rows of `enumerate_basis`.  Pairs with a label that has no
+    from the partner's where that exists.  The engine holds its memos per
+    record, label pair or label: the records, the reverse products on
+    pivot words and in DCB coordinates, the clearing multipliers, the
+    twisted rows of `enumerate_basis`, the labels whose DCB element is
+    checked bar-fixed, and the triple coproducts of
+    `product_expansion_via_coproduct`.  Pairs with a label that has no
     reversed label, and pairs that are their own partner, are always
-    solved.  Each record is proved bar-fixed once (`_prove`): a solve by
-    `is_bar_fixed`, a relabeled record by `is_transpose` against its proved
-    partner, and a circ record first met through its own pair's bullet by
-    that bullet's proof (`_through_bullet`); such a circ record holds no
-    element until `circ`, or a proof that reads it, builds it (`_solve`).
-    No record that is not proved stays in the memo.
+    solved.  Each record is proved bar-fixed once (`_prove`): a solve over
+    the reverse products on pivot words (`_bar_fixed`), a relabeled record
+    by `is_transpose` against its proved partner, and a circ record first
+    met through its own pair's bullet by that bullet's proof
+    (`_through_bullet`); such a circ record holds no element until `circ`,
+    or a proof that reads it, builds it (`_solve`).  No record that is not
+    proved stays in the memo.
     """
 
     def __init__(self, algebra):
@@ -160,6 +174,9 @@ class Engine:
         self.tables = algebra.tables
         self._solved: dict = {}  # (kind, lm, lp, variant) -> (coords, certificate, element)
         self._reverse: dict = {}  # (lm, lp) -> DCB coordinates of b_+ b_- in full
+        self._words: dict = {}  # (lm, lp) -> b_+ b_- in full on pivot words, (nums, den)
+        self._fixed: set = set()  # labels whose DCB element is checked bar-fixed
+        self._triples: dict = {}  # (label, sign) -> triple coproduct over labels
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
         self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
 
@@ -168,11 +185,11 @@ class Engine:
         """DCB coordinates (to_dcb) of the reverse product b_+ b_- in `full`,
         memoised per label pair: the commutator expansion d_multiplier
         clears, and the terms the bar of a member is built from.  The
-        straightened numerators of the product (`product_numerators`) go to
-        DCB coordinates with no pivot-word normal form between, so each
-        coordinate is reduced once.  Transpose sends b_+ b_- to the reverse
-        product of the partner pair (*lp, *lm), so once that is known the
-        coordinates are relabeled from it (`_transpose`)."""
+        product on pivot words (`_reverse_words`) goes to DCB coordinates
+        (`numerators_to_dcb`), each coordinate reduced once.  Transpose
+        sends b_+ b_- to the reverse product of the partner pair (*lp, *lm),
+        so once that is known the coordinates are relabeled from it
+        (`_transpose`)."""
         key = (lab_minus, lab_plus)
         got = self._reverse.get(key)
         if got is None:
@@ -180,12 +197,34 @@ class Engine:
             if partner in self._reverse:
                 got = self._transpose(self._reverse[partner])
             if got is None:
-                ctx = self.ctx
+                nums, den = self._reverse_words(lab_minus, lab_plus)
+                got = self.tables.numerators_to_dcb({idx: n.c for idx, n in nums.items()}, den)
+            self._reverse[key] = got
+        return got
+
+    def _reverse_words(self, lab_minus: str, lab_plus: str) -> tuple:
+        """The reverse product b_+ b_- in `full` on pivot words over one
+        denominator, (nums, den) with nums {(K, f, e): Laurent}, memoised per
+        label pair: the straightened numerators of the product
+        (`product_numerators`) or, once the partner (*lp, *lm) has its
+        memo, the transpose of the partner's at word level
+        (`DoubleContext.transpose_terms` on reversed words), with no
+        straightening; either is spread over pivot words (`word_coords`)
+        and its groups folded onto one denominator (`fold_groups`)."""
+        key = (lab_minus, lab_plus)
+        got = self._words.get(key)
+        if got is None:
+            ctx = self.ctx
+            partner = self._partner(lab_minus, lab_plus)
+            if partner in self._words:
+                nums, den = self._words[partner]
+                image = ctx.transpose_terms(nums, lambda w: w[::-1], ctx.half.word_degree)
+                nums = {idx: n.c for idx, n in image.items()}
+            else:
                 bm = self.tables.dcb_elem(MINUS, lab_minus)
                 bp = self.tables.dcb_elem(PLUS, lab_plus)
-                nums = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
-                got = self.tables.numerators_to_dcb(*nums)
-            self._reverse[key] = got
+                nums, den = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
+            got = self._words[key] = fold_groups(expand_numerators(nums, ctx.word_coords), den)
         return got
 
     def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
@@ -321,23 +360,66 @@ class Engine:
                 return self._through_bullet(lm, lp, variant)
             coords, cert, partner = self._record(*key)
             got = coords, cert, self._element(kind, variant, coords)
-            self._prove(key, got[2], partner)
+            self._prove(key, coords, got[2], partner)
             self._solved[key] = got
         return got
 
-    def _prove(self, key, element, partner):
+    def _prove(self, key, coords, element, partner):
         """Prove a record's element bar-fixed by one exact word-level check:
         for a record relabeled from its partner's, that the element is t of
         the partner's element, which is proved bar-fixed, and bar commutes
         with t (both composites are antilinear automorphisms that agree on
-        E_i, F_i and K); for a solve, `is_bar_fixed`."""
+        E_i, F_i and K); for a solve, that bar of its coordinates over the
+        memoised reverse products is the element (`_bar_fixed`)."""
         kind, lm, lp, variant = key
         where = f"{kind}({lm},{lp}) failed bar-invariance"
         if partner is None:
-            if not self.ctx.is_bar_fixed(element):
+            if not self._bar_fixed(coords, element):
                 raise TriangularityError(where)
         elif not self.ctx.is_transpose(element, self._solve(kind, *partner, variant)[2]):
             raise TriangularityError(f"{where}: it is not the transpose of {kind}({partner[0]},{partner[1]})")
+
+    def _bar_fixed(self, coords, element) -> bool:
+        """bar(x) == x for the element x = sum c K b_l2 b_l3 of coordinates
+        in its flavor, decided at word level.  Bar is an antilinear
+        anti-automorphism that fixes K and, as `_check_fixed` checks once per
+        label, every DCB element, so bar(c K b_l2 b_l3) is
+        bar(c) v^(-2 kdif_dot(K, deg l3 - deg l2)) K b_l3 b_l2, the reverse
+        product on pivot words (`_reverse_words`) times K.  The torus block
+        the flavor drops is dropped, as in `_member_bar`.  The sum goes over
+        one denominator, the coordinates' times the lcm of the memos', each
+        coordinate's numerator times its memo's cofactor (an exact
+        division), and is compared with the element's coefficients by
+        cross-multiplication (`DoubleContext.matches`), with nothing
+        reduced.  This reads straightening and the pivot normal form, not
+        `numerators_to_dcb`, the member's bar or `bar_fix`; that x is the
+        sum of its coordinates holds by construction (`_element`)."""
+        ctx, deg = self.ctx, self.tables.degree_of
+        drop = DROPPED_K.get(element.flavor)
+        nums, den = common_denominator(list(coords.values()))
+        memos = [self._reverse_words(l2, l3) for _, l2, l3 in coords]
+        lcm = laurent_lcm({d for _, d in memos})
+        acc: dict = {}
+        for (K, l2, l3), n, (words, d) in zip(coords, nums, memos):
+            self._check_fixed(l2)
+            self._check_fixed(l3)
+            nb = n.bar() if d == lcm else n.bar() * lcm.exact_div(d)
+            shift = -2 * ctx.kdif_dot(K, _sub(deg(l3), deg(l2)))
+            for (K2, f, e), w in words.items():
+                K3 = ctx.k_product(K, K2)
+                if drop is None or not any(K3[drop]):
+                    add_mul(acc.setdefault((K3, f, e), {}), nb.c, w.c, shift)
+        return ctx.matches({(ONE, ONE): laurent_values(acc)}, den.bar() * lcm, element)
+
+    def _check_fixed(self, label):
+        """Raise unless bar fixes the label's DCB element, checked once per
+        label and engine.  Bar commutes with flip, so the E-side element is
+        then fixed too."""
+        if label not in self._fixed:
+            b = self.tables.dcb_elem(MINUS, label)
+            if self.ctx.half.bar(b) != b:
+                raise TriangularityError(f"DCB element {label} is not bar-fixed")
+            self._fixed.add(label)
 
     def _through_bullet(self, lm, lp, variant) -> tuple:
         """The bullet record of the pair, solved over its own circ record,
@@ -349,8 +431,8 @@ class Engine:
         circ; it is an algebra map that commutes with bar, so the circ is
         bar-fixed once the bullet is.  On any failure no record of the pair
         stays cached, and a TriangularityError first runs the circ's own
-        `is_bar_fixed` on its element, so a wrong circ fails as it would
-        alone."""
+        proof (`_bar_fixed`) on its element, so a wrong circ fails as it
+        would alone."""
         own, bullet = ("circ", lm, lp, variant), ("bullet", lm, lp, variant)
         coords, cert, _ = self._record(*own)
         self._solved[own] = coords, cert, None
@@ -359,7 +441,7 @@ class Engine:
         except BaseException as exc:
             del self._solved[own]
             self._solved.pop(bullet, None)
-            if isinstance(exc, TriangularityError) and not self.ctx.is_bar_fixed(self._element("circ", variant, coords)):
+            if isinstance(exc, TriangularityError) and not self._bar_fixed(coords, self._element("circ", variant, coords)):
                 raise TriangularityError(f"circ({lm},{lp}) failed bar-invariance") from exc
             raise
 
@@ -557,8 +639,15 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> dict:
     half = algebra.half
     tables = algebra.tables
     datum = algebra.datum
+    triples = algebra.engine._triples
 
     def triple_dcb(label, sign):
+        got = triples.get((label, sign))
+        if got is None:
+            got = triples[label, sign] = expand_triple(label, sign)
+        return got
+
+    def expand_triple(label, sign):
         elem = tables.dcb_elem(sign, label)
         # expand (Delta x 1) Delta on the word level
         acc = {}

@@ -554,14 +554,22 @@ def laurent_values(sums: dict) -> dict:
     return out
 
 
+def laurent_lcm(dens) -> Laurent:
+    """The lcm of nonzero Laurent polynomials, by exact division by gcds;
+    the first is taken as it is."""
+    it = iter(dens)
+    d = next(it, ONE)
+    for b in it:
+        d = d * b.exact_div(laurent_gcd(d, b))
+    return d
+
+
 def common_denominator(xs) -> tuple[list[Laurent], Laurent]:
     """(nums, d) with xs[k] = nums[k] / d, d the lcm of the denominators."""
     dens = {x.den for x in xs} - {ONE}
     if not dens:
         return [x.num for x in xs], ONE
-    d = ONE
-    for b in dens:
-        d = d * b.exact_div(laurent_gcd(d, b))
+    d = laurent_lcm(dens)
     cofactor = {b: d.exact_div(b) for b in dens | {ONE}}
     return [x.num * cofactor[x.den] for x in xs], d
 

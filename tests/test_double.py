@@ -29,7 +29,7 @@ from qdouble.double import (
     tri_from_obj,
     tri_to_obj,
 )
-from qdouble.scalar import ONE, RAT_ONE, Laurent, Rat, accumulate, common_denominator, nu_power, qangle, qround_binom, qangle_factorial
+from qdouble.scalar import ONE, RAT_ONE, Laurent, Rat, accumulate, common_denominator, nu_power, over_denominator, qangle, qround_binom, qangle_factorial
 from qdouble.sl2oracle import SL2Oracle
 
 
@@ -849,6 +849,22 @@ class TestWordDenominators:
             ) + ctx.from_halves(minus=half.element(MINUS, {f: RAT_ONE}), K=K)
             assert x == want
             assert_canonical(x.terms.values())
+
+    def test_fold_groups(self):
+        # R3 (1,2,1) words on both sides, over 1 or v^4 + 1, spread into
+        # three denominator groups; folded onto one denominator they give
+        # the fractions of the normal form
+        alg = Algebra.get("R3")
+        ctx = alg.ctx
+        words = alg.half.degree_basis((1, 2, 1)).words
+        K = kmono((1, 0, 0), (0, 0, 1))
+        terms = {(K, f, e): {k: 1, -1: 3} for k, (f, e) in enumerate(zip(words, reversed(words)))}
+        den = Laurent({0: 1, 1: 1})
+        groups = double.expand_numerators({key: dict(n) for key, n in terms.items()}, ctx.word_coords)
+        assert len(groups) == 3
+        want = TriElem(ctx, "full", {key: Rat(Laurent(n), den) for key, n in terms.items()}).terms
+        nums, d = double.fold_groups(groups, den)
+        assert over_denominator(nums, d) == want == double.over_groups(groups, den)
 
     @staticmethod
     def reference_column(basis, w):

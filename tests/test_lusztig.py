@@ -304,6 +304,63 @@ class TestEngineChecksFail:
         monkeypatch.undo()
         assert eng.bullet(lm, lp) == Algebra.get("A2").bullet(lm, lp)
 
+    # a solved pair of A2: F_2 is its own word reversal, so the pair is its
+    # own transpose partner and its bullet is always solved
+    SOLVED = "b+(0,1,0,0)", "b+(0,1,0,0)"
+
+    def assert_unproved(self, alg, message):
+        """The bullet of SOLVED raises message, and no record of the pair stays cached."""
+        lm, lp = self.SOLVED
+        with pytest.raises(TriangularityError, match=message):
+            alg.bullet(lm, lp)
+        assert not {(kind, lm, lp, "plus") for kind in ("circ", "bullet")} & alg.engine._solved.keys()
+
+    def test_solved_coordinates_off_by_a_term(self, monkeypatch):
+        # mutation: the solved bullet's coordinates gain v at its member's
+        # own coordinate, a term bar does not fix; its element is built from
+        # the mutated coordinates, so only the final proof can see it
+        lm, lp = self.SOLVED
+        corrections = lusztig.Engine._corrections
+
+        def perturbed(self, kind, l2, l3, variant):
+            cert, coords = corrections(self, kind, l2, l3, variant)
+            if (kind, l2, l3) == ("bullet", lm, lp):
+                one = (k_one(2), lm, lp)
+                coords = {**coords, one: coords[one] + nu_power(1)}
+            return cert, coords
+
+        monkeypatch.setattr(lusztig.Engine, "_corrections", perturbed)
+        self.assert_unproved(Algebra("A2"), re.escape(f"bullet({lm},{lp}) failed bar-invariance") + "$")
+
+    def test_solved_element_off_by_v(self, monkeypatch):
+        # mutation: one coefficient of the solved bullet's element times v,
+        # its coordinates as solved
+        lm, lp = self.SOLVED
+        element = lusztig.Engine._element
+
+        def perturbed(self, kind, variant, coords):
+            elem = element(self, kind, variant, coords)
+            if kind == "bullet" and (k_one(2), lm, lp) in coords:
+                first = min(elem.terms)
+                elem = TriElem(elem.ctx, elem.flavor, {**elem.terms, first: elem.terms[first].shift(1)}, normalized=True)
+            return elem
+
+        monkeypatch.setattr(lusztig.Engine, "_element", perturbed)
+        self.assert_unproved(Algebra("A2"), re.escape(f"bullet({lm},{lp}) failed bar-invariance") + "$")
+
+    def test_label_not_bar_fixed(self, monkeypatch):
+        # mutation: bar of one DCB element gains a factor v; the proof reads
+        # bar(b) = b for every label and must check it, not trust it
+        lm, lp = self.SOLVED
+        alg = Algebra("A2")
+        for gamma in alg.datum.degrees_up_to((1, 1)):  # tables built with the true bar
+            alg.tables.dcb_table(gamma)
+        target, bar = alg.tables.dcb_elem(MINUS, lm), alg.half.bar
+        monkeypatch.setattr(alg.half, "bar", lambda x: bar(x).scale(nu_power(1)) if x == target else bar(x))
+        self.assert_unproved(alg, re.escape(f"DCB element {lm} is not bar-fixed"))
+        monkeypatch.undo()
+        assert alg.bullet(lm, lp) == Algebra.get("A2").bullet(lm, lp)
+
     def test_canonical_element_not_sigma_fixed(self, monkeypatch):
         # mutation: the canonical basis of a half built with no corrections
         monkeypatch.setattr(canbasis, "bar_fix", lambda *args: {})
@@ -461,14 +518,18 @@ class TestSolveRecord:
         # pair took 392.  Each solve bars its own member once and no other:
         # 210 member bars, where bar rows of the unsolved lower members took
         # 258.  Of the 196 bullets, the 105 solved (or their own partner)
-        # are proved by is_bar_fixed in full and the 91 relabeled by one
-        # transpose check against their proved partner, where all 196 took
-        # is_bar_fixed.  Each circ record is proved by its bullet's proof
-        # alone, so no check runs in a Heisenberg quotient and no circ
-        # element is built
-        calls = {"bar_fix": 0, "is_bar_fixed": [], "is_transpose": 0, "member_bar": 0, "element": []}
-        fix, fixed, transposed = lusztig.bar_fix, DoubleContext.is_bar_fixed, DoubleContext.is_transpose
-        member_bar, element = lusztig.Engine._member_bar, lusztig.Engine._element
+        # are proved in full over the memoised reverse products and the 91
+        # relabeled by one transpose check against their proved partner;
+        # is_bar_fixed, which took all 196 and then 105, runs on none.  Each
+        # circ record is proved by its bullet's proof alone, so no check runs
+        # in a Heisenberg quotient and no circ element is built.  The
+        # reverse products are straightened once per transpose orbit: the
+        # other pair of an orbit is relabeled at word level
+        calls = {"bar_fix": 0, "is_bar_fixed": 0, "proof": [], "is_transpose": 0, "member_bar": 0, "element": []}
+        calls["product_numerators"] = 0
+        fix, transposed = lusztig.bar_fix, DoubleContext.is_transpose
+        member_bar, element, proof = lusztig.Engine._member_bar, lusztig.Engine._element, lusztig.Engine._bar_fixed
+        product = DoubleContext.product_numerators
 
         def counting_member_bar(self, *args):
             calls["member_bar"] += 1
@@ -479,8 +540,11 @@ class TestSolveRecord:
             return fix(*args)
 
         def counting_fixed(self, x):
-            calls["is_bar_fixed"].append(x.flavor)
-            return fixed(self, x)
+            calls["is_bar_fixed"] += 1
+
+        def counting_proof(self, coords, elem):
+            calls["proof"].append(elem.flavor)
+            return proof(self, coords, elem)
 
         def counting_transposed(self, y, x):
             calls["is_transpose"] += 1
@@ -490,16 +554,28 @@ class TestSolveRecord:
             calls["element"].append(kind)
             return element(self, kind, *args)
 
+        def counting_product(self, x, y):
+            calls["product_numerators"] += 1
+            return product(self, x, y)
+
+        alg = Algebra("A2")
+        for gamma in alg.datum.degrees_up_to((2, 2)):  # the tables' own products are not counted
+            alg.tables.dcb_table(gamma)
         monkeypatch.setattr(lusztig, "bar_fix", counting_fix)
         monkeypatch.setattr(DoubleContext, "is_bar_fixed", counting_fixed)
         monkeypatch.setattr(DoubleContext, "is_transpose", counting_transposed)
+        monkeypatch.setattr(DoubleContext, "product_numerators", counting_product)
         monkeypatch.setattr(lusztig.Engine, "_member_bar", counting_member_bar)
         monkeypatch.setattr(lusztig.Engine, "_element", counting_element)
-        rows = Algebra("A2").engine.enumerate_basis((2, 2))
+        monkeypatch.setattr(lusztig.Engine, "_bar_fixed", counting_proof)
+        eng = alg.engine
+        rows = eng.enumerate_basis((2, 2))
         assert len(rows) == 663
         assert calls["bar_fix"] <= 210 and calls["member_bar"] == 210
-        assert calls["is_bar_fixed"] == ["full"] * 105 and calls["is_transpose"] == 91
+        assert calls["proof"] == ["full"] * 105 and calls["is_bar_fixed"] == 0 and calls["is_transpose"] == 91
         assert calls["element"] == ["bullet"] * 196
+        orbits = {frozenset({pair, eng._partner(*pair) or pair}) for pair in eng._words}
+        assert calls["product_numerators"] == len(orbits) < len(eng._words)
 
     def test_certificate_solves_on_demand(self):
         alg = Algebra("A2")
@@ -534,6 +610,53 @@ class TestSolveRecord:
             with pytest.raises(TriangularityError, match=pair + ": inconsistent bar row") as info:
                 engine.circ(lm, lp)
             assert isinstance(info.value.__cause__, BarInconsistency)
+
+
+class TestSolvedRecordProof:
+    """The proof of a solved record (`Engine._bar_fixed`: bar of its
+    coordinates over the memoised reverse products, compared with its
+    element) agrees with `DoubleContext.is_bar_fixed` on every record
+    through height 2, both kinds and variants, as solved and perturbed:
+    each coordinate times v (the element rebuilt), one element coefficient
+    plus v (the coordinates kept), and the record plus (v + v^-1) times the
+    record before it, which stays bar-fixed."""
+
+    @staticmethod
+    def cases(alg):
+        eng, ctx = alg.engine, alg.ctx
+        labels = labels_to_height_two(alg)
+        sym = Rat.of(Laurent({1: 1, -1: 1}))
+        for kind in ("circ", "bullet"):
+            for variant in ("plus", "minus"):
+                before = None
+                for lm in labels:
+                    for lp in labels:
+                        coords, _, elem = eng._solve(kind, lm, lp, variant)
+                        yield coords, elem
+                        for idx in coords:
+                            moved = {**coords, idx: coords[idx].shift(1)}
+                            yield moved, eng._element(kind, variant, moved)
+                        terms = dict(elem.terms)
+                        scalar.accumulate(terms, min(terms), nu_power(1))
+                        yield coords, TriElem(ctx, elem.flavor, terms, normalized=True)
+                        if before is not None:
+                            summed = dict(coords)
+                            for idx, c in before.items():
+                                scalar.accumulate(summed, idx, sym * c)
+                            yield summed, eng._element(kind, variant, summed)
+                        before = coords
+
+    @pytest.mark.parametrize("name", ["A2", "B2"])
+    def test_agrees_with_is_bar_fixed(self, name):
+        alg = Algebra(name)
+        eng, ctx = alg.engine, alg.ctx
+        outcomes = []
+        for coords, elem in self.cases(alg):
+            got = eng._bar_fixed(coords, elem)
+            assert got is ctx.is_bar_fixed(elem), (elem.flavor, coords)
+            outcomes.append(got)
+        # the 196 records and the 192 sums are fixed, no moved copy is
+        assert (len(outcomes), sum(outcomes)) == (932, 388)
 
 
 # -- the bar-row solve the engine replaced ----------------------------------
@@ -865,6 +988,31 @@ class TestReverseProducts:
         if name == "A2":  # the words 1 0 0 of degree (2, 1) and 1 1 0 of (1, 2)
             assert off_pivot
 
+    @pytest.mark.parametrize("name,bound", CASES)
+    def test_relabeled_at_word_level(self, monkeypatch, name, bound):
+        # of each transpose orbit, the reverse product of one pair is
+        # straightened and the other's relabeled from it at word level, with
+        # no straightening; that equals the product straightened directly,
+        # and the product in the double
+        alg = Algebra.get(name)
+        ctx, tables = alg.ctx, alg.tables
+        direct, relabeled = lusztig.Engine(alg), lusztig.Engine(alg)
+        pairs = self.pairs(alg, bound)
+        orbits = sorted({tuple(sorted({pair, relabeled._partner(*pair)})) for pair in pairs if relabeled._partner(*pair)})
+        product, calls = DoubleContext.product_numerators, []
+        monkeypatch.setattr(DoubleContext, "product_numerators", lambda self, x, y: calls.append(1) or product(self, x, y))
+        for first, (lm, lp) in orbits:
+            before = len(calls)
+            relabeled._reverse_words(*first)
+            got = scalar.over_denominator(*relabeled._reverse_words(lm, lp))
+            assert len(calls) == before + 1
+            want = scalar.over_denominator(*direct._reverse_words(lm, lp))
+            bp = ctx.from_halves(plus=tables.dcb_elem(PLUS, lp))
+            bm = ctx.from_halves(minus=tables.dcb_elem(MINUS, lm))
+            assert got == want == ctx.multiply(bp, bm).terms, (lm, lp)
+        assert 2 * len(orbits) <= len(pairs)
+        assert len(orbits) >= {"A2": 20, "B2": 20, "G2": 20, "A1affine": 1, "R3": 1}[name]
+
     def test_no_full_reduction(self, monkeypatch):
         # a pair whose normal form and coordinates take ten reductions
         # Rat(num, den) on the normal-form route; every coordinate divides
@@ -1174,6 +1322,19 @@ class TestTwoPathAgreement:
         labels = labels_to_height_two(alg)
         assert {"x", "y"} <= set(labels)
         self.agree(alg, labels, labels)
+
+    def test_triples_once_per_label(self, monkeypatch):
+        # the triple coproduct of each (label, sign) is expanded once per
+        # algebra: a second pass over the 49 pairs expands no word
+        alg = Algebra("B2")
+        labels = labels_to_height_two(alg)
+        calls, real = [], alg.half.coproduct_word
+        monkeypatch.setattr(alg.half, "coproduct_word", lambda w: calls.append(w) or real(w))
+        first = [product_expansion_via_coproduct(alg, lm, lp) for lm in labels for lp in labels]
+        expanded = len(calls)
+        assert expanded and len(alg.engine._triples) == 2 * len(labels)
+        assert [product_expansion_via_coproduct(alg, lm, lp) for lm in labels for lp in labels] == first
+        assert len(calls) == expanded
 
 
 class TestEnumerateBasis:
