@@ -70,6 +70,21 @@ class DCBTable:
         self.den = None
 
 
+def sigma_matrix(W, height) -> list:
+    """The sigma-matrix (-1)^height bar(W) W^-1 of the pivot coordinates W
+    of a degree's PBW monomials, a row per monomial.  sigma, the antilinear
+    automorphism fixing the canonical basis, keeps the pivot words and bars
+    each coefficient, times (-1)^height.  Fraction-free: W = Wn / dW, and the
+    one `row_reduce` that inverts Wn gives Wn^-1 = N / d, so sigma is
+    (-1)^height dW bar(Wn) N / (bar(dW) d), each entry reduced once
+    (`linalg.scaled_product`) rather than W^-1 reduced entry by entry and
+    multiplied over Q(v)."""
+    Wn, dW = linalg.fraction_rows(W)
+    N, d = linalg.inverse_numerators(Wn)
+    scale = Rat(-dW if height % 2 else dW, dW.bar() * d)
+    return linalg.scaled_product([[c.bar() for c in row] for row in Wn], N, scale)
+
+
 class CanonicalTables:
     """Append-only cache of canonical and dual canonical bases per degree."""
 
@@ -213,26 +228,27 @@ class CanonicalTables:
         word = self.datum.longest_word()
         return word, self.datum.word_roots(word)
 
-    def _algorithmic_cb(self, gamma) -> CBTable:
-        half = self.half
+    def _pbw_monomials(self, gamma):
+        """(comps, scaled): the compositions of gamma over the PBW roots, in
+        sorted order, and their divided-power PBW monomials on braid's
+        lattice (v^-mu), on which the sigma-matrix is unitriangular."""
         datum = self.datum
         word, roots = self._pbw_roots
         comps = _compositions(gamma, roots)
-        # divided-power PBW monomials on braid's lattice (v^-mu): the sigma-matrix is unitriangular
         braid = self.alg.braid
         scaled = []
         for a in comps:
             c = nu_power(-braid.mu_exponent(word, a))
             for i, n in zip(word, a):
                 c = c / Rat.of(qangle_factorial(n, datum.qi_exp(i)))
-            scaled.append(half.flip(braid.schubert_pbw(word, a)).scale(c))
-        # sigma, the antilinear automorphism fixing the canonical basis, keeps
-        # the pivot words and bars each coefficient, times (-1)^height; so the
-        # sigma-matrix is (-1)^height bar(W) W^-1 with W the pivot coordinates
-        basis = half.degree_basis(gamma)
+            scaled.append(self.half.flip(braid.schubert_pbw(word, a)).scale(c))
+        return comps, scaled
+
+    def _algorithmic_cb(self, gamma) -> CBTable:
+        comps, scaled = self._pbw_monomials(gamma)
+        basis = self.half.degree_basis(gamma)
         sign = Rat.of((-1) ** sum(gamma))
-        W = [basis.coords(x.terms) for x in scaled]
-        sig = linalg.mat_mul([[c.bar() * sign for c in r] for r in W], linalg.invert(W))
+        sig = sigma_matrix([basis.coords(x.terms) for x in scaled], sum(gamma))
         # in the sorted composition order (lexicographic in Lusztig data) the
         # sigma-matrix is upper unitriangular (Lusztig, J. AMS 3, 1990)
         n = len(comps)

@@ -266,9 +266,14 @@ class HalfAlgebra:
         words (`DegreeBasis.coords`), and M the word-pairing matrix, whose
         entry M[w, p] = <p, w> comes from the pivot row of p
         (`DegreeBasis.rows`) by symmetry.  `pair` and the twisted form of the
-        tables read the pivot rows only through it."""
+        tables read the pivot rows only through it.  The Laurent pivot rows
+        enter `linalg.mat_mul` as they are: the product is fraction-free, over
+        the one common denominator of the coordinates, and each entry is
+        reduced once.  The dual bases invert this block only after that
+        reduction, since unreduced numerators carry the whole denominator
+        as a common factor into the elimination (`linalg`)."""
         basis, at = self.degree_basis(gamma), self.word_index(gamma)
-        Mw = [[Rat.of(basis.rows[p][at[w]]) for p in basis.pivots] for w in words]
+        Mw = [[basis.rows[p][at[w]] for p in basis.pivots] for w in words]
         return linalg.mat_mul(Mw, list(zip(*(basis.coords(x.terms) for x in elems))))
 
     def pair(self, x_plus: HalfElem, y_minus: HalfElem) -> Rat:

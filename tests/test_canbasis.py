@@ -4,11 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from qdouble import Algebra
-from qdouble.canbasis import TableIncomplete, UnknownLabel, UserTableError
+from qdouble import Algebra, linalg
+from qdouble.canbasis import TableIncomplete, UnknownLabel, UserTableError, sigma_matrix
 from qdouble.cartan import PRESETS
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.scalar import Laurent, Rat, RAT_ONE, RAT_ZERO, accumulate, nu_power, qangle, qround
+from test_linalg import reference_mat_mul
 
 
 def coproduct(half, x):
@@ -368,6 +369,23 @@ class TestR3:
             * half.gen_divided(MINUS, 0, 1)
         )
         assert r3.fgfrm(f123, cb) == RAT_ONE
+
+
+class TestSigmaMatrix:
+    @pytest.mark.parametrize("preset, gamma", [("A2", (3, 3)), ("B2", (3, 2)), ("A3", (1, 2, 1))])
+    def test_matches_rat_product(self, preset, gamma):
+        # the fraction-free sigma-matrix against (-1)^height bar(W) W^-1 by
+        # the Rat triple loop, on PBW coordinates over a nontrivial denominator
+        alg = Algebra.get(preset)
+        _, scaled = alg.tables._pbw_monomials(gamma)
+        basis = alg.half.degree_basis(gamma)
+        W = [basis.coords(x.terms) for x in scaled]
+        assert not linalg.fraction_rows(W)[1].is_one()
+        sign = Rat.of((-1) ** sum(gamma))
+        want = reference_mat_mul([[c.bar() * sign for c in row] for row in W], linalg.invert(W))
+        sig = sigma_matrix(W, sum(gamma))
+        assert sig == want
+        assert any(c for k, row in enumerate(sig) for c in row[k + 1 :])
 
 
 class TestDCBProperties:

@@ -63,6 +63,40 @@ def reference_row_reduce(A):
     return kept, [c for c, _ in rows], R, d
 
 
+def reference_mat_mul(A, B):
+    """A B by the Rat triple loop: one Rat product and one Rat sum per
+    multiply-add, each entry lifted to Q(v) first."""
+    n, k = len(A), len(B)
+    m = len(B[0]) if B else 0
+    out = [[RAT_ZERO] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            a = Rat.of(A[i][t])
+            if a.is_zero():
+                continue
+            for j in range(m):
+                b = Rat.of(B[t][j])
+                if not b.is_zero():
+                    out[i][j] = out[i][j] + a * b
+    return out
+
+
+V4_MINUS_ONE = Laurent({4: 1, 0: -1})
+
+
+def rand_entry(rng):
+    """Zero, a Laurent entry, or a Rat over (v^4 - 1)^k, possibly times [3]
+    or the integer 3."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([ZERO, RAT_ZERO])
+    num = rand_laurent(rng, rng.choice([1, 2, 3]))
+    if kind == 1:
+        return num
+    den = V4_MINUS_ONE ** rng.randrange(0, 4) * rng.choice([ONE, ONE, qround(3), Laurent.const(3)])
+    return Rat(num, den) if num else RAT_ZERO
+
+
 def echelon(result):
     """(kept, cols, R / d) of a row_reduce result: the reduced row echelon
     form as exact Rats, which does not depend on a unit shared by R and d."""
@@ -177,6 +211,58 @@ class TestRowReduce:
         assert R == [[d, v * d, ZERO], [ZERO, ZERO, d]]
 
 
+class TestMatMul:
+    def test_matches_reference(self):
+        rng = random.Random(40)
+        for trial in range(60):
+            n, k, m = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5)
+            A = [[rand_entry(rng) for _ in range(k)] for _ in range(n)]
+            B = [[rand_entry(rng) for _ in range(m)] for _ in range(k)]
+            if trial % 3 == 0:
+                A[rng.randrange(n)] = [RAT_ZERO] * k
+            if trial % 3 == 1:
+                col = rng.randrange(m)
+                for row in B:
+                    row[col] = ZERO
+            got = mat_mul(A, B)
+            assert got == reference_mat_mul(A, B), trial
+            assert all(type(x) is Rat for row in got for x in row)
+
+    def test_reduces_over_both_denominators(self):
+        # 1/(v^4 - 1) times 1/(v^4 - 1)^2 is 1/(v^4 - 1)^3, and
+        # (v^4 - 1)/[3] times 3/(v^4 - 1) is 3/[3]
+        A = [[Rat(ONE, V4_MINUS_ONE), Rat(V4_MINUS_ONE, qround(3))]]
+        B = [[Rat(ONE, V4_MINUS_ONE**2)], [RAT_ZERO]]
+        assert mat_mul(A, B) == [[Rat(ONE, V4_MINUS_ONE**3)]]
+        B = [[RAT_ZERO], [Rat(Laurent.const(3), V4_MINUS_ONE)]]
+        assert mat_mul(A, B) == [[Rat(Laurent.const(3), qround(3))]]
+
+    def test_laurent_factors(self):
+        # Laurent factors give Rat entries over 1, the product's as they are
+        v = NU
+        got = mat_mul([[ONE, v], [ZERO, ONE - v]], [[v], [ONE]])
+        assert got == [[Rat.of(v + v)], [Rat.of(ONE - v)]]
+
+    @pytest.mark.parametrize("n, k, m", [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0)])
+    def test_empty_shapes(self, n, k, m):
+        A = [[RAT_ONE] * k for _ in range(n)]
+        B = [[RAT_ONE] * m for _ in range(k)]
+        want = [[RAT_ZERO] * m for _ in range(n)] if k else [[] for _ in range(n)]
+        assert mat_mul(A, B) == want == reference_mat_mul(A, B)
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="1x3 matrix by a 2x1 matrix"):
+            mat_mul([[1, 2, 3]], [[1], [1]])
+        with pytest.raises(ValueError, match="2x1 matrix by a 3x1 matrix"):
+            mat_mul([[RAT_ONE], [RAT_ONE]], [[RAT_ONE]] * 3)
+
+    def test_short_row(self):
+        with pytest.raises(ValueError, match=r"2x\[1, 2\] matrix by a 2x1 matrix"):
+            mat_mul([[RAT_ONE, RAT_ONE], [RAT_ONE]], [[RAT_ONE], [RAT_ONE]])
+        with pytest.raises(ValueError, match=r"1x2 matrix by a 2x\[1, 2\] matrix"):
+            mat_mul([[RAT_ONE, RAT_ONE]], [[RAT_ONE], [RAT_ONE, RAT_ONE]])
+
+
 class TestInvert:
     def test_mixed_denominators(self):
         half = Rat.of(1) / Rat.of(qround(2))
@@ -201,3 +287,22 @@ class TestInvert:
 
     def test_empty(self):
         assert invert([]) == []
+
+    def test_matches_reference_product(self):
+        rng = random.Random(41)
+        for trial in range(20):
+            n = rng.randrange(1, 5)
+            A = [[rand_entry(rng) for _ in range(n)] for _ in range(n)]
+            try:
+                Ainv = invert(A)
+            except SingularMatrix:
+                continue
+            assert reference_mat_mul(A, Ainv) == identity(n), trial
+
+    def test_not_square_raises(self):
+        with pytest.raises(ValueError, match="cannot invert a 1x2 matrix"):
+            invert([[RAT_ONE, Rat.of(2)]])
+        with pytest.raises(ValueError, match="cannot invert a 2x1 matrix"):
+            invert([[RAT_ONE], [Rat.of(2)]])
+        with pytest.raises(ValueError, match=r"cannot invert a 2x\[1, 2\] matrix"):
+            invert([[RAT_ONE, RAT_ZERO], [RAT_ONE]])
