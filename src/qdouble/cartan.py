@@ -162,11 +162,23 @@ class CartanDatum:
             out = self.simple_reflection(i, out)
         return out
 
-    def word_roots(self, word) -> list[tuple[int, ...]]:
+    def word_roots(self, word) -> tuple[tuple[int, ...], ...]:
         """The roots beta_r = s_{i_1} ... s_{i_{r-1}}(alpha_{i_r}) of a word,
-        one per letter: the word is reduced iff every one is positive
-        (Humphreys, Reflection Groups and Coxeter Groups, 5.6)."""
-        return [self.weyl_act(word[:r], self.alpha(i)) for r, i in enumerate(word)]
+        one per letter, computed once per word and datum: the word is
+        reduced iff every one is positive (Humphreys, Reflection Groups and
+        Coxeter Groups, 5.6)."""
+        word = tuple(word)
+        roots = self._word_roots.get(word)
+        if roots is None:
+            roots = self._word_roots[word] = tuple(
+                self.weyl_act(word[:r], self.alpha(i)) for r, i in enumerate(word)
+            )
+        return roots
+
+    @cached_property
+    def _word_roots(self) -> dict:
+        """word -> its roots (`word_roots`)."""
+        return {}
 
     def is_reduced(self, word) -> bool:
         return all(min(beta) >= 0 for beta in self.word_roots(word))

@@ -17,10 +17,12 @@ Output is deterministic: fixed evaluation order, so the bytes are the same
 across runs and PYTHONHASHSEEDs; scalars in canonical text form.  JSON output
 has a one-space indent, sorted keys, ASCII escapes and one trailing newline:
 its bytes are those of json.dumps(..., indent=1, sort_keys=True) plus "\n".
-basis streams its table: every solve finishes first, then each row is
-written to stdout or --out, and to the cache file, as soon as it is
-rendered, its element terms spliced from K blocks, word strings and
-coefficients that _dumps and _encode_str render once per emission.
+basis streams its table: every solve finishes first, then each row of
+Engine.basis_rows is written to stdout or --out, and to the cache file, as
+soon as it is rendered.  A row carries its pair's untwisted bullet, and its
+element K diamond bullet is twisted while it is rendered, spliced from K
+blocks, word strings and coefficients that _dumps and _encode_str render
+once per emission; no twisted row is built or kept.
 With QDOUBLE_CACHE_DIR set, basis tables are cached under a key covering the
 datum, the bytes of the --tables file and the package source; an entry's
 file name carries the sha256 of its bytes, and an entry whose bytes do not
@@ -37,14 +39,15 @@ import hashlib
 import json
 import os
 import sys
+from operator import sub
 from pathlib import Path
 
 from .algebra import Algebra
 from .canbasis import TableIncomplete, UnknownLabel, UserTableError
 from .cartan import PRESETS, CartanError, get_datum
-from .double import tri_to_obj
+from .double import kmono, tri_to_obj
 from .halves import PLUS, MINUS, half_from_obj, parse_word
-from .lusztig import TriangularityError
+from .lusztig import TriangularityError, certificate_obj
 from .scalar import RAT_ONE, format_scalar
 
 
@@ -162,7 +165,7 @@ def cmd_basis(args) -> int:
             with _output(args) as out:
                 out.write(text + "\n")
             return 0
-    rows = alg.engine.enumerate_basis(bound, j_minus=j_minus, j_plus=j_plus)
+    rows = alg.engine.basis_rows(bound, j_minus=j_minus, j_plus=j_plus)
     if not cache_dir:
         with _output(args) as out:
             _write_table(rows, out.write)
@@ -246,13 +249,15 @@ def _output(args):
 
 
 def _write_table(rows, *writes):
-    """Write the table's JSON text to every sink one row at a time: the
-    bytes of _dumps([{**row, "element": tri_to_obj(row["element"])} for row
-    in rows]).  rows is never empty: it holds the row of 1 and 1."""
-    frags = ({}, {}, {})
+    """Write the table's JSON text to every sink one row at a time: for the
+    rows of Engine.basis_rows, the bytes of _dumps of Engine.enumerate_basis
+    with tri_to_obj elements.  Each row is twisted as it is rendered
+    (`_row_text`), over caches that live for one emission and hold nothing
+    the size of a row.  rows is never empty: it holds the row of 1 and 1."""
+    caches = _Caches()
     sep = "[\n "
     for row in rows:
-        chunk = sep + _row_text(row, frags)
+        chunk = sep + _row_text(row, caches)
         for write in writes:
             write(chunk)
         sep = ",\n "
@@ -260,43 +265,94 @@ def _write_table(rows, *writes):
         write("\n]")
 
 
-def _row_text(row: dict, frags: tuple) -> str:
-    """The text that _dumps([{**row, "element": tri_to_obj(row["element"])}])
-    gives for one row of Engine.enumerate_basis, without the list brackets.
-    frags = (K blocks, word strings, coefficient strings) holds the
-    fragments rendered so far, each rendered once."""
-    items = []
-    for key in sorted(row):
-        if key == "element":
-            text = _element_text(row[key], *frags)
-        else:
-            text = _dumps(row[key], "\n  ")
-        items.append(_encode_str(key) + ": " + text)
-    return "{\n  " + ",\n  ".join(items) + "\n }"
+class _Caches:
+    """What one emission has rendered so far, each piece rendered once: per
+    label pair the bullet's render plan (`_render_plan`) and the text of the
+    labels and certificate; per (K_minus, K_plus) the text of both; per K
+    the K block of a term, with the key of its coefficient; per word its
+    string and degree, and per pair of words the text of a term up to its
+    K block; and the text of each coefficient, by its index, at each
+    shift."""
+
+    def __init__(self):
+        self.plans: dict = {}  # (lm, lp) -> render plan of bullet(lm, lp)
+        self.pairs: dict = {}  # (lm, lp) -> text from b_minus to the certificate
+        self.k_heads: dict = {}  # (am, ap) -> text of K_minus and K_plus
+        self.k_blocks: dict = {}  # K -> text of a term's K block and "c" key
+        self.words: dict = {}  # word -> (string, degree)
+        self.heads: dict = {}  # (f, e) -> text of a term up to its K block
+        self.coeff_index: dict = {}  # coefficient -> its index
+        self.coeffs: list = []  # index -> coefficient
+        self.c_texts: dict = {}  # (coefficient index, shift) -> text of the term's tail
 
 
-def _element_text(x, k_blocks: dict, words: dict, coeffs: dict) -> str:
-    """_dumps(tri_to_obj(x), "\n  ") for a nonzero x, spliced term by term."""
-    labels = x.ctx.datum.labels
-    terms = []
-    for key in sorted(x.terms):
-        K, f, e = key
-        k_text = k_blocks.get(K)
+def _row_text(row, caches: _Caches) -> str:
+    """The text that _dumps gives for one row of Engine.enumerate_basis,
+    without the list brackets, from the same row of Engine.basis_rows.  Its
+    element K diamond bullet is twisted term by term while it is rendered,
+    by the rule of DoubleContext.twist_terms: the bullet's term K1 f e goes
+    to K K1 f e, its coefficient times v^twist_shift(K, deg e - deg f), the
+    shift read per weight.  K K1 adds K to every exponent of K1, so the
+    bullet's sorted terms stay sorted."""
+    x, pair, K_pair = row.bullet, (row.b_minus, row.b_plus), (row.K_minus, row.K_plus)
+    plan = caches.plans.get(pair)
+    if plan is None:
+        plan = caches.plans[pair] = _render_plan(x, caches)
+        caches.pairs[pair] = (
+            _encode_str(row.b_minus) + ',\n  "b_plus": ' + _encode_str(row.b_plus)
+            + ',\n  "certificate": ' + _dumps(certificate_obj(row.certificate), "\n  ")
+        )
+    k_head = caches.k_heads.get(K_pair)
+    if k_head is None:
+        k_head = caches.k_heads[K_pair] = (
+            '{\n  "K_minus": ' + _dumps(list(row.K_minus), "\n  ")
+            + ',\n  "K_plus": ' + _dumps(list(row.K_plus), "\n  ") + ',\n  "b_minus": '
+        )
+    k1s, weights, terms = plan
+    ctx, K = x.ctx, kmono(row.K_minus, row.K_plus)
+    k_texts = []
+    for K1 in k1s:
+        KK = ctx.k_product(K, K1)
+        k_text = caches.k_blocks.get(KK)
         if k_text is None:
-            k_obj = {"minus": list(K[0]), "plus": list(K[1]), "tag": list(K[2])}
-            k_text = k_blocks[K] = _dumps(k_obj, "\n    ")
+            k_obj = {"minus": list(KK[0]), "plus": list(KK[1]), "tag": list(KK[2])}
+            k_text = caches.k_blocks[KK] = _dumps(k_obj, "\n    ") + ',\n    "c": '
+        k_texts.append(k_text)
+    shifts = [ctx.twist_shift(K, dif) for dif in weights]
+    c_texts, items = caches.c_texts, []
+    for k, w, c, head in terms:
+        key = (c, shifts[w])
+        c_text = c_texts.get(key)
+        if c_text is None:
+            c_text = c_texts[key] = _encode_str(format_scalar(caches.coeffs[c].shift(key[1]))) + "\n   }"
+        items.append(head + k_texts[k] + c_text)
+    return k_head + caches.pairs[pair] + ',\n  "element": [\n   ' + ",\n   ".join(items) + "\n  ]\n }"
+
+
+def _render_plan(x, caches: _Caches) -> tuple:
+    """(K1s, weights, terms) of a nonzero element x: its distinct
+    K-monomials and term weights deg e - deg f, and for each term in sorted
+    order the index of its K1, of its weight and of its coefficient, and its
+    text up to the K block, shared by every term on the same words."""
+    labels, degree, words = x.ctx.datum.labels, x.ctx.half.word_degree, caches.words
+    k1s, weights, terms = {}, {}, []
+    for key in sorted(x.terms):
+        K1, f, e = key
         for w in (f, e):
             if w not in words:
-                words[w] = _encode_str(" ".join(labels[i] for i in w))
+                words[w] = (_encode_str(" ".join(labels[i] for i in w)), degree(w))
+        (f_text, f_deg), (e_text, e_deg) = words[f], words[e]
+        head = caches.heads.get((f, e))
+        if head is None:
+            head = caches.heads[f, e] = '{\n    "E": ' + e_text + ',\n    "F": ' + f_text + ',\n    "K": '
         c = x.terms[key]
-        c_text = coeffs.get(c)
-        if c_text is None:
-            c_text = coeffs[c] = _encode_str(format_scalar(c))
-        terms.append(
-            '{\n    "E": ' + words[e] + ',\n    "F": ' + words[f] + ',\n    "K": ' + k_text
-            + ',\n    "c": ' + c_text + "\n   }"
-        )
-    return "[\n   " + ",\n   ".join(terms) + "\n  ]"
+        index = caches.coeff_index.get(c)
+        if index is None:
+            index = caches.coeff_index[c] = len(caches.coeffs)
+            caches.coeffs.append(c)
+        dif = tuple(map(sub, e_deg, f_deg))
+        terms.append((k1s.setdefault(K1, len(k1s)), weights.setdefault(dif, len(weights)), index, head))
+    return list(k1s), list(weights), terms
 
 
 def cmd_verify(args) -> int:

@@ -362,12 +362,17 @@ class DoubleContext:
         """K diamond on terms {(K1, a, b): c}, a and b homogeneous keys of
         degrees degree(a) and degree(b): F-word and E-word, or the labels of
         DCB elements b_a b_b (`CanonicalTables.degree_of`).  K1 a b goes to
-        K K1 a b times v^(-kdif_dot(K, deg b - deg a))."""
+        K K1 a b times v^twist_shift(K, deg b - deg a)."""
         out: dict = {}
         for (K1, a, b), c in terms.items():
             dif = tuple(map(sub, degree(b), degree(a)))
-            accumulate(out, (self.k_product(K, K1), a, b), c.shift(-self.kdif_dot(K, dif)))
+            accumulate(out, (self.k_product(K, K1), a, b), c.shift(self.twist_shift(K, dif)))
         return out
+
+    def twist_shift(self, K, dif) -> int:
+        """The exponent of v that K diamond puts on a term K1 a b of weight
+        dif = deg b - deg a: -kdif_dot(K, dif)."""
+        return -self.kdif_dot(K, dif)
 
     def transpose_terms(self, terms: dict, reverse, degree):
         """The transpose t, the anti-involution swapping E_i and F_i, on

@@ -47,8 +47,10 @@ its own pair is proved by that bullet's proof alone (`Engine._through_bullet`):
 the quotient map onto the circ's Heisenberg quotient is an algebra map that
 commutes with bar and sends the bullet to the circ, since every bullet
 correction moves the torus slot it kills.
-Also structure-constant extraction and basis enumeration, which computes each
-twisted row K diamond bullet(b_-, b_+) once per engine.
+Also structure-constant extraction and basis enumeration: `basis_rows`
+solves every bullet of the bound first and then streams the rows, each with
+its pair's untwisted bullet, so that a writer twists each row as it renders
+it; no twisted row is kept.
 `product_expansion_via_coproduct` gives the DCB coordinates of reverse_dcb
 by triple coproducts and pairings, no straightening: the two-path check.
 Its triple coproducts are memoised per label and sign in the engine.
@@ -56,6 +58,7 @@ Its triple coproducts are memoised per label and sign in the engine.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 from .double import DROPPED_K, TriElem, expand_numerators, fold_groups, kmono, k_is_one, k_one, over_groups
 from .halves import PLUS, MINUS
@@ -141,6 +144,24 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+class BasisRow(NamedTuple):
+    """One row K diamond (b_- bullet b_+) of a basis table, K = K_minus
+    K_plus: the certificate s -> p_s of the bullet's solve and the bullet
+    element itself, untwisted."""
+
+    K_minus: tuple
+    K_plus: tuple
+    b_minus: str
+    b_plus: str
+    certificate: dict
+    bullet: TriElem
+
+
+def certificate_obj(cert: dict) -> dict:
+    """A certificate as text, {str(s): str(p_s)} in the order of repr(s)."""
+    return {str(k): str(v) for k, v in sorted(cert.items(), key=repr)}
+
+
 class Engine:
     """circ/bullet tables for one algebra; memoized per kind and label pair.
 
@@ -155,8 +176,7 @@ class Engine:
     from the partner's where that exists.  The engine holds its memos per
     record, label pair or label: the records, the reverse products on
     pivot words and in DCB coordinates, the clearing multipliers, the
-    twisted rows of `enumerate_basis`, the labels whose DCB element is
-    checked bar-fixed, and the triple coproducts of
+    labels whose DCB element is checked bar-fixed, and the triple coproducts of
     `product_expansion_via_coproduct`.  Pairs with a label that has no
     reversed label, and pairs that are their own partner, are always
     solved.  Each record is proved bar-fixed once (`_prove`): a solve over
@@ -178,7 +198,6 @@ class Engine:
         self._fixed: set = set()  # labels whose DCB element is checked bar-fixed
         self._triples: dict = {}  # (label, sign) -> triple coproduct over labels
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
-        self._twisted: dict = {}  # (am, ap, lm, lp) -> K diamond bullet(lm, lp)
 
     # ====================================================== clearing multipliers
     def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
@@ -564,13 +583,24 @@ class Engine:
         return out, report
 
     # ================================================================ enumeration
-    def enumerate_basis(self, bound, j_minus=None, j_plus=None):
-        """All K diamond (b_- bullet b_+) within the componentwise bound,
-        with the biparabolic support filter.  The bullets are solved first,
-        lower total height first, so each circ record is first met through
-        its own pair's bullet (`_through_bullet`), and every lower member is
-        already proved."""
-        bound = tuple(bound)
+    def basis_rows(self, bound, j_minus=None, j_plus=None):
+        """The rows K diamond (b_- bullet b_+) within the componentwise bound,
+        with the biparabolic support filter, as a stream of `BasisRow` in
+        sorted (K_minus, K_plus, b_minus, b_plus) order.  Every bullet is
+        solved before this returns, lower total height first, so each circ
+        record is first met through its own pair's bullet
+        (`_through_bullet`) and every lower member is already proved.  A row
+        carries its pair's certificate and proved bullet element as the
+        record holds them, untwisted: no row builds or keeps an element."""
+        entries = self._basis_entries(tuple(bound), j_minus, j_plus)
+        degree = self.tables.degree_of
+        pairs = sorted({(lm, lp) for _, _, lm, lp in entries})
+        for lm, lp in sorted(pairs, key=lambda pair: sum(degree(pair[0]) + degree(pair[1]))):
+            self.bullet(lm, lp)
+        return (BasisRow(am, ap, lm, lp, *self._solve("bullet", lm, lp, "plus")[1:]) for am, ap, lm, lp in entries)
+
+    def _basis_entries(self, bound, j_minus, j_plus) -> list:
+        """The sorted (am, ap, lm, lp) of the rows within the bound."""
         rank = self.datum.rank
         entries = []
         for am in self.datum.degrees_up_to(bound):
@@ -592,30 +622,23 @@ class Engine:
                             for lpp in self.tables.labels_of_degree(gp):
                                 entries.append((am, ap, lmm, lpp))
         entries.sort()
-        degree = self.tables.degree_of
-        pairs = sorted({(lmm, lpp) for _, _, lmm, lpp in entries})
-        for lmm, lpp in sorted(pairs, key=lambda pair: sum(degree(pair[0]) + degree(pair[1]))):
-            self.bullet(lmm, lpp)
-        out = []
-        for am, ap, lmm, lpp in entries:
-            elem = self._twisted.get((am, ap, lmm, lpp))
-            if elem is None:
-                elem = self.ctx.diamond(kmono(am, ap), self.bullet(lmm, lpp))
-                self._twisted[am, ap, lmm, lpp] = elem
-            cert = self.certificate("bullet", lmm, lpp)
-            out.append(
-                {
-                    "K_minus": list(am),
-                    "K_plus": list(ap),
-                    "b_minus": lmm,
-                    "b_plus": lpp,
-                    "element": elem,
-                    "certificate": {
-                        str(k): str(v) for k, v in sorted(cert.items(), key=repr)
-                    },
-                }
-            )
-        return out
+        return entries
+
+    def enumerate_basis(self, bound, j_minus=None, j_plus=None) -> list:
+        """The rows of `basis_rows` as a list of dicts, each element built
+        by this call as K diamond bullet (`DoubleContext.diamond`) and not
+        memoised, and each certificate as text (`certificate_obj`)."""
+        return [
+            {
+                "K_minus": list(row.K_minus),
+                "K_plus": list(row.K_plus),
+                "b_minus": row.b_minus,
+                "b_plus": row.b_plus,
+                "element": self.ctx.diamond(kmono(row.K_minus, row.K_plus), row.bullet),
+                "certificate": certificate_obj(row.certificate),
+            }
+            for row in self.basis_rows(bound, j_minus, j_plus)
+        ]
 
     def certificate(self, kind: str, lm: str, lp: str, variant: str = "plus") -> dict:
         """The corrections s -> p_s of the solve, solving on demand."""

@@ -178,6 +178,20 @@ class TestWeyl:
                 seen.add(reduced)
         assert seen == {True, False}
 
+    def test_word_roots_once_per_word(self, monkeypatch):
+        # the roots of a word are computed once per datum and word, in any
+        # form of the word; reducedness reads them and still fails a word
+        # that is not reduced when its roots are already known
+        datum = CartanDatum(A2.labels, A2.A, A2.d)
+        calls, real = [], CartanDatum.weyl_act
+        monkeypatch.setattr(CartanDatum, "weyl_act", lambda self, w, a: calls.append(w) or real(self, w, a))
+        roots = datum.word_roots((0, 1, 0))
+        assert roots == ((1, 0), (1, 1), (0, 1)) and len(calls) == 3
+        assert datum.word_roots([0, 1, 0]) is roots and datum.is_reduced((0, 1, 0))
+        for _ in range(2):
+            assert not datum.is_reduced((1, 1))
+        assert len(calls) == 5
+
     def test_reducedness_on_kac_moody_data(self):
         # A1affine has infinitely many positive roots: every alternating word
         # is reduced, and a repeated letter is not

@@ -13,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st, target
 import qdouble
 import qdouble.algebra
 import qdouble.cartan
-from qdouble.cli import _dumps, _load_user_tables, _row_text, _write_table, main
-from qdouble.double import tri_to_obj
+from qdouble.cli import _Caches, _dumps, _load_user_tables, _row_text, _write_table, main
+from qdouble.double import DoubleContext, TriElem, kmono, tri_to_obj
 from qdouble.halves import half_to_obj
-from qdouble.lusztig import Engine
+from qdouble.lusztig import BasisRow, Engine
+from qdouble.scalar import RAT_ONE, Laurent, Rat
 
 # stdout of `basis --preset A1 --height 1`, trailing newline included
 A1_H1_SHA256 = "1006039b81a3375fc36c47a9a8bad7090420bf1b767d0cde3126743dae8694af"
@@ -448,35 +449,61 @@ def payload_text(rows) -> str:
 
 
 class TestRowRenderer:
-    # each row as _row_text renders it, and the table as _write_table
-    # streams it, against the payload that _dumps renders whole; swapping
-    # the "E" and "F" fragments of a term fails every case
+    # each streamed row as _row_text twists and renders it, and the table as
+    # _write_table streams it, against the payload that _dumps renders
+    # whole from the rows of enumerate_basis, whose elements are
+    # ctx.diamond(K, bullet); swapping the "E" and "F" fragments of a term
+    # fails every case
 
     @staticmethod
-    def _compare(rows):
-        frags = ({}, {}, {})
-        for row in rows:
-            assert _row_text(row, frags) == payload_text([row])[3:-2]
+    def _compare(engine, *args):
+        rows = engine.enumerate_basis(*args)
+        stream = list(engine.basis_rows(*args))
+        caches = _Caches()
+        for row, ref in zip(stream, rows, strict=True):
+            assert _row_text(row, caches) == payload_text([ref])[3:-2]
         buf = io.StringIO()
-        _write_table(rows, buf.write)
+        _write_table(iter(stream), buf.write)
         assert buf.getvalue() == payload_text(rows)
+        return rows
 
     @pytest.mark.parametrize("preset", ["A2", "B2", "G2", "A1affine"])
     def test_height_two(self, preset):
         alg = qdouble.algebra.Algebra.get(preset)
-        self._compare(alg.engine.enumerate_basis((2,) * alg.datum.rank))
+        rows = self._compare(alg.engine, (2,) * alg.datum.rank)
+        assert any(row["K_minus"] != row["K_plus"] for row in rows)
+
+    def test_two_weight_element(self):
+        # no table row has terms of two weights deg e - deg f, so a row is
+        # made up: its first term has weight 0, the others the weights
+        # -alpha_1, alpha_2 and alpha_2 - alpha_1 (the last on K1 != 1),
+        # which each twist below shifts differently
+        alg = qdouble.algebra.Algebra.get("A2")
+        ctx, one = alg.ctx, kmono((0, 0), (0, 0))
+        v = Rat.of(Laurent({1: 1}))
+        x = TriElem(
+            ctx,
+            "full",
+            {(one, (), ()): RAT_ONE, (one, (0,), ()): v, (one, (), (1,)): v * v, (kmono((0, 1), (0, 0)), (0,), (1,)): v},
+        )
+        caches = _Caches()
+        for am, ap in [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (2, 0)), ((1, 1), (0, 1))]:
+            ref = {"K_minus": list(am), "K_plus": list(ap), "b_minus": "x", "b_plus": "y"}
+            ref.update(element=ctx.diamond(kmono(am, ap), x), certificate={"s": "p"})
+            row = BasisRow(am, ap, "x", "y", {"s": "p"}, x)
+            assert _row_text(row, caches) == payload_text([ref])[3:-2]
 
     @pytest.mark.parametrize(
         "j_minus, j_plus", [("1", "2"), ("", "1,2"), ("2", "")], ids=["1|2", "none|both", "2|none"]
     )
     def test_filters(self, capsys, j_minus, j_plus):
         alg = qdouble.algebra.Algebra.get("A2")
-        rows = alg.engine.enumerate_basis(
+        rows = self._compare(
+            alg.engine,
             (2, 2),
-            j_minus={alg.datum.index(t) for t in j_minus.split(",") if t},
-            j_plus={alg.datum.index(t) for t in j_plus.split(",") if t},
+            {alg.datum.index(t) for t in j_minus.split(",") if t},
+            {alg.datum.index(t) for t in j_plus.split(",") if t},
         )
-        self._compare(rows)
         argv = ("basis", "--preset", "A2", "--height", "2", "--j-minus", j_minus, "--j-plus", j_plus)
         assert run(capsys, *argv) == (0, payload_text(rows) + "\n")
 
@@ -491,9 +518,8 @@ class TestRowRenderer:
         data = json.dumps(block).encode()
         alg = qdouble.algebra.Algebra("A2")
         _load_user_tables(alg, data)
-        rows = alg.engine.enumerate_basis((2, 2))
+        rows = self._compare(alg.engine, (2, 2))
         assert {row["b_minus"] for row in rows} >= set(labels)
-        self._compare(rows)
         tables = tmp_path / "tables.json"
         tables.write_bytes(data)
         code, out = run(capsys, "basis", "--preset", "A2", "--height", "1", "--tables", str(tables))
@@ -541,6 +567,20 @@ class TestBasisSinks:
         assert not target.exists()
         assert not cache.exists() or not list(cache.iterdir())
 
+    def test_no_row_is_twisted_ahead_of_writing(self, capsys, monkeypatch):
+        # a cold run twists each row as it writes it: no diamond call, and
+        # no memo keyed by (K_minus, K_plus, b_minus, b_plus) left behind
+        monkeypatch.setattr(qdouble.algebra.Algebra, "_registry", {})
+        real, calls = DoubleContext.diamond, []
+        monkeypatch.setattr(DoubleContext, "diamond", lambda self, K, x: calls.append(K) or real(self, K, x))
+        code, out = run(capsys, "basis", "--preset", "A2", "--height", "2")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == A2_H2_SHA256
+        assert calls == []
+        engine = qdouble.algebra.Algebra.get("A2").engine
+        keys = [k for memo in vars(engine).values() if isinstance(memo, (dict, set)) for k in memo]
+        assert len(keys) > 663
+        assert not [k for k in keys if isinstance(k, tuple) and len(k) == 4 and isinstance(k[0], tuple)]
+
     def test_unwritable_out_leaves_no_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("QDOUBLE_CACHE_DIR", str(cache))
@@ -558,8 +598,8 @@ class TestBasisSinks:
         assert run(capsys, *self.ARGV) == (0, plain)
         [entry] = cache.glob("basis-*.json")
         assert entry.read_text() + "\n" == plain
-        # with enumerate_basis gone, only the cache can serve the table
-        monkeypatch.delattr(Engine, "enumerate_basis")
+        # with basis_rows gone, only the cache can serve the table
+        monkeypatch.delattr(Engine, "basis_rows")
         target = tmp_path / "table.json"
         assert run(capsys, *self.ARGV, "--out", str(target)) == (0, "")
         assert target.read_text() == run(capsys, *self.ARGV)[1] == plain
@@ -587,7 +627,7 @@ class TestCacheEntries:
 
     def test_hit_serves_the_entry_unparsed(self, capsys, monkeypatch, cached):
         plain, entry = cached
-        monkeypatch.delattr(Engine, "enumerate_basis")
+        monkeypatch.delattr(Engine, "basis_rows")
         monkeypatch.setattr(json, "loads", None)
         assert run(capsys, *self.ARGV) == (0, plain)
 
@@ -603,8 +643,8 @@ class TestCacheEntries:
             bad = data[:at] + b"7" + data[at + 1 :]
             assert json.loads(bad) != json.loads(data)
         entry.write_bytes(bad)
-        builds, real = [], Engine.enumerate_basis
-        monkeypatch.setattr(Engine, "enumerate_basis", lambda self, *a, **k: builds.append(1) or real(self, *a, **k))
+        builds, real = [], Engine.basis_rows
+        monkeypatch.setattr(Engine, "basis_rows", lambda self, *a, **k: builds.append(1) or real(self, *a, **k))
         assert run(capsys, *self.ARGV) == (0, plain)
         assert builds == [1]
         assert [p.name for p in entry.parent.iterdir()] == [entry.name]

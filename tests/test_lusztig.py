@@ -1363,6 +1363,24 @@ class TestEnumerateBasis:
         assert all(row["b_minus"] == "1" for row in rows)
         assert any(row["b_plus"] != "1" for row in rows)
 
+    def test_rows_stream_after_every_solve(self, monkeypatch):
+        # basis_rows solves every bullet before it returns; its rows then
+        # read the records, untwisted, and solve nothing
+        eng = Algebra("A2").engine
+        rows = eng.basis_rows((1, 1))
+
+        def no_solve(*args):
+            raise AssertionError("a solve after basis_rows returned")
+
+        monkeypatch.setattr(lusztig.Engine, "_record", no_solve)
+        monkeypatch.setattr(lusztig.Engine, "bullet", no_solve)
+        rows = list(rows)
+        assert len(rows) == 45 and len({(r.b_minus, r.b_plus) for r in rows}) == 25
+        for row in rows:
+            _, cert, element = eng._solved["bullet", row.b_minus, row.b_plus, "plus"]
+            assert row.bullet is element and row.certificate is cert
+        assert [r[:4] for r in rows] == sorted(r[:4] for r in rows)
+
 
 class TestInterchangeVariant:
     def test_variant_runs_and_reports(self, sl2, orc):
