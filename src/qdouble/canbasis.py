@@ -1,17 +1,19 @@
 """Canonical bases of U_q^- (computed for finite type, tabulated where the
 algorithmic path does not reach), their duals under the twisted form (one
-Gram inverse in pivot coordinates per degree), the coordinates of words and
-of elements of the double over the dual canonical bases (`word_to_dcb`,
-`to_dcb`), and crystal-style shift operators on dual-canonical-basis labels.
-Coordinates are read from numerators over one denominator on any words of
-their degrees (`numerators_to_dcb`) by the double's kernel
-`expand_numerators` over DCB rows, so a product straight from
-`DoubleContext.product_numerators` needs no pivot-word normal form, and
-each coordinate is reduced once.  Each registered table keeps its elements'
-numerators over one denominator (`dcb_column`), the columns over which the
-engine builds a solve's element from its coordinates.  `reversed_label`
-names the word reversal of a label's element, for the engine's transpose
-partners.
+Gram inverse in pivot coordinates per degree), the coordinates of elements
+of the double and of the halves over the dual canonical bases (`to_dcb`,
+`half_to_dcb`), and crystal-style shift operators on dual-canonical-basis
+labels.  Coordinates are read from numerators over one denominator on pivot
+words (`numerators_to_dcb`) by the double's kernel `expand_numerators` over
+DCB rows, one row per pivot word and one denominator per degree, and each
+coordinate is reduced once.  The pivot words carry every coordinate, as the
+radical of the pairing is a two-sided ideal (Lusztig, Introduction to
+Quantum Groups, 1.2.4): any other word goes to pivot words first, through
+the double's normal form (`DoubleContext.word_coords`).  Each registered
+table keeps its elements' numerators over one denominator (`dcb_column`),
+the columns over which the engine builds a solve's element from its
+coordinates.  `reversed_label` names the word reversal of a label's
+element, for the engine's transpose partners.
 """
 from __future__ import annotations
 
@@ -94,7 +96,7 @@ class CanonicalTables:
         self.datum = algebra.datum
         self._cb: dict = {}
         self._dcb: dict = {}
-        self._w2d: dict = {}
+        self._dcb_rows: dict = {}  # degree -> (pivot word -> DCB row, den)
         self._by_elem: dict = {}
         self._label_info: dict = {}
         self._ell: dict = {}
@@ -413,12 +415,6 @@ class CanonicalTables:
         return self._label_info_get(label)[0]
 
     # -------------------------------------------------- word -> label transitions
-    def word_to_dcb(self, gamma) -> dict:
-        """Word -> {label: coefficient} for one degree, by pairing every word
-        with the duals of the table; F-words and E-words share the pivot form,
-        so one map serves both halves."""
-        return self._word_rows(gamma)[0]
-
     def to_dcb(self, x) -> dict:
         """Coordinates {(K, label_-, label_+): scalar} of an element x of the
         double over the products K b_- b_+ (`from_halves` with K, no diamond
@@ -429,36 +425,32 @@ class CanonicalTables:
 
     def numerators_to_dcb(self, nums: dict, den: Laurent) -> dict:
         """to_dcb of the element sum {(K, f, e): numerator / den}, numerators
-        coefficient dicts that are only read, each word on any word of its
-        degree: `_word_rows` has a row for every word and the pairing with the
-        duals is linear, so an element off its pivot words (a product from
-        `DoubleContext.product_numerators`) needs no normal form first.  Each
-        coordinate is reduced once."""
+        coefficient dicts that are only read, each word a pivot word: an
+        element of the double in normal form, or a product spread over pivot
+        words (`Engine._reverse_words`).  Only pivot words have DCB rows
+        (`_dcb_row`).  Each coordinate is reduced once."""
         return over_groups(expand_numerators(nums, self._dcb_row), den)
 
-    def _dcb_row(self, w):
-        """The DCB row (num, d) of one word: w is the sum of num[label] / d
-        b_label, d the lcm of the denominators of its degree's rows."""
-        _, rows, d = self._word_rows(self.half.word_degree(w))
-        return rows[w], d
-
-    def _word_rows(self, gamma):
-        gamma = tuple(gamma)
-        got = self._w2d.get(gamma)
-        if got is not None:
-            return got
-        # the coefficient of w on table element k is ((w, duals[k]))
-        table = self.dcb_table(gamma)
-        words = self.half.words_of_degree(gamma)
-        out = {
-            w: {table.labels[k]: c for k, c in enumerate(row) if not c.is_zero()}
-            for w, row in zip(words, self._form_block(gamma, words, table.duals))
-        }
-        nums, d = common_denominator([c for row in out.values() for c in row.values()])
-        it = iter(nums)
-        rows = {w: {lab: next(it) for lab in row} for w, row in out.items()}
-        self._w2d[gamma] = got = (out, rows, d)
-        return got
+    def _dcb_row(self, p):
+        """The DCB row (num, d) of one pivot word: p is the sum of num[label] /
+        d b_label, d the lcm of the denominators of its degree's rows, built
+        once per degree."""
+        gamma = self.half.word_degree(p)
+        got = self._dcb_rows.get(gamma)
+        if got is None:
+            # the coefficient of pivot word q on table element k is ((q, duals[k]))
+            table = self.dcb_table(gamma)
+            pivots = self.half.degree_basis(gamma).pivots
+            out = [
+                {table.labels[k]: c for k, c in enumerate(row) if not c.is_zero()}
+                for row in self._form_block(gamma, pivots, table.duals)
+            ]
+            nums, d = common_denominator([c for row in out for c in row.values()])
+            it = iter(nums)
+            rows = {q: {lab: next(it) for lab in row} for q, row in zip(pivots, out)}
+            self._dcb_rows[gamma] = got = (rows, d)
+        rows, d = got
+        return rows[p], d
 
     def half_to_dcb(self, x: HalfElem) -> dict:
         """Expand a half element over dual-canonical labels: the label slot of

@@ -26,9 +26,9 @@ so bar and star twist each input term once, before the straightened terms.
 
 One kernel, `expand_numerators`, spreads numerators over word columns,
 grouped by the columns' denominators, and `over_groups` reduces each group
-once: over pivot words (`word_coords`) here, over DCB rows in
-`CanonicalTables.numerators_to_dcb`, and, keyed by labels in place of
-words, the DCB coordinates of a solve over the labels' elements
+once: over pivot words (`word_coords`) here, from pivot words over their
+DCB rows in `CanonicalTables.numerators_to_dcb`, and, keyed by labels in
+place of words, the DCB coordinates of a solve over the labels' elements
 (`CanonicalTables.dcb_column`) in the engine.  An involution
 (`_involution_numerators`) and a product (`product_numerators`) each have
 one numerator stage, the straightened numerators over one denominator.

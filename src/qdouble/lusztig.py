@@ -657,7 +657,9 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> dict:
     A term K_-^|m3| (b''_- b''_+) K_+^|p3| is the coordinate
     (K_-^|m3| K_+^|p3|, m2, p2) once K_+^|p3| has moved left past the
     weight |m2| - |p2|: a factor v^(2 kdif_dot(K_+^|p3|, |m2| - |p2|)), that
-    is v^(2 |p3| . (|m2| - |p2|)).  The pairings are memoised per label pair.
+    is v^(2 |p3| . (|m2| - |p2|)).  The pairings are memoised per label
+    pair, and the DCB coordinates of each slot word (`half_to_dcb`) per
+    word.
     """
     half = algebra.half
     tables = algebra.tables
@@ -683,15 +685,17 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> dict:
         # convert words to labels per slot
         out = {}
         for (w1, w2, w3), c in acc.items():
-            d1 = half.word_degree(w1)
-            d2 = half.word_degree(w2)
-            d3 = half.word_degree(w3)
-            for la, ca in tables.word_to_dcb(d1)[w1].items():
-                for lb, cb in tables.word_to_dcb(d2)[w2].items():
-                    for lc, cc in tables.word_to_dcb(d3)[w3].items():
+            for la, ca in word_dcb(w1).items():
+                for lb, cb in word_dcb(w2).items():
+                    for lc, cc in word_dcb(w3).items():
                         key = (la, lb, lc)
                         accumulate(out, key, c * ca * cb * cc)
         return out
+
+    @functools.cache
+    def word_dcb(w):
+        # F-words and E-words share their DCB coordinates
+        return tables.half_to_dcb(half.element(MINUS, {w: RAT_ONE}))
 
     @functools.cache
     def pair_antipode(p3, m1):

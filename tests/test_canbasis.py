@@ -21,6 +21,27 @@ def coproduct(half, x):
     return out
 
 
+def from_dcb(alg, sign, coeffs):
+    """The half element of a sign with DCB coordinates {label: c}: the sum
+    of c b_label."""
+    out = alg.half.zero(sign)
+    for lab, c in coeffs.items():
+        out = out + alg.dcb_elem(sign, lab).scale(c)
+    return out
+
+
+def assert_rebuilds_every_word(alg, gamma, nonpivot):
+    """half_to_dcb of every word of a degree, pivot word or not (nonpivot:
+    the degree has one), rebuilds it on both sides: F-words over b_-,
+    E-words over b_+."""
+    basis = alg.half.degree_basis(gamma)
+    assert (len(basis.words) > basis.rank) == nonpivot
+    for sign in (MINUS, PLUS):
+        for w in basis.words:
+            x = alg.half.element(sign, {w: RAT_ONE})
+            assert from_dcb(alg, sign, alg.tables.half_to_dcb(x)) == x, w
+
+
 # The printed dual tables, kept as data independent of the Gram-dual builder.
 
 def affine22_printed(aff):
@@ -433,16 +454,7 @@ class TestDCBProperties:
                     assert all(k % 2 == 0 for k in val.as_laurent().c)
 
     def test_word_to_dcb_roundtrip(self, a2):
-        gamma = (2, 1)
-        table = a2.tables.dcb_table(gamma)
-        w2d = a2.tables.word_to_dcb(gamma)
-        # one map serves both halves: F-words over b_-, E-words over b_+
-        for sign in (MINUS, PLUS):
-            for w, row in w2d.items():
-                rebuilt = a2.half.zero(sign)
-                for lab, c in row.items():
-                    rebuilt = rebuilt + a2.dcb_elem(sign, lab).scale(c)
-                assert rebuilt == a2.half.word(sign, w)
+        assert_rebuilds_every_word(a2, (2, 1), True)
 
 
 class TestDualBasis:
@@ -459,40 +471,64 @@ class TestDualBasis:
             for l, c in enumerate(cb):
                 assert tables.fgfrm(d, c) == (RAT_ONE if k == l else Rat.of(0)), (k, l)
 
-    @staticmethod
-    def _rebuilds_every_word(alg, gamma, nonpivot):
-        basis = alg.half.degree_basis(gamma)
-        assert (len(basis.words) > basis.rank) == nonpivot
-        w2d = alg.tables.word_to_dcb(gamma)
-        assert list(w2d) == basis.words
-        for w, row in w2d.items():
-            rebuilt = alg.half.zero(MINUS)
-            for lab, c in row.items():
-                rebuilt = rebuilt + alg.dcb_elem(MINUS, lab).scale(c)
-            assert rebuilt == alg.half.element(MINUS, {w: RAT_ONE}), w
-
     @pytest.mark.parametrize(
         "preset, gamma, nonpivot",
         [("A2", (2, 2), True), ("B2", (3, 1), True), ("A1affine", (2, 2), False)],
     )
     def test_word_to_dcb_rebuilds_every_word(self, preset, gamma, nonpivot):
-        self._rebuilds_every_word(Algebra.get(preset), gamma, nonpivot)
+        assert_rebuilds_every_word(Algebra.get(preset), gamma, nonpivot)
 
-    def test_word_to_dcb_user_table(self):
+    @staticmethod
+    def _affine13_user_table():
         # A1affine (1,3) has no canonical-basis source: a bar-invariant user
-        # table is a basis, and its words expand over it
+        # table is a basis
         alg = Algebra("A1affine")
-        gamma = (1, 3)
-        w1222, w2122, w2212, w2221 = alg.half.words_of_degree(gamma)
+        w1222, w2122, w2212, w2221 = alg.half.words_of_degree((1, 3))
         fixed = [
             {w1222: RAT_ONE, w2221: RAT_ONE},
             {w2122: RAT_ONE, w2212: RAT_ONE},
             {w1222: nu_power(1), w2221: nu_power(-1)},
         ]
         alg.tables.load_user_table(
-            gamma, [(f"x{k}", alg.half.element(MINUS, t)) for k, t in enumerate(fixed)]
+            (1, 3), [(f"x{k}", alg.half.element(MINUS, t)) for k, t in enumerate(fixed)]
         )
-        self._rebuilds_every_word(alg, gamma, True)
+        return alg
+
+    def test_word_to_dcb_user_table(self):
+        assert_rebuilds_every_word(self._affine13_user_table(), (1, 3), True)
+
+    @staticmethod
+    def _rows_invert_columns(alg, gamma):
+        # p = sum_k row[p][k] b_k and b_k = sum_q column[k][q] q, so the
+        # pivot rows times the DCB columns are the identity on pivot words
+        tables = alg.tables
+        pivots = alg.half.degree_basis(gamma).pivots
+        columns = {lab: tables.dcb_column(lab) for lab in tables.labels_of_degree(gamma)}
+        for p in pivots:
+            row, d = tables._dcb_row(p)
+            for q in pivots:
+                got = RAT_ZERO
+                for lab, n in row.items():
+                    col, dc = columns[lab]
+                    if q in col:
+                        got = got + Rat(n * col[q], d * dc)
+                assert got == (RAT_ONE if p == q else RAT_ZERO), (gamma, p, q)
+
+    @pytest.mark.parametrize(
+        "preset, gamma",
+        [
+            (preset, (a, h - a))
+            for preset in ("A2", "B2")
+            for h in (1, 2, 3)
+            for a in range(h + 1)
+        ]
+        + [("G2", (1, 2)), ("A1affine", (2, 2)), ("R3", (1, 1, 1))],
+    )
+    def test_pivot_rows_invert_columns(self, preset, gamma):
+        self._rows_invert_columns(Algebra.get(preset), gamma)
+
+    def test_pivot_rows_invert_columns_user_table(self):
+        self._rows_invert_columns(self._affine13_user_table(), (1, 3))
 
 
 class TestLabelsByName:
@@ -613,8 +649,9 @@ class TestCrystal:
 class TestHalfToDcb:
     @pytest.mark.parametrize("preset", ["A2", "B2"])
     def test_matches_word_loop(self, preset):
-        # half_to_dcb reads to_dcb of the element in the double; the loop it
-        # replaced summed the word-to-label rows over the words of each degree
+        # half_to_dcb reads to_dcb of the element in the double, on words of
+        # several degrees, pivot words or not; its coordinates rebuild the
+        # element exactly
         alg = Algebra.get(preset)
         rng = random.Random(16)
         for sign in (MINUS, PLUS):
@@ -624,14 +661,9 @@ class TestHalfToDcb:
                     w = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
                     terms[w] = Rat.of(Laurent({rng.randrange(-2, 3): rng.choice([-2, -1, 1, 3])}))
                 x = alg.half.element(sign, terms)
-                want = {}
-                for gamma in x.degrees():
-                    w2d = alg.tables.word_to_dcb(gamma)
-                    for w, c in x.component(gamma).terms.items():
-                        for lab, d in w2d[w].items():
-                            want[lab] = want.get(lab, RAT_ZERO) + c * d
-                want = {lab: c for lab, c in want.items() if not c.is_zero()}
-                assert alg.tables.half_to_dcb(x) == want
+                coeffs = alg.tables.half_to_dcb(x)
+                assert all(not c.is_zero() for c in coeffs.values())
+                assert from_dcb(alg, sign, coeffs) == x
 
 
 class TestTwistedStructureConstants:
@@ -660,12 +692,12 @@ class TestTwistedStructureConstants:
                     key = (a2.half.word_degree(lw), a2.half.word_degree(rw))
                     blocks.setdefault(key, {})[(lw, rw)] = c
                 for (g1, g2), terms in blocks.items():
-                    w2d_l = a2.tables.word_to_dcb(g1)
-                    w2d_r = a2.tables.word_to_dcb(g2)
                     acc = {}
                     for (lw, rw), c in terms.items():
-                        for la, ca in w2d_l[lw].items():
-                            for lb, cb in w2d_r[rw].items():
+                        left = a2.tables.half_to_dcb(a2.half.element(MINUS, {lw: RAT_ONE}))
+                        right = a2.tables.half_to_dcb(a2.half.element(MINUS, {rw: RAT_ONE}))
+                        for la, ca in left.items():
+                            for lb, cb in right.items():
                                 acc[(la, lb)] = acc.get((la, lb), c * 0) + c * ca * cb
                     twist = nu_power(-a2.datum.dot(g1, g2))
                     for c in acc.values():

@@ -701,11 +701,14 @@ class TestFusedKernels:
                 bm = ctx.from_halves(minus=tables.dcb_elem(MINUS, lm))
                 for lp in labels:
                     bp = ctx.from_halves(plus=tables.dcb_elem(PLUS, lp))
-                    tables.numerators_to_dcb(*ctx.product_numerators(bm, bp))
+                    # on pivot words, as the engine gives them (`_reverse_words`)
+                    nums, den = ctx.product_numerators(bm, bp)
+                    nums, den = double.fold_groups(double.expand_numerators(nums, ctx.word_coords), den)
+                    tables.numerators_to_dcb({key: n.c for key, n in nums.items()}, den)
                     Engine(alg).reverse_dcb(lm, lp)
 
         run()
-        memos = (ctx._straight, ctx._word_coords, tables._w2d)
+        memos = (ctx._straight, ctx._word_coords, tables._dcb_rows)
         before = copy.deepcopy(memos)
         run()
         assert memos == before
@@ -903,7 +906,7 @@ class TestWordDenominators:
 
     def test_to_dcb_user_table(self):
         # a user table of pivot words times Phi4 puts every DCB coordinate
-        # of a word over Phi4
+        # of a pivot word over Phi4
         alg = Algebra("A1affine")
         ctx, gamma = alg.ctx, (1, 3)
         phi4 = Rat.of(FRACTION_DENS[1])
@@ -913,10 +916,11 @@ class TestWordDenominators:
         elems = [alg.half.element(MINUS, {p: phi4}) for p in pivots]
         labels = [f"u{k}" for k in range(len(elems))]
         alg.tables._register(DCBTable(gamma, labels, elems, alg.tables.dual_basis(gamma, elems)))
-        rows = alg.tables.word_to_dcb(gamma).values()
-        assert common_denominator([c for row in rows for c in row.values()])[1] == FRACTION_DENS[1]
+        rows = [alg.tables._dcb_row(p) for p in pivots]
+        fracs = [Rat(n, d) for row, d in rows for n in row.values()]
+        assert common_denominator(fracs)[1] == FRACTION_DENS[1]
         # the denominator to_dcb stores and uses is that lcm, not a multiple
-        assert alg.tables._word_rows(gamma)[2] == FRACTION_DENS[1]
+        assert {d for _, d in rows} == {FRACTION_DENS[1]}
         words = alg.half.words_of_degree(gamma)
         x = TriElem(ctx, "full", {(k_one(2), words[0], words[-1]): RAT_ONE, (k_one(2), (), words[1]): phi4})
         coords = alg.tables.to_dcb(x)

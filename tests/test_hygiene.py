@@ -14,7 +14,8 @@ holds an `assert` statement, which `python -O` strips, outside the
 ASSERT_ALLOWED internal invariants: an input check raises.  No module but
 `halves` calls `pairing_rows` or reads the pivot rows `DegreeBasis.rows`:
 the rows stay behind the pivot layer, and other modules pair through
-`HalfAlgebra.pair` and `pairing_block`.  The CLI run under `python -O` gives
+`HalfAlgebra.pair` and `pairing_block`.  No module but `halves` calls
+`words_of_degree`: the other layers work on pivot words.  The CLI run under `python -O` gives
 the same answers."""
 import ast
 import hashlib
@@ -270,25 +271,37 @@ def test_one_indented_json_writer(path):
     assert indented_dumps_calls(path.read_text()) == []
 
 
-def pairing_rows_callers(sources: dict) -> list:
-    """(module, line) of each call `pairing_rows(...)`, plain or as an
-    attribute, in a module of `sources` ({module: text}) other than halves."""
+def callers_outside_halves(sources: dict, name: str) -> list:
+    """(module, line) of each call `name(...)`, plain or as an attribute, in
+    a module of `sources` ({module: text}) other than halves."""
     return sorted(
         (module, node.lineno)
         for module, text in sources.items()
         if module != "halves"
         for node in ast.walk(ast.parse(text))
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pairing_rows"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
     )
 
 
 def test_scan_finds_pairing_rows_callers():
     src = "rows = alg.pairing_rows(g)\nbasis.rows[p]\npairing_rows(g)\nf(alg.pairing_rows)\n"
-    assert pairing_rows_callers({"halves": src, "canbasis": src}) == [("canbasis", 1), ("canbasis", 3)]
+    sources = {"halves": src, "canbasis": src}
+    assert callers_outside_halves(sources, "pairing_rows") == [("canbasis", 1), ("canbasis", 3)]
 
 
 def test_pairing_rows_called_in_halves_only():
-    assert pairing_rows_callers({p.stem: p.read_text() for p in PACKAGE}) == []
+    assert callers_outside_halves({p.stem: p.read_text() for p in PACKAGE}, "pairing_rows") == []
+
+
+def test_scan_finds_words_of_degree_callers():
+    src = "ws = half.words_of_degree(g)\nhalf.degree_basis(g).words\nwords_of_degree(g)\nf(half.words_of_degree)\n"
+    sources = {"halves": src, "canbasis": src}
+    assert callers_outside_halves(sources, "words_of_degree") == [("canbasis", 1), ("canbasis", 3)]
+
+
+def test_words_of_degree_called_in_halves_only():
+    # DCB coordinates are read on pivot words; only halves lists every word
+    assert callers_outside_halves({p.stem: p.read_text() for p in PACKAGE}, "words_of_degree") == []
 
 
 def pivot_rows_readers(sources: dict) -> list:
