@@ -14,6 +14,9 @@ per-label-pair memos: the reverse products b_+ b_- on pivot words over one
 denominator (`_reverse_words`, straightened once per transpose orbit), the
 same products in DCB coordinates (`reverse_dcb`, read from them, one
 reduction per coordinate) and the clearing multipliers (`d_multiplier`).
+Every coefficient the memos keep goes through the engine's value table
+(`scalar.ValueTable`), so equal values share one object, and no kernel may
+sum into a stored coefficient in place.
 Bar fixes every DCB element and reverses products, so the bar of a member
 reads bar(b_- b_+) = b_+ b_- from the same memo.  A solve works in DCB
 coordinates, through the double's one K-twist `DoubleContext.twist_terms`
@@ -69,6 +72,7 @@ from .scalar import (
     Rat,
     RAT_ONE,
     RAT_ZERO,
+    ValueTable,
     accumulate,
     add_mul,
     clear_denominators,
@@ -177,7 +181,10 @@ class Engine:
     record, label pair or label: the records, the reverse products on
     pivot words and in DCB coordinates, the clearing multipliers, the
     labels whose DCB element is checked bar-fixed, and the triple coproducts of
-    `product_expansion_via_coproduct`.  Pairs with a label that has no
+    `product_expansion_via_coproduct`.  Their coefficients (numerators and
+    denominators, coordinates, certificates, element terms, multipliers)
+    are stored through one value table that lives with the engine, one
+    object per distinct Laurent and Rat.  Pairs with a label that has no
     reversed label, and pairs that are their own partner, are always
     solved.  Each record is proved bar-fixed once (`_prove`): a solve over
     the reverse products on pivot words (`_bar_fixed`), a relabeled record
@@ -198,6 +205,7 @@ class Engine:
         self._fixed: set = set()  # labels whose DCB element is checked bar-fixed
         self._triples: dict = {}  # (label, sign) -> triple coproduct over labels
         self._d_memo: dict = {}  # (lm, lp) -> clearing multiplier
+        self._values = ValueTable()  # each coefficient of the memos above, stored once
 
     # ====================================================== clearing multipliers
     def reverse_dcb(self, lab_minus: str, lab_plus: str) -> dict:
@@ -218,7 +226,7 @@ class Engine:
             if got is None:
                 nums, den = self._reverse_words(lab_minus, lab_plus)
                 got = self.tables.numerators_to_dcb({idx: n.c for idx, n in nums.items()}, den)
-            self._reverse[key] = got
+            got = self._reverse[key] = self._values.terms(got)
         return got
 
     def _reverse_words(self, lab_minus: str, lab_plus: str) -> tuple:
@@ -243,7 +251,8 @@ class Engine:
                 bm = self.tables.dcb_elem(MINUS, lab_minus)
                 bp = self.tables.dcb_elem(PLUS, lab_plus)
                 nums, den = ctx.product_numerators(ctx.from_halves(plus=bp), ctx.from_halves(minus=bm))
-            got = self._words[key] = fold_groups(expand_numerators(nums, ctx.word_coords), den)
+            nums, den = fold_groups(expand_numerators(nums, ctx.word_coords), den)
+            got = self._words[key] = self._values.terms(nums), self._values.laurent(den)
         return got
 
     def d_multiplier(self, lab_minus: str, lab_plus: str) -> Laurent:
@@ -265,7 +274,7 @@ class Engine:
             unit, const, cyc, others = cyclotomic_factor(Laurent({k // 2: v for k, v in d.c.items()}))
             if const != 1 or others or any(k < 3 for k, _ in cyc):
                 raise ValueError(f"multiplier {d} is not a monic product of admissible cyclotomics")
-        self._d_memo[key] = d
+        d = self._d_memo[key] = self._values.laurent(d)
         return d
 
     # ================================================================ circ/bullet
@@ -470,23 +479,28 @@ class Engine:
         at the partner (*lp, *lm), so once the partner's record exists the
         coordinates are relabeled from it (`_transpose`), proved
         unitriangular (`_certify`) in place of a solve, and partner names
-        it; otherwise `_corrections` solves and partner is None."""
+        it; otherwise `_corrections` solves and partner is None.  The
+        coordinates and certificate come with their coefficients stored in
+        the value table."""
         partner = self._partner(lm, lp)
         record = self._solved.get((kind, *partner, variant)) if partner else None
         coords = self._transpose(record[0]) if record else None
         if coords is not None:
-            return coords, self._certify(kind, lm, lp, variant, coords), partner
-        cert, coords = self._corrections(kind, lm, lp, variant)
-        return coords, cert, None
+            cert = self._certify(kind, lm, lp, variant, coords)
+        else:
+            cert, coords = self._corrections(kind, lm, lp, variant)
+            partner = None
+        return self._values.terms(coords), self._values.terms(cert), partner
 
     def _element(self, kind, variant, coords) -> TriElem:
         """The element of DCB coordinates in the kind's flavor, built over
         one denominator and spread by `expand_numerators` over the labels'
         DCB columns (`CanonicalTables.dcb_column`), each coefficient reduced
-        once."""
+        once and stored in the value table."""
         nums, den = common_denominator(list(coords.values()))
         groups = expand_numerators({idx: n.c for idx, n in zip(coords, nums)}, self.tables.dcb_column)
-        return TriElem(self.ctx, _KINDS[kind, variant][1], over_groups(groups, den), normalized=True)
+        terms = self._values.terms(over_groups(groups, den))
+        return TriElem(self.ctx, _KINDS[kind, variant][1], terms, normalized=True)
 
     def _corrections(self, kind, lm, lp, variant) -> tuple:
         """Lusztig's lemma for the pair over the lower records of its own
@@ -664,12 +678,12 @@ def product_expansion_via_coproduct(algebra, lm: str, lp: str) -> dict:
     half = algebra.half
     tables = algebra.tables
     datum = algebra.datum
-    triples = algebra.engine._triples
+    triples, values = algebra.engine._triples, algebra.engine._values
 
     def triple_dcb(label, sign):
         got = triples.get((label, sign))
         if got is None:
-            got = triples[label, sign] = expand_triple(label, sign)
+            got = triples[label, sign] = values.terms(expand_triple(label, sign))
         return got
 
     def expand_triple(label, sign):

@@ -42,6 +42,7 @@ __all__ = [
     "cyclotomic",
     "cyclotomic_factor",
     "parse_scalar",
+    "ValueTable",
 ]
 
 
@@ -516,6 +517,35 @@ def _unit_normal(num: Laurent, den: Laurent) -> Rat:
 
 RAT_ZERO = Rat.of(0)
 RAT_ONE = Rat.of(1)
+
+
+class ValueTable:
+    """One object per distinct value: equal Laurents stored through the
+    table are one object, and so are equal Rats, each over the table's own
+    num and den.  Laurent and Rat are immutable values with cached hashes,
+    so equal values can share an object as long as nothing sums into a
+    stored coefficient dict in place.  A Rat is keyed on its stored num and
+    den, whose hashes are cached once."""
+
+    __slots__ = ("_laurents", "_rats")
+
+    def __init__(self):
+        self._laurents: dict = {}
+        self._rats: dict = {}
+
+    def laurent(self, x: Laurent) -> Laurent:
+        return self._laurents.setdefault(x, x)
+
+    def rat(self, x: Rat) -> Rat:
+        key = (self.laurent(x.num), self.laurent(x.den))
+        got = self._rats.get(key)
+        if got is None:
+            got = self._rats[key] = x if x.num is key[0] and x.den is key[1] else _rat(*key)
+        return got
+
+    def terms(self, terms: dict) -> dict:
+        """terms {key: Laurent or Rat} with every value stored once."""
+        return {k: self.rat(c) if isinstance(c, Rat) else self.laurent(c) for k, c in terms.items()}
 
 
 def accumulate(out: dict, key, val) -> None:

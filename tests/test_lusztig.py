@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -8,8 +9,8 @@ import pytest
 from qdouble import Algebra, canbasis, lusztig, scalar
 from qdouble.braid import BraidOps
 from qdouble.canbasis import TableConflict, TableIncomplete, UserTableError
-from qdouble.cli import _load_user_tables
-from qdouble.double import DoubleContext, TriElem, format_tri, k_one, kmono
+from qdouble.cli import _dumps, _load_user_tables, _write_table
+from qdouble.double import DoubleContext, TriElem, format_tri, k_one, kmono, tri_to_obj
 from qdouble.halves import PLUS, MINUS, half_to_obj
 from qdouble.lusztig import TriangularityError, bar_fix, product_expansion_via_coproduct
 from qdouble.scalar import (
@@ -1517,3 +1518,62 @@ class TestTermKernels:
             want = reference_transpose(ctx, x.terms, lambda w: w[::-1], word_degree)
             assert ctx.transpose_terms(x.terms, lambda w: w[::-1], word_degree) == want
             assert ctx.transpose(x) == TriElem(ctx, "full", want)
+
+
+# -- the engine's memos: each coefficient stored once, never changed ---------
+
+def emit(eng, bound) -> str:
+    """The JSON text of the basis table within the bound, as `basis` writes it."""
+    chunks = []
+    _write_table(eng.basis_rows(bound), chunks.append)
+    return "".join(chunks)
+
+
+def memo_coefficients(eng) -> tuple:
+    """(laurents, rats): every coefficient the engine's memos hold, one
+    entry per place that holds it, with each Rat's num and den among the
+    Laurents."""
+    laurents, rats = list(eng._d_memo.values()), []
+    for nums, den in eng._words.values():
+        laurents += [*nums.values(), den]
+    for coords in [*eng._reverse.values(), *eng._triples.values()]:
+        rats += coords.values()
+    for coords, cert, element in eng._solved.values():
+        rats += [*coords.values(), *cert.values(), *(element.terms.values() if element else ())]
+    laurents += [part for r in rats for part in (r.num, r.den)]
+    return laurents, rats
+
+
+class TestEngineMemos:
+    """A cold `basis --height 2` run leaves each distinct coefficient in the
+    engine's memos as one object, so a kernel that summed into a stored
+    coefficient dict in place would corrupt every entry sharing it: nothing
+    that reads the memos may change them."""
+
+    @pytest.fixture(scope="class", params=["A2", "B2"])
+    def solved(self, request):
+        alg = Algebra(request.param)
+        bound = (2,) * alg.datum.rank
+        return alg, bound, emit(alg.engine, bound)
+
+    def test_each_value_is_one_object(self, solved):
+        laurents, rats = memo_coefficients(solved[0].engine)
+        for values in (laurents, rats):
+            assert len(values) > 2 * len(set(values))
+            assert len({id(x) for x in values}) == len(set(values))
+
+    def test_memos_never_change(self, solved):
+        alg, bound, text = solved
+        eng = alg.engine
+        memos = (eng._words, eng._reverse, eng._solved, eng._d_memo)
+        before = copy.deepcopy(memos, {id(alg.ctx): alg.ctx})
+        assert all(before) and sum(element is not None for *_, element in eng._solved.values()) > 100
+        assert emit(eng, bound) == text
+        labels = [lab for g in alg.datum.degrees_of_height(2) for lab in alg.tables.labels_of_degree(g)]
+        for lm, lp in zip(labels, labels[::-1]):
+            eng.structure_constants(lm, lp)
+            product_expansion_via_coproduct(alg, lm, lp)
+        rows = eng.enumerate_basis(bound)
+        assert _dumps([{**row, "element": tri_to_obj(row["element"])} for row in rows]) == text
+        for memo, old in zip(memos, before):
+            assert {key: memo[key] for key in old} == old

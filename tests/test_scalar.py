@@ -560,6 +560,22 @@ class TestOverDenominator:
                 assert got[key].is_laurent()
 
 
+class TestValueTable:
+    def test_equal_values_share_one_object(self):
+        table = scalar.ValueTable()
+        a, b = Laurent({-1: 2, 3: 1}), Laurent({3: 1, -1: 2})
+        assert table.laurent(a) is a and table.laurent(b) is a
+        den = Laurent({0: 1, 4: -1}) * -1
+        x, y = Rat(Laurent(dict(a.c)), den), Rat(Laurent(dict(b.c)), den * 1)
+        assert x == y and x.num is not y.num and x.den is not y.den
+        got = table.terms({"x": x, "y": y, "c": Laurent(dict(a.c)), "one": Rat.of(1)})
+        assert got == {"x": x, "y": y, "c": a, "one": Rat.of(1)}
+        assert got["x"] is got["y"] and got["c"] is a
+        # a stored Rat holds the table's num and den
+        assert got["x"].num is a and got["x"].den is table.laurent(Laurent(dict(x.den.c)))
+        assert table.rat(Rat.of(1)) is got["one"] and got["one"].num is table.laurent(ONE)
+
+
 class TestSerialization:
     @given(laurents, laurents)
     @settings(max_examples=100, deadline=None)
